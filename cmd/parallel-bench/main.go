@@ -5,11 +5,7 @@
 // lowest level — keeps every worker saturated. The promptness claim
 // is that interactive p99 stays within a bound (-bound, default 10ms)
 // even with the analytics running, because the scheduler preempts the
-// background loop's spawns at every split point. The entry also
-// records the Reduce-vs-ReduceShared ablation on an identical skewed
-// input: frame-scoped joins let each subtree combine as soon as its
-// own halves finish, where the shared-frame variant serializes every
-// combine behind the slowest outstanding leaf in scope.
+// background loop at every chunk boundary.
 //
 // Results append to a JSON trajectory file, one entry per invocation:
 //
@@ -56,19 +52,14 @@ type Entry struct {
 	// WithinBound is the promptness verdict: mixed-phase interactive
 	// p99 at or under the bound.
 	WithinBound bool `json:"within_bound"`
-	// The ablation: wall clock (min of reps) of one pass over the same
-	// skewed input with frame-scoped Reduce and with the deprecated
-	// shared-frame ReduceShared, and their ratio (> 1 means the
-	// frame-scoped fix is faster).
-	ReduceNS       int64   `json:"reduce_ns"`
-	ReduceSharedNS int64   `json:"reduce_shared_ns"`
-	SharedSpeedup  float64 `json:"shared_speedup"`
 }
 
-// File is the committed trajectory: newest entry last.
+// File is the committed trajectory: newest entry last. Earlier entries
+// are carried through verbatim (some record a since-removed
+// Reduce-vs-ReduceShared ablation, 1.003×).
 type File struct {
-	Comment string  `json:"_comment"`
-	Entries []Entry `json:"entries"`
+	Comment string            `json:"_comment"`
+	Entries []json.RawMessage `json:"entries"`
 }
 
 const fileComment = "Mixed batch/interactive data-parallel trajectory; append entries with: go run ./cmd/parallel-bench -label <change> -o BENCH_parallel.json"
@@ -81,9 +72,9 @@ const (
 	interGrain     = 1 << 12
 )
 
-// Background analytics: one pass reduces this many elements. Skewed
-// leaf cost (every skewStride-th block is skewFactor× heavier) gives
-// the Reduce/ReduceShared ablation a stall pattern to expose.
+// Background analytics: one pass reduces this many elements. Leaf cost
+// is skewed (every skewStride-th block is skewFactor× heavier), so the
+// pass has stragglers for the scheduler to balance.
 const (
 	bgTableSize = 1 << 21
 	bgGrain     = 1 << 13
@@ -112,8 +103,7 @@ func interScan(t *icilk.Task, table []int64) int64 {
 		func(a, b int64) int64 { return a + b })
 }
 
-// bgLeaf burns per-element work with a skew: heavy blocks model the
-// stragglers that shared-frame joins used to serialize behind.
+// bgLeaf burns per-element work with a skew.
 func bgLeaf(table []int64, i int) int64 {
 	reps := 1
 	if (i/bgGrain)%skewStride == 0 {
@@ -127,13 +117,10 @@ func bgLeaf(table []int64, i int) int64 {
 }
 
 // bgPass is one full analytics pass.
-func bgPass(t *icilk.Task, table []int64, shared bool) int64 {
-	leaf := func(i int) int64 { return bgLeaf(table, i) }
-	combine := func(a, b int64) int64 { return a + b }
-	if shared {
-		return icilk.ReduceShared(t, 0, bgTableSize, bgGrain, 0, leaf, combine)
-	}
-	return icilk.Reduce(t, 0, bgTableSize, bgGrain, 0, leaf, combine)
+func bgPass(t *icilk.Task, table []int64) int64 {
+	return icilk.Reduce(t, 0, bgTableSize, bgGrain, 0,
+		func(i int) int64 { return bgLeaf(table, i) },
+		func(a, b int64) int64 { return a + b })
 }
 
 // runStream drives the interactive open-loop stream, optionally with
@@ -155,7 +142,7 @@ func runStream(workers int, rate float64, dur, warmup time.Duration, seed uint64
 			defer close(bgDone)
 			for !stop.Load() {
 				rt.Submit(1, func(t *icilk.Task) any {
-					return bgPass(t, bgTable, false)
+					return bgPass(t, bgTable)
 				}).Wait()
 				passes.Add(1)
 			}
@@ -192,35 +179,6 @@ func runStream(workers int, rate float64, dur, warmup time.Duration, seed uint64
 	return out, nil
 }
 
-// runAblation times one analytics pass with frame-scoped Reduce and
-// with shared-frame ReduceShared, min over reps, interleaved so drift
-// hits both variants alike.
-func runAblation(workers, reps int) (reduceNS, sharedNS int64, err error) {
-	rt, err := icilk.New(icilk.Config{Workers: workers, Levels: 2})
-	if err != nil {
-		return 0, 0, err
-	}
-	defer rt.Close()
-	table := buildTable(bgTableSize)
-	time1 := func(shared bool) int64 {
-		start := time.Now()
-		rt.Run(func(t *icilk.Task) any { return bgPass(t, table, shared) })
-		return time.Since(start).Nanoseconds()
-	}
-	// Warm both paths once (grain calibration, pool fill).
-	time1(false)
-	time1(true)
-	for r := 0; r < reps; r++ {
-		if d := time1(false); reduceNS == 0 || d < reduceNS {
-			reduceNS = d
-		}
-		if d := time1(true); sharedNS == 0 || d < sharedNS {
-			sharedNS = d
-		}
-	}
-	return reduceNS, sharedNS, nil
-}
-
 func main() {
 	label := flag.String("label", "", "entry label (e.g. the change being measured); required")
 	out := flag.String("o", "", "JSON file to append the entry to (created if missing); stdout if empty")
@@ -228,7 +186,6 @@ func main() {
 	dur := flag.Duration("dur", 2*time.Second, "measurement duration per phase")
 	warmup := flag.Duration("warmup", 300*time.Millisecond, "per-phase warmup (load applied, not measured)")
 	bound := flag.Duration("bound", 10*time.Millisecond, "interactive p99 promptness bound under background load")
-	reps := flag.Int("reps", 5, "ablation repetitions (min is reported)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "scheduler workers")
 	seed := flag.Uint64("seed", 42, "workload seed")
 	flag.Parse()
@@ -273,20 +230,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "  promptness: interactive p99 %.3fms %s %.1fms bound under saturation\n",
 		mixed.P99ms, verdict, entry.BoundMS)
 
-	fmt.Fprintf(os.Stderr, "ablation: Reduce vs ReduceShared, %d elems skewed, min of %d reps ...\n",
-		bgTableSize, *reps)
-	rNS, sNS, err := runAblation(*workers, *reps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "parallel-bench: %v\n", err)
-		os.Exit(1)
-	}
-	entry.ReduceNS, entry.ReduceSharedNS = rNS, sNS
-	if rNS > 0 {
-		entry.SharedSpeedup = float64(sNS) / float64(rNS)
-	}
-	fmt.Fprintf(os.Stderr, "  Reduce %.2fms  ReduceShared %.2fms  speedup %.3fx\n",
-		float64(rNS)/1e6, float64(sNS)/1e6, entry.SharedSpeedup)
-
 	var f File
 	if *out != "" {
 		if data, err := os.ReadFile(*out); err == nil {
@@ -297,7 +240,11 @@ func main() {
 		}
 	}
 	f.Comment = fileComment
-	f.Entries = append(f.Entries, entry)
+	raw, err := json.Marshal(entry)
+	if err != nil {
+		panic(err)
+	}
+	f.Entries = append(f.Entries, raw)
 	data, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		panic(err)

@@ -121,7 +121,13 @@ type Deque struct {
 	// time of its deadline) for the slack-aware tie-break inside a
 	// priority level. Atomic because thieves copy it onto adopted
 	// deques without holding mu.
-	deadline   atomic.Int64
+	deadline atomic.Int64
+	// hasFrames mirrors len(items) > 0, stored under mu whenever that
+	// flips, so the owner can ask "is there anything here for a thief?"
+	// without taking the lock (HasFrames). A stale answer costs the
+	// asking loop one chunk of delay or one surplus spawn, never
+	// correctness.
+	hasFrames  atomic.Bool
 	blocked    any // valid iff hasBlocked
 	hasBlocked bool
 	// immediately distinguishes an abandoned (immediately resumable)
@@ -164,8 +170,12 @@ func (d *Deque) SetDeadlineNS(ns int64) { d.deadline.Store(ns) }
 // none.
 func (d *Deque) DeadlineNS() int64 { return d.deadline.Load() }
 
-// updateLive recomputes liveness; callers hold mu.
+// updateLive recomputes liveness and the lock-free HasFrames mirror
+// after a change to items or state; callers hold mu.
 func (d *Deque) updateLive() {
+	if has := len(d.items) > 0; has != d.hasFrames.Load() {
+		d.hasFrames.Store(has) // only the empty/non-empty flips pay the store
+	}
 	nowLive := len(d.items) > 0 || (d.hasBlocked && d.state == Resumable)
 	if nowLive != d.live {
 		d.live = nowLive
@@ -247,6 +257,14 @@ func (d *Deque) Len() int {
 	defer d.mu.Unlock()
 	return len(d.items)
 }
+
+// HasFrames reports, without taking the lock, whether the deque holds
+// a frame a thief could steal. It is the owner-side demand probe of the
+// data-parallel loops: the owner is the only pusher, so "false" can
+// only be stale by the owner's own program order (it is not), and
+// "true" goes stale only when a thief has just taken the last frame —
+// the loop then feeds the next thief one chunk later.
+func (d *Deque) HasFrames() bool { return d.hasFrames.Load() }
 
 // State returns the current lifecycle state.
 func (d *Deque) State() State {

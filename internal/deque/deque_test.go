@@ -86,12 +86,12 @@ func TestTakeForThiefStealAndPushBack(t *testing.T) {
 	if res != PopSteal || frame.(string) != "a" {
 		t.Fatalf("steal = %v,%v", res, frame)
 	}
-	if !pushBack {
-		t.Fatal("deque with remaining frames must be pushed back")
+	if !pushBack || !d.HasFrames() {
+		t.Fatalf("deque with a remaining frame: pushBack=%v HasFrames=%v", pushBack, d.HasFrames())
 	}
 	res, frame, pushBack = d.TakeForThief(false)
-	if res != PopSteal || frame.(string) != "b" || pushBack {
-		t.Fatalf("second steal = %v,%v,%v", res, frame, pushBack)
+	if res != PopSteal || frame.(string) != "b" || pushBack || d.HasFrames() {
+		t.Fatalf("second steal = %v,%v,%v HasFrames=%v", res, frame, pushBack, d.HasFrames())
 	}
 	// Now suspended and empty: lazy discard.
 	res, _, _ = d.TakeForThief(false)
@@ -210,7 +210,8 @@ func TestTryMugOnlyResumable(t *testing.T) {
 }
 
 // TestQuickDequeModel: the deque's push/pop/steal behaviour matches a
-// reference slice under any operation sequence.
+// reference slice under any operation sequence, and the lock-free
+// HasFrames mirror agrees with it after every operation.
 func TestQuickDequeModel(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		d := New(0, nil)
@@ -248,6 +249,9 @@ func TestQuickDequeModel(t *testing.T) {
 				if !ok || v.(int) != want {
 					return false
 				}
+			}
+			if d.HasFrames() != (len(model) > 0) {
+				return false
 			}
 		}
 		return d.Len() == len(model)

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,22 +138,29 @@ func TestCallNested(t *testing.T) {
 // be as loud.
 func TestCallMissingSyncPanics(t *testing.T) {
 	rt := newTestRuntime(t, Config{Workers: 2, Levels: 1, Policy: Prompt})
-	got := rt.Run(func(task *Task) any {
+	// The child stays outstanding until the frame has returned (on the
+	// thief that took its continuation), however slowly that thief wakes.
+	var returned atomic.Bool
+	rt.Run(func(task *Task) any {
 		defer func() {
 			if recover() == nil {
 				t.Error("no panic from a called frame with outstanding children")
 			}
+			returned.Store(true)
 			// The leaked child shares the caller's goroutine-level safety:
 			// join it so the runtime can shut down cleanly.
 			task.Sync()
 		}()
 		task.Call(func(ft *Task) {
-			ft.Spawn(func(*Task) { time.Sleep(time.Millisecond) })
+			ft.Spawn(func(*Task) {
+				for deadline := time.Now().Add(5 * time.Second); !returned.Load() && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+			})
 			// missing ft.Sync()
 		})
 		return nil
 	})
-	_ = got
 }
 
 // TestCallWorkerMigrationWriteback: if the goroutine migrates workers

@@ -33,7 +33,8 @@ type Future struct {
 	val     any
 	errv    error         // completion error (cancellation cause); written before done
 	waiters []*dq         // deques suspended on this future
-	onDone  []func(error) // completion callbacks (see OnComplete)
+	onDone1 func(error)   // first completion callback (see OnComplete)
+	onDone  []func(error) // second and later callbacks, in registration order
 
 	// ch is closed at completion for external waiters. It is created
 	// lazily by the first Wait/WaitChan that needs it, so futures only
@@ -83,13 +84,16 @@ func (f *Future) completeWith(v any, err error) {
 	f.done.Store(true)
 	ws := f.waiters
 	f.waiters = nil
-	cbs := f.onDone
-	f.onDone = nil
+	cb1, cbs := f.onDone1, f.onDone
+	f.onDone1, f.onDone = nil, nil
 	if f.ch != nil {
 		close(f.ch)
 	}
 	f.mu.Unlock()
 
+	if cb1 != nil {
+		cb1(err)
+	}
 	for _, fn := range cbs {
 		fn(err)
 	}
@@ -126,7 +130,9 @@ func (f *Future) Done() bool {
 // routine's body never executes at all. An already-complete future
 // invokes fn immediately on the caller; otherwise fn runs on the
 // goroutine performing completion and must not block. The admission
-// subsystem uses this to release occupancy charges reliably.
+// subsystem uses this to release occupancy charges reliably. Callbacks
+// run in registration order; the first is held inline, so the common
+// one-callback future allocates no slice.
 func (f *Future) OnComplete(fn func(error)) {
 	f.mu.Lock()
 	if f.done.Load() {
@@ -134,7 +140,11 @@ func (f *Future) OnComplete(fn func(error)) {
 		fn(f.errv)
 		return
 	}
-	f.onDone = append(f.onDone, fn)
+	if f.onDone1 == nil {
+		f.onDone1 = fn
+	} else {
+		f.onDone = append(f.onDone, fn)
+	}
 	f.mu.Unlock()
 }
 

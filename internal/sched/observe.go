@@ -159,6 +159,9 @@ func (rt *Runtime) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("icilk_suspends_total",
 		"Deques suspended at a failed future get.",
 		sum(func(r stats.WasteReport) int64 { return r.Suspends }))
+	reg.CounterFunc("icilk_spawns_total",
+		"Task.Spawn calls; a data-parallel loop spawns only when a thief has emptied its deque.",
+		sum(func(r stats.WasteReport) int64 { return r.Spawns }))
 	reg.CounterFunc("icilk_bitfield_checks_total",
 		"Scheduling-point priority checks (every spawn, sync, fut-create, get, and yield).",
 		sum(func(r stats.WasteReport) int64 { return r.Checks }))

@@ -459,6 +459,7 @@ func (rt *Runtime) WasteReport() stats.WasteReport {
 		agg.Abandons += r.Abandons
 		agg.Checks += r.Checks
 		agg.Suspends += r.Suspends
+		agg.Spawns += r.Spawns
 	}
 	return agg
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,10 +202,21 @@ func TestWasteReportAccumulates(t *testing.T) {
 	if rep.Work <= 0 {
 		t.Fatalf("work time = %v, want > 0", rep.Work)
 	}
-	rt.ResetWaste()
-	rep = rt.WasteReport()
-	if rep.Work != 0 || rep.Steals != 0 {
-		t.Fatalf("after reset: %+v", rep)
+	// Run returns when the root's future completes, which is before the
+	// worker that ran it charges that last slice of work (and before an
+	// idle worker finishes going to sleep): a reset can race those late
+	// charges, so reset until one sticks.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rt.ResetWaste()
+		rep = rt.WasteReport()
+		if rep.Work == 0 && rep.Steals == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after reset: %+v", rep)
+		}
+		runtime.Gosched()
 	}
 }
 

@@ -304,6 +304,7 @@ func (t *Task) maybeSwitch() {
 // the child.
 func (t *Task) Spawn(fn func(*Task)) {
 	t.maybeSwitch()
+	t.w.clock.CountSpawn()
 	child := t.rt.newNode(t.level, t, fn)
 	t.joins.Add(1)
 	d := t.w.active
@@ -378,4 +379,27 @@ func (t *Task) FutCreate(level int, fn func(*Task) any) *Future {
 func (t *Task) Yield() {
 	t.maybeSwitch()
 	runtime.Gosched()
+}
+
+// LoopPoint is the scheduling point a data-parallel loop reaches
+// between two sequential chunks, and the loop's demand probe: it
+// reports whether the loop should feed a thief, i.e. whether the active
+// deque holds no frame one could take (deque.HasFrames; a runtime with
+// one worker has no thieves, so the answer there is always no).
+//
+// A loop that does not spawn never parks, so its worker never enters
+// the Go scheduler and every plain goroutine in the process (timers,
+// accept loops, I/O handlers, request generators) waits for async
+// preemption; yield asks for a runtime.Gosched to stand in for the
+// missing parks. The order is Gosched first, bitfield check second —
+// the reverse of Yield — because a goroutine that gets the processor
+// inside the Gosched window may submit exactly the work the check is
+// there to notice, and checking first would leave it waiting a whole
+// further chunk.
+func (t *Task) LoopPoint(yield bool) (feed bool) {
+	if yield {
+		runtime.Gosched()
+	}
+	t.maybeSwitch()
+	return len(t.rt.workers) > 1 && !t.w.active.HasFrames()
 }

@@ -40,6 +40,7 @@ type WorkerClock struct {
 	abandons     atomic.Int64 // deques abandoned for higher priority
 	checks       atomic.Int64 // bitfield/assignment checks at scheduling points
 	suspends     atomic.Int64 // deques suspended at a failed get
+	spawns       atomic.Int64 // Task.Spawn calls (continuations pushed for thieves)
 	_            [64]byte
 }
 
@@ -75,6 +76,9 @@ func (c *WorkerClock) CountCheck() { c.checks.Add(1) }
 // CountSuspend records one deque suspension at a failed get.
 func (c *WorkerClock) CountSuspend() { c.suspends.Add(1) }
 
+// CountSpawn records one Task.Spawn.
+func (c *WorkerClock) CountSpawn() { c.spawns.Add(1) }
+
 // WasteReport is a snapshot of a WorkerClock.
 type WasteReport struct {
 	Work         time.Duration
@@ -87,6 +91,7 @@ type WasteReport struct {
 	Abandons     int64
 	Checks       int64
 	Suspends     int64
+	Spawns       int64
 }
 
 // Running returns the paper's "running time": work plus scheduling
@@ -106,6 +111,7 @@ func (c *WorkerClock) Snapshot() WasteReport {
 		Abandons:     c.abandons.Load(),
 		Checks:       c.checks.Load(),
 		Suspends:     c.suspends.Load(),
+		Spawns:       c.spawns.Load(),
 	}
 }
 
@@ -121,4 +127,5 @@ func (c *WorkerClock) Reset() {
 	c.abandons.Store(0)
 	c.checks.Store(0)
 	c.suspends.Store(0)
+	c.spawns.Store(0)
 }

@@ -1,7 +1,9 @@
 // Package trace is a low-overhead scheduler event log: a fixed-size
-// lock-free ring of (timestamp, worker, level, kind) records that the
-// runtime emits at its decision points (steals, muggings,
-// abandonments, suspensions, resumptions, sleeps, wakes). It exists
+// ring of (timestamp, worker, level, kind) records that the runtime
+// emits at its decision points (steals, muggings, abandonments,
+// suspensions, resumptions, sleeps, wakes). A writer claims a slot with
+// one atomic add and fills it under the slot's own lock, which it
+// shares with another writer only when lapped by the whole ring. It exists
 // for debugging scheduler behaviour and for validating claims like
 // "the worker abandoned within one scheduling point of the bit being
 // set" without perturbing the measurements a profiler would.
@@ -9,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -79,9 +82,19 @@ type Event struct {
 // events, so call sites need no conditional.
 type Log struct {
 	start  time.Time
-	ring   []Event
-	pos    atomic.Uint64 // total events ever written
+	ring   []slot
+	pos    atomic.Uint64 // total events ever claimed
 	counts [numKinds]atomic.Int64
+}
+
+// slot is one ring cell. Add claims an index from pos before it writes
+// the cell, so a reader (or a writer lapped by the whole ring) can
+// arrive while the cell still holds an older event: seq says which
+// event the cell holds, and mu orders the cell's writers and readers.
+type slot struct {
+	mu  sync.Mutex
+	seq uint64 // 1 + index of the event held; 0 = never written
+	ev  Event
 }
 
 // New creates a log holding the most recent capacity events.
@@ -89,7 +102,7 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Log{start: time.Now(), ring: make([]Event, capacity)}
+	return &Log{start: time.Now(), ring: make([]slot, capacity)}
 }
 
 // Add records one event. Safe for concurrent use; nil-safe.
@@ -98,12 +111,18 @@ func (l *Log) Add(k Kind, worker, level int) {
 		return
 	}
 	i := l.pos.Add(1) - 1
-	l.ring[i%uint64(len(l.ring))] = Event{
+	ev := Event{
 		TS:     int64(time.Since(l.start)),
 		Worker: int32(worker),
 		Level:  int32(level),
 		Kind:   k,
 	}
+	s := &l.ring[i%uint64(len(l.ring))]
+	s.mu.Lock()
+	if s.seq <= i { // a lapped writer must not bury a newer event
+		s.seq, s.ev = i+1, ev
+	}
+	s.mu.Unlock()
 	l.counts[k].Add(1)
 }
 
@@ -123,22 +142,28 @@ func (l *Log) Total() int64 {
 	return int64(l.pos.Load())
 }
 
-// Snapshot returns the retained events, oldest first. Concurrent
-// writers may tear the oldest entries; snapshots are for post-hoc
-// inspection, not synchronization.
+// Snapshot returns the retained events, oldest first. It is safe
+// against concurrent Adds: an event claimed but not yet written, or
+// already overwritten by a newer one, is left out, so a snapshot of a
+// live log may be short at either end but never holds a torn record.
 func (l *Log) Snapshot() []Event {
 	if l == nil {
 		return nil
 	}
 	total := l.pos.Load()
 	n := uint64(len(l.ring))
-	var out []Event
 	lo := uint64(0)
 	if total > n {
 		lo = total - n
 	}
+	out := make([]Event, 0, total-lo)
 	for i := lo; i < total; i++ {
-		out = append(out, l.ring[i%n])
+		s := &l.ring[i%n]
+		s.mu.Lock()
+		if s.seq == i+1 {
+			out = append(out, s.ev)
+		}
+		s.mu.Unlock()
 	}
 	return out
 }

@@ -88,3 +88,47 @@ func TestConcurrentAdd(t *testing.T) {
 		t.Fatalf("String = %q", l.String())
 	}
 }
+
+// TestSnapshotDuringAdds: Snapshot on a live log (what GET /debug/trace
+// does) must be race-free against every writer — run under -race — and
+// must never return a torn or misplaced record: each writer stamps its
+// id in both Worker and Level, and a small ring keeps writers lapping
+// the reader.
+func TestSnapshotDuringAdds(t *testing.T) {
+	const writers, perWriter = 4, 20000
+	l := New(64)
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				l.Add(Kind(g), g, g)
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		ev := l.Snapshot()
+		if len(ev) > 64 {
+			t.Fatalf("snapshot of a 64-slot ring returned %d events", len(ev))
+		}
+		for _, e := range ev {
+			if e.Worker != e.Level || Kind(e.Worker) != e.Kind || e.Worker < 0 || e.Worker >= writers {
+				t.Fatalf("torn record: %+v", e)
+			}
+		}
+	}
+	if got := len(l.Snapshot()); got != 64 {
+		t.Fatalf("quiescent snapshot holds %d events, want the full ring of 64", got)
+	}
+	if l.Total() != writers*perWriter {
+		t.Fatalf("total = %d", l.Total())
+	}
+}

@@ -116,6 +116,7 @@ func TestAdminEndToEnd(t *testing.T) {
 		"# TYPE icilk_steals_total counter",
 		"# TYPE icilk_mugs_total counter",
 		"# TYPE icilk_abandons_total counter",
+		"# TYPE icilk_spawns_total counter",
 		"# TYPE icilk_app_request_latency_seconds histogram",
 		`icilk_app_request_latency_seconds_bucket{app="memcached",level="0",le="+Inf"}`,
 		`icilk_nonempty_deques{level="0"}`,

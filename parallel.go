@@ -2,31 +2,37 @@ package icilk
 
 // Data-parallel helpers built on Spawn/Sync/Call — the convenience
 // layer a Cilk programmer gets from cilk_for and parlaylib's
-// parallel_for/par_do. Divide-and-conquer splitting (rather than one
-// spawn per iteration) keeps the spawn tree logarithmic, so steal
-// granularity adapts to however many workers show up, and every split
-// point doubles as a promptness check.
+// parallel_for/par_do — with lazy, demand-driven splitting (DESIGN.md,
+// "Data-parallel cost model"): a loop frame walks its range left to
+// right in grain-sized sequential chunks, and between two chunks it
+// reaches a scheduling point (Task.LoopPoint) that also asks whether
+// the worker's deque still holds a frame a thief could take. Only when
+// it does not — a thief took the last one, or the loop has just
+// started — does the frame split, so a loop costs spawns in proportion
+// to steals·log(n/grain), not n/grain, and a loop nobody steals from
+// runs at sequential speed after its first log(n/grain) splits.
 //
-// Two structural rules, both load-bearing (DESIGN.md, "Data-parallel
-// cost model"):
+// Three structural rules, all load-bearing:
 //
-//  1. Frame-scoped joins. Every recursive invocation runs in its own
-//     task frame — the spawned half in its spawned child's frame, the
-//     continued half in a called frame (Task.Call) — so a nested Sync
-//     joins exactly that split's children. The seed's version recursed
-//     into the left half on the caller's own Task, so deep syncs
-//     joined right-sibling spawns of every enclosing split,
-//     serializing the combine tree (kept as ReduceShared for the
-//     regression test and the ablation benchmark).
+//  1. Frame-scoped joins. Every split piece runs in its own task
+//     frame — the spawned left piece in its child's frame, Reduce's
+//     continued right piece in a called frame (Task.Call) — so a Sync
+//     joins exactly that frame's own spawns and a stalled subtree never
+//     blocks an independent subtree's combine.
 //
-//  2. Asymmetric split with a granularity cutoff. Ranges split at
-//     lo + 9(n+1)/16 (parlaylib's rule): the worker dives into the
-//     slightly larger left piece and the stealable continuation
-//     carries the smaller right piece, biasing steals toward smaller
-//     remainders. Splitting stops at the grain — the largest chunk
-//     executed sequentially — which amortizes the measured ~1.4 µs
-//     spawn+sync cost while keeping sequential runs (the window
-//     between promptness checks) bounded.
+//  2. Asymmetric split. A range splits at lo + 9(n+1)/16 (parlaylib's
+//     rule): the worker dives into the slightly larger left piece and
+//     the stealable continuation carries the smaller right piece. While
+//     that continuation sits on the deque, the left piece — and any
+//     loop nested inside it — sees a fed deque and does not split; once
+//     a thief takes it, the next chunk boundary splits again.
+//
+//  3. The grain is the promptness window. It is the largest run
+//     executed without a scheduling point, whether or not anything is
+//     spawned: every chunk boundary checks the priority bitfield, and
+//     at least every chunkYieldBudget it also yields the processor,
+//     standing in for the goroutine parks an eager spawn tree used to
+//     provide.
 
 import (
 	"time"
@@ -46,9 +52,10 @@ import (
 const AutoGrain = -1
 
 const (
-	// defaultSpawnCostNS seeds the amortization target when the
-	// calibration cannot run; it is the committed SpawnSync result from
-	// BENCH_sched.json (1439 ns/op), rounded.
+	// defaultSpawnCostNS stands in for the calibrated spawn+sync cost
+	// on a runtime where no auto-grain loop has measured it yet (only
+	// the chunk-boundary yield cadence reads it; explicit-grain loops
+	// never force a calibration).
 	defaultSpawnCostNS = 1400
 	// grainTargetMult sets the auto-grain amortization target: a
 	// sequential leaf should cost at least this many spawns' worth of
@@ -62,7 +69,7 @@ const (
 	defaultGrainDiv = 128
 	// minDefaultGrain floors the static default grain so a small range
 	// on a many-worker runtime never degenerates to one-iteration
-	// spawns (a 1.4 µs spawn per loop iteration is the pathology the
+	// chunks (a scheduling point per loop iteration is the pathology the
 	// floor exists for). Explicit grains are honored as given.
 	minDefaultGrain = 8
 	// spawnCalReps is the spawn+sync round-trip sample count of the
@@ -125,10 +132,53 @@ func splitMid(lo, hi int) int {
 	return lo + 9*(hi-lo+1)/16
 }
 
+// chunkPacer spaces a loop frame's processor yields: every chunk
+// boundary is a scheduling point, but the runtime.Gosched half of it
+// is paid at most once per budget — grainTargetMult spawn+sync costs,
+// the same amortization target auto-grain sizes leaves against — so a
+// loop of microsecond chunks does not spend its time in the Go
+// scheduler while a loop of long chunks yields at every boundary.
+type chunkPacer struct {
+	next   time.Duration // on the clock of time.Since(pacerEpoch)
+	budget time.Duration
+}
+
+// pacerEpoch anchors the pacers' clock: time.Since reads only the
+// monotonic clock, about half the cost of time.Now.
+var pacerEpoch = time.Now()
+
+func newChunkPacer(t *Task) chunkPacer {
+	cost := t.Runtime().SpawnCostNS()
+	if cost == 0 {
+		cost = defaultSpawnCostNS
+	}
+	budget := time.Duration(grainTargetMult * cost)
+	return chunkPacer{next: time.Since(pacerEpoch) + budget, budget: budget}
+}
+
+// split is the chunk boundary: Task.LoopPoint with the yield paced,
+// reporting whether the frame should split [lo, hi) to feed a thief.
+func (p *chunkPacer) split(t *Task, lo, hi, grain int) bool {
+	now := time.Since(pacerEpoch)
+	yield := now >= p.next
+	if yield {
+		p.next = now + p.budget
+	}
+	if !t.LoopPoint(yield) || hi-lo <= grain {
+		return false
+	}
+	if invariant.Enabled {
+		// The window between deciding to split and parking the
+		// continuation is where a thief takes the right piece.
+		perturb.At(perturb.LoopSplit)
+	}
+	return true
+}
+
 // For executes body(i) for every i in [lo, hi) exactly once, with
-// fork-join parallelism. grain is the largest chunk executed
-// sequentially: positive values are used as given (clamped to the
-// range), 0 picks the parlaylib default cutoff, and AutoGrain
+// fork-join parallelism. grain is the largest chunk executed between
+// two scheduling points: positive values are used as given (clamped to
+// the range), 0 picks the parlaylib default cutoff, and AutoGrain
 // calibrates against the measured spawn cost. The loop runs in its own
 // called frame, so it never joins children the caller spawned before
 // it.
@@ -150,26 +200,25 @@ func For(t *Task, lo, hi, grain int, body func(i int)) {
 	t.Call(func(ft *Task) { forRec(ft, lo2, hi2, g, body) })
 }
 
-// forRec is one loop frame: it peels stealable left pieces off the
-// front of the range (each in its own spawned frame) until the
-// remainder fits the grain, runs that sequentially, and joins. The
-// frame's Sync sees only the frame's own spawns — a called frame
-// boundary above every forRec keeps enclosing loops and user spawns
-// out of its join scope.
+// forRec is one loop frame: it runs [lo, hi) in grain-sized chunks and,
+// at a chunk boundary that finds the deque with nothing for a thief,
+// spawns the left piece of the remainder and carries on with the right
+// piece as the stealable continuation. The frame's Sync sees only the
+// frame's own spawns — a called frame boundary above every forRec keeps
+// enclosing loops and user spawns out of its join scope.
 func forRec(t *Task, lo, hi, grain int, body func(i int)) {
-	for hi-lo > grain {
-		if invariant.Enabled {
-			// The window between deciding to split and parking the
-			// continuation is where a thief takes the right piece.
-			perturb.At(perturb.LoopSplit)
+	pace := newChunkPacer(t)
+	for lo < hi {
+		if pace.split(t, lo, hi, grain) {
+			lo2, mid := lo, splitMid(lo, hi)
+			t.Spawn(func(ct *Task) { forRec(ct, lo2, mid, grain, body) })
+			lo = mid
+			continue
 		}
-		mid := splitMid(lo, hi)
-		lo2, mid2 := lo, mid
-		t.Spawn(func(ct *Task) { forRec(ct, lo2, mid2, grain, body) })
-		lo = mid
-	}
-	for i := lo; i < hi; i++ {
-		body(i)
+		end := min(lo+grain, hi)
+		for ; lo < end; lo++ {
+			body(lo)
+		}
 	}
 	t.Sync()
 }
@@ -260,31 +309,30 @@ func Reduce[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combi
 	return rest
 }
 
-// reduceRec is one reduction frame. The left piece is spawned (its
-// own child frame), the right piece runs in a called frame, and this
-// frame's Sync joins exactly its one spawn — so a stalled subtree
-// never blocks an independent subtree's combine. Contrast with
-// ReduceShared, the seed's version, whose left recursion shared the
-// caller's frame: its innermost Sync joined the right-sibling spawns
-// of every enclosing split, serializing the combine spine behind the
-// globally slowest leaf.
+// reduceRec is one reduction frame: it folds [lo, hi) in grain-sized
+// chunks and, at a chunk boundary that finds the deque with nothing for
+// a thief, hands the whole remainder to a split — left piece spawned
+// (its own child frame), right piece in a called frame, this frame's
+// Sync joining exactly its one spawn — and combines prefix, left and
+// right in index order.
 func reduceRec[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combine func(a, b T) T) T {
-	if hi-lo <= grain {
-		acc := zero
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, leaf(i))
+	pace := newChunkPacer(t)
+	acc := zero
+	for lo < hi {
+		if pace.split(t, lo, hi, grain) {
+			lo2, mid := lo, splitMid(lo, hi) // lo2: the closure must not capture the loop cursor
+			var left, right T
+			t.Spawn(func(ct *Task) { left = reduceRec(ct, lo2, mid, grain, zero, leaf, combine) })
+			t.Call(func(ft *Task) { right = reduceRec(ft, mid, hi, grain, zero, leaf, combine) })
+			t.Sync()
+			return combine(acc, combine(left, right))
 		}
-		return acc
+		end := min(lo+grain, hi)
+		for ; lo < end; lo++ {
+			acc = combine(acc, leaf(lo))
+		}
 	}
-	if invariant.Enabled {
-		perturb.At(perturb.LoopSplit)
-	}
-	mid := splitMid(lo, hi)
-	var left, right T
-	t.Spawn(func(ct *Task) { left = reduceRec(ct, lo, mid, grain, zero, leaf, combine) })
-	t.Call(func(ft *Task) { right = reduceRec(ft, mid, hi, grain, zero, leaf, combine) })
-	t.Sync()
-	return combine(left, right)
+	return acc
 }
 
 // reduceProbe is forProbe for reductions: it folds leading iterations
@@ -310,43 +358,6 @@ func reduceProbe[T any](t *Task, lo, hi int, targetNS int64, zero T, leaf func(i
 		}
 	}
 	return acc, done, probeGrain(t, n-done, done)
-}
-
-// ReduceShared is the seed's shared-task-frame reduction, kept
-// verbatim (old split rule, old default grain, recursion on the
-// caller's own Task) as the ablation baseline for cmd/parallel-bench
-// and the frame-scoping regression tests. Its nested syncs join
-// right-sibling spawns of enclosing frames, over-synchronizing the
-// combine tree.
-//
-// Deprecated: use Reduce.
-func ReduceShared[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combine func(a, b T) T) T {
-	if hi <= lo {
-		return zero
-	}
-	if grain <= 0 {
-		grain = (hi - lo) / (8 * t.Runtime().Workers())
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	return reduceSharedRec(t, lo, hi, grain, zero, leaf, combine)
-}
-
-func reduceSharedRec[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combine func(a, b T) T) T {
-	if hi-lo <= grain {
-		acc := zero
-		for i := lo; i < hi; i++ {
-			acc = combine(acc, leaf(i))
-		}
-		return acc
-	}
-	mid := lo + (hi-lo)/2
-	var right T
-	t.Spawn(func(ct *Task) { right = reduceSharedRec(ct, mid, hi, grain, zero, leaf, combine) })
-	left := reduceSharedRec(t, lo, mid, grain, zero, leaf, combine)
-	t.Sync()
-	return combine(left, right)
 }
 
 // ParDo runs left and right as a parallel pair — parlaylib's par_do.

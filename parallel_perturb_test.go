@@ -12,9 +12,9 @@ import (
 
 // TestPerturbDataParallel runs For, Reduce, and Scan under every
 // scheduler policy with seeded perturbation at all scheduling points —
-// most importantly the new LoopSplit site between a loop frame's spawn
-// and its continuation, the window in which a thief takes the right
-// piece of a split. The invariant build's armed assertions (deque
+// most importantly the LoopSplit site between a loop frame's decision
+// to split and its continuation parking, the window in which a thief
+// takes the right piece. The invariant build's armed assertions (deque
 // transitions, token discipline, join-counter bounds) do the deep
 // checking; the test itself verifies exactly-once coverage and
 // order-correct combining, which is what a lost or doubled steal of a
@@ -51,6 +51,11 @@ func TestPerturbDataParallel(t *testing.T) {
 						t.Fatalf("sum = %d, want %d (seed %#x)", got, want, perturb.Seed())
 					}
 				})
+
+				// Stalling bodies and a non-commutative combine: thieves
+				// empty deques mid-loop, so splits land at random chunk
+				// boundaries on top of the perturbation.
+				t.Run("steals", func(t *testing.T) { checkLoopsUnderSteals(t, rt, seed) })
 
 				t.Run("scan", func(t *testing.T) {
 					in := make([]int, n)

@@ -106,9 +106,9 @@ func TestReduceMaxWithStrings(t *testing.T) {
 
 // TestReduceFrameScopedCombine is the frame-scoping regression test:
 // a stalled leaf deep in the right subtree must not block the
-// independent left subtree's combine. Range [0,4) with grain 1 builds
-// the full tree; leaf 3 spins until it observes the left subtree's
-// combine(1,2) having fired. Under the fixed Reduce each split joins
+// independent left subtree's combine. Range [0,4) with grain 1 splits
+// at 2 (and, if a thief takes [2,4), again at 3); leaf 3 spins until it
+// observes leaves 0 and 1 combined. Under the fixed Reduce each split joins
 // in its own frame, so the left combine fires while leaf 3 stalls and
 // the whole reduction completes. Under the seed's shared-frame version
 // (see TestReduceSharedSerializesCombine) the left spine's sync joins
@@ -148,18 +148,38 @@ func TestReduceFrameScopedCombine(t *testing.T) {
 	}
 }
 
+// reduceSharedRec is the seed's shared-task-frame reduction (eager
+// halving, left recursion on the caller's own Task), kept here only as
+// the specimen for TestReduceSharedSerializesCombine: its nested syncs
+// join right-sibling spawns of enclosing frames, over-synchronizing the
+// combine tree.
+func reduceSharedRec[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combine func(a, b T) T) T {
+	if hi-lo <= grain {
+		acc := zero
+		for i := lo; i < hi; i++ {
+			acc = combine(acc, leaf(i))
+		}
+		return acc
+	}
+	mid := lo + (hi-lo)/2
+	var right T
+	t.Spawn(func(ct *Task) { right = reduceSharedRec(ct, mid, hi, grain, zero, leaf, combine) })
+	left := reduceSharedRec(t, lo, mid, grain, zero, leaf, combine)
+	t.Sync()
+	return combine(left, right)
+}
+
 // TestReduceSharedSerializesCombine pins down the defect the called
-// frames fix, against the preserved old code: with ReduceShared the
-// left spine recurses on the caller's own Task, so the sync guarding
-// combine(1,2) also joins the enclosing [2,4) spawn and cannot fire
-// until the stalled leaf 3 gives up. If someone "fixes" ReduceShared,
-// this test reminds them it exists only as the ablation baseline.
+// frames fix, against the old recursion: its left spine recurses on the
+// caller's own Task, so the sync guarding combine(1,2) also joins the
+// enclosing [2,4) spawn and cannot fire until the stalled leaf 3 gives
+// up.
 func TestReduceSharedSerializesCombine(t *testing.T) {
 	rt := newRT(t, Config{Workers: 4, Levels: 1, Scheduler: Prompt})
 	var leftCombined atomic.Bool
 	var stallTimedOut atomic.Bool
 	got := rt.Run(func(task *Task) any {
-		return ReduceShared(task, 0, 4, 1, 0,
+		return reduceSharedRec(task, 0, 4, 1, 0,
 			func(i int) int {
 				if i == 3 {
 					deadline := time.Now().Add(300 * time.Millisecond)
@@ -184,7 +204,7 @@ func TestReduceSharedSerializesCombine(t *testing.T) {
 		t.Fatalf("reduce = %#b, want 0b1111", got)
 	}
 	if !stallTimedOut.Load() {
-		t.Fatal("ReduceShared's left combine fired during the stall; the shared-frame baseline no longer exhibits the over-synchronization it exists to demonstrate")
+		t.Fatal("the shared-frame recursion's left combine fired during the stall; it no longer exhibits the over-synchronization it exists to demonstrate")
 	}
 }
 
@@ -396,9 +416,9 @@ func TestParDo(t *testing.T) {
 }
 
 // TestForSteadyStateAllocs gates allocations on the steady-state loop:
-// a warm For must allocate O(splits), never O(iterations). n/grain
-// here is 16, so the generous bound of 600 is still ~100× below what a
-// single allocation per iteration would produce.
+// a warm For must allocate O(splits), never O(iterations). The generous
+// bound of 600 is still ~100× below what a single allocation per
+// iteration would produce.
 func TestForSteadyStateAllocs(t *testing.T) {
 	rt := newRT(t, Config{Workers: 2, Levels: 1, Scheduler: Prompt})
 	const n, grain = 1 << 16, 1 << 12
