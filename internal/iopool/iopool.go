@@ -67,13 +67,17 @@ func WithBatchWrap(w func(run func())) Option {
 }
 
 // item is one handoff unit: either a single completion (fn) or a
-// batch (fns) that one handler drains serially — a batch stays one
-// FIFO unit, so completions harvested together complete in harvest
-// order.
+// batch that one handler drains serially — a batch stays one FIFO
+// unit, so completions harvested together complete in harvest order.
 type item struct {
-	fn  func()
-	fns []func()
+	fn    func()
+	batch *batch
 }
+
+// batch is the pooled copy of one SubmitBatch call's callbacks. It
+// travels boxed so that recycling it through batchPool moves a
+// pointer instead of allocating a slice header per batch.
+type batch struct{ fns []func() }
 
 // Pool is a fixed set of I/O handler goroutines draining a FIFO of
 // completion callbacks.
@@ -86,7 +90,7 @@ type Pool struct {
 	wg sync.WaitGroup
 
 	// batchWrap, when set, brackets each batch drain (wake
-	// coalescing); batchPool recycles the copied batch slices.
+	// coalescing); batchPool recycles the copied batches.
 	batchWrap func(run func())
 	batchPool sync.Pool
 
@@ -130,21 +134,7 @@ func New(threads int, opts ...Option) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < threads; i++ {
 		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for it := range p.ch {
-				// Receiving freed a channel slot: pull overflow forward
-				// before running the callback so sibling handlers see
-				// the next completion without waiting for this one.
-				p.refill()
-				if it.fn != nil {
-					it.fn()
-					p.finishOne()
-				} else {
-					p.runBatch(it.fns)
-				}
-			}
-		}()
+		go p.handle()
 	}
 	return p
 }
@@ -159,34 +149,41 @@ func (p *Pool) finishOne() {
 	p.completions.Add(1)
 }
 
-// runBatch drains one batch serially (preserving harvest order)
-// inside the batchWrap bracket, then recycles the slice.
-func (p *Pool) runBatch(fns []func()) {
-	p.batches.Add(1)
-	p.batchedFns.Add(int64(len(fns)))
-	run := func() {
-		for i, fn := range fns {
+// handle is one handler thread's loop.
+func (p *Pool) handle() {
+	defer p.wg.Done()
+	// drain runs the batch in cur serially (preserving harvest order).
+	// It is bound once per handler rather than once per batch, so
+	// handing it to batchWrap allocates nothing.
+	var cur *batch
+	drain := func() {
+		for i, fn := range cur.fns {
 			fn()
-			fns[i] = nil
+			cur.fns[i] = nil
 			p.finishOne()
 		}
 	}
-	if p.batchWrap != nil {
-		p.batchWrap(run)
-	} else {
-		run()
+	for it := range p.ch {
+		// Receiving freed a channel slot: pull overflow forward
+		// before running the callback so sibling handlers see the
+		// next completion without waiting for this one.
+		p.refill()
+		if it.fn != nil {
+			it.fn()
+			p.finishOne()
+			continue
+		}
+		cur = it.batch
+		p.batches.Add(1)
+		p.batchedFns.Add(int64(len(cur.fns)))
+		if p.batchWrap != nil {
+			p.batchWrap(drain)
+		} else {
+			drain()
+		}
+		cur.fns = cur.fns[:0]
+		p.batchPool.Put(cur)
 	}
-	fns = fns[:0]
-	p.batchPool.Put(&fns)
-}
-
-// getBatch returns a recycled batch slice with capacity for at least
-// n callbacks.
-func (p *Pool) getBatch(n int) []func() {
-	if bp, _ := p.batchPool.Get().(*[]func()); bp != nil && cap(*bp) >= n {
-		return *bp
-	}
-	return make([]func(), 0, n)
 }
 
 // refill moves queued overflow callbacks into the handoff channel, as
@@ -251,8 +248,12 @@ func (p *Pool) SubmitBatch(fns []func()) {
 	if invariant.Enabled {
 		perturb.At(perturb.IO)
 	}
-	batch := append(p.getBatch(len(fns)), fns...)
-	p.enqueue(item{fns: batch}, len(fns))
+	b, _ := p.batchPool.Get().(*batch)
+	if b == nil {
+		b = new(batch)
+	}
+	b.fns = append(b.fns, fns...)
+	p.enqueue(item{batch: b}, len(fns))
 }
 
 // enqueue is the shared non-blocking handoff: channel if it has room

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"icilk/internal/invariant"
 )
 
 func TestAllSubmittedRun(t *testing.T) {
@@ -325,9 +327,9 @@ func TestSubmitBatchWrap(t *testing.T) {
 	var inWrap atomic.Int64
 	p := New(2, WithBatchWrap(func(run func()) {
 		wraps.Add(1)
-		inWrap.Store(1)
+		inWrap.Add(1) // a count: both handlers may be inside a wrap at once
 		run()
-		inWrap.Store(0)
+		inWrap.Add(-1)
 	}))
 	var wg sync.WaitGroup
 	const batches = 8
@@ -414,5 +416,47 @@ func TestSubmitBatchStress(t *testing.T) {
 	}
 	if got := p.Depth(); got != 0 {
 		t.Errorf("Depth = %d after drain", got)
+	}
+}
+
+// TestSubmitBatchSteadyStateAllocFree is the pool's allocation gate: a
+// batch of 2..64 completions crosses the pool — copy, handoff, drain
+// inside the wake-coalescing bracket, recycle — without allocating,
+// with and without WithBatchWrap.
+func TestSubmitBatchSteadyStateAllocFree(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"wrapped", []Option{WithBatchWrap(func(run func()) { run() })}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(2, tc.opts...)
+			defer p.Close()
+			done := make(chan struct{}, 1)
+			fns := make([]func(), 64)
+			for i := range fns {
+				fns[i] = func() {}
+			}
+			for _, n := range []int{2, 3, 16, 64} {
+				batch := fns[:n]
+				batch[n-1] = func() { done <- struct{}{} }
+				cycle := func() {
+					p.SubmitBatch(batch)
+					<-done
+				}
+				for i := 0; i < 50; i++ {
+					cycle() // grow the pooled batch, fill the sync.Pool
+				}
+				if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+					t.Errorf("SubmitBatch of %d fns: %.2f allocs per batch, want 0", n, allocs)
+				}
+				batch[n-1] = fns[0]
+			}
+		})
 	}
 }

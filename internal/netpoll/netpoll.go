@@ -41,8 +41,9 @@ var ErrWouldBlock = errors.New("netpoll: operation would block")
 var ErrClosed = errors.New("netpoll: closed")
 
 // Batcher receives one batch of completion callbacks per poller
-// pass. iopool.Pool implements it; tests may substitute an inline
-// runner.
+// pass. fns is the poller's own slice, reused for the next pass: an
+// implementation runs or copies it before returning. iopool.Pool
+// implements it; tests may substitute an inline runner.
 type Batcher interface {
 	SubmitBatch(fns []func())
 }

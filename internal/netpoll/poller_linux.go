@@ -136,7 +136,10 @@ func (p *poller) shutdown() {
 
 // batchGroup accumulates one pass's completions per Batcher. The
 // common case is a single Batcher for every connection (the
-// runtime's iopool), so groups is scanned linearly.
+// runtime's iopool), so groups is scanned linearly. Between passes a
+// group keeps only its fns capacity: b is nil, so a poller that
+// outlives a runtime does not pin that runtime's Batcher, and the
+// next pass's first Batcher claims the slot without allocating.
 type batchGroup struct {
 	b   Batcher
 	fns []func()
@@ -203,18 +206,16 @@ func (p *poller) run() {
 
 		for gi := range groups {
 			g := &groups[gi]
-			if len(g.fns) > 0 {
-				PollStats.batches.Add(1)
-				PollStats.batchedFns.Add(int64(len(g.fns)))
-				g.b.SubmitBatch(g.fns)
+			if g.b == nil {
+				break // free slots trail the claimed ones
 			}
-			for j := range g.fns {
-				g.fns[j] = nil
-			}
+			PollStats.batches.Add(1)
+			PollStats.batchedFns.Add(int64(len(g.fns)))
+			g.b.SubmitBatch(g.fns) // copies; the slice is ours again
+			clear(g.fns)
 			g.fns = g.fns[:0]
 			g.b = nil
 		}
-		groups = groups[:0]
 	}
 }
 
@@ -227,8 +228,12 @@ func appendCompletion(groups []batchGroup, fn func(), b Batcher) []batchGroup {
 		return groups
 	}
 	for i := range groups {
-		if groups[i].b == b {
-			groups[i].fns = append(groups[i].fns, fn)
+		g := &groups[i]
+		if g.b == nil {
+			g.b = b // first completion for b this pass: claim a free slot
+		}
+		if g.b == b {
+			g.fns = append(g.fns, fn)
 			return groups
 		}
 	}

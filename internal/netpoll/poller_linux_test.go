@@ -4,6 +4,7 @@ package netpoll
 
 import (
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -353,5 +354,144 @@ func TestDescCloseIdempotent(t *testing.T) {
 	wg.Wait()
 	if err := d.SetReadInterest(true); err != ErrClosed {
 		t.Errorf("arm after close = %v, want ErrClosed", err)
+	}
+}
+
+// wakeConn drains its socket and returns the same pre-bound completion
+// on every readable event, the way an armed connection hands its
+// readiness callback to the poller.
+type wakeConn struct {
+	fd      int
+	batcher Batcher
+	fire    func()
+	buf     [64]byte // a field: a local escapes under -race
+}
+
+func (c *wakeConn) PollReadable(d *Desc, forced bool) (func(), Batcher) {
+	for {
+		n, err := ReadFD(c.fd, c.buf[:])
+		if n > 0 {
+			continue
+		}
+		if err != ErrWouldBlock {
+			d.Close()
+			return nil, nil
+		}
+		return c.fire, c.batcher
+	}
+}
+
+func (c *wakeConn) PollWritable(d *Desc) (func(), Batcher) { return nil, nil }
+
+// inlineBatcher runs each batch on the poller goroutine.
+type inlineBatcher struct{ batches atomic.Int64 }
+
+func (b *inlineBatcher) SubmitBatch(fns []func()) {
+	b.batches.Add(1)
+	for _, fn := range fns {
+		fn()
+	}
+}
+
+// TestHarvestAllocationsDoNotScaleWithWakeups is the poller's
+// allocation gate: the per-Batcher completion slice is kept across
+// harvest passes, so 10 000 wake-ups on two descriptors sharing one
+// Batcher allocate O(1) objects, not one 2 KiB slice per pass.
+func TestHarvestAllocationsDoNotScaleWithWakeups(t *testing.T) {
+	g, err := Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	b := &inlineBatcher{}
+	var fired atomic.Int64
+	fire := func() { fired.Add(1) }
+	var wfds [2]int
+	for i := range wfds {
+		rfd, wfd := pair(t)
+		defer syscall.Close(rfd)
+		defer syscall.Close(wfd)
+		wfds[i] = wfd
+		d, err := g.Add(rfd, &wakeConn{fd: rfd, batcher: b, fire: fire})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if err := d.SetReadInterest(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := []byte{1}
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			want := fired.Load() + int64(len(wfds))
+			for _, wfd := range wfds {
+				if _, err := syscall.Write(wfd, one); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for fired.Load() < want {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: %d of %d wake-ups delivered", i, fired.Load(), want)
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+	rounds(100) // warm: the group's slice and the test's own lazy state
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rounds(5000)
+	runtime.ReadMemStats(&m1)
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > 100 {
+		t.Errorf("10000 wake-ups over %d batches allocated %d objects, want O(1)",
+			b.batches.Load(), allocs)
+	}
+}
+
+// TestPollerDoesNotPinBatcher: between passes the poller keeps only a
+// group's slice, not its Batcher, so a long-lived shared poller does
+// not keep a closed runtime's I/O pool reachable.
+func TestPollerDoesNotPinBatcher(t *testing.T) {
+	g, err := Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	rfd, wfd := pair(t)
+	defer syscall.Close(rfd)
+	defer syscall.Close(wfd)
+
+	collected := make(chan struct{})
+	fired := make(chan struct{}, 1)
+	func() {
+		b := &inlineBatcher{}
+		runtime.SetFinalizer(b, func(*inlineBatcher) { close(collected) })
+		d, err := g.Add(rfd, &wakeConn{fd: rfd, batcher: b, fire: func() { fired <- struct{}{} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.SetReadInterest(true)
+		syscall.Write(wfd, []byte{1})
+		select {
+		case <-fired:
+		case <-time.After(10 * time.Second):
+			t.Fatal("wake-up never delivered")
+		}
+		d.Close() // drops the routing table's reference to the conn
+	}()
+	// The poller is now parked in epoll_wait after a pass that used b.
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("Batcher still reachable from the idle poller")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

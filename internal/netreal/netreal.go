@@ -111,10 +111,9 @@ func (s *Stats) PoolHits() int64 { return s.poolHits.Load() }
 func (s *Stats) PoolMisses() int64 { return s.poolMisses.Load() }
 
 // SysReads returns the read syscalls charged to this account. In
-// poller mode and in the Linux raw pump every read(2) is counted
-// exactly (including EAGAIN probes); the portable pump counts one
-// per blocking Read completion, an undercount of the syscalls the Go
-// runtime issues on its behalf.
+// poller mode every read(2) is counted exactly (including EAGAIN
+// probes); the pump counts one per blocking Read completion, an
+// undercount of the syscalls the Go runtime issues on its behalf.
 func (s *Stats) SysReads() int64 { return s.sysReads.Load() }
 
 // SysWrites returns the write/writev syscalls charged to this
@@ -178,8 +177,7 @@ const (
 	// per-connection pump. The default.
 	ModeAuto Mode = iota
 	// ModePump forces the per-connection pump goroutine (the
-	// portable fallback; on Linux it is rebuilt on syscall.RawConn
-	// so its true read-syscall count is observable).
+	// portable fallback).
 	ModePump
 	// ModePoll requests the shared poller, falling back to the pump
 	// if the build or the conn cannot support it.
@@ -213,8 +211,6 @@ type Conn struct {
 	rawfd   int
 	rdead   atomic.Bool // read side terminal (poller deregistration handshake)
 	wparked atomic.Bool // wpend non-empty (other half of the handshake)
-
-	rawconn syscall.RawConn // Linux raw pump (exact syscall accounting)
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -268,9 +264,6 @@ func WrapOptions(nc net.Conn, o Options) *Conn {
 		if g != nil && c.startPoll(g, sc, o.Batcher) {
 			return c
 		}
-	}
-	if sc != nil && c.startRawPump(sc) {
-		return c
 	}
 	go c.pump()
 	return c

@@ -96,6 +96,43 @@ func TestArmReadOneShot(t *testing.T) {
 	if !fired {
 		t.Fatal("ArmRead with pending data did not fire synchronously")
 	}
+
+	// The read path arms the SAME func value for every wait: once it
+	// has fired, arming it again is a fresh one-shot registration (the
+	// connection kept no reference), and it fires once per arming.
+	var buf [8]byte
+	if n, _ := c.TryRead(buf[:]); n != 2 {
+		t.Fatalf("drained %d bytes, want 2", n)
+	}
+	var same atomic.Int32
+	fn := func() { same.Add(1) }
+	for round := int32(1); round <= 3; round++ {
+		c.ArmRead(fn)
+		if got := same.Load(); got != round-1 {
+			t.Fatalf("round %d: fired %d times before any data", round, got)
+		}
+		peer.Write([]byte("c"))
+		deadline := time.Now().Add(time.Second)
+		for same.Load() != round {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: re-armed callback fired %d times", round, same.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if n, _ := c.TryRead(buf[:]); n != 1 {
+			t.Fatalf("round %d: drained %d bytes, want 1", round, n)
+		}
+	}
+	// Armed twice without firing in between is still a bug.
+	c.ArmRead(fn)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second ArmRead while armed did not panic")
+			}
+		}()
+		c.ArmRead(fn)
+	}()
 }
 
 func TestWriteRoundTrip(t *testing.T) {

@@ -125,7 +125,7 @@ func (rt *Runtime) submitCancelable(level int, c *cancelState, fn func(*Task) an
 		panic(submitLevelError(level, rt.cfg.Levels))
 	}
 	f := newFuture(rt)
-	f.ownerLevel = level
+	f.ownerLevel = int32(level)
 	rt.inflight.Add(1)
 	n := rt.newNode(level, nil, nil)
 	n.t.fut = f

@@ -24,15 +24,25 @@ import (
 type Future struct {
 	rt *Runtime
 
-	// done flips exactly once, after val is written; completed-future
-	// Get/TryGet/Done read it lock-free (the atomic store/load pair
-	// orders the val write before any observer's val read).
+	// done flips to true once per completion, after val is written;
+	// completed-future Get/TryGet/Done read it lock-free (the atomic
+	// store/load pair orders the val write before any observer's val
+	// read). Only Rearm flips it back.
 	done atomic.Bool
 
-	mu      sync.Mutex
+	mu sync.Mutex
+
+	// ownerLevel is the priority level of the task computing this
+	// future, or -1 for externally-completed (I/O) futures — used by
+	// the dynamic priority-inversion detector. It is an int32 in the
+	// padding beside done and mu so the struct stays in the 144-byte
+	// size class (TestFutureSizeClass).
+	ownerLevel int32
+
 	val     any
 	errv    error         // completion error (cancellation cause); written before done
-	waiters []*dq         // deques suspended on this future
+	waiter1 *dq           // first deque suspended on this future (see Get)
+	waiters []*dq         // second and later suspended deques, in suspend order
 	onDone1 func(error)   // first completion callback (see OnComplete)
 	onDone  []func(error) // second and later callbacks, in registration order
 
@@ -45,11 +55,6 @@ type Future struct {
 	// routine returning and finish() publishing it; only the task
 	// goroutine touches it.
 	result any
-
-	// ownerLevel is the priority level of the task computing this
-	// future, or -1 for externally-completed (I/O) futures — used by
-	// the dynamic priority-inversion detector.
-	ownerLevel int
 }
 
 func newFuture(rt *Runtime) *Future {
@@ -82,8 +87,8 @@ func (f *Future) completeWith(v any, err error) {
 	f.val = v
 	f.errv = err
 	f.done.Store(true)
-	ws := f.waiters
-	f.waiters = nil
+	w1, ws := f.waiter1, f.waiters
+	f.waiter1, f.waiters = nil, nil
 	cb1, cbs := f.onDone1, f.onDone
 	f.onDone1, f.onDone = nil, nil
 	if f.ch != nil {
@@ -97,18 +102,58 @@ func (f *Future) completeWith(v any, err error) {
 	for _, fn := range cbs {
 		fn(err)
 	}
-	for _, d := range ws {
-		if invariant.Enabled {
-			// Stretch the completion-to-resume window per waiter: the
-			// owner that suspended this deque may still be between its
-			// Suspend and its park.
-			perturb.At(perturb.Resume)
-		}
-		needsEnqueue := d.MarkResumable()
-		f.rt.resumes.Add(1)
-		f.rt.trace.Add(trace.Resume, -1, d.Level())
-		f.rt.pol.onResumable(d, needsEnqueue)
+	// From here on only locals and the immutable f.rt may be touched:
+	// the moment the last waiter is resumable its task may Rearm f and
+	// start the next operation on it.
+	rt := f.rt
+	if w1 != nil {
+		rt.resumeWaiter(w1)
 	}
+	for _, d := range ws {
+		rt.resumeWaiter(d)
+	}
+}
+
+// resumeWaiter makes one deque that suspended in Get resumable and
+// hands it back to its level's pool.
+func (rt *Runtime) resumeWaiter(d *dq) {
+	if invariant.Enabled {
+		// Stretch the completion-to-resume window per waiter: the
+		// owner that suspended this deque may still be between its
+		// Suspend and its park.
+		perturb.At(perturb.Resume)
+	}
+	needsEnqueue := d.MarkResumable()
+	rt.resumes.Add(1)
+	rt.trace.Add(trace.Resume, -1, d.Level())
+	rt.pol.onResumable(d, needsEnqueue)
+}
+
+// Rearm returns a completed I/O future to the pending state, so one
+// future (and the completion callback bound to it) can stand for every
+// operation of a strictly sequential stream — a connection's reads —
+// instead of being allocated per operation. It is legal only between
+// operations: the future is externally completed, its completion has
+// been observed (Get returned, or Done reported true), and nothing is
+// registered on it. The caller must Rearm before it hands the
+// completion callback out again, never after; the previous completion
+// may still be running its tail, which touches nothing of f.
+func (f *Future) Rearm() {
+	f.mu.Lock()
+	if invariant.Enabled {
+		// Waiters and callbacks imply pending, so they are checked
+		// first: each misuse reports its own cause.
+		invariant.Checkf(f.ownerLevel == -1,
+			"sched: Rearm of a task-backed future (level %d)", f.ownerLevel)
+		invariant.Checkf(f.waiter1 == nil && len(f.waiters) == 0,
+			"sched: Rearm of a future with suspended waiters")
+		invariant.Checkf(f.onDone1 == nil && len(f.onDone) == 0,
+			"sched: Rearm of a future with registered OnComplete callbacks")
+		invariant.Checkf(f.done.Load(), "sched: Rearm of a pending future")
+	}
+	f.val, f.errv, f.ch = nil, nil, nil
+	f.done.Store(false)
+	f.mu.Unlock()
 }
 
 // TryGet returns the value if the future is already complete.
@@ -193,7 +238,14 @@ func (f *Future) Get(t *Task) any {
 	// f.mu → d.mu is used by completion as well.
 	d := t.w.active
 	d.Suspend(t.n)
-	f.waiters = append(f.waiters, d)
+	// The first waiter sits inline (the usual single-waiter future —
+	// every I/O future — allocates no slice); later ones spill, and
+	// completion resumes them in suspend order.
+	if f.waiter1 == nil {
+		f.waiter1 = d
+	} else {
+		f.waiters = append(f.waiters, d)
+	}
 	f.mu.Unlock()
 	if invariant.Enabled {
 		// The deque is Suspended and registered; a completion arriving
@@ -264,7 +316,7 @@ func (rt *Runtime) SubmitFuture(level int, fn func(*Task) any) *Future {
 		panic(submitLevelError(level, rt.cfg.Levels))
 	}
 	f := newFuture(rt)
-	f.ownerLevel = level
+	f.ownerLevel = int32(level)
 	rt.inflight.Add(1)
 	n := rt.newNode(level, nil, nil)
 	n.t.fut = f

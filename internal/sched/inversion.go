@@ -47,7 +47,7 @@ func (rt *Runtime) noteInversion() {
 // invert: their completion is driven by external events, not by
 // scheduler-subordinated work.
 func (rt *Runtime) checkGetInversion(t *Task, f *Future) {
-	if f.ownerLevel >= 0 && t.level < f.ownerLevel {
+	if f.ownerLevel >= 0 && t.level < int(f.ownerLevel) {
 		rt.noteInversion()
 	}
 }

@@ -46,7 +46,7 @@ func (d *taskDriver) stop() {
 // (when the parent parks) a recycled deque — at most 2 allocs/op are
 // tolerated for stray pool-queue traffic, and in practice it is 0.
 func TestSpawnSyncAllocFree(t *testing.T) {
-	if raceEnabled {
+	if invariant.Race {
 		t.Skip("allocation accounting differs under -race")
 	}
 	if invariant.Enabled {
@@ -81,7 +81,7 @@ func TestSpawnSyncAllocFree(t *testing.T) {
 // Get/TryGet/Done on a done future must not allocate (and must not
 // touch the mutex-protected slow path's state).
 func TestCompletedFutureGetAllocFree(t *testing.T) {
-	if raceEnabled {
+	if invariant.Race {
 		t.Skip("allocation accounting differs under -race")
 	}
 	if invariant.Enabled {

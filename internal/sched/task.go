@@ -351,7 +351,7 @@ func (t *Task) FutCreate(level int, fn func(*Task) any) *Future {
 		panic(fmt.Sprintf("sched: FutCreate level %d out of range [0,%d)", level, t.rt.cfg.Levels))
 	}
 	f := newFuture(t.rt)
-	f.ownerLevel = level
+	f.ownerLevel = int32(level)
 	child := t.rt.newNode(level, nil, nil)
 	child.t.fut = f
 	child.t.futFn = fn

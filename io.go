@@ -11,7 +11,11 @@ type Conn interface {
 	TryRead(p []byte) (n int, err error)
 	// ArmRead registers a one-shot callback fired when the connection
 	// becomes readable (or hits EOF). If readable now, the callback
-	// must run synchronously.
+	// must run synchronously. Callers may pass the same func value on
+	// every call (the read path does); an implementation must drop its
+	// reference to fn once it fires, so a later ArmRead of that value
+	// is a fresh registration, and at most one callback is armed at a
+	// time.
 	ArmRead(fn func())
 	// Write sends bytes to the peer. Implementations may coalesce
 	// writes until Flush; the byte slice may be reused once Write
@@ -35,6 +39,47 @@ type poolRoutedConn interface {
 	CompletesViaPool() bool
 }
 
+// readWaiter is everything one suspended read needs, built once and
+// reused: the I/O future the task suspends on and the readiness
+// callback that completes it. A connection has at most one read
+// outstanding (ArmRead is a one-shot slot), so a LineReader owns one
+// waiter for the connection's whole life and a suspending read
+// allocates nothing; a bare Runtime.Read builds a one-off waiter the
+// first time it has to suspend.
+type readWaiter struct {
+	f *Future
+	// ready is the func handed to Conn.ArmRead, the same value every
+	// time. For a pool-routed connection it completes f on the spot;
+	// otherwise it submits the pre-bound completion to the I/O handler
+	// threads, so completions keep their arrival order. Either way it
+	// is correct when invoked synchronously inside ArmRead, from a
+	// handler thread, or through a caller's wrapper.
+	ready func()
+}
+
+func (r *Runtime) newReadWaiter(c Conn) *readWaiter {
+	w := &readWaiter{f: r.rt.NewIOFuture()}
+	complete := func() { w.f.Complete(nil) }
+	if pc, ok := c.(poolRoutedConn); ok && pc.CompletesViaPool() {
+		w.ready = complete
+	} else {
+		pool := r.io
+		w.ready = func() { pool.Submit(complete) }
+	}
+	return w
+}
+
+// wait suspends t until c is readable. The future is re-armed before
+// the callback is handed out again, never after: once ArmRead has the
+// callback, completion may arrive at any moment.
+func (w *readWaiter) wait(t *Task, c Conn) {
+	if w.f.Done() {
+		w.f.Rearm() // the previous wait's completion, already observed
+	}
+	c.ArmRead(w.ready)
+	w.f.Get(t)
+}
+
 // Read reads from c into p with synchronous semantics but
 // asynchronous performance: if no data is available the calling
 // task's deque suspends on an I/O future (freeing the worker) and
@@ -42,10 +87,12 @@ type poolRoutedConn interface {
 // I/O-future read — the primitive that let the Memcached port delete
 // its event-loop state machine.
 func (r *Runtime) Read(t *Task, c Conn, p []byte) (int, error) {
-	direct := false
-	if pc, ok := c.(poolRoutedConn); ok {
-		direct = pc.CompletesViaPool()
-	}
+	return r.read(t, c, p, nil)
+}
+
+// read is Read with the caller's reusable waiter, or nil to build one
+// on demand.
+func (r *Runtime) read(t *Task, c Conn, p []byte, w *readWaiter) (int, error) {
 	for {
 		n, err := c.TryRead(p)
 		if n > 0 || err != nil {
@@ -56,13 +103,10 @@ func (r *Runtime) Read(t *Task, c Conn, p []byte) (int, error) {
 		// request. A flush error is sticky in the writer and surfaces
 		// on the handler's next write; the read side proceeds.
 		c.Flush()
-		f := r.rt.NewIOFuture()
-		if direct {
-			c.ArmRead(func() { f.Complete(nil) })
-		} else {
-			c.ArmRead(func() { r.CompleteIO(f, nil) })
+		if w == nil {
+			w = r.newReadWaiter(c)
 		}
-		f.Get(t)
+		w.wait(t, c)
 	}
 }
 
@@ -94,16 +138,21 @@ func (r *Runtime) ReadFull(t *Task, c Conn, p []byte) (int, error) {
 // field across that boundary — e.g. a key parsed from a command line
 // that must survive reading the value block — copy it to their own
 // scratch first.
+//
+// The reader owns the connection's read waiter (see readWaiter): no
+// other reader or bare Runtime.Read may be in flight on the same
+// connection, which Conn.ArmRead's one-shot slot already demands.
 type LineReader struct {
 	r   *Runtime
 	c   Conn
+	w   *readWaiter
 	buf []byte
 	pos int // consumed prefix of buf
 }
 
 // NewLineReader wraps c.
 func (r *Runtime) NewLineReader(c Conn) *LineReader {
-	return &LineReader{r: r, c: c, buf: make([]byte, 0, 512)}
+	return &LineReader{r: r, c: c, w: r.newReadWaiter(c), buf: make([]byte, 0, 512)}
 }
 
 // fill reads more data directly into the buffer's spare capacity
@@ -123,7 +172,7 @@ func (lr *LineReader) fill(t *Task) error {
 		copy(grown, lr.buf)
 		lr.buf = grown
 	}
-	n, err := lr.r.Read(t, lr.c, lr.buf[len(lr.buf):cap(lr.buf)])
+	n, err := lr.r.read(t, lr.c, lr.buf[len(lr.buf):cap(lr.buf)], lr.w)
 	if n > 0 {
 		lr.buf = lr.buf[:len(lr.buf)+n]
 		return nil
