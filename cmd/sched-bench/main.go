@@ -17,7 +17,7 @@
 // sample-miss, and sweep counters). The committed trajectory is
 // reproducible from one command:
 //
-//	go run ./cmd/sched-bench -label "my change" -workers 1,2,4 -shards 1,0 -o BENCH_scaling.json
+//	go run ./cmd/sched-bench -label "my change" -workers 1,2,4 -shards 1,4 -o BENCH_scaling.json
 package main
 
 import (
@@ -110,9 +110,9 @@ var benches = []struct {
 
 // ScalingRow is one (workers × shards) configuration's measurement in
 // the multi-core scaling benchmark. Shards records the *effective*
-// shard count (a -shards value of 0 derives it from the worker
-// count). NsPerOp is nanoseconds per external submission of a small
-// spawn tree, the steal-heavy unit the pool sharding targets.
+// shard count (-shards values round up to a power of two). NsPerOp is
+// nanoseconds per external submission of a small spawn tree, the
+// steal-heavy unit the pool sharding targets.
 type ScalingRow struct {
 	Label      string  `json:"label"`
 	Date       string  `json:"date"`
@@ -137,7 +137,7 @@ type ScalingFile struct {
 	Rows    []ScalingRow `json:"rows"`
 }
 
-const scalingComment = "Multi-core scaling trajectory (sharded pool vs centralized); append rows with: go run ./cmd/sched-bench -label <change> -workers 1,2,4 -shards 1,0 -o BENCH_scaling.json"
+const scalingComment = "Multi-core scaling trajectory (sharded pool vs centralized); append rows with: go run ./cmd/sched-bench -label <change> -workers 1,2,4 -shards 1,4 -o BENCH_scaling.json"
 
 // scalingOp is one benchmark op: a batch of external submissions of
 // tiny spawn trees. Every submission lands in the centralized pool and
@@ -211,7 +211,7 @@ func parseIntList(flagName, s string) []int {
 
 func runScaling(label, workersList, shardsList string, reps int, out string) {
 	workers := parseIntList("workers", workersList)
-	shards := []int{1, 0} // centralized baseline, then derived sharding
+	shards := []int{1, 4} // the centralized default, then the sharded opt-in
 	if shardsList != "" {
 		shards = parseIntList("shards", shardsList)
 	}
@@ -281,7 +281,7 @@ func main() {
 	out := flag.String("o", "", "JSON file to append the entry to (created if missing); stdout if empty")
 	benchtime := flag.Duration("benchtime", 2*time.Second, "per-benchmark measurement time")
 	workersList := flag.String("workers", "", "comma-separated worker counts; enables the multi-core scaling benchmark")
-	shardsList := flag.String("shards", "", "comma-separated PoolShards values for the scaling benchmark (0 = derived; default \"1,0\")")
+	shardsList := flag.String("shards", "", "comma-separated PoolShards values for the scaling benchmark (default \"1,4\")")
 	reps := flag.Int("reps", 3, "interleaved passes over the scaling grid; each configuration's fastest row is kept")
 	flag.Parse()
 	if *label == "" {

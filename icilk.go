@@ -126,17 +126,17 @@ var ErrShed = admission.ErrShed
 type Config struct {
 	// Workers is the number of scheduler workers. Default 4. For true
 	// multi-core operation run with GOMAXPROCS >= Workers so workers
-	// occupy parallel Ps; the centralized pools shard automatically
-	// (see PoolShards).
+	// occupy parallel Ps.
 	Workers int
 	// PoolShards is the number of shards each priority level's
 	// centralized pool is split into (Prompt and AdaptiveGreedy).
-	// Zero derives it from Workers: 1 for a single worker, else the
-	// next power of two >= max(Workers, 4); non-zero values round up
-	// to a power of two. PoolShards=1 restores the paper's exact
-	// centralized single-queue layout (the paper-fidelity and
-	// ablation configuration). The promptness bitfield is global and
-	// exact at every shard count.
+	// Zero means 1, the paper's exact centralized layout: one regular
+	// and one mugging FIFO per level. A value above 1 opts into the
+	// relaxed sharded layout (README, "Multi-core mode") and is
+	// rounded up to a power of two, at most 64; it costs sample misses
+	// and sweeps on every pool operation and has yet to be shown to
+	// pay on real cores. The promptness bitfield is global and exact
+	// at every shard count.
 	PoolShards int
 	// IOThreads is the number of I/O handling threads. Default 4,
 	// matching the paper's setup.

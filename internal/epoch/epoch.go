@@ -1,16 +1,13 @@
 // Package epoch implements epoch-based memory reclamation (EBR) in the
-// style of Fraser [15 in the paper]. The paper's centralized deque-pool
-// queue is "organized as an array of arrays to allow for concurrent
-// accesses while resizing" and "uses the standard epoch-based
-// reclamation technique to ensure that no workers are still referencing
-// the old arrays before recycling them".
+// style of Fraser [15 in the paper], which the paper's deque-pool queue
+// uses "to ensure that no workers are still referencing the old arrays
+// before recycling them".
 //
 // Go's garbage collector already guarantees that a segment cannot be
-// freed while referenced, so in Go the role of EBR shifts from safety
-// to *recycling*: a retired queue segment may only be returned to a
-// free pool (and thus handed to another producer, who will overwrite
-// it) once no reader can still be traversing it. The algorithm is the
-// classic three-epoch scheme:
+// freed while referenced, so here EBR is not about safety of freeing
+// but about *recycling*: a retired queue segment may only be returned
+// to a free pool (and thus handed to another producer, who will
+// overwrite it) once no reader can still be traversing it.
 //
 //   - Each thread (worker) registers a Participant. Around every
 //     access to the shared structure it Pins the participant, which
@@ -21,6 +18,11 @@
 //     are safe to recycle once the global epoch reaches e+2, because
 //     any thread still inside the structure must have pinned at e or
 //     later and thus cannot hold a reference from before e.
+//
+// Retirements sit on one list in epoch order. The epoch is advanced,
+// and the list's safe prefix taken off, under the lock that Retire
+// appends under, so a retirement's tag and its place in the list always
+// agree no matter where a collector is preempted.
 package epoch
 
 import (
@@ -36,20 +38,16 @@ const pinnedBit = 1
 
 // Collector coordinates a set of participants and a retirement list.
 type Collector struct {
-	global atomic.Uint64
+	global atomic.Uint64 // written only under mu
 
 	mu           sync.Mutex
 	participants []*Participant
-
-	// retired[e % 3] holds callbacks retired during epoch e. A slot is
-	// drained when the global epoch has advanced two steps past e.
-	retired [3]retireList
+	retired      []retirement // non-decreasing epoch
 }
 
-type retireList struct {
-	mu    sync.Mutex
+type retirement struct {
 	epoch uint64
-	fns   []func()
+	fn    func()
 }
 
 // NewCollector returns an empty collector at epoch 0.
@@ -58,15 +56,24 @@ func NewCollector() *Collector {
 }
 
 // Register adds a participant for one thread/worker. Participants are
-// never unregistered in this implementation (workers live for the
-// runtime's lifetime); a permanently unpinned participant does not
-// block epoch advancement.
+// never unregistered (workers live for the runtime's lifetime), and
+// every Collect walks all of them, so callers keep and reuse the ones
+// they have; a permanently unpinned participant does not block epoch
+// advancement.
 func (c *Collector) Register() *Participant {
 	p := &Participant{c: c}
 	c.mu.Lock()
 	c.participants = append(c.participants, p)
 	c.mu.Unlock()
 	return p
+}
+
+// Participants returns how many participants have been registered
+// (test/diagnostic hook).
+func (c *Collector) Participants() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.participants)
 }
 
 // Participant is one thread's handle into the collector. Pin/Unpin are
@@ -77,7 +84,7 @@ type Participant struct {
 	c     *Collector
 	state atomic.Uint64
 	// pinCount counts nested pins so that helper code can pin
-	// defensively without tracking whether a caller already did.
+	// without tracking whether a caller already did.
 	pinCount int
 }
 
@@ -108,79 +115,66 @@ func (p *Participant) Unpin() {
 // caller should be pinned while retiring, which guarantees the object
 // was reachable no earlier than the pinned epoch.
 func (c *Collector) Retire(fn func()) {
+	c.mu.Lock()
 	e := c.global.Load()
-	slot := &c.retired[e%3]
-	slot.mu.Lock()
-	if slot.epoch != e && len(slot.fns) > 0 {
-		// The slot still holds callbacks from epoch e-3; that can only
-		// happen if Collect hasn't run for three epochs, which the
-		// advance protocol prevents (a pinned retirer blocks the global
-		// epoch from advancing more than one step, and Collect drains a
-		// slot before its epoch recurs). In debug builds that protocol
-		// failure is an invariant violation — recycling the stale
-		// callbacks now would hand segments to the free pool while a
-		// lagging reader could still hold them. In normal builds, be
-		// defensive: run them, they are long safe by the time the epoch
-		// wrapped three steps.
-		if invariant.Enabled {
-			invariant.Failf("epoch: retire slot for epoch %d still holds %d callbacks from epoch %d",
-				e, len(slot.fns), slot.epoch)
+	if invariant.Enabled {
+		// Collect takes the safe retirements off as a prefix, which is
+		// all of them only while the list is in epoch order.
+		if n := len(c.retired); n > 0 {
+			invariant.Checkf(c.retired[n-1].epoch <= e,
+				"epoch: retiring at epoch %d behind a retirement from epoch %d",
+				e, c.retired[n-1].epoch)
 		}
-		for _, f := range slot.fns {
-			f()
-		}
-		slot.fns = slot.fns[:0]
 	}
-	slot.epoch = e
-	slot.fns = append(slot.fns, fn)
-	slot.mu.Unlock()
+	c.retired = append(c.retired, retirement{e, fn})
+	c.mu.Unlock()
 }
 
-// Collect attempts to advance the global epoch and drain any
-// retirement lists that have become safe. It is called opportunistically
+// Collect attempts to advance the global epoch and runs the
+// retirements that have become safe. It is called opportunistically
 // (e.g. by a queue when it retires a segment). Returns the number of
 // callbacks run.
 func (c *Collector) Collect() int {
-	e := c.global.Load()
-
-	// The epoch may advance only if every pinned participant has
-	// observed the current epoch.
 	c.mu.Lock()
-	ok := true
+	e := c.global.Load()
+	if c.allObserved(e) {
+		e++
+		c.global.Store(e)
+	}
+	// Callbacks run outside the lock, a stack-sized batch at a time;
+	// once off the list they are safe to run however late.
+	var batch [8]func()
+	ran := 0
+	for {
+		n := 0
+		for n < len(batch) && n < len(c.retired) && c.retired[n].epoch+2 <= e {
+			batch[n] = c.retired[n].fn
+			n++
+		}
+		rest := copy(c.retired, c.retired[n:])
+		clear(c.retired[rest:])
+		c.retired = c.retired[:rest]
+		c.mu.Unlock()
+		for _, fn := range batch[:n] {
+			fn()
+		}
+		ran += n
+		if n < len(batch) {
+			return ran
+		}
+		c.mu.Lock()
+	}
+}
+
+// allObserved reports whether every pinned participant pinned at epoch
+// e, the condition for advancing past it. mu must be held.
+func (c *Collector) allObserved(e uint64) bool {
 	for _, p := range c.participants {
-		s := p.state.Load()
-		if s&pinnedBit != 0 && s>>1 != e {
-			ok = false
-			break
+		if s := p.state.Load(); s&pinnedBit != 0 && s>>1 != e {
+			return false
 		}
 	}
-	c.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	// Single advancer wins; losers simply retry on a later Collect.
-	if !c.global.CompareAndSwap(e, e+1) {
-		return 0
-	}
-
-	// Epoch is now e+1. Lists retired in epoch e-1 (slot (e-1)%3 ==
-	// (e+2)%3) are two advances old and safe to drain.
-	if e == 0 {
-		return 0 // nothing can be two epochs old yet
-	}
-	safeEpoch := e - 1
-	slot := &c.retired[safeEpoch%3]
-	slot.mu.Lock()
-	var fns []func()
-	if slot.epoch == safeEpoch {
-		fns = slot.fns
-		slot.fns = nil
-	}
-	slot.mu.Unlock()
-	for _, f := range fns {
-		f()
-	}
-	return len(fns)
+	return true
 }
 
 // Epoch returns the current global epoch (for tests and diagnostics).

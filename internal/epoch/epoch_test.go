@@ -83,14 +83,16 @@ func TestUnpinWithoutPinPanics(t *testing.T) {
 
 // TestConcurrentSafety hammers pin/retire/collect from several
 // goroutines and checks that no callback runs while a participant
-// could still hold a reference from the retire epoch (approximated by
-// counting: a callback must never run before at least two Collect
-// advances after its retirement).
+// could still hold a reference from the retire epoch: each callback
+// carries the global epoch read just before its Retire (the collector
+// tags it with that or a later one) and must find the epoch at least
+// two advances on when it runs — also when the collector that took it
+// off the list was preempted before running it.
 func TestConcurrentSafety(t *testing.T) {
 	c := NewCollector()
 	const workers = 4
 	var wg sync.WaitGroup
-	var ran atomic.Int64
+	var ran, early atomic.Int64
 	var retired atomic.Int64
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -100,7 +102,13 @@ func TestConcurrentSafety(t *testing.T) {
 			for j := 0; j < 2000; j++ {
 				p.Pin()
 				retired.Add(1)
-				c.Retire(func() { ran.Add(1) })
+				at := c.Epoch()
+				c.Retire(func() {
+					ran.Add(1)
+					if c.Epoch() < at+2 {
+						early.Add(1)
+					}
+				})
 				p.Unpin()
 				c.Collect()
 			}
@@ -112,10 +120,36 @@ func TestConcurrentSafety(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Collect()
 	}
-	if ran.Load() > retired.Load() {
-		t.Fatalf("ran %d > retired %d", ran.Load(), retired.Load())
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d of %d callbacks ran before the epoch was two past their retirement", n, ran.Load())
 	}
-	if ran.Load() == 0 {
-		t.Fatal("no callbacks ran at all")
+	if ran.Load() != retired.Load() {
+		t.Fatalf("ran %d, retired %d: quiescent collects left retirements behind", ran.Load(), retired.Load())
+	}
+}
+
+// TestRetireOrderAcrossBatches retires more callbacks in one epoch than
+// Collect takes off the list per lock hold and checks they all run, in
+// retirement order, on the collect that makes them safe.
+func TestRetireOrderAcrossBatches(t *testing.T) {
+	c := NewCollector()
+	p := c.Register()
+	const n = 50
+	var order []int
+	p.Pin()
+	for i := 0; i < n; i++ {
+		c.Retire(func() { order = append(order, i) })
+	}
+	p.Unpin()
+	if got := c.Collect(); got != 0 {
+		t.Fatalf("first collect ran %d callbacks, want 0", got)
+	}
+	if got := c.Collect(); got != n {
+		t.Fatalf("second collect ran %d callbacks, want %d", got, n)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("callback %d ran in position %d", v, i)
+		}
 	}
 }

@@ -16,13 +16,17 @@
 // the addressed cell; dequeuers claim tickets with FAA on the head
 // counter and either consume the cell or, if they overran the tail,
 // poison it so the enqueue that later lands there retries. The
-// "infinite array" is realized as a directory (array) of fixed-size
-// segments (arrays); the directory grows by copy-and-swap and is
-// compacted as leading segments become fully consumed. Retired
-// directories and segments are recycled through epoch-based
-// reclamation, so a worker still traversing an old directory can never
-// observe a segment that has been handed back to the free pool and
-// overwritten.
+// "infinite array" is a singly linked list of fixed-size segments: a
+// ticket's segment is reached by following next pointers from a hint
+// (headSeg for dequeuers, tailSeg for enqueuers) and a missing
+// successor is linked with one CAS, so the queue grows without a lock
+// and without copying. The paper's outer array finds a segment in O(1)
+// and has to be freed by hand; here the walk is a hop at most outside a
+// stall and the garbage collector frees whatever is dropped, which
+// leaves epoch-based reclamation one job: the list's first segment,
+// once fully consumed, is unlinked and handed to the collector, which
+// returns it to the free pool only when no pinned worker can still be
+// walking it.
 package fifoq
 
 import (
@@ -36,9 +40,13 @@ import (
 )
 
 // SegSize is the number of cells per segment. Small enough that unit
-// tests exercise directory growth and compaction, large enough that
-// FAA-ticket traffic dominates segment management in benchmarks.
+// tests cross many segment boundaries, large enough that FAA-ticket
+// traffic dominates segment management in benchmarks.
 const SegSize = 64
+
+// maxPooledSegments bounds the free pool; segments beyond it are left
+// to the garbage collector.
+const maxPooledSegments = 16
 
 // cell states.
 const (
@@ -53,42 +61,47 @@ type cell[T any] struct {
 }
 
 type segment[T any] struct {
+	// id is the segment's index in ticket space (it holds tickets
+	// id*SegSize … id*SegSize+SegSize-1). Written only while the
+	// segment is unshared: before it is linked, or after its grace
+	// period.
 	id    uint64
+	next  atomic.Pointer[segment[T]]
 	cells [SegSize]cell[T]
 	// consumed counts cells that have been taken or poisoned; when it
-	// reaches SegSize the segment is dead and may be compacted away.
+	// reaches SegSize the segment is dead and may be unlinked.
 	consumed atomic.Uint32
-}
-
-// directory is the "array of arrays": a window of segments starting at
-// segment id base. It is immutable except for the lazily-filled
-// segment pointers; growth and compaction replace the whole directory.
-type directory[T any] struct {
-	base uint64
-	segs []atomic.Pointer[segment[T]]
+	// recycle returns the segment to its queue's free pool. Bound once,
+	// when the segment is first allocated, so retiring it allocates
+	// nothing.
+	recycle func()
 }
 
 // Queue is a multi-producer multi-consumer FIFO of T values. All
-// methods require the caller's epoch participant so traversals are
-// protected against directory/segment recycling.
+// methods require the caller's epoch participant so a walk is
+// protected against segment recycling.
 type Queue[T any] struct {
 	head atomic.Uint64 // next dequeue ticket
 	tail atomic.Uint64 // next enqueue ticket
-	dir  atomic.Pointer[directory[T]]
+
+	// first is the oldest linked segment, the root of the list. It moves
+	// only in unlinkDead, past dead segments, so it never passes a
+	// ticket whose owner has yet to act. headSeg and tailSeg are the
+	// dequeuers' and enqueuers' shortcuts to where the tickets currently
+	// are: each is some linked segment at or after first, moved forward
+	// by whoever walks past it. They are what keeps a walk to a hop when
+	// one stalled ticket holder pins first far behind everyone else.
+	first   atomic.Pointer[segment[T]]
+	headSeg atomic.Pointer[segment[T]]
+	tailSeg atomic.Pointer[segment[T]]
 
 	col *epoch.Collector
 
-	// free pools recycle retired segments and directory backing
-	// arrays. Access is mutex-protected; recycling is off the fast
-	// path (once per SegSize operations at most).
+	// segPool holds recycled segments. Mutex-protected; it is touched
+	// once per SegSize operations at most.
 	poolMu   sync.Mutex
 	segPool  []*segment[T]
 	recycled atomic.Int64 // number of segments recycled (diagnostics)
-
-	// grower serializes directory replacement. Replacement is rare
-	// (growth or compaction); a mutex here keeps the copy loop simple
-	// while the hot enqueue/dequeue path stays lock-free.
-	growMu sync.Mutex
 }
 
 // New creates an empty queue whose reclamation is coordinated by col.
@@ -96,15 +109,12 @@ type Queue[T any] struct {
 // per runtime so a worker pin covers every queue it touches).
 func New[T any](col *epoch.Collector) *Queue[T] {
 	q := &Queue[T]{col: col}
-	d := &directory[T]{base: 0, segs: make([]atomic.Pointer[segment[T]], 4)}
-	seg := &segment[T]{id: 0}
-	d.segs[0].Store(seg)
-	q.dir.Store(d)
+	s := q.allocSegment(0)
+	q.first.Store(s)
+	q.headSeg.Store(s)
+	q.tailSeg.Store(s)
 	return q
 }
-
-// Collector returns the epoch collector this queue uses.
-func (q *Queue[T]) Collector() *epoch.Collector { return q.col }
 
 // allocSegment takes a segment from the free pool or allocates one.
 func (q *Queue[T]) allocSegment(id uint64) *segment[T] {
@@ -112,11 +122,13 @@ func (q *Queue[T]) allocSegment(id uint64) *segment[T] {
 	var s *segment[T]
 	if n := len(q.segPool); n > 0 {
 		s = q.segPool[n-1]
+		q.segPool[n-1] = nil
 		q.segPool = q.segPool[:n-1]
 	}
 	q.poolMu.Unlock()
 	if s == nil {
 		s = &segment[T]{}
+		s.recycle = func() { q.recycleSegment(s) }
 	} else {
 		// Scrub recycled state. Safe: epoch reclamation guarantees no
 		// concurrent reader of this segment remains.
@@ -126,28 +138,34 @@ func (q *Queue[T]) allocSegment(id uint64) *segment[T] {
 			s.cells[i].val = zero
 		}
 		s.consumed.Store(0)
+		s.next.Store(nil)
 	}
 	s.id = id
 	return s
 }
 
-// recycleSegment returns a segment to the free pool. Must only be
-// called from an epoch-retire callback.
+// releaseSegment puts an unshared segment into the free pool.
+func (q *Queue[T]) releaseSegment(s *segment[T]) {
+	q.poolMu.Lock()
+	if len(q.segPool) < maxPooledSegments {
+		q.segPool = append(q.segPool, s)
+	}
+	q.poolMu.Unlock()
+}
+
+// recycleSegment is the body of segment.recycle. Must only run as an
+// epoch-retire callback.
 func (q *Queue[T]) recycleSegment(s *segment[T]) {
 	if invariant.Enabled {
-		// A segment reaches the free pool only via compaction, which
-		// requires every cell consumed or poisoned; recycling one with
-		// live cells would let allocSegment scrub values a pinned
-		// reader still expects to find.
+		// A segment is retired only by unlinkDead, which requires
+		// every cell consumed or poisoned; recycling one with live
+		// cells would let allocSegment scrub values a pinned reader
+		// still expects to find.
 		invariant.Checkf(s.consumed.Load() == SegSize,
 			"fifoq: recycling segment %d with only %d/%d cells consumed",
 			s.id, s.consumed.Load(), SegSize)
 	}
-	q.poolMu.Lock()
-	if len(q.segPool) < 16 { // bound pool growth
-		q.segPool = append(q.segPool, s)
-	}
-	q.poolMu.Unlock()
+	q.releaseSegment(s)
 	q.recycled.Add(1)
 }
 
@@ -155,144 +173,78 @@ func (q *Queue[T]) recycleSegment(s *segment[T]) {
 // epoch mechanism (test/diagnostic hook).
 func (q *Queue[T]) Recycled() int64 { return q.recycled.Load() }
 
-// findSegment returns the segment holding ticket, growing the
-// directory if the ticket lies beyond the current window. The caller
-// must be pinned.
-func (q *Queue[T]) findSegment(ticket uint64) *segment[T] {
-	segID := ticket / SegSize
-	for {
-		d := q.dir.Load()
-		if invariant.Enabled {
-			// Stretch the directory-snapshot window: everything below
-			// must tolerate d being replaced concurrently (the lazy
-			// install re-validates under growMu for exactly that reason).
-			perturb.At(perturb.Check)
-		}
-		if segID < d.base {
-			// The segment was compacted away, which is only possible
-			// if every cell in it was consumed or poisoned. The one
-			// reachable case is an enqueuer whose freshly-claimed
-			// ticket was poisoned by an overrunning dequeuer before
-			// the enqueuer even located the segment; returning nil
-			// tells Enqueue to retry with a new ticket. A dequeuer
-			// can never land here: only the owner of a dequeue ticket
-			// consumes or poisons its cell, so its segment stays live
-			// until it acts.
+// successor returns the segment after s, linking a new one if s is the
+// last. The caller must be pinned.
+func (q *Queue[T]) successor(s *segment[T]) *segment[T] {
+	if n := s.next.Load(); n != nil {
+		return n
+	}
+	n := q.allocSegment(s.id + 1)
+	if s.next.CompareAndSwap(nil, n) {
+		return n
+	}
+	q.releaseSegment(n) // lost the race; n was never shared
+	return s.next.Load()
+}
+
+// findSegment returns the segment holding ticket, walking from hint
+// (&q.headSeg for a dequeue ticket, &q.tailSeg for an enqueue ticket)
+// and leaving the hint on the segment it found. The caller must be
+// pinned. It returns nil when the segment has been unlinked, which is
+// only possible if every cell in it was consumed or poisoned. The one
+// reachable case is an enqueuer whose freshly claimed ticket was
+// poisoned by an overrunning dequeuer before the enqueuer located the
+// segment; nil tells Enqueue to retry with a new ticket. A dequeuer
+// can never see nil: only the owner of a dequeue ticket consumes or
+// poisons its cell, so its segment stays linked until it acts.
+func (q *Queue[T]) findSegment(ticket uint64, hint *atomic.Pointer[segment[T]]) *segment[T] {
+	id := ticket / SegSize
+	start := hint.Load()
+	if invariant.Enabled {
+		// Stretch the hint-load → walk window: everything below must
+		// tolerate start being unlinked, and successors being linked,
+		// concurrently.
+		perturb.At(perturb.Check)
+	}
+	s := start
+	if s.id > id {
+		// A faster goroutine moved the hint past this ticket's segment;
+		// first cannot have passed it unless it is dead.
+		if s = q.first.Load(); s.id > id {
 			return nil
 		}
-		idx := segID - d.base
-		if idx >= uint64(len(d.segs)) {
-			q.grow(d, segID)
-			continue
-		}
-		if s := d.segs[idx].Load(); s != nil {
-			return s
-		}
-		// Lazily create the segment. Installation must be serialized
-		// with directory replacement (growMu): a bare CAS into d races
-		// replaceDirectory — if the copy loop reads this slot as nil and
-		// installs the new directory before our CAS lands, the CAS still
-		// succeeds against the now-dead directory and the segment is
-		// orphaned. The enqueuer then publishes its element into the
-		// orphan while every dequeuer, reading the live directory,
-		// re-creates the slot and waits forever on cells that will never
-		// fill — up to SegSize tickets (and their elements) strand at
-		// once. Holding growMu pins the directory identity across the
-		// nil-check and the store; this path runs at most once per
-		// SegSize tickets, so the lock is off the fast path.
-		q.growMu.Lock()
-		if q.dir.Load() != d {
-			// Directory replaced while we were acquiring the lock;
-			// recompute against the live one.
-			q.growMu.Unlock()
-			continue
-		}
-		if d.segs[idx].Load() == nil {
-			d.segs[idx].Store(q.allocSegment(segID))
-		}
-		s := d.segs[idx].Load()
-		q.growMu.Unlock()
-		return s
 	}
+	for s.id < id {
+		s = q.successor(s)
+	}
+	if s.id > start.id {
+		// Forward only, and only while start is still the hint: start
+		// is then still linked, so s — after it — is too, and a hint
+		// never comes to rest on a retired segment.
+		hint.CompareAndSwap(start, s)
+	}
+	return s
 }
 
-// grow replaces directory d with a larger one covering segID, also
-// compacting away fully-consumed leading segments. Callers must be
-// pinned; the replaced directory and dead segments are retired through
-// the collector.
-func (q *Queue[T]) grow(d *directory[T], segID uint64) {
-	q.growMu.Lock()
-	defer q.growMu.Unlock()
-	cur := q.dir.Load()
-	if cur != d {
-		return // someone else already replaced it
-	}
-	q.replaceDirectory(cur, segID)
-}
-
-// Compact opportunistically drops fully-consumed leading segments.
-// Called by dequeuers when they finish a segment.
-func (q *Queue[T]) compact() {
-	q.growMu.Lock()
-	defer q.growMu.Unlock()
-	cur := q.dir.Load()
-	// Only bother when there is a dead prefix.
-	s := cur.segs[0].Load()
-	if s == nil || s.consumed.Load() != SegSize {
-		return
-	}
-	maxID := cur.base + uint64(len(cur.segs)) - 1
-	q.replaceDirectory(cur, maxID)
-}
-
-// replaceDirectory builds and installs a new directory window that
-// drops the fully-consumed prefix of cur and covers needSegID. The
-// grow mutex must be held.
-func (q *Queue[T]) replaceDirectory(cur *directory[T], needSegID uint64) {
-	// Count the dead prefix.
-	dead := 0
-	for dead < len(cur.segs) {
-		s := cur.segs[dead].Load()
-		if s == nil || s.consumed.Load() != SegSize {
+// unlinkDead drops fully consumed segments off the front of the list
+// and retires them. Both hints move past a segment before it is
+// retired, so no walk that starts after the retirement can reach it;
+// walks that started earlier are pinned, and the collector waits for
+// them. The caller must be pinned.
+func (q *Queue[T]) unlinkDead() {
+	for {
+		f := q.first.Load()
+		if f.consumed.Load() != SegSize {
 			break
 		}
-		dead++
-	}
-	newBase := cur.base + uint64(dead)
-	liveLen := len(cur.segs) - dead
-	if needSegID < newBase {
-		// Every segment in the window (including the one that
-		// triggered this call) is dead; keep a minimal window anchored
-		// just past the dead prefix.
-		needSegID = newBase
-	}
-	need := int(needSegID-newBase) + 1
-	size := len(cur.segs)
-	for size < need || size < liveLen {
-		size *= 2
-	}
-	if dead > 0 && need <= size/2 && size > 4 && liveLen <= size/2 {
-		// Shrink opportunity after compaction; keep at least 4.
-		for size/2 >= need && size/2 >= liveLen && size/2 >= 4 {
-			size /= 2
+		n := q.successor(f)
+		// A hint is never behind first: it is f or already past it.
+		q.headSeg.CompareAndSwap(f, n)
+		q.tailSeg.CompareAndSwap(f, n)
+		if q.first.CompareAndSwap(f, n) {
+			q.col.Retire(f.recycle)
 		}
 	}
-	nd := &directory[T]{base: newBase, segs: make([]atomic.Pointer[segment[T]], size)}
-	for i := 0; i < liveLen; i++ {
-		nd.segs[i].Store(cur.segs[dead+i].Load())
-	}
-	q.dir.Store(nd)
-
-	// Retire the dead segments and the old directory through the
-	// epoch collector: they may still be referenced by concurrently
-	// pinned readers of the old directory.
-	for i := 0; i < dead; i++ {
-		s := cur.segs[i].Load()
-		q.col.Retire(func() { q.recycleSegment(s) })
-	}
-	// The old directory's backing array needs no recycling (GC frees
-	// it), but running a Retire keeps the epoch advancing under load.
-	q.col.Retire(func() {})
 	q.col.Collect()
 }
 
@@ -308,10 +260,10 @@ func (q *Queue[T]) Enqueue(p *epoch.Participant, v T) {
 			// must tolerate the element being claimed-but-invisible.
 			perturb.At(perturb.Enqueue)
 		}
-		seg := q.findSegment(t)
+		seg := q.findSegment(t, &q.tailSeg)
 		if seg == nil {
-			// Ticket poisoned and its segment already compacted away;
-			// retry with a fresh ticket.
+			// Ticket poisoned and its segment already unlinked; retry
+			// with a fresh ticket.
 			continue
 		}
 		c := &seg.cells[t%SegSize]
@@ -327,11 +279,11 @@ func (q *Queue[T]) Enqueue(p *epoch.Participant, v T) {
 	}
 }
 
-// noteConsumed bumps a segment's consumed count and triggers
-// compaction when the segment dies.
+// noteConsumed bumps a segment's consumed count and unlinks dead
+// leading segments when this one dies.
 func (q *Queue[T]) noteConsumed(seg *segment[T]) {
 	if seg.consumed.Add(1) == SegSize {
-		q.compact()
+		q.unlinkDead()
 	}
 }
 
@@ -349,11 +301,11 @@ func (q *Queue[T]) Dequeue(p *epoch.Participant) (v T, ok bool) {
 		if invariant.Enabled {
 			perturb.At(perturb.Dequeue)
 		}
-		seg := q.findSegment(h)
+		seg := q.findSegment(h, &q.headSeg)
 		if seg == nil {
 			// Unreachable (see findSegment): a dequeue ticket's
-			// segment cannot be compacted before its owner acts.
-			panic("fifoq: dequeue ticket addresses a compacted segment")
+			// segment cannot be unlinked before its owner acts.
+			panic("fifoq: dequeue ticket addresses an unlinked segment")
 		}
 		c := &seg.cells[h%SegSize]
 		if h < q.tail.Load() {

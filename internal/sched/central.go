@@ -14,15 +14,14 @@ import (
 )
 
 // centralPool is the paper's centralized per-priority-level deque
-// pool — for each level, a regular FIFO queue plus a mugging queue
-// holding only abandoned (immediately-resumable) deques — generalized
-// to a *sharded* layout for true multi-core operation: each level's
-// queues are split into Config.PoolShards independent shards (a power
-// of two derived from Config.Workers by default), so parallel workers
-// no longer serialize every spawn, steal, and mug through one
-// fetch-and-add pair. PoolShards=1 restores the paper's exact
-// centralized layout byte-for-byte; every ablation and paper-fidelity
-// experiment runs there.
+// pool: for each level, a regular FIFO queue plus a mugging queue
+// holding only abandoned (immediately-resumable) deques. That is the
+// layout at Config.PoolShards 1, the default, and every paper-fidelity
+// experiment runs there. An explicit PoolShards > 1 splits each
+// level's queues into that many independent shards (a power of two),
+// so that workers on parallel Ps do not serialize every spawn, steal
+// and mug through one fetch-and-add pair — an opt-in whose cost is
+// measured (ShardStats) and whose benefit on real cores is not yet.
 //
 // The protocol over the shards is MultiQueue-style relaxed selection
 // (Rihani/Sanders/Dementiev; "Multi-Queues Can Be State-of-the-Art

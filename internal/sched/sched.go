@@ -131,18 +131,15 @@ type Config struct {
 	// PoolShards is the number of shards each priority level's
 	// centralized pool is split into (Prompt and AdaptiveGreedy; the
 	// Adaptive variants have per-worker pools and ignore it). Zero
-	// derives the count from Workers: 1 for a single worker, else the
-	// next power of two ≥ max(Workers, 4), capped at 64 — at least one
-	// shard per worker so parallel Ps do not serialize spawns, steals,
-	// and mugs through one FIFO pair, and never exactly two, because
-	// sampling d=2 of 2 shards is all of them (no relaxation, double
-	// probe cost; measured slower than both 1 and 4 shards).
-	// Non-zero values are rounded up to the next power of two.
-	// PoolShards=1 restores the paper's exact centralized layout
-	// (the ablation and paper-fidelity configuration); thieves then
-	// skip the MultiQueue sampling entirely. The promptness bitfield
-	// stays global and exact at every shard count — a level's bit
-	// means "some shard at this level has work".
+	// means 1: the paper's layout, one regular and one mugging FIFO
+	// per level, which thieves pop without any sampling. A value above
+	// 1 opts into the relaxed MultiQueue layout (see centralPool); it
+	// is rounded up to a power of two and capped at 64. Its cost is
+	// measured — sample misses and sweeps on every workload of the
+	// pinned benchmark on 2 vCPUs — and its benefit is not yet: it is
+	// kept for the ≥ 4-real-core comparison that has still to be run.
+	// The promptness bitfield stays global and exact at every shard
+	// count — a level's bit means "some shard at this level has work".
 	PoolShards int
 	// TraceCapacity, if positive, enables the scheduler event trace
 	// with a ring of that many events.
@@ -199,15 +196,6 @@ func (c *Config) applyDefaults() error {
 	if c.PoolShards < 0 {
 		return fmt.Errorf("sched: PoolShards must be >= 0, got %d", c.PoolShards)
 	}
-	if c.PoolShards == 0 {
-		if c.Workers == 1 {
-			c.PoolShards = 1
-		} else if c.Workers < 4 {
-			c.PoolShards = 4
-		} else {
-			c.PoolShards = c.Workers
-		}
-	}
 	c.PoolShards = nextPow2(c.PoolShards)
 	if c.PoolShards > maxPoolShards {
 		c.PoolShards = maxPoolShards
@@ -226,7 +214,8 @@ func (c *Config) applyDefaults() error {
 // contention relief on machines this code targets.
 const maxPoolShards = 64
 
-// nextPow2 returns the smallest power of two >= n (n >= 1).
+// nextPow2 returns the smallest power of two >= n; 1 for n <= 1, which
+// is how PoolShards 0 comes to mean 1.
 func nextPow2(n int) int {
 	p := 1
 	for p < n {
@@ -263,9 +252,14 @@ type Runtime struct {
 	// Cache-line padded: every context switch adds to it.
 	levelWork []paddedInt64
 
-	// parts recycles epoch participants for non-worker goroutines
-	// (I/O threads, external submitters).
-	parts sync.Pool
+	// parts is the stack of idle epoch participants that pool enqueues
+	// borrow (workers dequeue with their own). Deliberately not a
+	// sync.Pool: the collector walks every participant ever registered
+	// on each Collect, so one the GC drops is not freed, it is leaked
+	// and replaced. The stack grows to the peak number of concurrent
+	// enqueuers and stays there.
+	partsMu sync.Mutex
+	parts   []*epoch.Participant
 
 	// free is the task-context recycling list: finished task contexts
 	// (goroutine parked on its resume channel) awaiting their next
@@ -324,7 +318,6 @@ func New(cfg Config) (*Runtime, error) {
 		nonEmpty:  make([]paddedInt64, cfg.Levels),
 		levelWork: make([]paddedInt64, cfg.Levels),
 	}
-	rt.parts.New = func() any { return rt.col.Register() }
 	if !cfg.DisableRecycling {
 		rt.free = make(chan *node, cfg.RecycleCap)
 	}
@@ -502,12 +495,25 @@ func (rt *Runtime) Close() {
 	}
 }
 
-// handle borrows an epoch participant for a non-worker goroutine.
+// handle borrows an epoch participant for one pool enqueue.
 func (rt *Runtime) handle() *epoch.Participant {
-	return rt.parts.Get().(*epoch.Participant)
+	rt.partsMu.Lock()
+	n := len(rt.parts)
+	if n == 0 {
+		rt.partsMu.Unlock()
+		return rt.col.Register()
+	}
+	p := rt.parts[n-1]
+	rt.parts = rt.parts[:n-1]
+	rt.partsMu.Unlock()
+	return p
 }
 
-func (rt *Runtime) release(p *epoch.Participant) { rt.parts.Put(p) }
+func (rt *Runtime) release(p *epoch.Participant) {
+	rt.partsMu.Lock()
+	rt.parts = append(rt.parts, p)
+	rt.partsMu.Unlock()
+}
 
 // newDeque returns an Active deque at the given level wired to the
 // runtime's non-empty counters — recycled from the dead-deque pool

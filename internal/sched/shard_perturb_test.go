@@ -12,8 +12,8 @@ import (
 )
 
 // TestPerturbShardedPoolStability drives the sharded centralized pool
-// (Workers=4 → 4 shards) through the shard-specific perturbation
-// points — Enqueue (the shard-insert→bit-Set gap), ShardSelect (the
+// (PoolShards=4) through the shard-specific perturbation points —
+// Enqueue (the shard-insert→bit-Set gap), ShardSelect (the
 // stale-sample window between depth sampling and the pop), ShardSweep
 // (the all-shard scan that keeps DoubleCheckClear exact) — under the
 // CI seed matrix. Churners abandoning into per-shard mugging queues
@@ -24,7 +24,7 @@ import (
 func TestPerturbShardedPoolStability(t *testing.T) {
 	for _, seed := range perturb.Seeds([]uint64{0x1, 0xdecade, 0xfeedbeef}) {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: Prompt})
+			rt := newTestRuntime(t, Config{Workers: 4, PoolShards: 4, Levels: 2, Policy: Prompt})
 			if got := rt.pol.(*promptPolicy).pool.shardCount(); got != 4 {
 				t.Fatalf("shardCount = %d, want 4 (test must run sharded)", got)
 			}
@@ -64,16 +64,16 @@ func TestPerturbShardedPoolStability(t *testing.T) {
 }
 
 // TestPerturbShardedCentralizedAblation re-runs the migration stress
-// with PoolShards=1 under perturbation: the explicit override must
-// reproduce the paper's centralized behavior exactly (single shard, no
-// relaxed selection), so the shard perturbation points degenerate to
-// no-ops and the original bitfield protocol carries the test alone.
+// with PoolShards=1 under perturbation: it must reproduce the paper's
+// centralized behavior exactly (single shard, no relaxed selection),
+// so the shard perturbation points degenerate to no-ops and the
+// original bitfield protocol carries the test alone.
 func TestPerturbShardedCentralizedAblation(t *testing.T) {
 	for _, seed := range perturb.Seeds([]uint64{0x1, 0xdecade, 0xfeedbeef}) {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
 			rt := newTestRuntime(t, Config{Workers: 4, PoolShards: 1, Levels: 2, Policy: Prompt})
 			if got := rt.pol.(*promptPolicy).pool.shardCount(); got != 1 {
-				t.Fatalf("shardCount = %d, want 1 (PoolShards override broken)", got)
+				t.Fatalf("shardCount = %d, want 1", got)
 			}
 			perturb.Enable(seed)
 			defer perturb.Disable()

@@ -7,19 +7,16 @@ import (
 )
 
 // TestPoolShardsDerivation pins the Config.PoolShards contract: 0
-// derives the shard count from Workers (next power of two, capped),
-// explicit values round up to a power of two, and PoolShards=1 is the
-// paper's centralized layout regardless of worker count.
+// means 1 (the paper's centralized layout) at every worker count,
+// explicit values round up to a power of two and are capped, and a
+// negative value is rejected.
 func TestPoolShardsDerivation(t *testing.T) {
 	cases := []struct {
 		workers, poolShards, want int
 	}{
 		{1, 0, 1},
-		{2, 0, 4}, // derived counts floor at 4: 2-of-2 sampling relaxes nothing
-		{3, 0, 4},
-		{4, 0, 4},
-		{7, 0, 8},
-		{8, 1, 1},    // explicit centralized override
+		{8, 0, 1},    // no dependence on Workers
+		{8, 1, 1},    // the same layout, spelled out
 		{2, 3, 4},    // explicit values round up to a power of two
 		{1, 8, 8},    // more shards than workers is allowed
 		{1, 100, 64}, // capped at maxPoolShards
@@ -47,7 +44,7 @@ func TestPoolShardsDerivation(t *testing.T) {
 // (I/O completions, external submissions) rotate round-robin over all
 // shards so resumption load cannot hot-spot one shard.
 func TestShardHomeAssignment(t *testing.T) {
-	rt := newTestRuntime(t, Config{Workers: 4, Levels: 1, Policy: Prompt})
+	rt := newTestRuntime(t, Config{Workers: 4, PoolShards: 4, Levels: 1, Policy: Prompt})
 	pool := rt.pol.(*promptPolicy).pool
 	if n := pool.shardCount(); n != 4 {
 		t.Fatalf("shardCount = %d, want 4", n)
@@ -73,7 +70,7 @@ func TestShardHomeAssignment(t *testing.T) {
 // aggregate snapshot depths must equal the per-shard sum — existing
 // consumers of the aggregate fields keep working under sharding.
 func TestShardedExternalSpread(t *testing.T) {
-	rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: Prompt})
+	rt := newTestRuntime(t, Config{Workers: 4, PoolShards: 4, Levels: 2, Policy: Prompt})
 
 	var hogsStarted atomic.Int32
 	var release atomic.Bool
@@ -140,7 +137,7 @@ func TestShardedExternalSpread(t *testing.T) {
 // state survives repeated re-probes, a shard's population has escaped
 // the bitfield and promptness is broken. Run with -race in CI.
 func TestShardedBitfieldNeverUnderReports(t *testing.T) {
-	rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: Prompt})
+	rt := newTestRuntime(t, Config{Workers: 4, PoolShards: 4, Levels: 2, Policy: Prompt})
 	pool := rt.pol.(*promptPolicy).pool
 
 	stop := make(chan struct{})
@@ -210,7 +207,7 @@ func TestShardedBitfieldNeverUnderReports(t *testing.T) {
 }
 
 // TestShardedMatchesCentralized runs the same fork-join workload under
-// PoolShards=1 (the paper's layout) and the derived sharded layout and
+// PoolShards=1 (the paper's layout) and a four-shard layout and
 // checks both compute the same result — relaxed selection reorders
 // same-level work but must not lose or duplicate any of it.
 func TestShardedMatchesCentralized(t *testing.T) {
@@ -231,7 +228,7 @@ func TestShardedMatchesCentralized(t *testing.T) {
 		}
 		return sum.Load()
 	}
-	central, sharded := run(1), run(0)
+	central, sharded := run(1), run(4)
 	if central != sharded {
 		t.Fatalf("centralized sum %d != sharded sum %d", central, sharded)
 	}

@@ -34,40 +34,55 @@ func echoLines(rt *Runtime, c Conn) *Future {
 // client sends only after the previous reply, so the server's next
 // read finds nothing buffered and suspends on its I/O future) and
 // returns process-wide heap allocations per suspension over the
-// measured rounds. roundTrip sends one request and blocks for its reply.
+// measured rounds. The counter is the whole process's, so a stray
+// allocation by the Go runtime or by an earlier test's teardown can
+// land in a window; the path's own cost is in every window, so the
+// smallest of up to three is reported. roundTrip sends one request and
+// blocks for its reply.
 func suspendedReadAllocs(t *testing.T, rt *Runtime, roundTrip func()) float64 {
 	t.Helper()
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")
 	}
-	const warm, rounds = 500, 2000
+	const warm, rounds, windows = 500, 2000, 3
 	for i := 0; i < warm; i++ {
 		roundTrip()
 	}
-	var m0, m1 runtime.MemStats
-	s0 := rt.WasteReport().Suspends
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < rounds; i++ {
-		roundTrip()
+	least := 0.0
+	for w := 0; w < windows; w++ {
+		var m0, m1 runtime.MemStats
+		s0 := rt.WasteReport().Suspends
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < rounds; i++ {
+			roundTrip()
+		}
+		runtime.ReadMemStats(&m1)
+		suspends := rt.WasteReport().Suspends - s0
+		if suspends < rounds/2 {
+			t.Fatalf("only %d of %d reads suspended: the gate is not exercising the suspend path", suspends, rounds)
+		}
+		perSuspend := float64(m1.Mallocs-m0.Mallocs) / float64(suspends)
+		t.Logf("%d round trips, %d suspensions, %d mallocs (%.3f per suspension)",
+			rounds, suspends, m1.Mallocs-m0.Mallocs, perSuspend)
+		if w == 0 || perSuspend < least {
+			least = perSuspend
+		}
+		if least == 0 {
+			break
+		}
 	}
-	runtime.ReadMemStats(&m1)
-	suspends := rt.WasteReport().Suspends - s0
-	if suspends < rounds/2 {
-		t.Fatalf("only %d of %d reads suspended: the gate is not exercising the suspend path", suspends, rounds)
-	}
-	perSuspend := float64(m1.Mallocs-m0.Mallocs) / float64(suspends)
-	t.Logf("%d round trips, %d suspensions, %d mallocs (%.3f per suspension)",
-		rounds, suspends, m1.Mallocs-m0.Mallocs, perSuspend)
-	return perSuspend
+	return least
 }
 
-// suspendAllocBound is what one suspended read may allocate. The read
-// path itself allocates nothing (the LineReader's waiter is reused);
-// the residue — measured 0.096, six objects per 64 resumes — is the scheduler pool's FIFO replacing
-// its segment directory once per fifoq.SegSize resumes, plus, over real
-// sockets, a sync.Pool refill after a GC. The parent of this gate paid
-// 4 per suspension here and 3 over the poller.
-const suspendAllocBound = 0.15
+// What one suspended read may allocate. The read path allocates
+// nothing (the LineReader's waiter is reused) and neither does the
+// scheduler pool's FIFO under it (segments and their retire callbacks
+// are recycled), so netsim gets no allowance. Over real sockets 0.05
+// is room for a sync.Pool refill after a GC.
+const (
+	suspendAllocBoundNetsim = 0
+	suspendAllocBoundTCP    = 0.05
+)
 
 // TestSuspendedReadAllocFreeNetsim gates the non-pool-routed path (the
 // deterministic figures, the pump fallback): readiness callback →
@@ -86,8 +101,8 @@ func TestSuspendedReadAllocFreeNetsim(t *testing.T) {
 	})
 	cli.Close()
 	server.Wait()
-	if perSuspend > suspendAllocBound {
-		t.Errorf("%.3f allocations per suspended read, want <= %v", perSuspend, suspendAllocBound)
+	if perSuspend > suspendAllocBoundNetsim {
+		t.Errorf("%.3f allocations per suspended read, want %v", perSuspend, suspendAllocBoundNetsim)
 	}
 }
 
@@ -137,7 +152,7 @@ func TestSuspendedReadAllocFreeTCP(t *testing.T) {
 	})
 	cli.Close()
 	server.Wait()
-	if perSuspend > suspendAllocBound {
-		t.Errorf("%.3f allocations per suspended read, want <= %v", perSuspend, suspendAllocBound)
+	if perSuspend > suspendAllocBoundTCP {
+		t.Errorf("%.3f allocations per suspended read, want <= %v", perSuspend, suspendAllocBoundTCP)
 	}
 }
