@@ -160,13 +160,9 @@ type Config struct {
 	// metrics for saturation). Default 4096, the paper-era
 	// hard-coded value.
 	IOQueueCapacity int
-	// DisableRecycling turns off the scheduler's task-context and
-	// deque recycling, so every spawn/submit allocates fresh — the
-	// debugging escape hatch (one goroutine per task for its whole
-	// life). ICILK_NORECYCLE=1 in the environment has the same effect.
-	DisableRecycling bool
 	// RecycleCap bounds how many finished task contexts stay parked
-	// for reuse (idle-memory bound). Default 256.
+	// for reuse on the shared list (idle-memory bound; each worker
+	// keeps a few more of its own). Default 256.
 	RecycleCap int
 	// Admission, when non-nil, puts an admission controller in front
 	// of the runtime (Runtime.Admission): bounded per-priority
@@ -206,7 +202,6 @@ func New(cfg Config) (*Runtime, error) {
 		Adaptive:            cfg.Adaptive,
 		DisableMuggingQueue: cfg.DisableMuggingQueue,
 		TraceCapacity:       cfg.TraceCapacity,
-		DisableRecycling:    cfg.DisableRecycling,
 		RecycleCap:          cfg.RecycleCap,
 		UrgentSlack:         cfg.UrgentSlack,
 	})

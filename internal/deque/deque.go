@@ -243,11 +243,22 @@ func (d *Deque) StealTop() (x any, remaining int, ok bool) {
 	if len(d.items) == 0 {
 		return nil, 0, false
 	}
-	x = d.items[0]
-	d.items[0] = nil
-	d.items = d.items[1:]
-	d.updateLive()
+	x = d.takeTop()
 	return x, len(d.items), true
+}
+
+// takeTop removes and returns the oldest frame; callers hold mu and
+// have checked that there is one. The rest shift down a slot (deques
+// are shallow, so that is a few words): items[1:] would give the front
+// of the array away for good and a deque that is stolen from would
+// keep regrowing it. The vacated slot is nilled so it pins no task.
+func (d *Deque) takeTop() any {
+	x := d.items[0]
+	n := copy(d.items, d.items[1:])
+	d.items[n] = nil
+	d.items = d.items[:n]
+	d.updateLive()
+	return x
 }
 
 // Len returns the current number of stored frames (excluding any
@@ -398,10 +409,7 @@ func (d *Deque) TakeForThief(fromMugging bool) (res PopResult, frame any, pushBa
 		}
 		return PopMug, frame, false
 	case len(d.items) > 0: // Suspended-stealable or Active-with-frames
-		frame = d.items[0]
-		d.items[0] = nil
-		d.items = d.items[1:]
-		d.updateLive()
+		frame = d.takeTop()
 		if len(d.items) > 0 && !d.inRegular && !d.inMugging {
 			d.inRegular = true
 			return PopSteal, frame, true
@@ -421,11 +429,7 @@ func (d *Deque) TryStealTop() (frame any, ok bool) {
 	if len(d.items) == 0 {
 		return nil, false
 	}
-	frame = d.items[0]
-	d.items[0] = nil
-	d.items = d.items[1:]
-	d.updateLive()
-	return frame, true
+	return d.takeTop(), true
 }
 
 // TryMug attempts to claim a Resumable deque (Adaptive policies).

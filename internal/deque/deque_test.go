@@ -3,6 +3,8 @@ package deque
 import (
 	"testing"
 	"testing/quick"
+
+	"icilk/internal/invariant"
 )
 
 func TestPushPopBottomLIFO(t *testing.T) {
@@ -33,6 +35,52 @@ func TestStealTopFIFO(t *testing.T) {
 		}
 		if rem != 4-i {
 			t.Fatalf("remaining = %d, want %d", rem, 4-i)
+		}
+	}
+}
+
+// TestStealKeepsCapacity: each of the three steal paths shifts the
+// remaining frames down instead of advancing the slice past the stolen
+// one, so a deque that is stolen from, pushed to and stolen from again
+// never regrows its array, and every vacated slot is nil — a parked
+// slot would pin a finished task for as long as the deque is recycled.
+func TestStealKeepsCapacity(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	frames := make([]any, 4)
+	for i := range frames {
+		frames[i] = new(int) // pointers: boxing them allocates nothing
+	}
+	for name, steal := range map[string]func(d *Deque) any{
+		"StealTop":     func(d *Deque) any { x, _, _ := d.StealTop(); return x },
+		"TryStealTop":  func(d *Deque) any { x, _ := d.TryStealTop(); return x },
+		"TakeForThief": func(d *Deque) any { _, x, _ := d.TakeForThief(false); return x },
+	} {
+		d := New(0, nil)
+		want := func(i int) {
+			if got := steal(d); got != frames[i] {
+				t.Errorf("%s: stole %p, want frame %d (%p)", name, got, i, frames[i])
+			}
+		}
+		cycle := func() {
+			d.PushBottom(frames[0])
+			d.PushBottom(frames[1])
+			want(0) // a steal that leaves a frame behind, then pushes on top of it
+			d.PushBottom(frames[2])
+			d.PushBottom(frames[3])
+			want(1)
+			want(2)
+			want(3)
+		}
+		cycle() // the array grows to its three slots here, once
+		if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+			t.Errorf("%s: a push/steal cycle allocates %.2f objects after warm-up, want 0", name, avg)
+		}
+		for i, x := range d.items[:cap(d.items)] {
+			if x != nil {
+				t.Errorf("%s: slot %d of the drained deque still holds %p", name, i, x)
+			}
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // with seeded perturbation inside the queue itself: Enqueue and
 // Dequeue yield between their ticket fetch-and-add and the cell
 // publish/consume, stretching the poison-protocol windows (overrunning
-// dequeuers racing slow enqueuers) and the segment compaction /
+// dequeuers racing slow enqueuers) and the segment unlinking /
 // epoch-recycling machinery, whose consumed-count invariant is armed
 // in this build.
 func TestPerturbConservation(t *testing.T) {

@@ -52,11 +52,14 @@ func Eventually(cond func() bool, format string, args ...any) {
 
 // Token models a resource with at most one holder — the scheduler's
 // worker token, which exactly one task context per worker may hold at
-// a time. Acquire/Release run on the owner (the worker goroutine);
-// Check runs on whichever goroutine believes it currently holds the
-// token (a task posting a yield directive). The atomic.Value makes
-// the cross-goroutine reads race-free; the channel handoffs the token
-// models already order the logical accesses.
+// a time. The tracker follows the baton: whoever passes the token on
+// (the worker goroutine handing it out, a task handing it to the next
+// task or back home) Releases itself and Acquires for the receiver
+// just before the channel send; Check runs on whichever goroutine
+// believes it currently holds the token (a task about to act for its
+// worker). The atomic.Value makes the cross-goroutine reads race-free;
+// the channel handoffs the token models already order the logical
+// accesses.
 type Token struct {
 	v atomic.Value // tokenBox
 }
@@ -73,7 +76,7 @@ func (t *Token) Acquire(h any) {
 }
 
 // Release clears the holder, failing unless h is the current holder
-// (a yield directive arrived from a context that was not resumed).
+// (the token was passed on by a context that was not resumed).
 func (t *Token) Release(h any) {
 	b, _ := t.v.Load().(tokenBox)
 	if b.h != h {
@@ -82,9 +85,9 @@ func (t *Token) Release(h any) {
 	t.v.Store(tokenBox{})
 }
 
-// Check asserts that h is the current holder — the "no directive
-// posted by a non-token-holder" rule checked by a task just before it
-// posts to its worker's yield channel.
+// Check asserts that h is the current holder — the "nobody acts for a
+// worker without its token" rule, checked by a task just before it
+// runs its worker's scheduling step.
 func (t *Token) Check(h any) {
 	b, _ := t.v.Load().(tokenBox)
 	if b.h != h {

@@ -127,9 +127,8 @@ func (rt *Runtime) submitCancelable(level int, c *cancelState, fn func(*Task) an
 	f := newFuture(rt)
 	f.ownerLevel = int32(level)
 	rt.inflight.Add(1)
-	n := rt.newNode(level, nil, nil)
+	n := rt.newNode(nil, level, nil, futFrame(fn))
 	n.t.fut = f
-	n.t.futFn = fn
 	n.t.inflightRoot = true
 	n.t.cancel = c
 	n.t.cancelRoot = true

@@ -110,28 +110,39 @@ func TestNilCtxBehavesLikeSubmit(t *testing.T) {
 // TestCancelJoinsOutstandingChildren is the delicate invariant: a
 // parent cancelled between Spawn and Sync must still join its
 // children before finishing, or a late child completion would poke a
-// recycled task context.
+// recycled task context. The children have no fixed amount of work to
+// race the deadline with: each runs until the cancellation unwinds it
+// (the wall-clock cap only bounds a failing run), so the root can only
+// resolve through the unwind path, however fast spawns are.
 func TestCancelJoinsOutstandingChildren(t *testing.T) {
 	rt := newTestRT(t, 2, 2)
-	var childDone atomic.Int64
+	var running, gaveUp atomic.Int64
 	f := rt.SubmitFutureWithDeadline(0, 15*time.Millisecond, func(task *Task) any {
 		for i := 0; i < 4; i++ {
 			task.Spawn(func(ct *Task) {
-				for j := 0; j < 50_000; j++ {
+				running.Add(1)
+				defer running.Add(-1) // runs as the unwind passes through
+				for limit := time.Now().Add(2 * time.Second); time.Now().Before(limit); {
 					spin(500)
-					if j%20 == 0 {
-						ct.Yield()
-					}
+					ct.Yield()
 				}
-				childDone.Add(1)
+				gaveUp.Add(1)
 			})
 		}
 		task.Sync()
 		return "finished"
 	})
-	f.Wait()
+	v := f.Wait()
 	if err := f.Err(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Err() = %v, want DeadlineExceeded", err)
+		t.Fatalf("Err() = %v (value %v, %d children outlasted the cap), want DeadlineExceeded", err, v, gaveUp.Load())
+	}
+	// Join before finish: the root resolved, so every child it spawned
+	// has already unwound.
+	if n := running.Load(); n != 0 {
+		t.Fatalf("root resolved with %d children still running", n)
+	}
+	if n := gaveUp.Load(); n != 0 {
+		t.Fatalf("%d children ran into the 2 s cap instead of being unwound", n)
 	}
 	// Drain: no child may still be in flight after the root resolved.
 	deadline := time.Now().Add(2 * time.Second)

@@ -318,9 +318,8 @@ func (rt *Runtime) SubmitFuture(level int, fn func(*Task) any) *Future {
 	f := newFuture(rt)
 	f.ownerLevel = int32(level)
 	rt.inflight.Add(1)
-	n := rt.newNode(level, nil, nil)
+	n := rt.newNode(nil, level, nil, futFrame(fn))
 	n.t.fut = f
-	n.t.futFn = fn
 	n.t.inflightRoot = true
 	rt.submitNode(n, level)
 	return f

@@ -122,15 +122,18 @@ func TestCompletedFutureGetAllocFree(t *testing.T) {
 	}
 }
 
-// TestRecycleStressConcurrentSubmitters hammers the context free list
-// from many external submitters at once (the free list's only
-// multi-producer/multi-consumer entry point besides worker-held
-// tasks); run with -race in CI. Every future must complete with the
-// right value and the runtime must drain.
+// TestRecycleStressConcurrentSubmitters hammers the context free lists
+// from many external submitters at once: they draw from the shared
+// list only, the tasks they submit spawn from and finish onto the
+// workers' own lists, and RecycleCap 8 keeps the spill and refill
+// paths between the two busy. Run with -race in CI. Every future must
+// complete with the right value, the runtime must drain, and Close
+// must leave no goroutine parked on either kind of list.
 func TestRecycleStressConcurrentSubmitters(t *testing.T) {
 	for _, pk := range allPolicies {
 		pk := pk
 		t.Run(pk.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
 			rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: pk, RecycleCap: 8})
 			const submitters = 8
 			const perSubmitter = 60
@@ -165,44 +168,75 @@ func TestRecycleStressConcurrentSubmitters(t *testing.T) {
 			if got := rt.Inflight(); got != 0 {
 				t.Fatalf("inflight = %d after drain", got)
 			}
+			rt.Close()
+			waitGoroutines(t, before)
 		})
 	}
 }
 
-// TestDisableRecycling checks the escape hatch: with recycling off the
-// runtime keeps no free list and still schedules correctly.
-func TestDisableRecycling(t *testing.T) {
-	rt := newTestRuntime(t, Config{Workers: 2, Levels: 1, Policy: Prompt, DisableRecycling: true})
-	if rt.free != nil {
-		t.Fatal("DisableRecycling left a context free list")
+// waitGoroutines waits for the goroutine count to fall back to want
+// (contexts poisoned by Close exit on their own time).
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the runtime, %d after Close", want, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if rt.recycleDeques {
-		t.Fatal("DisableRecycling left deque recycling on")
+}
+
+// TestTokenPassesTaskToTask pins the direct hand-off: on a one-worker
+// runtime a root that does N spawn/sync round trips is one chain, and
+// the worker goroutine hands its token out for it exactly once —
+// parent, child and parent again pass it among themselves, and it
+// comes home when the root's deque dies. (execute has no loop, so its
+// entry count is the number of times the worker goroutine was needed.)
+func TestTokenPassesTaskToTask(t *testing.T) {
+	rt := newTestRuntime(t, Config{Workers: 1, Levels: 1, Policy: Prompt})
+	const trips = 1000
+	ran := 0
+	rt.Run(func(task *Task) any {
+		for i := 0; i < trips; i++ {
+			task.Spawn(func(*Task) { ran++ })
+			task.Sync()
+		}
+		return nil
+	})
+	if ran != trips {
+		t.Fatalf("%d of %d children ran", ran, trips)
 	}
-	if got := rt.Run(func(task *Task) any { return fib(task, 12) }).(int); got != 144 {
-		t.Fatalf("fib(12) = %d, want 144", got)
+	// The entry happens-before the root's body and so before Run
+	// returned; nothing else was submitted, so the worker is asleep.
+	if got := rt.workers[0].executes; got != 1 {
+		t.Fatalf("worker goroutine handed its token out %d times for one root of %d spawn/sync pairs, want 1", got, trips)
+	}
+	if got := rt.WasteReport().Spawns; got != trips {
+		t.Fatalf("Spawns = %d, want %d", got, trips)
 	}
 }
 
 // TestCloseDrainsFreeList checks that Close poisons the parked
-// recycled contexts so a drained runtime leaves no goroutines behind.
+// recycled contexts — the workers' own lists and the shared one — so a
+// drained runtime leaves no goroutines behind. fib(12) on four workers
+// finishes tasks on every worker; RecycleCap 4 is small enough that
+// the lists overflow and some contexts exit on their own.
 func TestCloseDrainsFreeList(t *testing.T) {
-	before := runtime.NumGoroutine()
-	rt, err := New(Config{Workers: 2, Levels: 1, Policy: Prompt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.Run(func(task *Task) any { return fib(task, 12) })
-	rt.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.Gosched()
-		if n := runtime.NumGoroutine(); n <= before {
-			return
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before runtime, %d after Close", before, n)
-		}
-		time.Sleep(time.Millisecond)
+	for _, pk := range allPolicies {
+		t.Run(pk.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := newTestRuntime(t, Config{Workers: 4, Levels: 1, Policy: pk, RecycleCap: 4})
+			for i := 0; i < 8; i++ {
+				rt.Run(func(task *Task) any { return fib(task, 12) })
+			}
+			// Workers, the Adaptive allocator, and whatever is parked.
+			if n := runtime.NumGoroutine(); n <= before+rt.Workers()+1 {
+				t.Fatalf("%d goroutines before the runtime, %d with it drained: no context is parked, so the test would not notice a leak", before, n)
+			}
+			rt.Close()
+			waitGoroutines(t, before)
+		})
 	}
 }
 

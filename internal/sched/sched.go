@@ -28,22 +28,24 @@
 // task's continuation cannot be reified the way a Cilk runtime reifies
 // frames. Instead, every task (spawned function, future routine)
 // runs on its own goroutine that is *gated*: it executes only while it
-// holds a worker's token. A worker resumes a task by sending itself on
-// the task's resume channel and then blocks on its own yield channel;
-// the task runs user code until it reaches a scheduling point (spawn,
-// sync, get, completion, abandonment), posts a yield directive, and
-// parks. This preserves the paper's deque semantics exactly — spawn
-// pushes the parent's continuation frame (the parked parent) on the
-// deque bottom and the worker continues with the child; a failed get
+// holds a worker's token. The worker goroutine sends its token on the
+// resume channel of the frame findWork returned and waits on its home
+// channel; the task runs user code until it reaches a scheduling point
+// (spawn, sync, get, completion, abandonment), where its own goroutine
+// does the worker's bookkeeping (worker.step), passes the token
+// straight to the task that runs next (the child, the popped or
+// released parent) — or home, when nothing is in hand — and parks.
+// This preserves the paper's deque semantics exactly — spawn pushes
+// the parent's continuation frame (the parked parent) on the deque
+// bottom and the worker continues with the child; a failed get
 // suspends the whole deque; a thief steals the top frame or mugs a
-// resumable deque — at the cost of two channel operations per context
+// resumable deque — at the cost of one channel operation per context
 // switch, which is the same for every policy and therefore cancels
 // out of all comparisons.
 package sched
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +53,7 @@ import (
 	"icilk/internal/deque"
 	"icilk/internal/epoch"
 	"icilk/internal/invariant"
+	"icilk/internal/invariant/perturb"
 	"icilk/internal/prio"
 	"icilk/internal/stats"
 	"icilk/internal/trace"
@@ -144,16 +147,11 @@ type Config struct {
 	// TraceCapacity, if positive, enables the scheduler event trace
 	// with a ring of that many events.
 	TraceCapacity int
-	// DisableRecycling turns off task-context and deque recycling, so
-	// every spawn/fut-create/submit allocates fresh (the pre-recycling
-	// behavior — useful when debugging, since goroutine dumps then map
-	// one goroutine to one task for its whole life). The environment
-	// variable ICILK_NORECYCLE=1 forces this on without a code change.
-	DisableRecycling bool
-	// RecycleCap bounds the task-context free list: at most this many
-	// finished contexts (goroutine + channels + Task) stay parked
-	// awaiting reuse; the rest exit and are collected, so idle memory
-	// is bounded. Default 256.
+	// RecycleCap bounds the shared task-context free list: at most this
+	// many finished contexts (goroutine + channel + Task) stay parked
+	// there awaiting reuse, beside at most workerFreeCap on each
+	// worker's own list; the rest exit and are collected, so idle
+	// memory is bounded. Default 256.
 	RecycleCap int
 	// UrgentSlack enables the slack-aware tie-break *within* a
 	// priority level for the centralized-pool policies (Prompt,
@@ -199,9 +197,6 @@ func (c *Config) applyDefaults() error {
 	c.PoolShards = nextPow2(c.PoolShards)
 	if c.PoolShards > maxPoolShards {
 		c.PoolShards = maxPoolShards
-	}
-	if v := os.Getenv("ICILK_NORECYCLE"); v != "" && v != "0" {
-		c.DisableRecycling = true
 	}
 	if c.RecycleCap <= 0 {
 		c.RecycleCap = 256
@@ -261,10 +256,11 @@ type Runtime struct {
 	partsMu sync.Mutex
 	parts   []*epoch.Participant
 
-	// free is the task-context recycling list: finished task contexts
-	// (goroutine parked on its resume channel) awaiting their next
-	// task function. Bounded at Config.RecycleCap; nil when recycling
-	// is disabled. See newNode/Task.finish.
+	// free is the shared task-context recycling list: finished task
+	// contexts (goroutine parked on its resume channel) awaiting their
+	// next task body. External submissions draw from it; token holders
+	// use their worker's own list, which spills here and refills from
+	// here. Bounded at Config.RecycleCap. See newNode/Task.finish.
 	free chan *node
 
 	// deques recycles dead execution-context deques (see freeDeque for
@@ -317,9 +313,7 @@ func New(cfg Config) (*Runtime, error) {
 		col:       epoch.NewCollector(),
 		nonEmpty:  make([]paddedInt64, cfg.Levels),
 		levelWork: make([]paddedInt64, cfg.Levels),
-	}
-	if !cfg.DisableRecycling {
-		rt.free = make(chan *node, cfg.RecycleCap)
+		free:      make(chan *node, cfg.RecycleCap),
 	}
 	if cfg.TraceCapacity > 0 {
 		rt.trace = trace.New(cfg.TraceCapacity)
@@ -339,18 +333,17 @@ func New(cfg Config) (*Runtime, error) {
 	// policies, whose queue-presence flags account for every external
 	// reference; the Adaptive variants' randomized pools hand out
 	// unflagged snapshots that could alias a recycled deque (ABA).
-	rt.recycleDeques = !cfg.DisableRecycling &&
-		(cfg.Policy == Prompt || cfg.Policy == AdaptiveGreedy)
+	rt.recycleDeques = cfg.Policy == Prompt || cfg.Policy == AdaptiveGreedy
 
 	rt.workers = make([]*worker, cfg.Workers)
 	baseRNG := xrand.New(0x1c11c)
 	for i := range rt.workers {
 		w := &worker{
-			id:    i,
-			rt:    rt,
-			yield: make(chan yieldMsg),
-			part:  rt.col.Register(),
-			rng:   baseRNG.Split(),
+			id:   i,
+			rt:   rt,
+			home: make(chan struct{}, 1),
+			part: rt.col.Register(),
+			rng:  baseRNG.Split(),
 		}
 		w.assigned.Store(-1)
 		rt.workers[i] = w
@@ -479,18 +472,14 @@ func (rt *Runtime) Close() {
 	rt.bits.Stop()
 	rt.pol.stop()
 	rt.wg.Wait()
-	if rt.free != nil {
-		// Poison the recycled contexts so their parked goroutines exit
-		// (a nil worker token is the shutdown signal; the capacity-1
-		// resume channel takes it even if the context is still between
-		// its free-list park and its resume receive).
-		for {
-			select {
-			case n := <-rt.free:
-				n.resume <- nil
-			default:
-				return
-			}
+	// Poison the recycled contexts so their parked goroutines exit (a
+	// nil worker token is the shutdown signal; the capacity-1 resume
+	// channel takes it even if the context is still between its
+	// free-list park and its resume receive). The workers have exited,
+	// so their lists have no owner and drain with the shared one.
+	for _, w := range rt.workers {
+		for n := rt.takeFree(w); n != nil; n = rt.takeFree(w) {
+			n.resume <- nil
 		}
 	}
 }
@@ -552,7 +541,8 @@ func (rt *Runtime) onLive(level, delta int) {
 	rt.nonEmpty[level].Add(int64(delta))
 }
 
-// yield directives posted by tasks to their current worker.
+// yield directives: what a task that reached a scheduling point asks
+// of the worker whose token it holds (worker.step).
 type yieldKind int
 
 const (
@@ -570,25 +560,45 @@ type yieldMsg struct {
 	level int   // yAbandon: level to move to
 }
 
-// worker is one scheduler worker.
+// workerFreeCap is the size of each worker's own task-context list: a
+// spawn/return pair needs one slot; a thief that keeps finishing what
+// another worker spawns fills them all and spills to Runtime.free.
+const workerFreeCap = 16
+
+// worker is one scheduler worker: a goroutine that looks for work
+// (run) and a token that the tasks it found pass among themselves.
+// The non-atomic fields belong to the token holder — the worker
+// goroutine while the token is home, else the one task goroutine that
+// holds it; the channel sends that move the token order the accesses.
 type worker struct {
 	id int
 	rt *Runtime
 	// level is the worker's current priority level. Atomic only so
-	// that Snapshot can read it from other goroutines; the worker is
-	// the sole writer.
+	// that Snapshot can read it from other goroutines; the token
+	// holder is the sole writer.
 	level atomic.Int32
 	// assigned is the Adaptive top-level allocator's target level for
 	// this worker; -1 means parked (no allocation).
 	assigned atomic.Int32
 	active   *dq
-	yield    chan yieldMsg
+	// home brings the token back to the worker goroutine when a chain
+	// of tasks ends with nothing in hand. Capacity 1: there is one
+	// token, and its sender must not wait for the worker to run.
+	home chan struct{}
+	// start is when the token last changed hands: the next hand-over
+	// charges the time since to work.
+	start time.Time
+	// free is the LIFO of finished task contexts (newNode/Task.finish);
+	// executes counts entries into execute (TestTokenPassesTaskToTask).
+	free     [workerFreeCap]*node
+	nfree    int
+	executes int
 	part     *epoch.Participant
 	rng      *xrand.Rand
 	clock    stats.WorkerClock
 	// tok is the debug-build token-holder tracker (zero-size no-op in
 	// normal builds): at most one node holds this worker's token, and
-	// only the holder may post a yield directive. See execute/parkAfter.
+	// only the holder may run step. It follows the token (see pass).
 	tok invariant.Token
 }
 
@@ -613,89 +623,106 @@ func (w *worker) run() {
 	}
 }
 
-// execute resumes node n and follows the chain of yields until this
-// worker has nothing runnable in hand.
+// execute hands the token to n and waits for it to come home: the
+// tasks of the chain n unfolds into pass it among themselves (step)
+// and send it back only when nothing runnable is in hand.
 func (w *worker) execute(n *node) {
-	// One timestamp per context switch: the post-yield reading is
-	// carried forward as the next resume's start, charging the
-	// worker's few nanoseconds of inter-yield bookkeeping to work
-	// (indistinguishable at this resolution) and halving time.Now
-	// calls on the hot path.
-	start := time.Now()
-	for n != nil {
-		w.tok.Acquire(n)
-		n.resume <- w
-		msg := <-w.yield
-		w.tok.Release(n)
-		now := time.Now()
-		elapsed := now.Sub(start)
-		start = now
-		w.clock.AddWork(elapsed)
-		w.rt.levelWork[w.level.Load()].Add(int64(elapsed))
+	w.executes++
+	w.start = time.Now()
+	w.pass(nil, n)
+	<-w.home
+}
 
-		switch msg.kind {
-		case ySpawn:
-			// The task already pushed its continuation frame onto the
-			// active deque (and made the deque discoverable); continue
-			// depth-first with the child.
-			n = msg.child
-
-		case yDone:
-			d := w.active
-			if f, ok := d.PopBottom(); ok {
-				// Resume the parent continuation that spawned (or
-				// fut-created) the finished task.
-				n = f.(*node)
-				continue
-			}
-			// Deque exhausted: it is dead. A stale copy may linger in a
-			// pool queue; lazy removal discards it there.
-			d.MarkDeadIfDone()
-			w.rt.pol.onDequeDead(w, d)
-			w.rt.freeDeque(d)
-			w.active = nil
-			if msg.ready != nil {
-				// This completion released the parent's sync; adopt
-				// the parent on a fresh deque (the classic
-				// provably-good resume).
-				nd := w.rt.newDeque(msg.ready.t.level)
-				if c := msg.ready.t.cancel; c != nil && c.deadlineNS != 0 {
-					nd.SetDeadlineNS(c.deadlineNS)
-				}
-				w.rt.pol.onAdopt(w, nd)
-				w.active = nd
-				w.level.Store(int32(nd.Level()))
-				n = msg.ready
-				continue
-			}
-			n = nil
-
-		case ySyncWait:
-			// Work-first invariant: a failed sync implies the deque is
-			// empty (every frame above was stolen).
-			d := w.active
-			if !d.MarkDeadIfDone() {
-				panic("sched: failed sync with non-empty deque")
-			}
-			w.rt.pol.onDequeDead(w, d)
-			w.rt.freeDeque(d)
-			w.active = nil
-			n = nil
-
-		case yGetWait:
-			// The task already suspended the deque and registered as a
-			// waiter; the deque (if stealable) remains discoverable.
-			w.active = nil
-			n = nil
-
-		case yAbandon:
-			// The task already marked the deque immediately-resumable
-			// and enqueued it; move to the target level.
-			w.active = nil
-			w.level.Store(int32(msg.level))
-			n = nil
-		}
+// pass moves the token from cur (nil: the worker goroutine) to next
+// (nil: home). After the send the receiver is running and the caller,
+// still awake until it parks, must touch nothing of w.
+func (w *worker) pass(cur, next *node) {
+	if cur != nil {
+		w.tok.Release(cur)
 	}
+	if next == nil {
+		w.home <- struct{}{}
+	} else {
+		w.tok.Acquire(next)
+		next.resume <- w
+	}
+	if invariant.Enabled {
+		perturb.At(perturb.Handoff)
+	}
+}
+
+// step runs on the goroutine of cur, the task that holds the token
+// and has reached a scheduling point: it charges the time since the
+// last hand-over to work, does what the directive asks of the active
+// deque, and passes the token to the node the chain continues with,
+// or home.
+func (w *worker) step(cur *node, msg yieldMsg) {
+	// One timestamp per context switch: this reading is also the next
+	// task's start, charging the few nanoseconds of bookkeeping below
+	// to work (indistinguishable at this resolution).
+	now := time.Now()
+	elapsed := now.Sub(w.start)
+	w.start = now
+	w.clock.AddWork(elapsed)
+	w.rt.levelWork[w.level.Load()].Add(int64(elapsed))
+
+	var next *node
+	switch msg.kind {
+	case ySpawn:
+		// The task already pushed its continuation frame onto the
+		// active deque (and made the deque discoverable); continue
+		// depth-first with the child.
+		next = msg.child
+
+	case yDone:
+		d := w.active
+		if f, ok := d.PopBottom(); ok {
+			// Resume the parent continuation that spawned (or
+			// fut-created) the finished task.
+			next = f.(*node)
+			break
+		}
+		// Deque exhausted: it is dead. A stale copy may linger in a
+		// pool queue; lazy removal discards it there.
+		d.MarkDeadIfDone()
+		w.rt.pol.onDequeDead(w, d)
+		w.rt.freeDeque(d)
+		if next = msg.ready; next != nil {
+			// This completion released the parent's sync; adopt the
+			// parent on a fresh deque (the classic provably-good
+			// resume).
+			nd := w.rt.newDeque(next.t.level)
+			if c := next.t.cancel; c != nil && c.deadlineNS != 0 {
+				nd.SetDeadlineNS(c.deadlineNS)
+			}
+			w.rt.pol.onAdopt(w, nd)
+			w.active = nd
+			w.level.Store(int32(nd.Level()))
+		}
+
+	case ySyncWait:
+		// Work-first invariant: a failed sync implies the deque is
+		// empty (every frame above was stolen).
+		d := w.active
+		if !d.MarkDeadIfDone() {
+			panic("sched: failed sync with non-empty deque")
+		}
+		w.rt.pol.onDequeDead(w, d)
+		w.rt.freeDeque(d)
+
+	case yGetWait:
+		// The task already suspended the deque and registered as a
+		// waiter; the deque (if stealable) remains discoverable.
+
+	case yAbandon:
+		// The task already marked the deque immediately-resumable
+		// and enqueued it; move to the target level.
+		w.level.Store(int32(msg.level))
+	}
+	if next == nil {
+		w.active = nil // the token goes home without a deque
+	}
+	w.pass(cur, next)
 }
 
 // CoalesceWakes runs fn with scheduler wakeups coalesced: futures

@@ -15,9 +15,9 @@ import (
 // running on a worker (holding the token), parked as a frame in a
 // deque's item stack (a spawn/fut-create continuation), parked as a
 // deque's blocked/ready bottom, parked at a failed sync awaiting its
-// last child, in flight between a pool pop and its first resume, or —
-// with context recycling on — parked on the runtime's free list
-// awaiting its next task function.
+// last child, in flight between a pool pop and its first resume, or
+// parked on a free list (a worker's or the runtime's) awaiting its
+// next task body.
 type node struct {
 	// resume carries the worker token. Capacity 1: a resumer may post
 	// the token before the task goroutine has finished parking (the
@@ -62,54 +62,95 @@ type Task struct {
 	cancelRoot bool
 	cause      error
 
-	// fn is the task body for spawned tasks; futFn (with fut) for
-	// future routines. Exactly one is non-nil while the task runs;
-	// both are cleared at finish so a free-listed context pins no user
-	// objects.
-	fn    func(*Task)
-	futFn func(*Task) any
-	fut   *Future // non-nil if this task computes a future
+	// body is what the task runs — a spawned function or record, or a
+	// future routine storing into fut. Non-nil while the task runs and
+	// cleared at finish, so a free-listed context pins no user objects.
+	body Frame
+	fut  *Future // non-nil if this task computes a future
 
 	// inflightRoot marks externally submitted root futures whose
 	// completion decrements Runtime.inflight.
 	inflightRoot bool
 }
 
-// newNode returns a gated task context running fn: a recycled one off
-// the runtime's free list when available, otherwise a fresh goroutine
-// parked on its first worker token. Callers may further configure the
-// returned context (futFn/fut/inflightRoot) before publishing it to
-// the scheduler; the field writes happen-before the task body via the
-// resume-channel send.
-func (rt *Runtime) newNode(level int, parent *Task, fn func(*Task)) *node {
-	var cancel *cancelState
+// Frame is a task body in record form: the spawned task runs RunFrame
+// once. A caller whose closure would capture its inputs and a result
+// slot spawns one record holding both instead (the data-parallel
+// splits do); a plain function is its own frame (funcFrame), which the
+// interface holds without boxing.
+type Frame interface{ RunFrame(*Task) }
+
+type funcFrame func(*Task)
+
+func (f funcFrame) RunFrame(t *Task) { f(t) }
+
+// futFrame is a future routine: its value is staged in the future
+// until finish publishes it.
+type futFrame func(*Task) any
+
+func (f futFrame) RunFrame(t *Task) { t.fut.result = f(t) }
+
+// newNode returns a gated task context that will run body: a recycled
+// one off the free list of w, the worker whose token the caller holds
+// (nil outside the runtime), or off the shared one, otherwise a fresh
+// goroutine parked on its first worker token. Callers may further
+// configure the returned context (fut/inflightRoot/cancel) before
+// publishing it to the scheduler; the field writes happen-before the
+// task body via the resume-channel send.
+func (rt *Runtime) newNode(w *worker, level int, parent *Task, body Frame) *node {
+	n := rt.takeFree(w)
+	if n == nil {
+		n = &node{resume: make(chan *worker, 1)}
+		n.t = &Task{rt: rt, n: n}
+		go n.t.loop()
+	}
+	t := n.t
+	t.level, t.parent, t.body = level, parent, body
 	if parent != nil {
-		cancel = parent.cancel
+		t.cancel = parent.cancel
 	}
-	if rt.free != nil {
-		select {
-		case n := <-rt.free:
-			t := n.t
-			t.level = level
-			t.parent = parent
-			t.fn = fn
-			t.cancel = cancel
-			return n
-		default:
-		}
-	}
-	n := &node{resume: make(chan *worker, 1)}
-	t := &Task{rt: rt, n: n, level: level, parent: parent, fn: fn, cancel: cancel}
-	n.t = t
-	go t.loop()
 	return n
 }
 
+// takeFree pops a recycled task context off w's list (the caller holds
+// w's token, or w is nil), else off the shared one, else returns nil.
+func (rt *Runtime) takeFree(w *worker) *node {
+	if w != nil && w.nfree > 0 {
+		w.nfree--
+		n := w.free[w.nfree]
+		w.free[w.nfree] = nil
+		return n
+	}
+	select {
+	case n := <-rt.free:
+		return n
+	default:
+		return nil
+	}
+}
+
+// putFree parks a finished task context on w's list (the caller holds
+// w's token), spilling to the shared one; false means both are full
+// and the context's goroutine should exit.
+func (rt *Runtime) putFree(w *worker, n *node) bool {
+	if w.nfree < len(w.free) {
+		w.free[w.nfree] = n
+		w.nfree++
+		return true
+	}
+	select {
+	case rt.free <- n:
+		return true
+	default:
+		return false
+	}
+}
+
 // loop is the task goroutine's life: receive a worker token, run the
-// task body, finish — and, when the finished context was parked on
-// the recycling free list, loop back for the next task function
-// instead of exiting. A nil token (posted by Runtime.Close while
-// draining the free list) terminates the goroutine.
+// task body, finish — and, when the finished context was parked on a
+// free list, loop back for the next task body instead of exiting. A
+// nil token (posted by Runtime.Close while draining the free lists)
+// terminates the goroutine.
 func (t *Task) loop() {
 	n := t.n
 	for {
@@ -122,7 +163,7 @@ func (t *Task) loop() {
 			// body) before any worker resumes it; a bodiless resume means
 			// a stale reference to a free-listed context survived
 			// somewhere and its goroutine is about to run garbage.
-			invariant.Checkf(t.fn != nil || t.futFn != nil,
+			invariant.Checkf(t.body != nil,
 				"sched: recycled task context resumed with no body (level %d)", t.level)
 		}
 		t.w = w
@@ -155,11 +196,7 @@ func (t *Task) runBody() {
 		t.cause = c.Err()
 		return
 	}
-	if t.futFn != nil {
-		t.fut.result = t.futFn(t)
-	} else {
-		t.fn(t)
-	}
+	t.body.RunFrame(t)
 	if c := t.cancel; c != nil && c.fired.Load() {
 		// Fired during the body, but the task returned gracefully
 		// anyway (a cooperative Err() check): the request missed its
@@ -174,24 +211,24 @@ func (t *Task) Level() int { return t.level }
 // Runtime returns the owning runtime.
 func (t *Task) Runtime() *Runtime { return t.rt }
 
-// parkAfter posts a yield directive to the current worker and parks
-// until some worker resumes this task.
+// parkAfter carries out a yield directive on the current worker, which
+// passes its token on, and parks until some worker resumes this task.
 func (t *Task) parkAfter(m yieldMsg) {
 	if invariant.Enabled {
-		// Only the node holding the worker's token may post a directive;
-		// a mismatch means two task goroutines believe they own the same
+		// Only the node holding the worker's token may act for it; a
+		// mismatch means two task goroutines believe they own the same
 		// worker — the gated-goroutine protocol's cardinal sin.
 		t.w.tok.Check(t.n)
 	}
-	t.w.yield <- m
+	t.w.step(t.n, m)
 	t.w = <-t.n.resume
 }
 
 // finish runs on the task goroutine after the task function returns:
 // complete the future (waking waiter deques), perform join
-// bookkeeping, recycle the context, and hand the worker its next
-// directive. It reports whether the context was parked on the free
-// list (so loop keeps the goroutine alive).
+// bookkeeping, recycle the context, and pass the worker's token on.
+// It reports whether the context was parked on a free list (so loop
+// keeps the goroutine alive).
 func (t *Task) finish() bool {
 	if t.joins.Load() != 0 {
 		panic("sched: task returned with outstanding spawned children (missing Sync)")
@@ -235,31 +272,26 @@ func (t *Task) finish() bool {
 	}
 
 	// Drop every reference the parked context would otherwise pin,
-	// then park it on the free list *before* yielding: a spawner on
-	// another worker may pop and re-arm it immediately — the capacity-1
-	// resume channel buffers the new token until loop comes around.
+	// then park it on a free list *before* passing the token, while
+	// this goroutine still owns the worker's list: the next spawner
+	// (the parent about to be resumed; anyone, once the context has
+	// spilled to the shared list) may pop and re-arm it immediately —
+	// the capacity-1 resume channel buffers the new token until loop
+	// comes around.
 	w := t.w
 	t.w = nil
 	t.parent = nil
-	t.fn = nil
-	t.futFn = nil
+	t.body = nil
 	t.fut = nil
 	t.inflightRoot = false
 	t.cancel = nil
 	t.cancelRoot = false
 	t.cause = nil
-	recycled := false
-	if rt.free != nil {
-		select {
-		case rt.free <- t.n:
-			recycled = true
-		default:
-		}
-	}
+	recycled := rt.putFree(w, t.n)
 	if invariant.Enabled {
 		w.tok.Check(t.n)
 	}
-	w.yield <- yieldMsg{kind: yDone, ready: ready}
+	w.step(t.n, yieldMsg{kind: yDone, ready: ready})
 	return recycled
 }
 
@@ -302,10 +334,13 @@ func (t *Task) maybeSwitch() {
 // paper: the parent's continuation frame is pushed on the bottom of
 // the active deque (becoming stealable) and the worker proceeds with
 // the child.
-func (t *Task) Spawn(fn func(*Task)) {
+func (t *Task) Spawn(fn func(*Task)) { t.SpawnFrame(funcFrame(fn)) }
+
+// SpawnFrame is Spawn for a body in record form (see Frame).
+func (t *Task) SpawnFrame(f Frame) {
 	t.maybeSwitch()
 	t.w.clock.CountSpawn()
-	child := t.rt.newNode(t.level, t, fn)
+	child := t.rt.newNode(t.w, t.level, t, f)
 	t.joins.Add(1)
 	d := t.w.active
 	needsEnqueue := d.PushBottom(t.n)
@@ -352,9 +387,8 @@ func (t *Task) FutCreate(level int, fn func(*Task) any) *Future {
 	}
 	f := newFuture(t.rt)
 	f.ownerLevel = int32(level)
-	child := t.rt.newNode(level, nil, nil)
+	child := t.rt.newNode(t.w, level, nil, futFrame(fn))
 	child.t.fut = f
-	child.t.futFn = fn
 	// Future routines inherit the creator's cancellation: a cancelled
 	// request's helper futures are as doomed as the request itself.
 	child.t.cancel = t.cancel

@@ -309,6 +309,22 @@ func Reduce[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combi
 	return rest
 }
 
+// reduceSplit is the one heap object a Reduce split costs: the spawned
+// left piece as a record (sched.Frame) holding what reduceRec needs to
+// fold it and the slot its result comes back in. A closure would be a
+// second object beside the escaped result it captures.
+type reduceSplit[T any] struct {
+	lo, hi, grain int
+	zero          T
+	leaf          func(i int) T
+	combine       func(a, b T) T
+	left          T
+}
+
+func (s *reduceSplit[T]) RunFrame(t *Task) {
+	s.left = reduceRec(t, s.lo, s.hi, s.grain, s.zero, s.leaf, s.combine)
+}
+
 // reduceRec is one reduction frame: it folds [lo, hi) in grain-sized
 // chunks and, at a chunk boundary that finds the deque with nothing for
 // a thief, hands the whole remainder to a split — left piece spawned
@@ -320,12 +336,13 @@ func reduceRec[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, co
 	acc := zero
 	for lo < hi {
 		if pace.split(t, lo, hi, grain) {
-			lo2, mid := lo, splitMid(lo, hi) // lo2: the closure must not capture the loop cursor
-			var left, right T
-			t.Spawn(func(ct *Task) { left = reduceRec(ct, lo2, mid, grain, zero, leaf, combine) })
+			mid := splitMid(lo, hi)
+			s := &reduceSplit[T]{lo: lo, hi: mid, grain: grain, zero: zero, leaf: leaf, combine: combine}
+			var right T
+			t.SpawnFrame(s)
 			t.Call(func(ft *Task) { right = reduceRec(ft, mid, hi, grain, zero, leaf, combine) })
 			t.Sync()
-			return combine(acc, combine(left, right))
+			return combine(acc, combine(s.left, right))
 		}
 		end := min(lo+grain, hi)
 		for ; lo < end; lo++ {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"icilk/internal/invariant"
 	"icilk/internal/xrand"
 )
 
@@ -89,6 +90,82 @@ func TestLoopFeedsThief(t *testing.T) {
 		})
 		if timedOut.Load() {
 			t.Fatalf("round %d: the loop ran on one worker for 5 s while the other found nothing to steal", round)
+		}
+	}
+}
+
+// TestLoopSplitAllocatesOneObject pins what a split costs the heap: one
+// object — For's spawned closure, Reduce's reduceSplit record. Demand is
+// forced as in TestLoopFeedsThief, but at every index: a body returns
+// only once it has met another, so each four-index loop is stolen from
+// once and splits three times. The thief's fresh deque, the pool
+// queue's segments and the task contexts are all recycled, and a steal
+// no longer costs the victim's deque its capacity, so the split is all
+// that is left to allocate.
+func TestLoopSplitAllocatesOneObject(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	rt := newRT(t, Config{Workers: 2, Levels: 1})
+	const n, rounds = 4, 256 // n even: the bodies leave in pairs
+
+	// meet is a two-party barrier that trips over and over.
+	var arrived atomic.Int32
+	var gen atomic.Int64
+	var gaveUp atomic.Bool
+	meet := func() {
+		g := gen.Load()
+		if arrived.Add(1) == 2 {
+			arrived.Store(0)
+			gen.Add(1)
+			return
+		}
+		if !spinUntil(5*time.Second, func() bool { return gen.Load() != g || gaveUp.Load() }) {
+			gaveUp.Store(true) // let the loops drain
+		}
+	}
+	body := func(int) { meet() }
+	leaf := func(int) int64 { meet(); return 1 }
+	add := func(a, b int64) int64 { return a + b }
+	for name, loop := range map[string]func(task *Task){
+		"For": func(task *Task) { For(task, 0, n, 1, body) },
+		"Reduce": func(task *Task) {
+			if sum := Reduce(task, 0, n, 1, 0, leaf, add); sum != n {
+				t.Errorf("Reduce = %d, want %d", sum, n)
+			}
+		},
+	} {
+		// One root for warm-up and every window: Submit's own future and
+		// context stay out of the count.
+		rt.Run(func(task *Task) any {
+			window := func() (mallocs uint64, splits int64) {
+				var m0, m1 runtime.MemStats
+				s0 := rt.WasteReport().Spawns
+				runtime.ReadMemStats(&m0)
+				for r := 0; r < rounds; r++ {
+					loop(task)
+				}
+				runtime.ReadMemStats(&m1)
+				return m1.Mallocs - m0.Mallocs, rt.WasteReport().Spawns - s0
+			}
+			window() // warms the free lists
+			// The counter is the whole process's; the split's own cost is
+			// in every window, so the smallest of three is reported.
+			mallocs, splits := window()
+			least := float64(mallocs) / float64(splits)
+			for w := 1; w < 3; w++ {
+				mallocs, splits = window()
+				least = min(least, float64(mallocs)/float64(splits))
+			}
+			if splits < 2*rounds {
+				t.Errorf("%s: %d loops split %d times: the barrier did not force a steal in each", name, rounds, splits)
+			} else if least > 1.05 {
+				t.Errorf("%s: %.2f heap objects per split (%d splits), want 1", name, least, splits)
+			}
+			return nil
+		})
+		if gaveUp.Load() {
+			t.Fatalf("%s: a body waited 5 s for the other worker to join it", name)
 		}
 	}
 }
