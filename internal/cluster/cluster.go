@@ -353,7 +353,7 @@ func (c *Cluster) replicate(key []byte) {
 	if owner < 0 {
 		return
 	}
-	v, flags, _, ok := c.shards[owner].store.GetView(key)
+	v, flags, _, ok := c.shards[owner].store.Get(string(key))
 	if !ok {
 		return
 	}
@@ -512,27 +512,27 @@ func (c *Cluster) migrateKeys(next *Ring) {
 	}
 }
 
-// getWithFallback is the migration-aware read: look up on the owner
+// appendWithFallback is the migration-aware read: look up on the owner
 // under the pinned ring; on a miss during a rebalance, retry the old
 // epoch's owner (the key may not have moved yet), then the new owner
 // once more (the migration may have completed the move — copy happens
-// before delete, so one of the two reads must see an existing key).
-func (c *Cluster) getWithFallback(ring *Ring, owner int, key []byte) (value []byte, flags uint32, cas uint64, ok bool) {
-	value, flags, cas, ok = c.shards[owner].store.GetView(key)
-	if ok {
-		return
-	}
+// before delete, so one of the two reads must see an existing key). A
+// hit is appended to dst as a VALUE block under the holding store's
+// shard lock.
+func (c *Cluster) appendWithFallback(dst []byte, owner int, key []byte, withCAS bool) []byte {
+	dst, ok := c.shards[owner].store.AppendHit(dst, key, withCAS, memcached.AppendValueLine)
 	mig := c.migrating.Load()
-	if mig == nil {
-		return
+	if ok || mig == nil {
+		return dst
 	}
 	oldOwner := mig.Owner(key)
 	if oldOwner >= 0 && oldOwner != owner {
-		if value, flags, cas, ok = c.shards[oldOwner].store.GetView(key); ok {
-			return
+		if dst, ok = c.shards[oldOwner].store.AppendHit(dst, key, withCAS, memcached.AppendValueLine); ok {
+			return dst
 		}
 	}
-	return c.shards[owner].store.GetView(key)
+	dst, _ = c.shards[owner].store.AppendHit(dst, key, withCAS, memcached.AppendValueLine)
+	return dst
 }
 
 // Close stops the promotion loop and shuts every shard runtime down.

@@ -365,6 +365,55 @@ func TestClusterDrainMigratesKeys(t *testing.T) {
 	}
 }
 
+// TestMigrateMovesWholeValues: migrateKeys walks a store that writers
+// are still overwriting (a late write-all, a replica apply). The store
+// overwrites in place, so what the migration hands the new owner must
+// be a copy taken under the shard lock: every value that arrives is
+// one write's bytes, never two writes' halves.
+func TestMigrateMovesWholeValues(t *testing.T) {
+	defer watchdog(t, 30*time.Second)()
+	cl := newTestCluster(t, 2, nil)
+	src, dst := cl.shards[0].store, cl.shards[1].store
+	const keys, valueLen = 64, 4096
+	key := func(i int) []byte { return []byte(fmt.Sprintf("mv%02d", i)) }
+	whole := func(b byte) []byte { return bytes.Repeat([]byte{b}, valueLen) }
+	for i := 0; i < keys; i++ {
+		src.SetB(memcached.ModeSet, key(i), whole('a'), 0, 0, 0)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := w; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Replace, not set: a key the migration has already moved
+				// stays moved.
+				src.SetB(memcached.ModeReplace, key(n%keys), whole(byte('b'+n%24)), 0, 0, 0)
+			}
+		}(w)
+	}
+	// Shard 0 leaves the ring: every key it holds now belongs to shard 1.
+	old := cl.ring.Load()
+	cl.migrateKeys(buildRing(old.Epoch()+1, []int{1}, cl.cfg.VNodes, cl.cfg.Hash))
+	close(stop)
+	wg.Wait()
+	if n := dst.Len(); n != keys || src.Len() != 0 {
+		t.Fatalf("%d keys arrived, %d stayed behind; want all %d moved", n, src.Len(), keys)
+	}
+	dst.Range(func(k string, v []byte, _ uint32, _ int64) bool {
+		if len(v) != valueLen || !bytes.Equal(v, whole(v[0])) {
+			t.Errorf("key %s arrived torn: %d bytes, starts %q, ends %q", k, len(v), v[:8], v[len(v)-8:])
+		}
+		return true
+	})
+}
+
 // TestClusterHotPromotion: a hammered key is promoted, its mutation
 // write-alls to every shard's store, and reads keep returning the
 // latest value (read-your-writes across the replica set).

@@ -400,7 +400,7 @@ func (c *Cluster) serveGet(t *icilk.Task, cs *connState, recv *Shard, ep memcach
 	case remote == 0:
 		// All keys local: no fan-out at all.
 		c.mLocal.Inc()
-		fillSlots(c, ring, recv.id, cs.slots, withCAS)
+		fillSlots(c, recv.id, cs.slots, withCAS)
 	case remote&(remote-1) == 0 && mask&recvBit == 0:
 		// Exactly one shard, and it is remote: a single hop with no
 		// subtask — the parent itself bridges (the dominant shape for
@@ -410,7 +410,7 @@ func (c *Cluster) serveGet(t *icilk.Task, cs *connState, recv *Shard, ep memcach
 		iof := recv.rt.NewIOFuture()
 		target := c.shards[sid]
 		target.rt.Submit(c.cfg.RequestLevel, func(*icilk.Task) any {
-			fillSlots(c, ring, sid, cs.slots, withCAS)
+			fillSlots(c, sid, cs.slots, withCAS)
 			recv.rt.CompleteIO(iof, nil)
 			return nil
 		})
@@ -431,7 +431,7 @@ func (c *Cluster) serveGet(t *icilk.Task, cs *connState, recv *Shard, ep memcach
 				iof := recv.rt.NewIOFuture()
 				target := c.shards[sid]
 				target.rt.Submit(c.cfg.RequestLevel, func(*icilk.Task) any {
-					fillSlots(c, ring, sid, cs.slots, withCAS)
+					fillSlots(c, sid, cs.slots, withCAS)
 					recv.rt.CompleteIO(iof, nil)
 					return nil
 				})
@@ -440,7 +440,7 @@ func (c *Cluster) serveGet(t *icilk.Task, cs *connState, recv *Shard, ep memcach
 			}))
 		}
 		if mask&recvBit != 0 {
-			fillSlots(c, ring, recv.id, cs.slots, withCAS)
+			fillSlots(c, recv.id, cs.slots, withCAS)
 		}
 		for _, f := range cs.futs {
 			f.Get(t)
@@ -468,18 +468,13 @@ func (c *Cluster) serveGet(t *icilk.Task, cs *connState, recv *Shard, ep memcach
 // exactly one shard's fill, so concurrent fills over one slot array
 // are race-free; the parent reads the slots only after joining. Key
 // views stay valid because the connection's task is suspended (no
-// reads compact the buffer) until every fill has joined, and value
-// views are stable by the store's replace-never-mutate contract.
-func fillSlots(c *Cluster, ring *Ring, sid int, slots []getSlot, withCAS bool) {
+// reads compact the buffer) until every fill has joined; values are
+// rendered under the store's shard lock, so no view of one exists here.
+func fillSlots(c *Cluster, sid int, slots []getSlot, withCAS bool) {
 	for i := range slots {
 		s := &slots[i]
-		if int(s.owner) != sid {
-			continue
+		if int(s.owner) == sid {
+			s.buf = c.appendWithFallback(s.buf[:0], sid, s.key, withCAS)
 		}
-		v, flags, cas, ok := c.getWithFallback(ring, sid, s.key)
-		if !ok {
-			continue
-		}
-		s.buf = memcached.AppendValueLine(s.buf[:0], s.key, v, flags, cas, withCAS)
 	}
 }

@@ -1,6 +1,8 @@
 package memcached
 
 import (
+	"bytes"
+	"strconv"
 	"testing"
 )
 
@@ -77,10 +79,143 @@ func TestGetMissTextPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSetOverwriteZeroAlloc: a set of an existing key whose new length
+// stays in the old one's size class copies into the buffer the item
+// already has — on both protocols, same length or not.
+func TestSetOverwriteZeroAlloc(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	// 60 and 64 bytes share the 64-byte class.
+	data := bytes.Repeat([]byte("x"), 64)
+	lines := [2][]byte{[]byte("set key:00000001 0 0 64"), []byte("set key:00000001 0 0 60")}
+	var frames [2][]byte
+	for i, n := range [2]int{64, 60} {
+		frames[i] = binRequest(binOpSet, 0, 0, setExtras(0, 0), []byte("bkey"), data[:n])
+	}
+	var (
+		req   RequestB
+		reply []byte
+		i     int
+	)
+	text := func() {
+		i++
+		if needData, perr := ParseCommandB(lines[i&1], &req); needData < 0 || perr != nil {
+			t.Fatalf("parse: %d %q", needData, perr)
+		}
+		req.Data = data[:req.Bytes]
+		if reply, _ = ExecuteAppend(s, &req, reply[:0]); string(reply) != replyStored {
+			t.Fatalf("reply %q", reply)
+		}
+	}
+	bin := func() {
+		i++
+		frame := frames[i&1]
+		h := parseBinHeader(frame)
+		if reply, _ = ExecuteBinaryAppend(s, h, frame[24:], reply[:0]); parseBinHeader(reply).status != binStatusOK {
+			t.Fatalf("reply % x", reply)
+		}
+	}
+	for name, set := range map[string]func(){"text": text, "binary": bin} {
+		set() // the insert allocates
+		set()
+		if allocs := testing.AllocsPerRun(1000, set); allocs != 0 {
+			t.Errorf("%s set overwrite: %.1f allocs/op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestSetInsertEvictSteadyState: a store at MaxBytes cycling over twice
+// the keys it can hold misses, inserts and evicts on every set. The
+// evicted item and its buffer are what the insert takes, so the only
+// allocation left is the new key's string (three with the value and
+// the Item, before items were recycled).
+func TestSetInsertEvictSteadyState(t *testing.T) {
+	const fit, valueLen = 256, 512
+	s := NewStore(StoreConfig{Shards: 4, MaxBytes: fit * valueLen})
+	keys := make([][]byte, 2*fit)
+	for i := range keys {
+		keys[i] = AppendKeyName(nil, uint64(i))
+	}
+	data := make([]byte, valueLen)
+	pass := func() {
+		for _, k := range keys {
+			s.SetB(ModeSet, k, data, 0, 0, 0)
+		}
+	}
+	pass()
+	pass()
+	s.Stats.Reset()
+	const passes = 20
+	perInsert := testing.AllocsPerRun(passes, pass) / float64(len(keys))
+	if ev := s.Stats.Evictions.Load(); ev < int64(passes*len(keys)) {
+		t.Fatalf("%d evictions over %d sets: the cycle is not evicting on every insert", ev, passes*len(keys))
+	}
+	if perInsert > 1.01 {
+		t.Errorf("insert with eviction: %.3f allocs/op, want <= 1 (the key)", perInsert)
+	}
+}
+
+// statValue reads one "STAT <name> <n>" line off the stats reply.
+func statValue(t *testing.T, s *Store, name string) int64 {
+	t.Helper()
+	for _, line := range bytes.Split(statsReply(s), []byte("\r\n")) {
+		if f := bytes.Fields(line); len(f) == 3 && string(f[1]) == name {
+			n, err := strconv.ParseInt(string(f[2]), 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no STAT %s line", name)
+	return 0
+}
+
+// TestFreeListBounded: however many items are dropped — by delete, by
+// flush_all — a shard keeps at most freePerClass of them per size
+// class, and "stats" shows what is kept.
+func TestFreeListBounded(t *testing.T) {
+	const shards = 4
+	s := NewStore(StoreConfig{Shards: shards})
+	lens := []int{10, 100, 5000} // classes 16, 112 and 5120
+	var classBytes int64
+	for _, n := range lens {
+		_, size := sizeClass(n)
+		classBytes += int64(size)
+	}
+	const perLen = 1000
+	for i := 0; i < perLen*len(lens); i++ {
+		s.SetB(ModeSet, AppendKeyName(nil, uint64(i)), make([]byte, lens[i%len(lens)]), 0, 0, 0)
+	}
+	if n := statValue(t, s, "free_chunks"); n != 0 {
+		t.Fatalf("free_chunks = %d before anything was dropped", n)
+	}
+	for i := 0; i < perLen*len(lens)/2; i++ {
+		s.DeleteB(AppendKeyName(nil, uint64(i)))
+	}
+	s.FlushAll()
+	chunks, free := statValue(t, s, "free_chunks"), statValue(t, s, "free_bytes")
+	if c, b := s.FreeStats(); c != chunks || b != free {
+		t.Errorf("stats lines %d/%d, FreeStats %d/%d", chunks, free, c, b)
+	}
+	if max := int64(freePerClass * len(lens) * shards); chunks == 0 || chunks > max {
+		t.Errorf("free_chunks = %d, want 1..%d", chunks, max)
+	}
+	if max := freePerClass * shards * classBytes; free == 0 || free > max {
+		t.Errorf("free_bytes = %d, want 1..%d", free, max)
+	}
+	// The lists feed the next inserts and shrink as they do.
+	for i := 0; i < perLen; i++ {
+		s.SetB(ModeSet, AppendKeyName(nil, uint64(i)), make([]byte, lens[0]), 0, 0, 0)
+	}
+	if n := statValue(t, s, "free_chunks"); n > chunks-int64(freePerClass*shards) {
+		t.Errorf("free_chunks = %d after %d small inserts, want the %d small chunks gone from %d", n, perLen, freePerClass*shards, chunks)
+	}
+}
+
 // Benchmarks for the protocol data path (parse + store op + reply
-// encode), reported with allocs/op. The SET paths retain their value,
-// so they carry one unavoidable copy-in allocation; the GET paths
-// must show zero.
+// encode), reported with allocs/op. Every one must show zero: the GET
+// paths render under the shard lock into the caller's scratch, and the
+// SET paths overwrite an existing key's value in the buffer it has.
 
 func BenchmarkTextGetHit(b *testing.B) {
 	s := NewStore(StoreConfig{})

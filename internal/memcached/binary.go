@@ -146,12 +146,9 @@ func ExecuteBinary(s *Store, h binHeader, body []byte) (resp []byte, quit bool) 
 		if h.cas != 0 {
 			mode = ModeCAS
 		}
-		val := make([]byte, len(value))
-		copy(val, value)
-		res := s.Set(mode, key, val, flags, exptime, h.cas)
+		res, cas := s.SetBCAS(mode, []byte(key), value, flags, exptime, h.cas)
 		switch res {
 		case Stored:
-			_, _, cas, _ := s.Get(key)
 			return binResponse(h.opcode, binStatusOK, h.opaque, cas, nil, nil, nil), false
 		case NotStored:
 			// Real memcached semantics: ADD of an existing key reports
@@ -172,9 +169,7 @@ func ExecuteBinary(s *Store, h binHeader, body []byte) (resp []byte, quit bool) 
 		if h.opcode == binOpPrepend {
 			mode = ModePrepend
 		}
-		val := make([]byte, len(value))
-		copy(val, value)
-		if s.Set(mode, key, val, 0, 0, 0) != Stored {
+		if s.Set(mode, key, value, 0, 0, 0) != Stored {
 			return binError(h.opcode, binStatusItemNotStored, h.opaque, "Not stored"), false
 		}
 		return binResponse(h.opcode, binStatusOK, h.opaque, 0, nil, nil, nil), false

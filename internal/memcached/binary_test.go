@@ -107,6 +107,48 @@ func TestBinaryAddReplaceCAS(t *testing.T) {
 	}
 }
 
+// TestBinaryStoreCountsNoGet: a binary set/add/replace answers with the
+// CAS the store assigned to that very write, and costs no lookup — the
+// executors used to fetch the key again for it, which counted a
+// phantom get_hits (or get_misses, when a full store had evicted the
+// item at once) per store and bumped the LRU. Both executors.
+func TestBinaryStoreCountsNoGet(t *testing.T) {
+	paths := map[string]func(s *Store, frame []byte) binHeader{
+		"reference": func(s *Store, frame []byte) binHeader {
+			resp, _ := ExecuteBinary(s, parseBinHeader(frame), frame[24:])
+			return parseBinHeader(resp)
+		},
+		"append": func(s *Store, frame []byte) binHeader {
+			resp, _ := ExecuteBinaryAppend(s, parseBinHeader(frame), frame[24:], nil)
+			return parseBinHeader(resp)
+		},
+	}
+	for name, run := range paths {
+		// One shard whose budget is a single value: each new key's set
+		// evicts the previous key.
+		s := NewStore(StoreConfig{Shards: 1, MaxBytes: 8})
+		const sets, gets = 30, 7
+		for i := 0; i < sets; i++ {
+			op := [3]uint8{binOpSet, binOpAdd, binOpReplace}[i%3]
+			key := []byte{'k', byte('0' + i/3%2)}
+			rh := run(s, binRequest(op, 0, 0, setExtras(0, 0), key, []byte("12345678")))
+			if rh.status != binStatusOK {
+				continue // add of a present key, replace of an absent one
+			}
+			if it := s.shards[0].table[string(key)]; it == nil || it.CAS != rh.cas {
+				t.Fatalf("%s: store %d answered cas %d, the item is %+v", name, i, rh.cas, it)
+			}
+		}
+		for i := 0; i < gets; i++ {
+			run(s, binRequest(binOpGet, 0, 0, nil, []byte{'k', byte('0' + i%3)}, nil))
+		}
+		hits, misses := statValue(t, s, "get_hits"), statValue(t, s, "get_misses")
+		if hits+misses != gets || hits == 0 || misses == 0 {
+			t.Errorf("%s: get_hits %d + get_misses %d after %d stores and %d gets, want them to add up to %d", name, hits, misses, sets, gets, gets)
+		}
+	}
+}
+
 func TestBinaryIncrDecr(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	extras := func(delta, initial uint64, exp uint32) []byte {

@@ -39,6 +39,18 @@ func appendBinError(dst []byte, opcode uint8, status uint16, opaque uint32, msg 
 	return append(dst, msg...)
 }
 
+// appendBinHit is the binary protocol's HitRenderer: a GET response
+// frame whose opcode and opaque — the request's, not the item's — are
+// left zero for ExecuteBinaryAppend to fill in afterwards.
+func appendBinHit(dst, key, value []byte, flags uint32, cas uint64, withKey bool) []byte {
+	var ex [4]byte
+	binary.BigEndian.PutUint32(ex[:], flags)
+	if !withKey {
+		key = nil
+	}
+	return appendBinResponse(dst, 0, binStatusOK, 0, cas, ex[:], key, value)
+}
+
 // ExecuteBinaryAppend runs one binary request against the store,
 // appending the response frame to dst (unchanged for quiet ops with
 // no reply) and returning it. body is the frame body (extras + key +
@@ -58,22 +70,18 @@ func ExecuteBinaryAppend(s *Store, h binHeader, body, dst []byte) (out []byte, q
 
 	switch h.opcode {
 	case binOpGet, binOpGetQ, binOpGetK, binOpGetKQ:
-		v, flags, cas, ok := s.GetView(key)
 		quiet := h.opcode == binOpGetQ || h.opcode == binOpGetKQ
 		withKey := h.opcode == binOpGetK || h.opcode == binOpGetKQ
-		if !ok {
+		frame, hit := len(dst), false
+		if dst, hit = s.AppendHit(dst, key, withKey, appendBinHit); !hit {
 			if quiet {
 				return dst, false // quiet miss: no response
 			}
 			return appendBinError(dst, h.opcode, binStatusKeyNotFound, h.opaque, "Not found"), false
 		}
-		var ex [4]byte
-		binary.BigEndian.PutUint32(ex[:], flags)
-		var kb []byte
-		if withKey {
-			kb = key
-		}
-		return appendBinResponse(dst, h.opcode, binStatusOK, h.opaque, cas, ex[:], kb, v), false
+		dst[frame+1] = h.opcode
+		binary.BigEndian.PutUint32(dst[frame+12:], h.opaque)
+		return dst, false
 
 	case binOpSet, binOpAdd, binOpReplace:
 		if len(extras) < 8 {
@@ -93,10 +101,9 @@ func ExecuteBinaryAppend(s *Store, h binHeader, body, dst []byte) (out []byte, q
 		if h.cas != 0 {
 			mode = ModeCAS
 		}
-		res := s.SetB(mode, key, value, flags, exptime, h.cas)
+		res, cas := s.SetBCAS(mode, key, value, flags, exptime, h.cas)
 		switch res {
 		case Stored:
-			_, _, cas, _ := s.GetView(key)
 			return appendBinResponse(dst, h.opcode, binStatusOK, h.opaque, cas, nil, nil, nil), false
 		case NotStored:
 			// Real memcached semantics: ADD of an existing key reports

@@ -49,7 +49,7 @@ func TestCachedumpSequential(t *testing.T) {
 	perShard := make([][]string, 2)
 	for _, k := range keys {
 		s.Set(ModeSet, k, []byte(strings.Repeat("v", len(k))), 0, 0, 0)
-		si := int(fnv1a(k) % 2)
+		si := int(fnv1aB([]byte(k)) % 2)
 		// New items are pushed at the MRU front, so the dump order is
 		// reverse insertion order within a shard.
 		perShard[si] = append([]string{k}, perShard[si]...)

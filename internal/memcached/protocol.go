@@ -379,6 +379,9 @@ func statsReply(s *Store) []byte {
 	stat("cas_hits", s.Stats.CasHits.Load())
 	stat("cas_misses", s.Stats.CasMisses.Load())
 	stat("cas_badval", s.Stats.CasBadval.Load())
+	chunks, free := s.FreeStats()
+	stat("free_chunks", chunks)
+	stat("free_bytes", free)
 	b.WriteString(replyEnd)
 	return []byte(b.String())
 }

@@ -90,6 +90,21 @@ func exec(t *testing.T, s *Store, line string, data string) string {
 	return string(reply)
 }
 
+// execB is exec on the in-place path (ParseCommandB / ExecuteAppend).
+func execB(t *testing.T, s *Store, line string, data string) string {
+	t.Helper()
+	var r RequestB
+	need, perr := ParseCommandB([]byte(line), &r)
+	if perr != nil {
+		return string(perr)
+	}
+	if need >= 0 {
+		r.Data = []byte(data)
+	}
+	reply, _ := ExecuteAppend(s, &r, nil)
+	return string(reply)
+}
+
 func TestExecuteRoundTrip(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	if got := exec(t, s, "set k 5 0 5", "hello"); got != "STORED\r\n" {
@@ -188,7 +203,7 @@ func TestLruCrawlerCommand(t *testing.T) {
 	s := NewStore(StoreConfig{Shards: 2})
 	exec(t, s, "set dead 0 0 1", "x")
 	// Force expiry deterministically with an absolute past timestamp.
-	sh := s.shardFor("dead")
+	sh := s.shardForB([]byte("dead"))
 	sh.mu.Lock()
 	sh.table["dead"].ExpireAt = 1
 	sh.mu.Unlock()

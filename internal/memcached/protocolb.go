@@ -296,9 +296,10 @@ var ReplyOutOfCapacity = replyOutOfCapacity
 
 // AppendValueLine appends one "VALUE <key> <flags> <len>[ <cas>]",
 // the value block, and CRLF framing to dst — the per-key unit of a
-// GET response. The cluster frontend assembles fanned-out multi-get
-// replies from these in original request key order; the bytes are
-// identical to ExecuteAppend's for the same hit.
+// GET response, and the text protocol's HitRenderer. The cluster
+// frontend assembles fanned-out multi-get replies from these in
+// original request key order; the bytes are identical to
+// ExecuteAppend's for the same hit.
 func AppendValueLine(dst []byte, key, value []byte, flags uint32, cas uint64, withCAS bool) []byte {
 	dst = append(dst, "VALUE "...)
 	dst = append(dst, key...)
@@ -329,11 +330,7 @@ func ExecuteAppend(s *Store, r *RequestB, dst []byte) (out []byte, quit bool) {
 	case opGet, opGets:
 		withCAS := r.Op == opGets
 		for _, key := range r.Keys {
-			value, flags, cas, ok := s.GetView(key)
-			if !ok {
-				continue
-			}
-			dst = AppendValueLine(dst, key, value, flags, cas, withCAS)
+			dst, _ = s.AppendHit(dst, key, withCAS, AppendValueLine)
 		}
 		return append(dst, replyEnd...), false
 

@@ -72,6 +72,10 @@ type ICilkServer struct {
 
 	reqs *metrics.Counter   // nil unless cfg.Metrics is set
 	lat  *metrics.Histogram // nil unless cfg.Metrics is set
+	// timed: someone listens to request timing (Admission, Service-
+	// Histogram or Metrics); without a sink the request loops read no
+	// clock at all.
+	timed bool
 }
 
 // NewICilkServer wraps a store and a runtime.
@@ -101,6 +105,7 @@ func NewICilkServer(store *Store, rt *icilk.Runtime, cfg ICilkConfig) *ICilkServ
 			"Live connection-handling future routines.",
 			func() float64 { return float64(s.ActiveConns()) }, app)
 	}
+	s.timed = cfg.Admission != nil || cfg.ServiceHistogram != nil || s.reqs != nil
 	return s
 }
 
@@ -201,7 +206,10 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 		// The request's genuine arrival: its first line is off the
 		// wire. Queueing from here on (data-block reads, admission) is
 		// real sojourn the admission estimators should see.
-		arrival := time.Now()
+		var arrival, t0 time.Time
+		if s.timed {
+			arrival = time.Now()
+		}
 		needData, perr := ParseCommandB(line, &req)
 		if perr != nil {
 			ep.Write(perr)
@@ -236,7 +244,9 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 				continue
 			}
 		}
-		t0 := time.Now()
+		if s.timed {
+			t0 = time.Now()
+		}
 		var quit bool
 		if req.Op == opStats && len(req.Keys) == 3 && string(req.Keys[0]) == "cachedump" {
 			// Whole-store scan: intercepted before the sequential
@@ -249,11 +259,9 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 		if len(reply) > 0 {
 			ep.Write(reply)
 		}
-		d := time.Since(t0)
-		if s.cfg.Admission != nil {
-			s.cfg.Admission.Release(tk, s.cfg.RequestTimeout > 0 && d > s.cfg.RequestTimeout)
+		if s.timed {
+			s.recordRequest(tk, time.Since(t0))
 		}
-		s.recordRequest(d)
 		if quit {
 			return
 		}
@@ -283,7 +291,10 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineRea
 		if err != nil {
 			return
 		}
-		arrival := time.Now()
+		var arrival, t0 time.Time
+		if s.timed {
+			arrival = time.Now()
+		}
 		h := parseBinHeader(hdr)
 		if h.magic != binReqMagic {
 			return // framing lost; drop the connection
@@ -307,17 +318,17 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineRea
 				continue
 			}
 		}
-		t0 := time.Now()
+		if s.timed {
+			t0 = time.Now()
+		}
 		var quit bool
 		reply, quit = ExecuteBinaryAppend(s.store, h, body, reply[:0])
 		if len(reply) > 0 {
 			ep.Write(reply)
 		}
-		d := time.Since(t0)
-		if s.cfg.Admission != nil {
-			s.cfg.Admission.Release(tk, s.cfg.RequestTimeout > 0 && d > s.cfg.RequestTimeout)
+		if s.timed {
+			s.recordRequest(tk, time.Since(t0))
 		}
-		s.recordRequest(d)
 		if quit {
 			return
 		}
@@ -352,9 +363,12 @@ func (s *ICilkServer) cachedumpParallel(t *icilk.Task, shardSel, limitStr string
 	return appendDumpEntries(dst, perShard, limit)
 }
 
-// recordRequest charges one completed request to the configured
-// latency sinks.
-func (s *ICilkServer) recordRequest(d time.Duration) {
+// recordRequest releases a completed request's admission ticket and
+// charges its service time to the configured latency sinks.
+func (s *ICilkServer) recordRequest(tk icilk.AdmissionTicket, d time.Duration) {
+	if s.cfg.Admission != nil {
+		s.cfg.Admission.Release(tk, s.cfg.RequestTimeout > 0 && d > s.cfg.RequestTimeout)
+	}
 	if h := s.cfg.ServiceHistogram; h != nil {
 		h.Record(d)
 	}

@@ -13,25 +13,68 @@
 //     a future routine; reads use I/O futures, so request handling is
 //     straight-line synchronous code and the scheduler multiplexes
 //     connections.
+//
+// Item memory follows the original's slab allocator in spirit: a value
+// lives in a buffer of its size class, an overwrite that stays in the
+// class copies into that buffer, and every dropped item goes — struct
+// and buffer together — on a bounded per-shard free list of its class,
+// from which the next insert takes it. A steady-state set therefore
+// allocates nothing but a new key's string. The price is the contract
+// that makes it safe: NOTHING LEAVES THE SHARD LOCK. No *Item and no
+// view of an Item's Value may be used after sh.mu is released; readers
+// render or copy a hit while they hold it (Store.AppendHit, Store.Get).
 package memcached
 
 import (
+	"bytes"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"icilk/internal/invariant"
 )
 
 // Item is one cache entry. LRU links are intrusive and guarded by the
-// owning shard's lock.
+// owning shard's lock; a listed (free) item is chained through next.
 type Item struct {
 	Key      string
-	Value    []byte
+	Value    []byte // cap is the size class's, so a class is a capacity
 	Flags    uint32
 	ExpireAt int64  // unix seconds; 0 = never
 	CAS      uint64 // unique per successful store
 
 	prev, next *Item
 	lastBump   int64 // last LRU move-to-front (unix nanoseconds)
+	class      int8  // index into shard.free; -1 beyond the largest class
+}
+
+// Size classes: four per octave (2^k × 1, 1.25, 1.5, 1.75), so
+// neighbours are at most 25 % apart and every power of two is one.
+const (
+	minClassShift = 4  // smallest class: 16 B
+	maxClassShift = 20 // largest: 1 MiB; longer values are not recycled
+	numClasses    = (maxClassShift-minClassShift)*4 + 1
+	// freePerClass bounds each shard's list per class; a release that
+	// finds it full leaves the item to the GC.
+	freePerClass = 32
+	// poison fills a released buffer in icilk_debug builds, so a reader
+	// that kept a view past the lock shows up as a torn value.
+	poison = 0xdb
+)
+
+// sizeClass returns the class of an n-byte value and the buffer
+// capacity that class uses; class is -1 beyond the largest.
+func sizeClass(n int) (class, size int) {
+	if n <= 1<<minClassShift {
+		return 0, 1 << minClassShift
+	}
+	if n > 1<<maxClassShift {
+		return -1, n
+	}
+	k := bits.Len(uint(n-1)) - 1 // 2^k < n <= 2^(k+1)
+	q := (n - 1 - 1<<k) >> (k - 2)
+	return (k-minClassShift)*4 + q + 1, 1<<k + (q+1)<<(k-2)
 }
 
 // expired reports whether the item is past its expiry at time now.
@@ -46,6 +89,45 @@ type shard struct {
 	// LRU list: head = most recently used, tail = eviction candidate.
 	head, tail *Item
 	bytes      int64
+	// Dropped items awaiting reuse, by size class (see take/release).
+	free      [numClasses]*Item
+	nfree     [numClasses]uint8
+	freeBytes int64
+}
+
+// take returns an unlinked item whose buffer holds n bytes: the head
+// of n's class list if there is one, a fresh allocation otherwise.
+// Callers hold sh.mu.
+func (sh *shard) take(n int) *Item {
+	c, size := sizeClass(n)
+	if c >= 0 && sh.free[c] != nil {
+		it := sh.free[c]
+		sh.free[c], it.next = it.next, nil
+		sh.nfree[c]--
+		sh.freeBytes -= int64(size)
+		return it
+	}
+	return &Item{Value: make([]byte, 0, size), class: int8(c)}
+}
+
+// release lists an item that has left the table and the LRU, with its
+// buffer, for the next take of its class. Callers hold sh.mu and must
+// not touch it afterwards.
+func (sh *shard) release(it *Item) {
+	c := it.class
+	if c < 0 || sh.nfree[c] == freePerClass {
+		return
+	}
+	buf := it.Value[:cap(it.Value)]
+	if invariant.Enabled {
+		for i := range buf {
+			buf[i] = poison
+		}
+	}
+	*it = Item{Value: buf[:0], class: c, next: sh.free[c]}
+	sh.free[c] = it
+	sh.nfree[c]++
+	sh.freeBytes += int64(len(buf))
 }
 
 // Counters are the server statistics exposed by the "stats" command.
@@ -119,20 +201,6 @@ func NewStore(cfg StoreConfig) *Store {
 	return s
 }
 
-// fnv1a hashes a key (FNV-1a, the classic memcached default family).
-func fnv1a(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (s *Store) shardFor(key string) *shard {
-	return &s.shards[fnv1a(key)%uint32(len(s.shards))]
-}
-
 // lruUnlink removes it from the shard's list; callers hold sh.mu.
 func (sh *shard) lruUnlink(it *Item) {
 	if it.prev != nil {
@@ -161,24 +229,32 @@ func (sh *shard) lruPushFront(it *Item) {
 	}
 }
 
+// clock reads the time once per store operation: unix seconds for
+// expiry, and the nanoseconds they were derived from for bump.
+func clock() (sec, nano int64) {
+	nano = time.Now().UnixNano()
+	return nano / int64(time.Second), nano
+}
+
 // bump moves an accessed item toward the front, rate-limited per item
 // the way memcached's LRU maintenance is.
-func (s *Store) bump(sh *shard, it *Item, _ int64) {
-	nowNano := time.Now().UnixNano()
-	if nowNano-it.lastBump < int64(s.cfg.LRUBumpInterval) {
+func (s *Store) bump(sh *shard, it *Item, nano int64) {
+	if nano-it.lastBump < int64(s.cfg.LRUBumpInterval) {
 		return
 	}
-	it.lastBump = nowNano
+	it.lastBump = nano
 	sh.lruUnlink(it)
 	sh.lruPushFront(it)
 }
 
-// removeLocked deletes an item; callers hold sh.mu.
+// removeLocked deletes an item and lists it for reuse; callers hold
+// sh.mu.
 func (s *Store) removeLocked(sh *shard, it *Item) {
 	delete(sh.table, it.Key)
 	sh.lruUnlink(it)
 	sh.bytes -= int64(len(it.Value))
 	s.Stats.CurrItems.Add(-1)
+	sh.release(it)
 }
 
 // evictLocked frees space from the LRU tail until the shard fits its
@@ -195,39 +271,16 @@ func (s *Store) evictLocked(sh *shard) {
 	}
 }
 
-// getLocked looks up a live item, reaping it if expired or flushed;
-// callers hold sh.mu.
-func (s *Store) getLocked(sh *shard, key string, now int64) *Item {
-	it, ok := sh.table[key]
-	if !ok {
-		return nil
-	}
-	if it.expired(now) {
-		s.removeLocked(sh, it)
-		s.Stats.Expired.Add(1)
-		return nil
-	}
-	return it
-}
-
-// Get returns a copy of the value (and flags, CAS) for key.
+// Get returns a copy of the value (and flags, CAS) for key, taken
+// under the shard lock.
 func (s *Store) Get(key string) (value []byte, flags uint32, cas uint64, ok bool) {
-	now := time.Now().Unix()
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	it := s.getLocked(sh, key, now)
+	sh, it := s.lookup([]byte(key))
 	if it == nil {
-		sh.mu.Unlock()
-		s.Stats.GetMisses.Add(1)
 		return nil, 0, 0, false
 	}
-	s.bump(sh, it, now)
-	v := make([]byte, len(it.Value))
-	copy(v, it.Value)
-	f, c := it.Flags, it.CAS
+	value, flags, cas = append(make([]byte, 0, len(it.Value)), it.Value...), it.Flags, it.CAS
 	sh.mu.Unlock()
-	s.Stats.GetHits.Add(1)
-	return v, f, c, true
+	return value, flags, cas, true
 }
 
 // SetMode discriminates the storage commands.
@@ -255,8 +308,7 @@ const (
 )
 
 // Set executes a storage command. casUnique is consulted only for
-// ModeCAS. The value is copied before it is retained (see
-// Store.GetView's immutability contract).
+// ModeCAS. The value is copied into store memory, never retained.
 func (s *Store) Set(mode SetMode, key string, value []byte, flags uint32, exptime int64, casUnique uint64) StoreResult {
 	return s.SetB(mode, []byte(key), value, flags, exptime, casUnique)
 }
@@ -320,6 +372,22 @@ func (s *Store) Bytes() int64 {
 	return total
 }
 
+// FreeStats returns how many dropped items the free lists hold and the
+// buffer bytes they retain ("stats" free_chunks / free_bytes): at most
+// freePerClass per size class per shard.
+func (s *Store) FreeStats() (chunks, bytes int64) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for _, n := range sh.nfree {
+			chunks += int64(n)
+		}
+		bytes += sh.freeBytes
+		sh.mu.Unlock()
+	}
+	return chunks, bytes
+}
+
 // CrawlShard sweeps one shard, reaping expired items — the unit of
 // work of the background LRU crawler thread. It returns the number
 // reaped.
@@ -338,7 +406,38 @@ func (s *Store) CrawlShard(i int) int {
 		}
 		it = prev
 	}
+	if invariant.Enabled {
+		sh.checkRecycling()
+	}
 	return reaped
+}
+
+// checkRecycling asserts (icilk_debug) that the free lists and the live
+// set are disjoint — no listed Item reachable from the table or the
+// LRU, no live item's buffer listed — that no listed buffer was written
+// after its release, and that sh.bytes is the sum of live lengths.
+// Callers hold sh.mu.
+func (sh *shard) checkRecycling() {
+	listed := make(map[*Item]bool)
+	bufs := make(map[*byte]bool)
+	for c, it := range sh.free {
+		for ; it != nil; it = it.next {
+			buf := it.Value[:cap(it.Value)]
+			listed[it], bufs[&buf[0]] = true, true
+			invariant.Checkf(bytes.Count(buf, []byte{poison}) == len(buf), "memcached: class %d listed buffer written after release", c)
+		}
+	}
+	var live int64
+	n := 0
+	for it := sh.head; it != nil; it = it.next {
+		invariant.Checkf(sh.table[it.Key] == it, "memcached: LRU item %q is not the table's", it.Key)
+		invariant.Checkf(!listed[it], "memcached: listed item %q reachable from the table and the LRU", it.Key)
+		invariant.Checkf(!bufs[&it.Value[:1][0]], "memcached: live item %q owns a listed buffer", it.Key)
+		live += int64(len(it.Value))
+		n++
+	}
+	invariant.Checkf(n == len(sh.table), "memcached: LRU holds %d items, the table %d", n, len(sh.table))
+	invariant.Checkf(live == sh.bytes, "memcached: shard counts %d bytes, live items hold %d", sh.bytes, live)
 }
 
 // Shards returns the shard count (crawler scheduling).
@@ -378,14 +477,11 @@ func (s *Store) DumpShard(i, limit int) []DumpEntry {
 
 // Range calls fn for every live (unexpired) item — the enumeration a
 // cluster rebalance needs to move a shard's keys to their new owners.
-// Each hash-table partition's entries are snapshotted by value under
-// its lock and fn runs outside it, so concurrent protocol traffic is
-// never blocked behind fn. The field copies matter: an overwrite
-// mutates the Item struct in place, so holding *Item across the
-// unlock would race — but the Value byte slice itself is replace-
-// never-mutate (the GetView contract), so the snapshotted view stays
-// stable even if the entry is replaced mid-iteration; fn sees the
-// value current at snapshot time. fn returning false stops the walk.
+// Each hash-table partition's entries are copied, value bytes
+// included, under its lock and fn runs outside it, so concurrent
+// protocol traffic is never blocked behind fn and an overwrite that
+// lands mid-iteration cannot tear what fn sees: the whole value
+// current at snapshot time. fn returning false stops the walk.
 func (s *Store) Range(fn func(key string, value []byte, flags uint32, expireAt int64) bool) {
 	now := time.Now().Unix()
 	type entry struct {
@@ -401,7 +497,7 @@ func (s *Store) Range(fn func(key string, value []byte, flags uint32, expireAt i
 		batch = batch[:0]
 		for _, it := range sh.table {
 			if !it.expired(now) {
-				batch = append(batch, entry{it.Key, it.Value, it.Flags, it.ExpireAt})
+				batch = append(batch, entry{it.Key, append([]byte(nil), it.Value...), it.Flags, it.ExpireAt})
 			}
 		}
 		sh.mu.Unlock()

@@ -3,8 +3,10 @@ package memcached
 // Byte-key store operations for the allocation-free protocol path.
 // Keys arrive as views into connection buffers; lookups use the
 // compiler-recognized map[string(b)] pattern so no string is
-// materialized, and a key is only converted (and the value copied)
-// when an entry is actually inserted or replaced.
+// materialized, and a key is only converted when an entry is actually
+// inserted. Values are copied in — into the buffer the item already
+// has whenever the size class allows (see store.go's header) — and
+// rendered or copied out under the shard lock, never handed out.
 
 import (
 	"strconv"
@@ -27,7 +29,8 @@ func (s *Store) shardForB(key []byte) *shard {
 	return &s.shards[fnv1aB(key)%uint32(len(s.shards))]
 }
 
-// getLockedB is getLocked for a byte-slice key; callers hold sh.mu.
+// getLockedB looks up a live item, reaping it if expired; callers
+// hold sh.mu.
 func (s *Store) getLockedB(sh *shard, key []byte, now int64) *Item {
 	it, ok := sh.table[string(key)]
 	if !ok {
@@ -41,102 +44,163 @@ func (s *Store) getLockedB(sh *shard, key []byte, now int64) *Item {
 	return it
 }
 
-// GetView returns the stored value slice for key without copying,
-// plus flags and CAS. The returned slice is READ-ONLY and remains
-// valid indefinitely: every store mutation replaces an item's Value
-// slice with a fresh one (Set/SetB install a new slice,
-// append/prepend build a merged copy, incr/decr re-render), never
-// writes into the old one, so a reader's view is immutable once
-// handed out. Side effects (hit/miss counters, LRU bump) match Get.
-func (s *Store) GetView(key []byte) (value []byte, flags uint32, cas uint64, ok bool) {
-	now := time.Now().Unix()
-	sh := s.shardForB(key)
+// lookup is the one way in for reads: it locks key's shard, finds the
+// live item, counts the hit or miss and bumps the LRU. On a hit it
+// returns with sh.mu HELD: the caller renders or copies it.Value and
+// then unlocks, and neither it nor a view of its Value is used after
+// that (the next writer overwrites the buffer in place). On a miss the
+// lock is already released and it is nil.
+func (s *Store) lookup(key []byte) (sh *shard, it *Item) {
+	now, nano := clock()
+	sh = s.shardForB(key)
 	sh.mu.Lock()
-	it := s.getLockedB(sh, key, now)
-	if it == nil {
+	if it = s.getLockedB(sh, key, now); it == nil {
 		sh.mu.Unlock()
 		s.Stats.GetMisses.Add(1)
+		return nil, nil
+	}
+	s.bump(sh, it, nano)
+	s.Stats.GetHits.Add(1)
+	return sh, it
+}
+
+// HitRenderer appends one hit to dst in some reply format;
+// AppendValueLine is the text protocol's. It runs under the shard
+// lock: it must be a plain function (a closure would cost the hot path
+// an allocation), must not keep value, and must not call the store.
+type HitRenderer func(dst, key, value []byte, flags uint32, cas uint64, opt bool) []byte
+
+// AppendHit is the serving paths' read: on a hit it has render append
+// key's value to dst while the shard lock is held, so the reply holds
+// a whole value whatever writers do next. opt is handed to render
+// (AppendValueLine: withCAS). Side effects (hit/miss counters, LRU
+// bump) match Get.
+func (s *Store) AppendHit(dst, key []byte, opt bool, render HitRenderer) (out []byte, ok bool) {
+	sh, it := s.lookup(key)
+	if it == nil {
+		return dst, false
+	}
+	dst = render(dst, key, it.Value, it.Flags, it.CAS, opt)
+	sh.mu.Unlock()
+	return dst, true
+}
+
+// GetView returns the stored value slice for key without copying, plus
+// flags and CAS. The view is READ-ONLY and valid only until the key's
+// next mutation or removal, which rewrites or recycles the buffer: it
+// is for single-goroutine tools and probes, and no serving path uses
+// it (they go through AppendHit). Side effects match Get.
+func (s *Store) GetView(key []byte) (value []byte, flags uint32, cas uint64, ok bool) {
+	sh, it := s.lookup(key)
+	if it == nil {
 		return nil, 0, 0, false
 	}
-	s.bump(sh, it, now)
-	v, f, c := it.Value, it.Flags, it.CAS
+	value, flags, cas = it.Value, it.Flags, it.CAS
 	sh.mu.Unlock()
-	s.Stats.GetHits.Add(1)
-	return v, f, c, true
+	return value, flags, cas, true
 }
 
 // SetB executes a storage command with a byte-slice key. Both key and
 // value may be transient views into a connection buffer: the value is
-// copied into a fresh slice before it is retained (the GetView
-// immutability contract depends on stored values never aliasing
-// caller memory), and the key is converted to a string only when a
-// new entry is inserted. casUnique is consulted only for ModeCAS.
+// copied into store memory and the key is converted to a string only
+// when a new entry is inserted. casUnique is consulted only for
+// ModeCAS.
 func (s *Store) SetB(mode SetMode, key []byte, value []byte, flags uint32, exptime int64, casUnique uint64) StoreResult {
-	now := time.Now().Unix()
+	res, _ := s.SetBCAS(mode, key, value, flags, exptime, casUnique)
+	return res
+}
+
+// SetBCAS is SetB that also reports the CAS unique it assigned (0
+// unless Stored), which the binary protocol returns to the client.
+func (s *Store) SetBCAS(mode SetMode, key []byte, value []byte, flags uint32, exptime int64, casUnique uint64) (StoreResult, uint64) {
+	now, nano := clock()
 	sh := s.shardForB(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	existing := s.getLockedB(sh, key, now)
+	old := s.getLockedB(sh, key, now)
 
+	// The new value is head+tail; a store of an existing key counts as a
+	// use of it.
+	var head []byte
+	tail, expireAt, bump := value, normalizeExptime(exptime, now), old != nil
 	switch mode {
 	case ModeAdd:
-		if existing != nil {
-			return NotStored
+		if old != nil {
+			return NotStored, 0
 		}
 	case ModeReplace:
-		if existing == nil {
-			return NotStored
+		if old == nil {
+			return NotStored, 0
 		}
 	case ModeAppend, ModePrepend:
-		if existing == nil {
-			return NotStored
+		if old == nil {
+			return NotStored, 0
 		}
-		// Append/prepend keep the existing flags and exptime.
-		old := existing.Value
-		var merged []byte
-		if mode == ModeAppend {
-			merged = append(append(make([]byte, 0, len(old)+len(value)), old...), value...)
-		} else {
-			merged = append(append(make([]byte, 0, len(old)+len(value)), value...), old...)
+		// Append/prepend keep the existing flags and exptime, and the
+		// item's place in the LRU.
+		flags, expireAt, bump = old.Flags, old.ExpireAt, false
+		if head = old.Value; mode == ModePrepend {
+			head, tail = value, old.Value
 		}
-		sh.bytes += int64(len(merged) - len(old))
-		existing.Value = merged
-		existing.CAS = s.casSeq.Add(1)
-		s.evictLocked(sh)
-		s.Stats.Sets.Add(1)
-		return Stored
 	case ModeCAS:
-		if existing == nil {
+		if old == nil {
 			s.Stats.CasMisses.Add(1)
-			return NotFoundStore
+			return NotFoundStore, 0
 		}
-		if existing.CAS != casUnique {
+		if old.CAS != casUnique {
 			s.Stats.CasBadval.Add(1)
-			return Exists
+			return Exists, 0
 		}
 		s.Stats.CasHits.Add(1)
 	}
+	it := s.writeLocked(sh, old, key, head, tail, flags, expireAt, nano)
+	if bump {
+		s.bump(sh, it, nano)
+	}
+	cas := it.CAS // before eviction: a value over the whole budget evicts itself
+	s.evictLocked(sh)
+	s.Stats.Sets.Add(1)
+	return Stored, cas
+}
 
-	v := append(make([]byte, 0, len(value)), value...)
-	expireAt := normalizeExptime(exptime, now)
-	if existing != nil {
-		sh.bytes += int64(len(v) - len(existing.Value))
-		existing.Value = v
-		existing.Flags = flags
-		existing.ExpireAt = expireAt
-		existing.CAS = s.casSeq.Add(1)
-		s.bump(sh, existing, now)
-	} else {
-		it := &Item{Key: string(key), Value: v, Flags: flags, ExpireAt: expireAt, CAS: s.casSeq.Add(1), lastBump: time.Now().UnixNano()}
+// writeLocked makes head+tail the value of key, whose live item is old
+// (nil: insert), and returns the item holding it, with a fresh CAS. The
+// bytes land in old's buffer when the new length falls in that
+// buffer's size class (head or tail may be old.Value itself: append,
+// prepend), otherwise in a recycled or new item's of the right class.
+// Callers hold sh.mu.
+func (s *Store) writeLocked(sh *shard, old *Item, key, head, tail []byte, flags uint32, expireAt, nano int64) *Item {
+	n := len(head) + len(tail)
+	it, oldLen := old, 0
+	if old != nil {
+		oldLen = len(old.Value)
+	}
+	if c, _ := sizeClass(n); old == nil || c < 0 || c != int(old.class) {
+		it = sh.take(n)
+	}
+	// tail first: in place, a prepend's tail is the old value moving up
+	// (copy is a memmove) and an append's head is already where it goes.
+	buf := it.Value[:n]
+	copy(buf[len(head):], tail)
+	copy(buf, head)
+	if old != nil && it != old {
+		// The value changed class: old keeps its key, table slot and LRU
+		// place and trades buffers with the item just taken, which goes
+		// back on the lists carrying the one old had.
+		it.Value, it.class, old.class = old.Value, old.class, it.class
+		sh.release(it)
+		it = old
+	}
+	it.Value, it.Flags, it.ExpireAt, it.CAS = buf, flags, expireAt, s.casSeq.Add(1)
+	sh.bytes += int64(n - oldLen)
+	if old == nil {
+		it.Key, it.lastBump = string(key), nano
 		sh.table[it.Key] = it
 		sh.lruPushFront(it)
-		sh.bytes += int64(len(v))
 		s.Stats.CurrItems.Add(1)
 		s.Stats.TotalItems.Add(1)
 	}
-	s.evictLocked(sh)
-	s.Stats.Sets.Add(1)
-	return Stored
+	return it
 }
 
 // DeleteB removes a byte-slice key; ok is false if it was absent.
@@ -155,9 +219,10 @@ func (s *Store) DeleteB(key []byte) bool {
 }
 
 // IncrDecrB adjusts a numeric value by delta for a byte-slice key,
-// with Incr/Decr's semantics, parsing the stored value in place.
+// with Incr/Decr's semantics, parsing the stored value in place and
+// rendering the result back into its buffer.
 func (s *Store) IncrDecrB(key []byte, delta uint64, incr bool) (newVal uint64, ok, numeric bool) {
-	now := time.Now().Unix()
+	now, nano := clock()
 	sh := s.shardForB(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -176,12 +241,9 @@ func (s *Store) IncrDecrB(key []byte, delta uint64, incr bool) (newVal uint64, o
 	} else {
 		cur -= delta
 	}
-	// Replace, never mutate: GetView readers may hold the old slice.
-	nv := strconv.AppendUint(nil, cur, 10)
-	sh.bytes += int64(len(nv) - len(it.Value))
-	it.Value = nv
-	it.CAS = s.casSeq.Add(1)
-	s.bump(sh, it, now)
+	var num [20]byte
+	s.writeLocked(sh, it, key, nil, strconv.AppendUint(num[:0], cur, 10), it.Flags, it.ExpireAt, nano)
+	s.bump(sh, it, nano)
 	return cur, true, true
 }
 
