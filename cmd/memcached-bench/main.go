@@ -52,7 +52,6 @@ func main() {
 	reps := flag.Int("reps", 1, "repetitions per point (median by p99 reported)")
 	admin := flag.String("admin", "", "admin HTTP address (bind loopback, e.g. 127.0.0.1:6060; unauthenticated); follows the current run's runtime")
 	connSweepList := flag.String("connsweep", "", "comma-separated connection counts (e.g. 256,1024,4096): run the real-socket transport sweep instead of a figure")
-	pollShards := flag.Int("pollshards", 0, "connsweep: shared poller goroutines (0 = min(4, GOMAXPROCS))")
 	flag.Parse()
 
 	if *admin != "" {
@@ -97,7 +96,7 @@ func main() {
 	}
 
 	if *connSweepList != "" {
-		connSweep(*connSweepList, rps[0], *pollShards, opt, *label, *out)
+		connSweep(*connSweepList, rps[0], opt, *label, *out)
 		return
 	}
 
@@ -267,7 +266,7 @@ func fig4(rps []float64, opt func(float64) bench.MemcachedOptions, label, out st
 // connSweep runs the real-socket transport comparison: each
 // connection count is saturated under the per-connection pump and
 // (where built) the shared epoll poller, on the Prompt scheduler.
-func connSweep(connsList string, offered float64, pollShards int, opt func(float64) bench.MemcachedOptions, label, out string) {
+func connSweep(connsList string, offered float64, opt func(float64) bench.MemcachedOptions, label, out string) {
 	var counts []int
 	for _, s := range strings.Split(connsList, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(s))
@@ -298,7 +297,7 @@ func connSweep(connsList string, offered float64, pollShards int, opt func(float
 		entry.Config = fmt.Sprintf("workers=%d dur=%s value=64B get=0.9", o.Workers, o.Duration)
 		for _, tr := range transports {
 			run, err := bench.RunMemcachedNet(icilk.Prompt, icilk.AdaptiveParams{},
-				bench.NetMemcachedOptions{MemcachedOptions: o, Mode: tr.mode, PollShards: pollShards})
+				bench.NetMemcachedOptions{MemcachedOptions: o, Mode: tr.mode})
 			check(err)
 			achieved := float64(run.Completed) / run.Elapsed.Seconds()
 			fmt.Printf("%8d %-6s %10.0f %s %10.1f %8.2f %7.2f %7.2f %7.3f\n",

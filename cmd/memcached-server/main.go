@@ -56,7 +56,6 @@ func main() {
 	shards := flag.Int("shards", 1, "runtime shards; >1 enables the cluster topology (consistent-hash routing, fanned-out multi-gets)")
 	vnodes := flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring (cluster mode)")
 	replicateHot := flag.Bool("replicate-hot", false, "detect hot keys by frequency sketch and replicate them read-any/write-all (cluster mode)")
-	pollShards := flag.Int("pollshards", 0, "shared epoll poller goroutines for the socket layer (0 = min(4, GOMAXPROCS); Linux only — elsewhere the per-connection pump runs regardless)")
 	transport := flag.String("transport", "auto", "socket readiness transport: auto, pump (per-connection goroutine fallback), poll (shared epoll pollers)")
 	flag.Parse()
 
@@ -69,9 +68,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *pollShards > 0 {
-		netreal.SetPollShards(*pollShards)
 	}
 	rtCfg := icilk.Config{Workers: *workers, Levels: 2, Scheduler: kind}
 

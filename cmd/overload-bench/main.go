@@ -177,7 +177,7 @@ func emailApp() *app {
 // service time barely fits the deadline even unqueued). The per-class
 // service demand is stable, so a service-time predictor has genuine
 // signal; requests are submitted with their (opcode, size bucket)
-// class and true arrival time, as the network frontends do.
+// class and true arrival time, as the memcached frontend does.
 func synthApp() *app {
 	classes := workload.BimodalMix(2, 200*time.Microsecond, 8*time.Millisecond, 0.1)
 	levels := make([]int, len(classes))

@@ -154,30 +154,11 @@ type Config struct {
 	// TraceCapacity, if positive, enables the scheduler event trace
 	// (see Runtime.Trace) with a ring of that many events.
 	TraceCapacity int
-	// IOQueueCapacity bounds the I/O completion handoff channel.
-	// Submissions beyond it spill to an overflow list (Submit never
-	// blocks; see the icilk_io_queue_* and icilk_io_spills_total
-	// metrics for saturation). Default 4096, the paper-era
-	// hard-coded value.
-	IOQueueCapacity int
-	// RecycleCap bounds how many finished task contexts stay parked
-	// for reuse on the shared list (idle-memory bound; each worker
-	// keeps a few more of its own). Default 256.
-	RecycleCap int
 	// Admission, when non-nil, puts an admission controller in front
 	// of the runtime (Runtime.Admission): bounded per-priority
 	// queues, load shedding, and per-request deadlines. Its counters
 	// are registered into the runtime's metric registry.
 	Admission *AdmissionConfig
-	// UrgentSlack enables the slack-aware tie-break within each
-	// priority level for the centralized-pool schedulers: a request
-	// whose deadline slack (after the level's estimated service time)
-	// has shrunk below UrgentSlack jumps its level's FIFO. The
-	// cross-level promptness machinery is untouched. Requires
-	// deadlines (AdmissionConfig.Timeout or SubmitWithDeadline) to
-	// have any effect; the per-level service estimate comes from the
-	// admission controller when one is configured. Zero disables it.
-	UrgentSlack time.Duration
 }
 
 // Runtime is a running scheduler instance plus its I/O subsystem.
@@ -202,8 +183,6 @@ func New(cfg Config) (*Runtime, error) {
 		Adaptive:            cfg.Adaptive,
 		DisableMuggingQueue: cfg.DisableMuggingQueue,
 		TraceCapacity:       cfg.TraceCapacity,
-		RecycleCap:          cfg.RecycleCap,
-		UrgentSlack:         cfg.UrgentSlack,
 	})
 	if err != nil {
 		return nil, err
@@ -215,8 +194,7 @@ func New(cfg Config) (*Runtime, error) {
 	// Batched completions (shared-poller connections) drain inside a
 	// wake-coalescing bracket: every resumed task sets its promptness
 	// bit immediately, but the batch crosses the sleeper futex once.
-	pool := iopool.New(io, iopool.WithCapacity(cfg.IOQueueCapacity),
-		iopool.WithBatchWrap(rt.CoalesceWakes))
+	pool := iopool.New(io, iopool.WithBatchWrap(rt.CoalesceWakes))
 	reg := metrics.NewRegistry()
 	rt.RegisterMetrics(reg)
 	pool.RegisterMetrics(reg)
@@ -230,9 +208,6 @@ func New(cfg Config) (*Runtime, error) {
 		}
 		adm.RegisterMetrics(reg)
 		r.adm = adm
-		// Feed the controller's observed per-level mean service times
-		// to the scheduler's urgent-queue slack test.
-		rt.SetServiceEstimate(adm.ServiceEstimate)
 	}
 	return r, nil
 }

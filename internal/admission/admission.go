@@ -542,17 +542,6 @@ func (c *Controller) noteService(l int, cls predict.Class, svcNS int64) {
 	c.pred.Update(cls, time.Duration(svcNS))
 }
 
-// ServiceEstimate returns the level's observed mean service time in
-// nanoseconds (0 before any completion). The scheduler's slack-aware
-// urgent queue uses it to judge whether a deque's deadline is within
-// one service time of expiring (see sched.Config.UrgentSlack).
-func (c *Controller) ServiceEstimate(l int) int64 {
-	if l < 0 || l >= c.levels {
-		return 0
-	}
-	return c.lvl[l].svcMean.Load()
-}
-
 // Predictor returns the controller's service-time predictor (nil
 // unless the policy is Predictive or Config.Predictor was supplied).
 func (c *Controller) Predictor() *predict.Predictor { return c.pred }
@@ -590,14 +579,6 @@ func (c *Controller) release(l int, charge int64, timedOut bool) {
 // three; a body-side defer would miss the last).
 func (c *Controller) Submit(l int, fn func(*sched.Task) any) (*sched.Future, error) {
 	return c.SubmitClassSince(l, levelClass(l), time.Time{}, fn)
-}
-
-// SubmitSince is Submit for callers that can timestamp the request's
-// arrival (e.g. when its bytes were read off the wire): sojourn
-// samples and the predictive wait model then measure from genuine
-// arrival instead of submission.
-func (c *Controller) SubmitSince(l int, arrival time.Time, fn func(*sched.Task) any) (*sched.Future, error) {
-	return c.SubmitClassSince(l, levelClass(l), arrival, fn)
 }
 
 // SubmitClass is Submit with an application request class, so the

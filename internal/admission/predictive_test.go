@@ -136,7 +136,7 @@ func TestPredictiveFallsBackWhenCold(t *testing.T) {
 
 	// With an observed mean, a still-cold class is charged the mean.
 	other := predict.Class{Op: 12, Size: 2}
-	mean := c.ServiceEstimate(0)
+	mean := c.Stats().PerLevel[0].MeanServiceNS
 	if mean <= 0 {
 		t.Fatal("release did not train the level's mean service time")
 	}

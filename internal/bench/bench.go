@@ -267,9 +267,6 @@ type NetMemcachedOptions struct {
 	// Mode selects the socket readiness transport (pump goroutine vs
 	// shared epoll poller); ModeAuto prefers the poller where built.
 	Mode netreal.Mode
-	// PollShards is the number of shared poller goroutines (0 =
-	// min(4, GOMAXPROCS)). Ignored in pump mode.
-	PollShards int
 }
 
 // RunMemcachedNet measures one Memcached point over real loopback TCP
@@ -308,11 +305,7 @@ func RunMemcachedNet(kind icilk.Scheduler, params icilk.AdaptiveParams, opt NetM
 	netStats := &netreal.Stats{}
 	wrapOpts := netreal.Options{Stats: netStats, Batcher: rt.IOBatcher(), Mode: opt.Mode}
 	if opt.Mode != netreal.ModePump && netpoll.Supported {
-		shards := opt.PollShards
-		if shards <= 0 {
-			shards = min(4, runtime.GOMAXPROCS(0))
-		}
-		g, err := netpoll.Open(shards)
+		g, err := netpoll.Open(min(4, runtime.GOMAXPROCS(0)))
 		if err != nil {
 			return nil, err
 		}

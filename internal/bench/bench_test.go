@@ -135,7 +135,6 @@ func TestRunMemcachedNetSmoke(t *testing.T) {
 			run, err := RunMemcachedNet(icilk.Prompt, icilk.AdaptiveParams{}, NetMemcachedOptions{
 				MemcachedOptions: shortMemcachedOpt(),
 				Mode:             m.mode,
-				PollShards:       1,
 			})
 			if err != nil {
 				t.Fatalf("RunMemcachedNet(%s): %v", m.name, err)

@@ -115,13 +115,6 @@ type Deque struct {
 	// only mis-target advisory signals (bitfield set, trace), which
 	// the double-check protocol already tolerates.
 	level atomic.Int32
-	// deadline is the absolute deadline (UnixNano) of the task tree
-	// this deque belongs to, 0 when none. Advisory: the centralized
-	// pools read it to classify a deque as urgent (within one service
-	// time of its deadline) for the slack-aware tie-break inside a
-	// priority level. Atomic because thieves copy it onto adopted
-	// deques without holding mu.
-	deadline atomic.Int64
 	// hasFrames mirrors len(items) > 0, stored under mu whenever that
 	// flips, so the owner can ask "is there anything here for a thief?"
 	// without taking the lock (HasFrames). A stale answer costs the
@@ -160,15 +153,6 @@ func New(level int, onLive func(level, delta int)) *Deque {
 // Level returns the deque's priority level (fixed for the deque's
 // lifetime; re-leveled only by Reset when recycled).
 func (d *Deque) Level() int { return int(d.level.Load()) }
-
-// SetDeadlineNS attaches the owning task tree's absolute deadline
-// (UnixNano; 0 clears). Set at submission and propagated by thieves
-// when a frame is adopted onto a fresh deque.
-func (d *Deque) SetDeadlineNS(ns int64) { d.deadline.Store(ns) }
-
-// DeadlineNS returns the owning task tree's absolute deadline, 0 when
-// none.
-func (d *Deque) DeadlineNS() int64 { return d.deadline.Load() }
 
 // updateLive recomputes liveness and the lock-free HasFrames mirror
 // after a change to items or state; callers hold mu.
@@ -520,7 +504,6 @@ func (d *Deque) Reset(level int) {
 	}
 	d.setState(Active)
 	d.level.Store(int32(level))
-	d.deadline.Store(0)
 	d.items = d.items[:0]
 	d.blocked = nil
 	d.hasBlocked = false

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"icilk"
 	"icilk/internal/predict"
@@ -51,7 +50,6 @@ const (
 	classSort
 	classCompress
 	classPrint
-	classSearch
 )
 
 // Message is one email.
@@ -121,13 +119,10 @@ func (s *Server) SetAdmission(adm *icilk.AdmissionController) { s.adm = adm }
 
 // submit routes one operation through the admission controller when
 // one is attached, or straight to the runtime otherwise. cls is the
-// operation's predictor class; arrival, when non-zero, is the
-// caller-observed request arrival time (netfront timestamps it when
-// the command line comes off the wire), so sojourn samples and the
-// predictive policy's slack model see genuine queueing.
-func (s *Server) submit(level int, cls predict.Class, arrival time.Time, fn func(*icilk.Task) any) (*icilk.Future, error) {
+// operation's predictor class.
+func (s *Server) submit(level int, cls predict.Class, fn func(*icilk.Task) any) (*icilk.Future, error) {
 	if s.adm != nil {
-		return s.adm.SubmitClassSince(level, cls, arrival, fn)
+		return s.adm.SubmitClass(level, cls, fn)
 	}
 	return s.rt.Submit(level, fn), nil
 }
@@ -160,14 +155,8 @@ func (s *Server) Send(user int, from, subject string, body []byte) *icilk.Future
 // TrySend is Send gated by the attached admission controller: a shed
 // request returns a nil future and an error wrapping icilk.ErrShed.
 func (s *Server) TrySend(user int, from, subject string, body []byte) (*icilk.Future, error) {
-	return s.TrySendSince(user, from, subject, body, time.Time{})
-}
-
-// TrySendSince is TrySend with the caller-observed arrival time
-// (netfront timestamps the command line coming off the wire).
-func (s *Server) TrySendSince(user int, from, subject string, body []byte, arrival time.Time) (*icilk.Future, error) {
 	cls := predict.Class{Op: classSend, Size: predict.SizeBucket(len(body))}
-	return s.submit(LevelSend, cls, arrival, func(t *icilk.Task) any {
+	return s.submit(LevelSend, cls, func(t *icilk.Task) any {
 		s.doSend(user, from, subject, body)
 		return nil
 	})
@@ -200,13 +189,8 @@ func (s *Server) Sort(user int) *icilk.Future {
 
 // TrySort is Sort gated by the attached admission controller.
 func (s *Server) TrySort(user int) (*icilk.Future, error) {
-	return s.TrySortSince(user, time.Time{})
-}
-
-// TrySortSince is TrySort with the caller-observed arrival time.
-func (s *Server) TrySortSince(user int, arrival time.Time) (*icilk.Future, error) {
 	cls := predict.Class{Op: classSort, Size: predict.SizeBucket(s.boxSize(user))}
-	return s.submit(LevelSort, cls, arrival, func(t *icilk.Task) any {
+	return s.submit(LevelSort, cls, func(t *icilk.Task) any {
 		s.doSort(t, user)
 		return nil
 	})
@@ -263,14 +247,8 @@ func (s *Server) Compress(user int) *icilk.Future {
 
 // TryCompress is Compress gated by the attached admission controller.
 func (s *Server) TryCompress(user int) (*icilk.Future, error) {
-	return s.TryCompressSince(user, time.Time{})
-}
-
-// TryCompressSince is TryCompress with the caller-observed arrival
-// time.
-func (s *Server) TryCompressSince(user int, arrival time.Time) (*icilk.Future, error) {
 	cls := predict.Class{Op: classCompress, Size: predict.SizeBucket(s.boxSize(user))}
-	return s.submit(LevelCompress, cls, arrival, func(t *icilk.Task) any {
+	return s.submit(LevelCompress, cls, func(t *icilk.Task) any {
 		return s.doCompress(t, user)
 	})
 }
@@ -322,13 +300,8 @@ func (s *Server) Print(user int) *icilk.Future {
 
 // TryPrint is Print gated by the attached admission controller.
 func (s *Server) TryPrint(user int) (*icilk.Future, error) {
-	return s.TryPrintSince(user, time.Time{})
-}
-
-// TryPrintSince is TryPrint with the caller-observed arrival time.
-func (s *Server) TryPrintSince(user int, arrival time.Time) (*icilk.Future, error) {
 	cls := predict.Class{Op: classPrint, Size: predict.SizeBucket(s.boxSize(user))}
-	return s.submit(LevelPrint, cls, arrival, func(t *icilk.Task) any {
+	return s.submit(LevelPrint, cls, func(t *icilk.Task) any {
 		return s.doPrint(t, user)
 	})
 }
@@ -381,21 +354,6 @@ type SearchResult struct {
 // The future resolves to []SearchResult.
 func (s *Server) Search(query string) *icilk.Future {
 	return s.rt.Submit(LevelSearch, func(t *icilk.Task) any {
-		return s.doSearch(t, query)
-	})
-}
-
-// TrySearch is Search gated by the attached admission controller.
-func (s *Server) TrySearch(query string) (*icilk.Future, error) {
-	return s.TrySearchSince(query, time.Time{})
-}
-
-// TrySearchSince is TrySearch with the caller-observed arrival time.
-// The predictor class's size signal is the mailbox count: search cost
-// scales with the whole corpus, not one user's box.
-func (s *Server) TrySearchSince(query string, arrival time.Time) (*icilk.Future, error) {
-	cls := predict.Class{Op: classSearch, Size: predict.SizeBucket(len(s.boxes))}
-	return s.submit(LevelSearch, cls, arrival, func(t *icilk.Task) any {
 		return s.doSearch(t, query)
 	})
 }

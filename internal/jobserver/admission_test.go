@@ -1,44 +1,19 @@
 package jobserver
 
 import (
-	"strings"
+	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"icilk"
-	"icilk/internal/netsim"
 )
 
-// jobClient is a minimal blocking line client for the RUN protocol.
-type jobClient struct {
-	ep  *netsim.Endpoint
-	buf []byte
-	pos int
-}
-
-func (c *jobClient) readLine(t *testing.T) string {
-	t.Helper()
-	for {
-		for i := c.pos; i < len(c.buf); i++ {
-			if c.buf[i] == '\n' {
-				line := strings.TrimRight(string(c.buf[c.pos:i]), "\r")
-				c.pos = i + 1
-				return line
-			}
-		}
-		var chunk [512]byte
-		n, err := c.ep.Read(chunk[:])
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		c.buf = append(c.buf, chunk[:n]...)
-	}
-}
-
-// TestNetFrontendShedAndLate covers the two overload replies: SHED
-// for an admission rejection, LATE for a job cancelled by its
-// deadline.
-func TestNetFrontendShedAndLate(t *testing.T) {
+// TestTryDoShedAndLate covers the two overload outcomes of TryDo: an
+// error wrapping ErrShed for an admission rejection, and a future
+// whose Err is context.DeadlineExceeded for a job cancelled by its
+// level's deadline.
+func TestTryDoShedAndLate(t *testing.T) {
 	timeouts := make([]time.Duration, Levels)
 	timeouts[LevelSW] = 200 * time.Microsecond // sw takes ms: certain to miss
 	rt, err := icilk.New(icilk.Config{
@@ -61,16 +36,6 @@ func TestNetFrontendShedAndLate(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetAdmission(rt.Admission())
-	nf := NewNetFrontend(srv, rt)
-	ln := netsim.NewListener()
-	defer ln.Close()
-	go nf.Serve(ln)
-
-	ep, err := ln.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &jobClient{ep: ep}
 
 	// Shed: fill the mm level from outside, then submit an mm job.
 	var held []icilk.AdmissionTicket
@@ -81,24 +46,30 @@ func TestNetFrontendShedAndLate(t *testing.T) {
 		}
 		held = append(held, tk)
 	}
-	ep.WriteString("RUN mm 1\r\n")
-	if got := c.readLine(t); got != "SHED mm 1" {
-		t.Fatalf("overloaded RUN mm -> %q", got)
+	if f, err := srv.TryDo(0, 1); !errors.Is(err, icilk.ErrShed) || f != nil {
+		t.Fatalf("overloaded mm job: future %v, err %v, want nil and ErrShed", f, err)
 	}
 	for _, tk := range held {
 		rt.Admission().Release(tk, false)
 	}
 
 	// Late: an sw job whose deadline is far below its service time is
-	// cancelled mid-run and reported LATE.
-	ep.WriteString("RUN sw 2\r\n")
-	if got := c.readLine(t); got != "LATE sw 2" {
-		t.Fatalf("over-deadline RUN sw -> %q", got)
+	// cancelled mid-run.
+	f, err := srv.TryDo(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Wait()
+	if !errors.Is(f.Err(), context.DeadlineExceeded) {
+		t.Fatalf("over-deadline sw job: Err = %v, want DeadlineExceeded", f.Err())
 	}
 
 	// A class with no deadline still completes normally.
-	ep.WriteString("RUN fib 3\r\n")
-	if got := c.readLine(t); !strings.HasPrefix(got, "DONE fib 3 ") {
-		t.Fatalf("RUN fib -> %q", got)
+	f, err = srv.TryDo(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := f.Wait(); v == nil || f.Err() != nil {
+		t.Fatalf("fib job: value %v, Err %v", v, f.Err())
 	}
 }

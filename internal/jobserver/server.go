@@ -2,7 +2,6 @@ package jobserver
 
 import (
 	"fmt"
-	"time"
 
 	"icilk"
 	"icilk/internal/predict"
@@ -103,17 +102,9 @@ func (s *Server) Do(class int, seq int64) *icilk.Future {
 // returns a nil future and an error wrapping icilk.ErrShed. Without a
 // controller it behaves like Do.
 func (s *Server) TryDo(class int, seq int64) (*icilk.Future, error) {
-	return s.TryDoSince(class, seq, time.Time{})
-}
-
-// TryDoSince is TryDo with the caller-observed arrival time (netfront
-// timestamps the RUN line coming off the wire), so admission sojourn
-// samples and the predictive policy's slack model see genuine
-// queueing.
-func (s *Server) TryDoSince(class int, seq int64, arrival time.Time) (*icilk.Future, error) {
 	level, fn := s.job(class, seq)
 	if s.adm != nil {
-		return s.adm.SubmitClassSince(level, s.predictClass(class), arrival, fn)
+		return s.adm.SubmitClass(level, s.predictClass(class), fn)
 	}
 	return s.rt.Submit(level, fn), nil
 }

@@ -260,18 +260,6 @@ func (r *RequestB) RouteKey() []byte {
 	return nil
 }
 
-// Mutates reports whether the parsed command writes the store — the
-// commands a hot-key replica set must see (write-all) when the key is
-// promoted.
-func (r *RequestB) Mutates() bool {
-	switch r.Op {
-	case opSet, opAdd, opReplace, opAppend, opPrepend, opCas,
-		opDelete, opIncr, opDecr, opTouch:
-		return true
-	}
-	return false
-}
-
 // IsFlushAll reports the one keyless mutation, which the cluster
 // frontend broadcasts to every shard.
 func (r *RequestB) IsFlushAll() bool { return r.Op == opFlushAll }

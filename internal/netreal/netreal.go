@@ -1,29 +1,42 @@
 // Package netreal adapts real net.Conn connections (TCP, unix
 // sockets) to the icilk.Conn surface, so the task-parallel servers in
 // this repository can serve actual network clients, not only the
-// in-memory netsim substrate used by the benchmarks.
+// in-memory netsim substrate used by the figure harnesses.
 //
-// Go's net.Conn offers only blocking reads, so each adapted
-// connection runs one pump goroutine that moves bytes from the socket
-// into an internal buffer; TryRead/ArmRead operate on that buffer
-// with the same semantics as netsim.Endpoint. The pump goroutine is
-// cheap (parked in the kernel most of the time) and plays the role
-// the paper's I/O subsystem delegates to the OS: detecting readiness
-// and ordering completions.
+// A connection detects readiness in one of two ways, chosen per
+// connection by WrapOptions from what it can observe:
 //
-// The data path is allocation-free at steady state:
+//   - Shared poller (the default on Linux for any conn that exposes a
+//     file descriptor; netreal_poll.go): the connection registers its
+//     fd with a netpoll.Group, a fixed handful of poller goroutines
+//     harvest epoll readiness for all connections, and each ready
+//     connection moves bytes with raw nonblocking read/write/writev on
+//     its own fd. The callbacks armed by ArmRead are returned to the
+//     poller, which delivers every callback of one harvest pass as a
+//     single batch through Options.Batcher (the runtime's I/O pool).
+//     A write that would block parks its bytes and waits for
+//     EPOLLOUT; a reader that falls bufferSoftCap behind has its read
+//     interest dropped until it drains.
+//   - Pump (net.Pipe and other conns without an fd, non-Linux builds,
+//     and builds with the icilk_nopoll tag): one goroutine per
+//     connection blocks in Read and fills the same buffer, pausing at
+//     the same soft cap. It is the only transport those cases have.
+//
+// TryRead/ArmRead operate on the buffer with the same semantics as
+// netsim.Endpoint in either mode. The data path is allocation-free at
+// steady state:
 //
 //   - Reads land directly in fixed-size chunks recycled through a
-//     process-wide sync.Pool; the pump fills the tail chunk in place
-//     (no intermediate copy, no append-grow), and fully consumed
-//     chunks return to the pool as the consumer drains, so a
-//     connection's buffered memory tracks its backlog instead of its
-//     high-water mark.
+//     process-wide sync.Pool; the filler (poller or pump) writes the
+//     tail chunk in place (no intermediate copy, no append-grow), and
+//     fully consumed chunks return to the pool as the consumer drains,
+//     so a connection's buffered memory tracks its backlog instead of
+//     its high-water mark.
 //   - Writes coalesce in a per-connection buffer until Flush (the
 //     icilk read path flushes automatically before suspending), so a
 //     burst of small replies costs one syscall. A large payload is
-//     sent with net.Buffers (writev) alongside the pending small
-//     writes rather than being copied through the buffer.
+//     sent with writev alongside the pending small writes rather than
+//     being copied through the buffer.
 package netreal
 
 import (
@@ -269,50 +282,22 @@ func WrapOptions(nc net.Conn, o Options) *Conn {
 	return c
 }
 
-// pollShards configures the size of the lazily opened shared poller
-// group; see SetPollShards.
+// The process-shared poller group, opened by the first connection
+// that needs it: min(4, GOMAXPROCS) pollers. A harness that wants
+// another count passes its own netpoll.Open(n) through Options.Group.
 var (
-	pollMu     sync.Mutex
-	pollShards int
-	pollGroup  *netpoll.Group
-	pollFailed bool
+	pollOnce  sync.Once
+	pollGroup *netpoll.Group
 )
 
-// SetPollShards sets the shard count used when the process-shared
-// poller group is first opened (default min(4, GOMAXPROCS)). It has
-// no effect once the group exists; call it at startup, before the
-// first Wrap.
-func SetPollShards(n int) {
-	pollMu.Lock()
-	pollShards = n
-	pollMu.Unlock()
-}
-
-// sharedGroup lazily opens the process-shared poller group, or
-// returns nil if this build cannot poll.
+// sharedGroup returns the process-shared poller group, or nil if it
+// could not be opened (the caller then falls back to the pump).
 func sharedGroup() *netpoll.Group {
-	if !netpoll.Supported {
-		return nil
-	}
-	pollMu.Lock()
-	defer pollMu.Unlock()
-	if pollGroup != nil || pollFailed {
-		return pollGroup
-	}
-	n := pollShards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-		if n > 4 {
-			n = 4
-		}
-	}
-	g, err := netpoll.Open(n)
-	if err != nil {
-		pollFailed = true
-		return nil
-	}
-	pollGroup = g
-	return g
+	pollOnce.Do(func() {
+		// A failed Open leaves the group nil for the life of the process.
+		pollGroup, _ = netpoll.Open(min(4, runtime.GOMAXPROCS(0)))
+	})
+	return pollGroup
 }
 
 // syncAcct reconciles stats.buffered with this connection's current

@@ -16,6 +16,10 @@ import (
 // reaction latency well under the allocator quantum.
 const napDuration = 100 * time.Microsecond
 
+// stealProbes is how many failed probes an Adaptive worker makes before
+// napping.
+const stealProbes = 4
+
 // nap sleeps briefly, charging the time to waste.
 func nap(w *worker) {
 	t0 := time.Now()
@@ -212,7 +216,7 @@ func (p *adaptivePolicy) findWork(w *worker) (*node, *dq) {
 		}
 		w.level.Store(int32(a))
 		t0 := time.Now()
-		for try := 0; try < rt.cfg.StealTries; try++ {
+		for try := 0; try < stealProbes; try++ {
 			// Random victim, then random deque in its pool — the
 			// randomized stealing Prompt I-Cilk argues against for
 			// these workloads.
@@ -433,10 +437,6 @@ func (p *greedyPolicy) checkSwitch(w *worker, level int) (int, bool) {
 
 func (p *greedyPolicy) poolDepths(level int) (regular, mugging int) {
 	return p.pool.depths(level)
-}
-
-func (p *greedyPolicy) urgentDepth(level int) int {
-	return p.pool.urgentDepth(level)
 }
 
 func (p *greedyPolicy) shardCount() int                    { return p.pool.shardCount() }

@@ -37,11 +37,6 @@ type cancelState struct {
 	// not pin timers until their deadline.
 	timer *time.Timer
 	stop  func() bool
-
-	// deadlineNS is the absolute deadline (UnixNano, 0 = none) the
-	// timer fires at. Written once before the state is shared; the
-	// pools copy it onto deques for the slack-aware urgent tie-break.
-	deadlineNS int64
 }
 
 // cancel fires the state with cause err (first call wins).
@@ -152,7 +147,7 @@ func (rt *Runtime) SubmitFutureWithDeadline(level int, timeout time.Duration, fn
 	if timeout <= 0 {
 		return rt.SubmitFuture(level, fn)
 	}
-	c := &cancelState{deadlineNS: time.Now().Add(timeout).UnixNano()}
+	c := &cancelState{}
 	c.timer = time.AfterFunc(timeout, func() { c.cancel(context.DeadlineExceeded) })
 	return rt.submitCancelable(level, c, fn)
 }
@@ -166,9 +161,6 @@ func (rt *Runtime) SubmitFutureCtx(ctx context.Context, level int, fn func(*Task
 		return rt.SubmitFuture(level, fn)
 	}
 	c := &cancelState{}
-	if dl, ok := ctx.Deadline(); ok {
-		c.deadlineNS = dl.UnixNano()
-	}
 	c.stop = context.AfterFunc(ctx, func() { c.cancel(context.Cause(ctx)) })
 	if err := ctx.Err(); err != nil {
 		c.cancel(context.Cause(ctx)) // doomed before submission; body never runs

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"icilk/internal/deque"
 	"icilk/internal/fifoq"
@@ -53,15 +52,6 @@ import (
 // (Section 4, "Support for Aging"); with PoolShards>1 the aging
 // guarantee is per-shard FIFO plus the relaxed cross-shard order.
 //
-// When Config.UrgentSlack is set, each shard additionally carries an
-// urgent queue — an EDF-ish, k-relaxed tie-break *within* the level:
-// a deque whose deadline slack (deadline − now − the level's
-// estimated service time) has shrunk below UrgentSlack is enqueued
-// there, and thieves drain it after the mugging queue but before the
-// regular queue. The classification happens per enqueue, so a deque
-// that ages while queued is re-classified the next time a thief
-// pushes it back.
-//
 // The pool is shared by the Prompt policy and by AdaptiveGreedy's
 // bottom level.
 type centralPool struct {
@@ -86,13 +76,12 @@ type centralLevel struct {
 }
 
 // centralShard is one shard of one level's pool: the paper's
-// two-queue (plus optional urgent) structure. All three queues share
-// the runtime's epoch collector, so one worker pin covers every shard
-// it touches during a sweep.
+// two-queue structure. Both queues share the runtime's epoch
+// collector, so one worker pin covers every shard it touches during a
+// sweep.
 type centralShard struct {
 	regular *fifoq.Queue[*dq]
 	mugging *fifoq.Queue[*dq]
-	urgent  *fifoq.Queue[*dq] // nil unless Config.UrgentSlack > 0
 }
 
 func newCentralPool(rt *Runtime) *centralPool {
@@ -104,9 +93,6 @@ func newCentralPool(rt *Runtime) *centralPool {
 			sh := &p.levels[i].shards[s]
 			sh.regular = fifoq.New[*dq](rt.col)
 			sh.mugging = fifoq.New[*dq](rt.col)
-			if rt.cfg.UrgentSlack > 0 {
-				sh.urgent = fifoq.New[*dq](rt.col)
-			}
 		}
 	}
 	return p
@@ -127,23 +113,6 @@ func (p *centralPool) homeFor(w *worker) int {
 	return int(p.extHome.Add(1) & p.shardMask)
 }
 
-// urgentFor reports whether d should jump the level's regular FIFO:
-// it carries a deadline, and the remaining slack after the level's
-// estimated service time is below the configured threshold. A deque
-// already past its deadline still classifies as urgent — its
-// cancellation fires fastest when a worker picks it up and unwinds
-// it, releasing its occupancy.
-func (p *centralPool) urgentFor(d *dq, lvl int) bool {
-	if p.levels[lvl].shards[0].urgent == nil {
-		return false
-	}
-	dl := d.DeadlineNS()
-	if dl == 0 {
-		return false
-	}
-	return dl-time.Now().UnixNano()-p.rt.serviceEstimate(lvl) < int64(p.rt.cfg.UrgentSlack)
-}
-
 // enqueue pushes d onto its level's queue (mugging when mug is true)
 // in the given home shard and sets the level's bitfield bit — "a
 // worker, when enqueuing a deque into a pool, always sets the
@@ -157,13 +126,9 @@ func (p *centralPool) enqueue(d *dq, mug bool, home int) {
 	h := p.rt.handle()
 	lvl := d.Level()
 	sh := &p.levels[lvl].shards[home]
-	switch {
-	case mug:
+	if mug {
 		sh.mugging.Enqueue(h, d)
-	case p.urgentFor(d, lvl):
-		sh.urgent.Enqueue(h, d)
-		p.rt.urgentEnqs.Add(1)
-	default:
+	} else {
 		sh.regular.Enqueue(h, d)
 	}
 	p.rt.release(h)
@@ -185,28 +150,18 @@ func (p *centralPool) enqueue(d *dq, mug bool, home int) {
 	p.rt.trace.Add(trace.Enqueue, -1, lvl)
 }
 
-// shardDepth returns one shard's total discoverable population
-// (regular + urgent + mugging Len estimates) — the MultiQueue
-// selection score.
+// depth returns one shard's total discoverable population (regular +
+// mugging Len estimates) — the MultiQueue selection score.
 func (sh *centralShard) depth() int {
-	n := sh.regular.Len() + sh.mugging.Len()
-	if sh.urgent != nil {
-		n += sh.urgent.Len()
-	}
-	return n
+	return sh.regular.Len() + sh.mugging.Len()
 }
 
 // depths returns the instantaneous regular and mugging queue depths
-// at level, summed across shards (size estimates; see fifoq.Len). The
-// regular figure folds in the urgent queues: both hold the same
-// discoverable population, split only by slack.
+// at level, summed across shards (size estimates; see fifoq.Len).
 func (p *centralPool) depths(level int) (regular, mugging int) {
 	for s := range p.levels[level].shards {
 		sh := &p.levels[level].shards[s]
 		regular += sh.regular.Len()
-		if sh.urgent != nil {
-			regular += sh.urgent.Len()
-		}
 		mugging += sh.mugging.Len()
 	}
 	return regular, mugging
@@ -217,7 +172,6 @@ func (p *centralPool) depths(level int) (regular, mugging int) {
 type ShardDepth struct {
 	Regular int `json:"regular"`
 	Mugging int `json:"mugging"`
-	Urgent  int `json:"urgent,omitempty"`
 }
 
 // shardDepths returns every shard's depths at level.
@@ -226,9 +180,6 @@ func (p *centralPool) shardDepths(level int) []ShardDepth {
 	for s := range p.levels[level].shards {
 		sh := &p.levels[level].shards[s]
 		out[s] = ShardDepth{Regular: sh.regular.Len(), Mugging: sh.mugging.Len()}
-		if sh.urgent != nil {
-			out[s].Urgent = sh.urgent.Len()
-		}
 	}
 	return out
 }
@@ -241,12 +192,7 @@ func (p *centralPool) shardDebug(level int) string {
 		sh := &p.levels[level].shards[s]
 		rh, rt := sh.regular.Tickets()
 		mh, mt := sh.mugging.Tickets()
-		fmt.Fprintf(&b, "[s%d r=%d/%d m=%d/%d", s, rh, rt, mh, mt)
-		if sh.urgent != nil {
-			uh, ut := sh.urgent.Tickets()
-			fmt.Fprintf(&b, " u=%d/%d", uh, ut)
-		}
-		b.WriteString("]")
+		fmt.Fprintf(&b, "[s%d r=%d/%d m=%d/%d]", s, rh, rt, mh, mt)
 	}
 	return b.String()
 }
@@ -256,19 +202,7 @@ func (p *centralPool) sampleStats() (misses, sweeps int64) {
 	return p.sampleMisses.Load(), p.sweeps.Load()
 }
 
-// urgentDepth returns the urgent queues' instantaneous depth summed
-// across shards (0 when the urgent queue is disabled).
-func (p *centralPool) urgentDepth(level int) int {
-	n := 0
-	for s := range p.levels[level].shards {
-		if q := p.levels[level].shards[s].urgent; q != nil {
-			n += q.Len()
-		}
-	}
-	return n
-}
-
-// empty reports whether the level's pool (all queues of all shards)
+// empty reports whether the level's pool (both queues of all shards)
 // appears empty. This is the DoubleCheckClear re-probe, so it must
 // never under-report: it sweeps every shard, and each queue's Len is
 // a ticket-difference estimate that can transiently over-report but
@@ -283,9 +217,6 @@ func (p *centralPool) empty(level int) bool {
 	for s := range p.levels[level].shards {
 		sh := &p.levels[level].shards[s]
 		if !sh.mugging.Empty() || !sh.regular.Empty() {
-			return false
-		}
-		if sh.urgent != nil && !sh.urgent.Empty() {
 			return false
 		}
 	}
@@ -384,14 +315,7 @@ func (p *centralPool) popShard(w *worker, level, shard int) (*node, *dq, bool) {
 		d, ok := sh.mugging.Dequeue(w.part)
 		if !ok {
 			fromMugging = false
-			if sh.urgent != nil {
-				if d, ok = sh.urgent.Dequeue(w.part); ok {
-					p.rt.urgentPops.Add(1)
-				}
-			}
-			if !ok {
-				d, ok = sh.regular.Dequeue(w.part)
-			}
+			d, ok = sh.regular.Dequeue(w.part)
 		}
 		if !ok {
 			return nil, nil, false
@@ -426,13 +350,7 @@ func (p *centralPool) popShard(w *worker, level, shard int) (*node, *dq, bool) {
 			}
 			w.clock.CountSteal()
 			p.rt.trace.Add(trace.Steal, w.id, level)
-			nd := p.rt.newDeque(level)
-			// A stolen frame belongs to the same task tree, so its
-			// adopted deque inherits the source deque's deadline.
-			if dl := d.DeadlineNS(); dl != 0 {
-				nd.SetDeadlineNS(dl)
-			}
-			return frame.(*node), nd, true
+			return frame.(*node), p.rt.newDeque(level), true
 		}
 	}
 }

@@ -296,9 +296,6 @@ func (f *Future) WaitChan() <-chan struct{} {
 // and the entry path for external submissions.
 func (rt *Runtime) submitNode(n *node, level int) {
 	d := rt.newDeque(level)
-	if c := n.t.cancel; c != nil && c.deadlineNS != 0 {
-		d.SetDeadlineNS(c.deadlineNS)
-	}
 	d.Suspend(n)
 	if invariant.Enabled {
 		perturb.At(perturb.Submit)

@@ -21,10 +21,6 @@ type LevelSnapshot struct {
 	// meaning).
 	RegularDepth int `json:"regularDepth"`
 	MuggingDepth int `json:"muggingDepth"`
-	// UrgentDepth is the slack-aware urgent queue's population
-	// (centralized pools with Config.UrgentSlack only; 0 otherwise).
-	// RegularDepth already includes it.
-	UrgentDepth int `json:"urgentDepth,omitempty"`
 	// Shards is the per-shard depth breakdown for the sharded
 	// centralized pools (Prompt, AdaptiveGreedy); nil for the
 	// per-worker-pool Adaptive variants. The aggregate fields above
@@ -89,7 +85,6 @@ func (rt *Runtime) Snapshot() Snapshot {
 		PerLevel:   make([]LevelSnapshot, rt.cfg.Levels),
 		PerWorker:  make([]WorkerSnapshot, len(rt.workers)),
 	}
-	urg, _ := rt.pol.(urgentObserver)
 	sh, _ := rt.pol.(shardObserver)
 	if sh != nil {
 		s.PoolShards = sh.shardCount()
@@ -103,9 +98,6 @@ func (rt *Runtime) Snapshot() Snapshot {
 			NonEmptyDeques: rt.nonEmpty[l].Load(),
 			RegularDepth:   reg,
 			MuggingDepth:   mug,
-		}
-		if urg != nil {
-			s.PerLevel[l].UrgentDepth = urg.urgentDepth(l)
 		}
 		if sh != nil {
 			s.PerLevel[l].Shards = sh.shardDepths(l)
@@ -203,20 +195,6 @@ func (rt *Runtime) RegisterMetrics(reg *metrics.Registry) {
 			"Deques in the level's mugging queue (aging-queue length for Adaptive).",
 			func() float64 { _, mug := rt.pol.poolDepths(l); return float64(mug) },
 			metrics.LevelLabel(l))
-		if urg, ok := rt.pol.(urgentObserver); ok && rt.cfg.UrgentSlack > 0 {
-			reg.GaugeFunc("icilk_pool_urgent_depth",
-				"Deques in the level's slack-aware urgent queue.",
-				func() float64 { return float64(urg.urgentDepth(l)) },
-				metrics.LevelLabel(l))
-		}
-	}
-	if rt.cfg.UrgentSlack > 0 {
-		reg.CounterFunc("icilk_urgent_enqueues_total",
-			"Deques classified urgent (slack below UrgentSlack) at pool enqueue.",
-			func() float64 { e, _ := rt.UrgentStats(); return float64(e) })
-		reg.CounterFunc("icilk_urgent_pops_total",
-			"Deques popped from an urgent queue ahead of the regular FIFO.",
-			func() float64 { _, p := rt.UrgentStats(); return float64(p) })
 	}
 	if sh, ok := rt.pol.(shardObserver); ok {
 		reg.GaugeFunc("icilk_pool_shards",
@@ -235,11 +213,8 @@ func (rt *Runtime) RegisterMetrics(reg *metrics.Registry) {
 					sidx := sidx
 					labels := []metrics.Label{metrics.LevelLabel(l), {Key: "shard", Value: strconv.Itoa(sidx)}}
 					reg.GaugeFunc("icilk_pool_shard_regular_depth",
-						"Discoverable deques in this shard's regular (plus urgent) queue.",
-						func() float64 {
-							d := sh.shardDepths(l)[sidx]
-							return float64(d.Regular + d.Urgent)
-						}, labels...)
+						"Discoverable deques in this shard's regular queue.",
+						func() float64 { return float64(sh.shardDepths(l)[sidx].Regular) }, labels...)
 					reg.GaugeFunc("icilk_pool_shard_mugging_depth",
 						"Deques in this shard's mugging queue.",
 						func() float64 { return float64(sh.shardDepths(l)[sidx].Mugging) }, labels...)
@@ -248,10 +223,6 @@ func (rt *Runtime) RegisterMetrics(reg *metrics.Registry) {
 		}
 	}
 }
-
-// urgentObserver is the optional policy surface exposing the urgent
-// queue's depth (the centralized-pool policies implement it).
-type urgentObserver interface{ urgentDepth(level int) int }
 
 // shardObserver is the optional policy surface exposing the sharded
 // centralized pool's layout and relaxed-selection counters (Prompt

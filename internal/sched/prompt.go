@@ -139,10 +139,6 @@ func (p *promptPolicy) poolDepths(level int) (regular, mugging int) {
 	return p.pool.depths(level)
 }
 
-func (p *promptPolicy) urgentDepth(level int) int {
-	return p.pool.urgentDepth(level)
-}
-
 func (p *promptPolicy) shardCount() int                    { return p.pool.shardCount() }
 func (p *promptPolicy) shardDepths(level int) []ShardDepth { return p.pool.shardDepths(level) }
 func (p *promptPolicy) sampleStats() (int64, int64)        { return p.pool.sampleStats() }

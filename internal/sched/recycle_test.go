@@ -125,16 +125,17 @@ func TestCompletedFutureGetAllocFree(t *testing.T) {
 // TestRecycleStressConcurrentSubmitters hammers the context free lists
 // from many external submitters at once: they draw from the shared
 // list only, the tasks they submit spawn from and finish onto the
-// workers' own lists, and RecycleCap 8 keeps the spill and refill
-// paths between the two busy. Run with -race in CI. Every future must
-// complete with the right value, the runtime must drain, and Close
-// must leave no goroutine parked on either kind of list.
+// workers' own lists, and every root leaves one more context behind
+// than it drew, so the workers' lists fill, spill to the shared one,
+// and the submitters refill from there. Run with -race in CI. Every
+// future must complete with the right value, the runtime must drain,
+// and Close must leave no goroutine parked on either kind of list.
 func TestRecycleStressConcurrentSubmitters(t *testing.T) {
 	for _, pk := range allPolicies {
 		pk := pk
 		t.Run(pk.String(), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: pk, RecycleCap: 8})
+			rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: pk})
 			const submitters = 8
 			const perSubmitter = 60
 			var wg sync.WaitGroup
@@ -220,19 +221,57 @@ func TestTokenPassesTaskToTask(t *testing.T) {
 // TestCloseDrainsFreeList checks that Close poisons the parked
 // recycled contexts — the workers' own lists and the shared one — so a
 // drained runtime leaves no goroutines behind. fib(12) on four workers
-// finishes tasks on every worker; RecycleCap 4 is small enough that
-// the lists overflow and some contexts exit on their own.
+// finishes tasks on every worker.
 func TestCloseDrainsFreeList(t *testing.T) {
 	for _, pk := range allPolicies {
 		t.Run(pk.String(), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			rt := newTestRuntime(t, Config{Workers: 4, Levels: 1, Policy: pk, RecycleCap: 4})
+			rt := newTestRuntime(t, Config{Workers: 4, Levels: 1, Policy: pk})
 			for i := 0; i < 8; i++ {
 				rt.Run(func(task *Task) any { return fib(task, 12) })
 			}
 			// Workers, the Adaptive allocator, and whatever is parked.
 			if n := runtime.NumGoroutine(); n <= before+rt.Workers()+1 {
 				t.Fatalf("%d goroutines before the runtime, %d with it drained: no context is parked, so the test would not notice a leak", before, n)
+			}
+			rt.Close()
+			waitGoroutines(t, before)
+		})
+	}
+}
+
+// TestFreeListOverflowExits reaches the two branches of putFree that
+// ordinary load leaves alone, at the fixed capacities: a thousand roots
+// blocked on one future hold a thousand contexts at once, and when the
+// future completes they all finish together — the workers' lists fill
+// and spill to the shared one, the shared one fills, and the contexts
+// left over exit. What stays parked is bounded by the lists, and Close
+// takes the goroutine count back to where it was before New.
+func TestFreeListOverflowExits(t *testing.T) {
+	for _, pk := range allPolicies {
+		t.Run(pk.String(), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			rt := newTestRuntime(t, Config{Workers: 4, Levels: 1, Policy: pk})
+			const roots = 1000
+			gate := rt.NewIOFuture()
+			futs := make([]*Future, roots)
+			for i := range futs {
+				futs[i] = rt.SubmitFuture(0, func(task *Task) any { return gate.Get(task) })
+			}
+			if n := runtime.NumGoroutine(); n < before+roots {
+				t.Fatalf("%d goroutines before the runtime, %d with %d roots blocked: want one context each", before, n, roots)
+			}
+			gate.Complete(7)
+			for i, f := range futs {
+				if got := f.Wait().(int); got != 7 {
+					t.Fatalf("root %d = %d, want 7", i, got)
+				}
+			}
+			// Workers, the Adaptive allocator, and full free lists; the
+			// other ~680 contexts found no room and exited.
+			waitGoroutines(t, before+rt.Workers()+1+sharedFreeCap+rt.Workers()*workerFreeCap)
+			if got := len(rt.free); got != sharedFreeCap {
+				t.Fatalf("shared free list holds %d contexts after %d finished at once, want it full at %d", got, roots, sharedFreeCap)
 			}
 			rt.Close()
 			waitGoroutines(t, before)

@@ -128,9 +128,6 @@ type Config struct {
 	// deques go to the tail of the regular queue ("de-aging" them)
 	// instead of the dedicated mugging queue.
 	DisableMuggingQueue bool
-	// StealTries is how many failed probes an Adaptive worker makes
-	// before napping. Default 4.
-	StealTries int
 	// PoolShards is the number of shards each priority level's
 	// centralized pool is split into (Prompt and AdaptiveGreedy; the
 	// Adaptive variants have per-worker pools and ignore it). Zero
@@ -147,26 +144,6 @@ type Config struct {
 	// TraceCapacity, if positive, enables the scheduler event trace
 	// with a ring of that many events.
 	TraceCapacity int
-	// RecycleCap bounds the shared task-context free list: at most this
-	// many finished contexts (goroutine + channel + Task) stay parked
-	// there awaiting reuse, beside at most workerFreeCap on each
-	// worker's own list; the rest exit and are collected, so idle
-	// memory is bounded. Default 256.
-	RecycleCap int
-	// UrgentSlack enables the slack-aware tie-break *within* a
-	// priority level for the centralized-pool policies (Prompt,
-	// AdaptiveGreedy): a deque whose deadline slack — deadline minus
-	// now minus the level's estimated service time (see
-	// SetServiceEstimate) — is below UrgentSlack is enqueued on the
-	// level's urgent queue, which thieves drain after the mugging
-	// queue and before the regular queue. This is an EDF-flavored
-	// k-relaxed ordering: the global promptness bitfield and the
-	// cross-level pop order are untouched, so the paper's
-	// high-priority reaction bound is preserved; only same-level FIFO
-	// order is relaxed, and only for deadline-carrying deques. Zero
-	// disables the urgent queue entirely (same-level order stays pure
-	// FIFO).
-	UrgentSlack time.Duration
 }
 
 func (c *Config) applyDefaults() error {
@@ -188,18 +165,12 @@ func (c *Config) applyDefaults() error {
 	if c.Adaptive.Delta <= 0 || c.Adaptive.Delta > 1 {
 		c.Adaptive.Delta = 0.75
 	}
-	if c.StealTries <= 0 {
-		c.StealTries = 4
-	}
 	if c.PoolShards < 0 {
 		return fmt.Errorf("sched: PoolShards must be >= 0, got %d", c.PoolShards)
 	}
 	c.PoolShards = nextPow2(c.PoolShards)
 	if c.PoolShards > maxPoolShards {
 		c.PoolShards = maxPoolShards
-	}
-	if c.RecycleCap <= 0 {
-		c.RecycleCap = 256
 	}
 	return nil
 }
@@ -260,7 +231,7 @@ type Runtime struct {
 	// contexts (goroutine parked on its resume channel) awaiting their
 	// next task body. External submissions draw from it; token holders
 	// use their worker's own list, which spills here and refills from
-	// here. Bounded at Config.RecycleCap. See newNode/Task.finish.
+	// here. Bounded at sharedFreeCap. See newNode/Task.finish.
 	free chan *node
 
 	// deques recycles dead execution-context deques (see freeDeque for
@@ -276,18 +247,6 @@ type Runtime struct {
 	// resumes counts deques made resumable (future completions waking
 	// waiters, plus external submissions entering as resumable).
 	resumes atomic.Int64
-
-	// svcEst is the per-level mean-service-time estimator (ns) behind
-	// the urgent-queue slack test; installed by SetServiceEstimate
-	// (typically wired to the admission controller's observed means).
-	// Nil estimator = estimate 0, i.e. "urgent" means within
-	// UrgentSlack of the raw deadline.
-	svcEst atomic.Pointer[func(level int) int64]
-
-	// urgentEnqs / urgentPops count urgent-queue traffic (slack-aware
-	// tie-break observability).
-	urgentEnqs atomic.Int64
-	urgentPops atomic.Int64
 
 	// inv tracks dynamically detected priority inversions.
 	inv inversionState
@@ -313,7 +272,7 @@ func New(cfg Config) (*Runtime, error) {
 		col:       epoch.NewCollector(),
 		nonEmpty:  make([]paddedInt64, cfg.Levels),
 		levelWork: make([]paddedInt64, cfg.Levels),
-		free:      make(chan *node, cfg.RecycleCap),
+		free:      make(chan *node, sharedFreeCap),
 	}
 	if cfg.TraceCapacity > 0 {
 		rt.trace = trace.New(cfg.TraceCapacity)
@@ -377,34 +336,6 @@ func (rt *Runtime) SetSpawnCostNS(ns int64) {
 	if ns > 0 {
 		rt.spawnCostNS.CompareAndSwap(0, ns)
 	}
-}
-
-// SetServiceEstimate installs the per-level mean-service-time
-// estimator (nanoseconds; 0 = unknown) consulted by the urgent-queue
-// slack test when Config.UrgentSlack is set. fn must be safe for
-// concurrent use and cheap — it runs on the pool enqueue path. A nil
-// fn removes the estimator.
-func (rt *Runtime) SetServiceEstimate(fn func(level int) int64) {
-	if fn == nil {
-		rt.svcEst.Store(nil)
-		return
-	}
-	rt.svcEst.Store(&fn)
-}
-
-// serviceEstimate returns the installed estimator's mean service time
-// for level, or 0 without one.
-func (rt *Runtime) serviceEstimate(level int) int64 {
-	if p := rt.svcEst.Load(); p != nil {
-		return (*p)(level)
-	}
-	return 0
-}
-
-// UrgentStats returns the urgent-queue enqueue and pop counts (zero
-// unless Config.UrgentSlack is enabled).
-func (rt *Runtime) UrgentStats() (enqueues, pops int64) {
-	return rt.urgentEnqs.Load(), rt.urgentPops.Load()
 }
 
 // ShardStats reports the centralized pool's shard layout and relaxed-
@@ -563,7 +494,13 @@ type yieldMsg struct {
 // workerFreeCap is the size of each worker's own task-context list: a
 // spawn/return pair needs one slot; a thief that keeps finishing what
 // another worker spawns fills them all and spills to Runtime.free.
-const workerFreeCap = 16
+// sharedFreeCap bounds that shared list: at most this many finished
+// contexts (goroutine + channel + Task) stay parked there awaiting
+// reuse; the rest exit and are collected, so idle memory is bounded.
+const (
+	workerFreeCap = 16
+	sharedFreeCap = 256
+)
 
 // worker is one scheduler worker: a goroutine that looks for work
 // (run) and a token that the tasks it found pass among themselves.
@@ -692,9 +629,6 @@ func (w *worker) step(cur *node, msg yieldMsg) {
 			// parent on a fresh deque (the classic provably-good
 			// resume).
 			nd := w.rt.newDeque(next.t.level)
-			if c := next.t.cancel; c != nil && c.deadlineNS != 0 {
-				nd.SetDeadlineNS(c.deadlineNS)
-			}
 			w.rt.pol.onAdopt(w, nd)
 			w.active = nd
 			w.level.Store(int32(nd.Level()))

@@ -46,11 +46,6 @@ type Result struct {
 	Elapsed  time.Duration
 }
 
-// ClassSummary returns the latency digest of one class.
-func (r *Result) ClassSummary(name string) stats.Summary {
-	return r.PerClass.Class(name).Summarize()
-}
-
 // SubmitFunc injects one request of the given class and returns its
 // future. user is in [0, Spread) (0 if Spread unset); seq is the
 // request sequence number.
