@@ -1,0 +1,63 @@
+package jobserver
+
+import (
+	"runtime"
+	"testing"
+
+	"icilk"
+	"icilk/internal/invariant"
+)
+
+// benchConfig is the pinned benchmark's sizing of the four classes
+// (benchmark/joblevels.go).
+var benchConfig = Config{MMSize: 16, FibN: 16, SortSize: 2048, SWSize: 64}
+
+// TestJobAllocBudget gates what one request may allocate in steady
+// state: the root closure, the future, the waiter's channel and the
+// boxed result (sw's score is small enough to box for free), plus one
+// object per real fork — mm's loop body, fib's 12 frames, sort's 3
+// ParDo closures, and nothing for sw, whose tile frames live in its
+// scratch. The inputs, work arrays and generators are the scratch
+// pools' and the stack's. The counter is the whole process's, so the
+// smallest of three windows is read; the allowance above the whole
+// numbers is for steals (a stolen loop splits again, one object each)
+// and for a pool refill after a GC.
+func TestJobAllocBudget(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	rt := newRT(t, icilk.Prompt)
+	srv, err := New(rt, benchConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warm, rounds, windows = 200, 2000, 3
+	const maxBytes = 1 << 10
+	for class, maxMallocs := range [Levels]float64{5.1, 16.1, 7.2, 3.1} {
+		for i := int64(0); i < warm; i++ {
+			srv.Do(class, i).Wait()
+		}
+		var mallocs, bytes float64
+		for w := 0; w < windows; w++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := int64(0); i < rounds; i++ {
+				srv.Do(class, i).Wait()
+			}
+			runtime.ReadMemStats(&m1)
+			m := float64(m1.Mallocs-m0.Mallocs) / rounds
+			b := float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
+			if w == 0 || m < mallocs {
+				mallocs = m
+			}
+			if w == 0 || b < bytes {
+				bytes = b
+			}
+		}
+		t.Logf("%s: %.2f mallocs, %.0f B per request", OpNames[class], mallocs, bytes)
+		if mallocs > maxMallocs || bytes > maxBytes {
+			t.Errorf("%s: %.2f mallocs and %.0f B per request, want at most %.1f and %d",
+				OpNames[class], mallocs, bytes, maxMallocs, maxBytes)
+		}
+	}
+}

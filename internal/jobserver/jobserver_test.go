@@ -20,6 +20,26 @@ func newRT(t *testing.T, pol icilk.Scheduler) *icilk.Runtime {
 	return rt
 }
 
+// randomMatrix, randomInts and randomSeq are the job bodies' inputs in
+// fresh arrays.
+func randomMatrix(n int, seed uint64) []float64 {
+	m := make([]float64, n*n)
+	fillMatrix(m, seed)
+	return m
+}
+
+func randomInts(n int, seed uint64) []int64 {
+	xs := make([]int64, n)
+	fillInts(xs, seed)
+	return xs
+}
+
+func randomSeq(n int, seed uint64) []byte {
+	s := make([]byte, n)
+	fillSeq(s, seed)
+	return s
+}
+
 func TestMMMatchesSequential(t *testing.T) {
 	rt := newRT(t, icilk.Prompt)
 	const n = 32
@@ -190,5 +210,31 @@ func TestLevelsInsufficient(t *testing.T) {
 	defer rt.Close()
 	if _, err := New(rt, DefaultConfig()); err == nil {
 		t.Fatal("New accepted a runtime with too few levels")
+	}
+}
+
+// TestNewDefaultsEachSizeAlone: a zero size takes its own default
+// whatever the other three are, and a negative one is refused.
+func TestNewDefaultsEachSizeAlone(t *testing.T) {
+	rt := newRT(t, icilk.Prompt)
+	def := DefaultConfig()
+	for _, tc := range []struct{ in, want Config }{
+		{Config{}, def},
+		{Config{FibN: 10, SortSize: 100, SWSize: 40}, Config{MMSize: def.MMSize, FibN: 10, SortSize: 100, SWSize: 40}},
+		{Config{MMSize: 8}, Config{MMSize: 8, FibN: def.FibN, SortSize: def.SortSize, SWSize: def.SWSize}},
+		{Config{MMSize: 8, FibN: 10, SWSize: 40}, Config{MMSize: 8, FibN: 10, SortSize: def.SortSize, SWSize: 40}},
+	} {
+		srv, err := New(rt, tc.in)
+		if err != nil {
+			t.Fatalf("New(%+v): %v", tc.in, err)
+		}
+		if srv.cfg != tc.want {
+			t.Errorf("New(%+v) runs %+v, want %+v", tc.in, srv.cfg, tc.want)
+		}
+	}
+	for _, bad := range []Config{{MMSize: -1}, {FibN: -1}, {MMSize: 8, SortSize: -5}, {MMSize: 8, SWSize: -64}} {
+		if _, err := New(rt, bad); err == nil {
+			t.Errorf("New accepted %+v", bad)
+		}
 	}
 }

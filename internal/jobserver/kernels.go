@@ -47,11 +47,18 @@ const mmTile = 16
 // bitwise identical.
 func MM(t *icilk.Task, a, b []float64, n int) []float64 {
 	c := make([]float64, n*n)
+	mmInto(t, a, b, c, n)
+	return c
+}
+
+// mmInto is MM into a caller-owned c, cleared first: the tiles
+// accumulate.
+func mmInto(t *icilk.Task, a, b, c []float64, n int) {
+	clear(c)
 	nt := (n + mmTile - 1) / mmTile
 	icilk.For(t, 0, nt*nt, 1, func(tile int) {
 		mmTileCompute(a, b, c, n, tile/nt, tile%nt)
 	})
-	return c
 }
 
 // mmTileCompute accumulates output tile (ti, tj): the full dot product
@@ -93,12 +100,22 @@ func Fib(t *icilk.Task, n int) int64 {
 	if n < fibBase {
 		return fibSeq(n)
 	}
-	var a int64
-	t.Spawn(func(ct *icilk.Task) { a = Fib(ct, n-1) })
+	f := &fibFrame{n: n - 1}
+	t.SpawnFrame(f)
 	b := Fib(t, n-2)
 	t.Sync()
-	return a + b
+	return f.a + b
 }
+
+// fibFrame is the one heap object a Fib fork costs: the spawned call's
+// argument and the slot its result comes back in (a closure would be a
+// second object beside the escaped result it captures).
+type fibFrame struct {
+	n int
+	a int64
+}
+
+func (f *fibFrame) RunFrame(t *icilk.Task) { f.a = Fib(t, f.n) }
 
 func fibSeq(n int) int64 {
 	if n < 2 {
@@ -121,8 +138,7 @@ const mergeBase = 2048
 // parallel — the old sequential merge made the final combine a serial
 // O(n) bottleneck on the critical path.
 func Sort(t *icilk.Task, xs []int64) {
-	tmp := make([]int64, len(xs))
-	mergesort(t, xs, tmp)
+	mergesort(t, xs, make([]int64, len(xs)))
 }
 
 func mergesort(t *icilk.Task, xs, tmp []int64) {
@@ -218,53 +234,51 @@ const swTile = 32
 // anti-diagonal are independent and spawned together; diagonals are
 // separated by syncs.
 func SW(t *icilk.Task, p, q []byte) int {
-	m, n := len(p), len(q)
-	// DP matrix with an extra zero row/column.
-	h := make([]int32, (m+1)*(n+1))
-	stride := n + 1
+	return swInto(t, newSWScratch(p, q))
+}
 
-	tilesI := (m + swTile - 1) / swTile
-	tilesJ := (n + swTile - 1) / swTile
+// swInto is SW over caller-owned scratch. s.h needs no clearing
+// between uses: its border row and column are zero from allocation and
+// never written, and every interior cell is written, by the tile that
+// owns it, before a later cell of that tile or a tile of a later
+// diagonal reads it.
+func swInto(t *icilk.Task, s *swScratch) int {
+	tilesI := (len(s.p) + swTile - 1) / swTile
+	tilesJ := (len(s.q) + swTile - 1) / swTile
 	var best int32
-
 	for diag := 0; diag < tilesI+tilesJ-1; diag++ {
-		lo := diag - tilesJ + 1
-		if lo < 0 {
-			lo = 0
-		}
-		hi := diag
-		if hi > tilesI-1 {
-			hi = tilesI - 1
-		}
-		results := make([]int32, hi-lo+1)
+		lo := max(diag-tilesJ+1, 0)
+		hi := min(diag, tilesI-1)
 		for ti := lo; ti < hi; ti++ {
-			ti := ti
-			idx := ti - lo
-			t.Spawn(func(ct *icilk.Task) {
-				results[idx] = swTileCompute(p, q, h, stride, ti, diag-ti)
-			})
+			f := &s.tiles[ti-lo]
+			f.s, f.ti, f.tj = s, ti, diag-ti
+			t.SpawnFrame(f)
 		}
-		results[hi-lo] = swTileCompute(p, q, h, stride, hi, diag-hi)
+		best = max(best, s.tile(hi, diag-hi))
 		t.Sync()
-		for _, r := range results {
-			if r > best {
-				best = r
-			}
+		for i := range s.tiles[:hi-lo] {
+			best = max(best, s.tiles[i].best)
 		}
 	}
 	return int(best)
 }
 
-// swTileCompute fills one tile of the DP matrix and returns its max.
-func swTileCompute(p, q []byte, h []int32, stride, ti, tj int) int32 {
+// swTileFrame is one spawned tile in record form: where it is and the
+// slot its max comes back in. The frames of a diagonal live in the
+// scratch and are reused by the next, so a fork allocates nothing.
+type swTileFrame struct {
+	s      *swScratch
+	ti, tj int
+	best   int32
+}
+
+func (f *swTileFrame) RunFrame(*icilk.Task) { f.best = f.s.tile(f.ti, f.tj) }
+
+// tile fills one tile of the DP matrix and returns its max.
+func (s *swScratch) tile(ti, tj int) int32 {
+	p, q, h, stride := s.p, s.q, s.h, len(s.q)+1
 	iStart, jStart := ti*swTile+1, tj*swTile+1
-	iEnd, jEnd := iStart+swTile, jStart+swTile
-	if iEnd > len(p)+1 {
-		iEnd = len(p) + 1
-	}
-	if jEnd > len(q)+1 {
-		jEnd = len(q) + 1
-	}
+	iEnd, jEnd := min(iStart+swTile, len(p)+1), min(jStart+swTile, len(q)+1)
 	var best int32
 	for i := iStart; i < iEnd; i++ {
 		pi := p[i-1]

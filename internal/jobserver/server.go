@@ -2,8 +2,10 @@ package jobserver
 
 import (
 	"fmt"
+	"sync"
 
 	"icilk"
+	"icilk/internal/invariant"
 	"icilk/internal/predict"
 	"icilk/internal/xrand"
 )
@@ -12,9 +14,9 @@ import (
 // the classes' sequential runtimes are strictly increasing in SJF
 // order (mm < fib < sort < sw), scaled down from the paper's 20-core
 // testbed to run in the hundreds of microseconds to low milliseconds
-// on one CPU.
+// on one CPU. A zero field takes its default.
 type Config struct {
-	MMSize   int // matrix dimension (power of two)
+	MMSize   int // matrix dimension (any positive size; edge tiles are clamped)
 	FibN     int
 	SortSize int
 	SWSize   int // sequence length
@@ -31,18 +33,59 @@ type Server struct {
 	rt  *icilk.Runtime
 	adm *icilk.AdmissionController // nil = no admission control
 	cfg Config
+
+	// Per-class scratch sized from cfg; job says who owns one when.
+	mm, sort, sw sync.Pool
+}
+
+// One request's inputs and work arrays, per class.
+type (
+	mmScratch   struct{ a, b, c []float64 }
+	sortScratch struct{ xs, tmp []int64 }
+	swScratch   struct {
+		p, q  []byte
+		h     []int32       // DP matrix with an extra zero row and column
+		tiles []swTileFrame // the spawned tiles of one anti-diagonal
+	}
+)
+
+// newSWScratch returns the scratch for aligning p with q. A diagonal
+// spawns all of its tiles but one, so at most min(len(p), len(q))/swTile.
+func newSWScratch(p, q []byte) *swScratch {
+	return &swScratch{p: p, q: q,
+		h:     make([]int32, (len(p)+1)*(len(q)+1)),
+		tiles: make([]swTileFrame, min(len(p), len(q))/swTile)}
 }
 
 // New creates a job server over rt, which must have at least Levels
-// priority levels.
+// priority levels. Zero sizes in cfg take DefaultConfig's; negative
+// ones are an error.
 func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 	if rt.Levels() < Levels {
 		return nil, fmt.Errorf("jobserver: runtime has %d levels, need %d", rt.Levels(), Levels)
 	}
-	if cfg.MMSize <= 0 {
-		cfg = DefaultConfig()
+	def := DefaultConfig()
+	defaults := [Levels]int{def.MMSize, def.FibN, def.SortSize, def.SWSize}
+	for i, size := range [Levels]*int{&cfg.MMSize, &cfg.FibN, &cfg.SortSize, &cfg.SWSize} {
+		if *size < 0 {
+			return nil, fmt.Errorf("jobserver: %s size %d is negative", OpNames[i], *size)
+		}
+		if *size == 0 {
+			*size = defaults[i]
+		}
 	}
-	return &Server{rt: rt, cfg: cfg}, nil
+	s := &Server{rt: rt, cfg: cfg}
+	s.mm.New = func() any {
+		n := s.cfg.MMSize * s.cfg.MMSize
+		return &mmScratch{make([]float64, n), make([]float64, n), make([]float64, n)}
+	}
+	s.sort.New = func() any {
+		return &sortScratch{make([]int64, s.cfg.SortSize), make([]int64, s.cfg.SortSize)}
+	}
+	s.sw.New = func() any {
+		return newSWScratch(make([]byte, s.cfg.SWSize), make([]byte, s.cfg.SWSize))
+	}
+	return s, nil
 }
 
 // SetAdmission attaches an admission controller consulted by TryDo
@@ -52,17 +95,25 @@ func (s *Server) SetAdmission(adm *icilk.AdmissionController) { s.adm = adm }
 // job returns the priority level and task body of one job of the
 // given class (0=mm, 1=fib, 2=sort, 3=sw) with a deterministic input
 // derived from seq. The body returns a checksum of the job's result.
+//
+// A body owns its scratch from Get to its normal return and recycles
+// it there, never from a defer: a cancellation unwinds through the
+// body before the runtime has joined what it spawned on the root frame
+// (sw's tiles), and a deferred Put would hand the next request buffers
+// those children still write. An unwound job's scratch is dropped.
 func (s *Server) job(class int, seq int64) (int, func(*icilk.Task) any) {
 	switch class {
 	case 0:
 		return LevelMM, func(t *icilk.Task) any {
-			n := s.cfg.MMSize
-			a, b := randomMatrix(n, uint64(seq)), randomMatrix(n, uint64(seq)+1)
-			c := MM(t, a, b, n)
+			sc := s.mm.Get().(*mmScratch)
+			fillMatrix(sc.a, uint64(seq))
+			fillMatrix(sc.b, uint64(seq)+1)
+			mmInto(t, sc.a, sc.b, sc.c, s.cfg.MMSize)
 			var sum float64
-			for _, v := range c {
+			for _, v := range sc.c {
 				sum += v
 			}
+			recycle(&s.mm, sc)
 			return sum
 		}
 	case 1:
@@ -71,8 +122,10 @@ func (s *Server) job(class int, seq int64) (int, func(*icilk.Task) any) {
 		}
 	case 2:
 		return LevelSort, func(t *icilk.Task) any {
-			xs := randomInts(s.cfg.SortSize, uint64(seq))
-			Sort(t, xs)
+			sc := s.sort.Get().(*sortScratch)
+			xs := sc.xs
+			fillInts(xs, uint64(seq))
+			mergesort(t, xs, sc.tmp)
 			// Checksum that also certifies sortedness.
 			var sum int64
 			for i := 1; i < len(xs); i++ {
@@ -81,13 +134,17 @@ func (s *Server) job(class int, seq int64) (int, func(*icilk.Task) any) {
 				}
 				sum += xs[i] * int64(i%7)
 			}
+			recycle(&s.sort, sc)
 			return sum
 		}
 	default:
 		return LevelSW, func(t *icilk.Task) any {
-			p := randomSeq(s.cfg.SWSize, uint64(seq))
-			q := randomSeq(s.cfg.SWSize, uint64(seq)+7)
-			return SW(t, p, q)
+			sc := s.sw.Get().(*swScratch)
+			fillSeq(sc.p, uint64(seq))
+			fillSeq(sc.q, uint64(seq)+7)
+			best := swInto(t, sc)
+			recycle(&s.sw, sc)
+			return best
 		}
 	}
 }
@@ -117,30 +174,62 @@ func (s *Server) predictClass(class int) predict.Class {
 	return predict.Class{Op: 1 + uint8(class&3), Size: predict.SizeBucket(size)}
 }
 
-func randomMatrix(n int, seed uint64) []float64 {
-	r := xrand.New(seed)
-	m := make([]float64, n*n)
+// fillMatrix, fillInts and fillSeq overwrite a buffer with the input
+// of the given seed; the generator stays on the stack.
+func fillMatrix(m []float64, seed uint64) {
+	var r xrand.Rand
+	r.Seed(seed)
 	for i := range m {
 		m[i] = r.Float64()
 	}
-	return m
 }
 
-func randomInts(n int, seed uint64) []int64 {
-	r := xrand.New(seed)
-	xs := make([]int64, n)
+func fillInts(xs []int64, seed uint64) {
+	var r xrand.Rand
+	r.Seed(seed)
 	for i := range xs {
 		xs[i] = r.Int63()
 	}
-	return xs
 }
 
-func randomSeq(n int, seed uint64) []byte {
-	r := xrand.New(seed)
-	s := make([]byte, n)
+func fillSeq(s []byte, seed uint64) {
+	var r xrand.Rand
+	r.Seed(seed)
 	const alphabet = "ACGT"
 	for i := range s {
 		s[i] = alphabet[r.Intn(4)]
 	}
-	return s
+}
+
+// recycle returns a scratch to its pool, in icilk_debug builds
+// poisoned first (0xdb, as memcached's shard.release does): a job that
+// relies on what the last owner left returns a wrong checksum, and a
+// task still using a scratch its job gave up races with the poison.
+func recycle(pool *sync.Pool, sc interface{ poison() }) {
+	if invariant.Enabled {
+		sc.poison()
+	}
+	pool.Put(sc)
+}
+
+func (s *mmScratch) poison() { poisonFill(s.a, s.b, s.c) }
+
+func (s *sortScratch) poison() { poisonFill(s.xs, s.tmp) }
+
+// poison spares h's border, the one part of the scratch the next owner
+// does rely on.
+func (s *swScratch) poison() {
+	poisonFill(s.p, s.q)
+	stride := len(s.q) + 1
+	for i := 1; i <= len(s.p); i++ {
+		poisonFill(s.h[i*stride+1 : (i+1)*stride])
+	}
+}
+
+func poisonFill[T byte | int32 | int64 | float64](bufs ...[]T) {
+	for _, buf := range bufs {
+		for i := range buf {
+			buf[i] = 0xdb
+		}
+	}
 }

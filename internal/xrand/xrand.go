@@ -30,6 +30,13 @@ type Rand struct {
 // New returns a generator seeded deterministically from seed.
 func New(seed uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed resets r to the start of New(seed)'s stream, so a generator can
+// live on the stack or inside a struct.
+func (r *Rand) Seed(seed uint64) {
 	for i := range r.s {
 		r.s[i] = splitmix64(&seed)
 	}
@@ -38,7 +45,6 @@ func New(seed uint64) *Rand {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives an independent generator from r. The derived stream is

@@ -26,6 +26,34 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesNew covers the in-place form: seeding a zero Rand, or
+// reseeding a used one, starts New's stream, and a generator that
+// never leaves the stack costs no allocation.
+func TestSeedMatchesNew(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+		var r Rand
+		r.Seed(seed)
+		want := New(seed)
+		for i := 0; i < 100; i++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("seed %d: draw %d = %#x, New's stream has %#x", seed, i, got, w)
+			}
+		}
+		r.Seed(seed)
+		if got, w := r.Uint64(), New(seed).Uint64(); got != w {
+			t.Fatalf("seed %d: first draw after reseeding = %#x, want %#x", seed, got, w)
+		}
+	}
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() {
+		var r Rand
+		r.Seed(sink)
+		sink += r.Uint64() + uint64(r.Intn(4)) + uint64(r.Float64()*8)
+	}); n != 0 {
+		t.Fatalf("a stack Rand seeded and drawn from allocates %v times", n)
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	a := New(7)
 	b := a.Split()
