@@ -69,7 +69,7 @@ const (
 )
 
 // AdaptiveParams are the tunables of the Adaptive variants' top-level
-// allocator (the paper sweeps these per benchmark).
+// allocator (the paper tunes these per benchmark).
 type AdaptiveParams = sched.AdaptiveParams
 
 // AdmissionConfig configures the admission-control subsystem (queue
@@ -128,16 +128,6 @@ type Config struct {
 	// multi-core operation run with GOMAXPROCS >= Workers so workers
 	// occupy parallel Ps.
 	Workers int
-	// PoolShards is the number of shards each priority level's
-	// centralized pool is split into (Prompt and AdaptiveGreedy).
-	// Zero means 1, the paper's exact centralized layout: one regular
-	// and one mugging FIFO per level. A value above 1 opts into the
-	// relaxed sharded layout (README, "Multi-core mode") and is
-	// rounded up to a power of two, at most 64; it costs sample misses
-	// and sweeps on every pool operation and has yet to be shown to
-	// pay on real cores. The promptness bitfield is global and exact
-	// at every shard count.
-	PoolShards int
 	// IOThreads is the number of I/O handling threads. Default 4,
 	// matching the paper's setup.
 	IOThreads int
@@ -177,7 +167,6 @@ type Runtime struct {
 func New(cfg Config) (*Runtime, error) {
 	rt, err := sched.New(sched.Config{
 		Workers:             cfg.Workers,
-		PoolShards:          cfg.PoolShards,
 		Levels:              cfg.Levels,
 		Policy:              cfg.Scheduler,
 		Adaptive:            cfg.Adaptive,

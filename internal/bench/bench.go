@@ -1,7 +1,7 @@
 // Package bench is the shared harness behind the cmd/ benchmark
 // binaries: it runs each application (Memcached, email server, job
 // server) under each scheduler, performs the Adaptive-variant
-// parameter sweeps the paper describes, and returns the measurements
+// parameter searches the paper describes, and returns the measurements
 // the figures plot (latency percentiles, waste/running time, deque
 // counts).
 package bench
@@ -47,7 +47,7 @@ type Spec struct {
 }
 
 // DefaultSweep returns the parameter grid used for the Adaptive
-// variants. The paper sweeps 3-5 parameter sets per benchmark and
+// variants. The paper tries 3-5 parameter sets per benchmark and
 // reports the best; this grid spans quantum length and the
 // grow/shrink aggressiveness of the allocator.
 func DefaultSweep() []icilk.AdaptiveParams {
@@ -413,7 +413,7 @@ func RunMemcachedPthread(opt MemcachedOptions) (*Run, error) {
 	}, nil
 }
 
-// BestMemcached sweeps the spec's parameters at one RPS and returns
+// BestMemcached searches the spec's parameters at one RPS and returns
 // the run with the best p99 (the paper's selection criterion for
 // Memcached), plus every swept run.
 func BestMemcached(spec Spec, opt MemcachedOptions) (*Run, []*Run, error) {
@@ -574,7 +574,7 @@ func RunJobCfg(cfg icilk.Config, opt ServerOptions) (*Run, error) {
 	}, nil
 }
 
-// BestServer sweeps parameters for a spec on the given runner,
+// BestServer searches parameters for a spec on the given runner,
 // choosing the best by the paper's criterion for the email and job
 // servers: the average of the 95th and 99th percentile latencies.
 func BestServer(spec Spec, opt ServerOptions,

@@ -231,7 +231,7 @@ func (c *Cluster) registerMetrics(reg *metrics.Registry) {
 			return float64(len(*c.promoted.Load()))
 		}, app)
 	reg.GaugeFunc("icilk_cluster_sketch_decays",
-		"Frequency-sketch decay sweeps performed.", func() float64 {
+		"Frequency-sketch decay passes performed.", func() float64 {
 			return float64(c.sketch.decays.Load())
 		}, app)
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -492,6 +494,61 @@ func TestClusterBinaryRejected(t *testing.T) {
 	var tmp [8]byte
 	if n, err := cli.Read(tmp[:]); err == nil {
 		t.Fatalf("connection still open after binary magic (read %d bytes)", n)
+	}
+}
+
+// TestClusterHostileLengths: a declared data-block length no server
+// may buffer for (the first wrapped negative and killed the process)
+// and a 128 KiB line with no newline each draw their error and close
+// that connection only; the heap does not follow the declared length.
+func TestClusterHostileLengths(t *testing.T) {
+	defer watchdog(t, 60*time.Second)()
+	cl := newTestCluster(t, 2, nil)
+	heapAlloc := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, in := range []struct{ name, input, reply string }{
+		{"bytes=maxint64-1", "set k 0 0 9223372036854775806\r\n", "SERVER_ERROR object too large for cache\r\n"},
+		{"bytes=1<<40", "set k 0 0 1099511627776\r\n", "SERVER_ERROR object too large for cache\r\n"},
+		{"128KiB-no-newline", strings.Repeat("a", 128<<10), "CLIENT_ERROR line too long\r\n"},
+	} {
+		before := heapAlloc()
+		cli, srv := netsim.Pipe()
+		f := cl.HandleConn(srv)
+		if _, err := cli.WriteString(in.input); err != nil {
+			t.Fatal(err)
+		}
+		f.Wait() // the handler returned: the connection is closed
+		got, _ := io.ReadAll(cli)
+		if string(got) != in.reply {
+			t.Errorf("%s: reply %q, want %q", in.name, got, in.reply)
+		}
+		c2 := dialCluster(t, cl)
+		if got := c2.roundTrip("set other 0 0 2\r\nhi\r\n"); got != "STORED\n" {
+			t.Errorf("%s: second connection set: %q", in.name, got)
+		}
+		if got := c2.roundTrip("get other\r\n"); got != "VALUE other 0 2\nhi\nEND\n" {
+			t.Errorf("%s: second connection get: %q", in.name, got)
+		}
+		if grew := heapAlloc() - before; grew >= 1<<20 {
+			t.Errorf("%s: heap grew %d bytes serving a rejected request", in.name, grew)
+		}
+	}
+}
+
+// TestClusterBadDataChunk: a block that is not followed by CRLF where
+// its command line said is not stored on any shard.
+func TestClusterBadDataChunk(t *testing.T) {
+	defer watchdog(t, 30*time.Second)()
+	cl := newTestCluster(t, 2, nil)
+	c := dialCluster(t, cl)
+	c.send("set k 0 0 3\r\nabcdXX\r\nget k\r\n")
+	// "abcdX" is consumed as the block; "X" is then an unknown command.
+	if got := c.readUntil("END"); got != "CLIENT_ERROR bad data chunk\nERROR\nEND\n" {
+		t.Fatalf("reply %q", got)
 	}
 }
 

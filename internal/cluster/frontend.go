@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math/bits"
 	"sync"
 	"time"
@@ -162,6 +163,9 @@ func (c *Cluster) handleConn(t *icilk.Task, recv *Shard, ep memcached.Conn) {
 	for {
 		line, err := lr.ReadLineBytes(t)
 		if err != nil {
+			if errors.Is(err, icilk.ErrLineTooLong) {
+				ep.Write(memcached.ReplyLineTooLong)
+			}
 			return // EOF: client disconnected
 		}
 		arrival := time.Now()
@@ -202,18 +206,21 @@ func (c *Cluster) serveCommand(t *icilk.Task, cs *connState, recv *Shard, ep mem
 	needData, perr := memcached.ParseCommandB(line, &cs.req)
 	if perr != nil {
 		ep.Write(perr)
-		return false, false
+		return false, memcached.ClosesConn(perr)
 	}
 	if needData >= 0 {
 		// The key is a view into the command line; reading the data
 		// block may compact the buffer under it.
 		cs.keyScratch = append(cs.keyScratch[:0], cs.req.Key...)
 		cs.req.Key = cs.keyScratch
-		data, err := lr.ReadBlockBytes(t, needData)
+		raw, err := lr.ReadExactBytes(t, needData+2)
 		if err != nil {
 			return false, true
 		}
-		cs.req.Data = data
+		if bad := cs.req.SetData(raw); bad != nil {
+			ep.Write(bad)
+			return false, false
+		}
 	}
 	var tk icilk.AdmissionTicket
 	if adm != nil {

@@ -367,8 +367,7 @@ func (q *Queue[T]) Empty() bool { return q.Len() == 0 }
 // Tickets returns the instantaneous (head, tail) ticket counters: the
 // number of dequeue and enqueue tickets ever claimed. The difference
 // is Len; the absolute values identify a queue's total traffic, which
-// the sharded scheduler pool uses in invariant-failure diagnostics
-// (per-shard traffic/backlog breakdown).
+// the scheduler pool prints in invariant-failure diagnostics.
 func (q *Queue[T]) Tickets() (head, tail uint64) {
 	return q.head.Load(), q.tail.Load()
 }

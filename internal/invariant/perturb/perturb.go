@@ -61,8 +61,6 @@ const (
 	Submit       // external submission entering the runtime
 	IO           // I/O pool handoff
 	Predict      // service-time predictor read/update ordering (internal/predict)
-	ShardSelect  // MultiQueue d=2 shard sampling before a relaxed pop (sched central pool)
-	ShardSweep   // all-shard sweep before a thief declares a level empty
 	RouteSelect  // cluster ring lookup/route decision before a cross-shard hop (internal/cluster)
 	DrainHandoff // cluster drain: between the ring swap and the old-epoch quiesce/migration
 	WakeDefer    // prio: zero→non-zero Set deferring its broadcast to a coalescer flush

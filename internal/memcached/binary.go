@@ -45,6 +45,7 @@ const (
 	binStatusOK             = 0x0000
 	binStatusKeyNotFound    = 0x0001
 	binStatusKeyExists      = 0x0002
+	binStatusTooLarge       = 0x0003 // frame body over maxBinBody
 	binStatusItemNotStored  = 0x0005
 	binStatusDeltaBadval    = 0x0006
 	binStatusUnknownCommand = 0x0081

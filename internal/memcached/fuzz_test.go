@@ -20,6 +20,7 @@ func FuzzParseCommand(f *testing.F) {
 		"stats", "version", "flush_all", "quit", "verbosity 1",
 		"", "   ", "bogus", "set", "set k", "set k x y z",
 		"get \x00\xff", "incr k 99999999999999999999999",
+		"set k 0 0 9223372036854775806", "set k 0 0 1099511627776",
 	} {
 		f.Add(seed)
 	}
@@ -27,7 +28,7 @@ func FuzzParseCommand(f *testing.F) {
 		req, needData, err := ParseCommand(line)
 		if err != nil {
 			msg := err.Error()
-			if msg != "ERROR" && !strings.HasPrefix(msg, "CLIENT_ERROR") {
+			if msg != "ERROR" && !strings.HasPrefix(msg, "CLIENT_ERROR") && err != errTooLarge {
 				t.Fatalf("unprotocol error %q for line %q", msg, line)
 			}
 			return
@@ -62,6 +63,7 @@ func FuzzExecuteBinary(f *testing.F) {
 	f.Add(binRequestFuzzSeed(binOpSet, []byte{0, 0, 0, 0, 0, 0, 0, 0}, "key", "val"))
 	f.Add(binRequestFuzzSeed(binOpIncr, make([]byte, 20), "n", ""))
 	f.Add([]byte{0x81, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(hugeBodyHeader())
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if len(frame) < 24 {
 			return
@@ -126,6 +128,9 @@ func runOldTextPath(input []byte) (out []byte, quit bool) {
 		if err != nil {
 			out = append(out, err.Error()...)
 			out = append(out, "\r\n"...)
+			if err == errTooLarge {
+				return out, false // the server closes the connection
+			}
 			continue
 		}
 		if req == nil {
@@ -137,6 +142,10 @@ func runOldTextPath(input []byte) (out []byte, quit bool) {
 			}
 			req.Data = append([]byte(nil), input[pos:pos+needData]...)
 			pos += needData + 2
+			if string(input[pos-2:pos]) != "\r\n" {
+				out = append(out, replyBadDataChnk...)
+				continue
+			}
 		}
 		reply, q := Execute(s, req)
 		out = append(out, reply...)
@@ -162,6 +171,9 @@ func runNewTextPath(input []byte) (out []byte, quit bool) {
 		needData, perr := ParseCommandB(line, &req)
 		if perr != nil {
 			out = append(out, perr...)
+			if ClosesConn(perr) {
+				return out, false
+			}
 			continue
 		}
 		if req.Op == opSkip {
@@ -171,8 +183,12 @@ func runNewTextPath(input []byte) (out []byte, quit bool) {
 			if len(input)-pos < needData+2 {
 				return out, false
 			}
-			req.Data = input[pos : pos+needData]
+			bad := req.SetData(input[pos : pos+needData+2])
 			pos += needData + 2
+			if bad != nil {
+				out = append(out, bad...)
+				continue
+			}
 		}
 		var q bool
 		out, q = ExecuteAppend(s, &req, out)
@@ -203,8 +219,12 @@ func FuzzTextProtocolParity(f *testing.F) {
 		"set k 0 0 3 noreply\r\nxyz\r\ndelete k noreply\r\ndelete k\r\n",
 		"set k 4294967295 -1 1\r\nz\r\nget k\r\nstats reset\r\nlru_crawler crawl all\r\n",
 		"incr k 18446744073709551615\r\ntouch k notanumber\r\ncas k 0 0 1 bogus\r\nx\r\n",
+		"set k 0 0 3\r\nabcdXX\r\nget k\r\n", // declared length wrong: bad data chunk
 	} {
 		f.Add([]byte(seed))
+	}
+	for _, in := range hostileInputs {
+		f.Add(in.input)
 	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		oldOut, oldQuit := runOldTextPath(input)
@@ -227,6 +247,7 @@ func FuzzBinaryProtocolParity(f *testing.F) {
 	f.Add(binRequestFuzzSeed(binOpIncr, make([]byte, 20), "n", ""))
 	f.Add(binRequestFuzzSeed(binOpGetQ, nil, "miss", ""))
 	f.Add(binRequestFuzzSeed(binOpDelete, nil, "miss", ""))
+	f.Add(hugeBodyHeader())
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		if len(frame) < 24 {
 			return

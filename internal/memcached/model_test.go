@@ -54,7 +54,16 @@ func TestQuickStoreMatchesModel(t *testing.T) {
 			}
 			val := modelValue(op >> 6)
 			switch op % 8 {
-			case 0, 1: // set
+			case 1: // set; on the in-place path, with a length one short
+				if op>>5&1 == 1 {
+					got := execB(t, s, fmt.Sprintf("set %s 0 0 %d", key, len(val)-1), val)
+					if got != replyBadDataChnk {
+						return false
+					}
+					break // nothing stored: the model keeps its entry
+				}
+				fallthrough
+			case 0: // set
 				got := exec(t, s, fmt.Sprintf("set %s %d 0 %d", key, op%5, len(val)), val)
 				if got != "STORED\r\n" {
 					return false

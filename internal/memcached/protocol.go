@@ -1,6 +1,7 @@
 package memcached
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -32,6 +33,8 @@ const (
 	replyError       = "ERROR\r\n"
 	replyOK          = "OK\r\n"
 	replyBadDataChnk = "CLIENT_ERROR bad data chunk\r\n"
+	replyTooLarge    = "SERVER_ERROR object too large for cache\r\n"
+	replyLineTooLong = "CLIENT_ERROR line too long\r\n"
 	replyNonNumeric  = "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
 )
 
@@ -42,6 +45,28 @@ const (
 var replyOutOfCapacity = []byte("SERVER_ERROR out of capacity\r\n")
 
 const shedReplyLine = "SERVER_ERROR out of capacity"
+
+// Bounds on what a client may make a connection buffer. A length is
+// checked where it is parsed, before anything is read or grown for
+// it; a server that meets one over the bound answers if the protocol
+// has an answer and closes the connection, since the framing cannot
+// be kept without swallowing the block.
+const (
+	// maxItemBytes is the longest data block a storage command may
+	// declare: memcached's -I default and the store's top size class.
+	maxItemBytes = 1 << 20
+	// maxBinBody is the longest binary frame body: an item, the
+	// longest key and the most extras a header can declare.
+	maxBinBody = maxItemBytes + 250 + 255
+	// maxLineBytes is how much the pthread frontend buffers looking
+	// for a command line's newline (icilk.LineReader has the same
+	// bound built in); a 16-key get is under 1 KiB.
+	maxLineBytes = 64 << 10
+)
+
+// errTooLarge is ParseCommand's rejection of a data block over
+// maxItemBytes; unlike its other errors it ends the connection.
+var errTooLarge = errors.New(strings.TrimSuffix(replyTooLarge, "\r\n"))
 
 // ParseCommand parses a command line (without the trailing CRLF).
 // needData reports how many payload bytes must be read as a data
@@ -81,6 +106,9 @@ func ParseCommand(line string) (req *Request, needData int, err error) {
 		nbytes, err3 := strconv.Atoi(args[3])
 		if err1 != nil || err2 != nil || err3 != nil || nbytes < 0 {
 			return bad("bad storage parameters")
+		}
+		if nbytes > maxItemBytes {
+			return nil, -1, errTooLarge
 		}
 		r.Flags = uint32(f64)
 		r.Exptime = exp

@@ -90,7 +90,9 @@ func exec(t *testing.T, s *Store, line string, data string) string {
 	return string(reply)
 }
 
-// execB is exec on the in-place path (ParseCommandB / ExecuteAppend).
+// execB is exec on the in-place path (ParseCommandB / SetData /
+// ExecuteAppend): data is followed by CRLF as on the wire, and the
+// block the command line declared is cut from that.
 func execB(t *testing.T, s *Store, line string, data string) string {
 	t.Helper()
 	var r RequestB
@@ -99,7 +101,10 @@ func execB(t *testing.T, s *Store, line string, data string) string {
 		return string(perr)
 	}
 	if need >= 0 {
-		r.Data = []byte(data)
+		wire := []byte(data + "\r\n")
+		if bad := r.SetData(wire[:need+2]); bad != nil {
+			return string(bad)
+		}
 	}
 	reply, _ := ExecuteAppend(s, &r, nil)
 	return string(reply)

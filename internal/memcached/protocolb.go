@@ -57,6 +57,8 @@ var (
 	errReplyBadTouch     = []byte("CLIENT_ERROR bad touch\r\n")
 	errReplyBadExptime   = []byte("CLIENT_ERROR bad exptime\r\n")
 	errReplyCrawlerNoSub = []byte("CLIENT_ERROR lru_crawler requires a subcommand\r\n")
+	errReplyTooLarge     = []byte(replyTooLarge)
+	errReplyBadDataChunk = []byte(replyBadDataChnk)
 )
 
 // RequestB is one protocol command parsed in place: Keys, Key and
@@ -94,7 +96,8 @@ func (r *RequestB) Reset() {
 // must be read as a data block before the command can execute (-1
 // when none). A non-nil errReply is the complete error response to
 // write; r.Op == opSkip with nil errReply signals an empty line to
-// skip. Accept/reject behaviour matches ParseCommand exactly.
+// skip. Accept/reject behaviour matches ParseCommand exactly. One
+// errReply ends the connection: see ClosesConn.
 func ParseCommandB(line []byte, r *RequestB) (needData int, errReply []byte) {
 	r.Reset()
 	r.fields = wire.Fields(r.fields[:0], line)
@@ -144,6 +147,9 @@ func ParseCommandB(line []byte, r *RequestB) (needData int, errReply []byte) {
 		nbytes, ok3 := wire.ParseInt(args[3], 64)
 		if !ok1 || !ok2 || !ok3 || nbytes < 0 {
 			return -1, errReplyBadStoreArgs
+		}
+		if nbytes > maxItemBytes {
+			return -1, errReplyTooLarge
 		}
 		r.Flags = uint32(f64)
 		r.Exptime = exp
@@ -281,6 +287,32 @@ func MultiGetClass() predict.Class { return predict.Class{Op: uint8(opGet)} }
 // exported for frontends outside this package (the cluster router
 // sheds with the same protocol error as the single-runtime server).
 var ReplyOutOfCapacity = replyOutOfCapacity
+
+// ReplyLineTooLong answers a command line that ran past the line
+// bound with no newline (icilk.ErrLineTooLong, or the pthread
+// frontend's own scan); the connection closes after it.
+var ReplyLineTooLong = []byte(replyLineTooLong)
+
+// ClosesConn reports whether errReply, a ParseCommandB error, is the
+// rejection of a data block over maxItemBytes. That block is on the
+// wire and will not be read, so the framing is lost: the caller
+// writes the reply and closes the connection.
+func ClosesConn(errReply []byte) bool { return &errReply[0] == &errReplyTooLarge[0] }
+
+// SetData attaches a storage command's data block. raw is the r.Bytes
+// payload bytes the command line declared plus the two after them,
+// which must be "\r\n". When they are not, the declared length was
+// wrong and raw holds part of the next command: nothing is attached
+// and the caller, instead of executing r, writes the returned reply
+// and carries on with the stream, as memcached does.
+func (r *RequestB) SetData(raw []byte) (errReply []byte) {
+	n := len(raw) - 2
+	if raw[n] != '\r' || raw[n+1] != '\n' {
+		return errReplyBadDataChunk
+	}
+	r.Data = raw[:n]
+	return nil
+}
 
 // AppendValueLine appends one "VALUE <key> <flags> <len>[ <cas>]",
 // the value block, and CRLF framing to dst — the per-key unit of a

@@ -1,6 +1,7 @@
 package memcached
 
 import (
+	"errors"
 	"sync/atomic"
 	"time"
 
@@ -201,6 +202,9 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 	for {
 		line, err := lr.ReadLineBytes(t)
 		if err != nil {
+			if errors.Is(err, icilk.ErrLineTooLong) {
+				ep.Write(ReplyLineTooLong)
+			}
 			return // EOF: client disconnected
 		}
 		// The request's genuine arrival: its first line is off the
@@ -213,6 +217,9 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 		needData, perr := ParseCommandB(line, &req)
 		if perr != nil {
 			ep.Write(perr)
+			if ClosesConn(perr) {
+				return
+			}
 			continue
 		}
 		if req.Op == opSkip {
@@ -224,11 +231,14 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 			// per-connection scratch across the read.
 			keyScratch = append(keyScratch[:0], req.Key...)
 			req.Key = keyScratch
-			data, err := lr.ReadBlockBytes(t, needData)
+			raw, err := lr.ReadExactBytes(t, needData+2)
 			if err != nil {
 				return
 			}
-			req.Data = data
+			if bad := req.SetData(raw); bad != nil {
+				ep.Write(bad)
+				continue
+			}
 		}
 		// Admission decision only after the request is fully read:
 		// shedding before consuming the data block would desync the
@@ -299,6 +309,10 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineRea
 		if h.magic != binReqMagic {
 			return // framing lost; drop the connection
 		}
+		if h.bodyLen > maxBinBody {
+			ep.Write(appendBinError(reply[:0], h.opcode, binStatusTooLarge, h.opaque, "Too large."))
+			return
+		}
 		var body []byte
 		if h.bodyLen > 0 {
 			body, err = lr.ReadExactBytes(t, int(h.bodyLen))
@@ -342,7 +356,7 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineRea
 }
 
 // cachedumpParallel serves "stats cachedump <shard|all> <limit>" as a
-// future routine at ScanLevel whose body sweeps the selected shards
+// future routine at ScanLevel whose body scans the selected shards
 // with a data-parallel Map — one loop iteration per shard snapshot,
 // each a lock-bounded LRU walk. The connection routine blocks on the
 // scan future (suspending, not spinning), the scan's split points are

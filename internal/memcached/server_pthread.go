@@ -138,10 +138,14 @@ func (cs *connState) step(store *Store) (progress, executed, quit bool) {
 		if len(cs.buf)-cs.pos < cs.needData+2 {
 			return false, false, false
 		}
-		cs.req.Data = cs.buf[cs.pos : cs.pos+cs.needData]
-		cs.pos += cs.needData + 2 // skip CRLF
+		bad := cs.req.SetData(cs.buf[cs.pos : cs.pos+cs.needData+2])
+		cs.pos += cs.needData + 2
 		cs.pending = false
 		cs.needData = -1
+		if bad != nil {
+			cs.ep.Write(bad)
+			return true, true, false
+		}
 		var q bool
 		cs.reply, q = ExecuteAppend(store, &cs.req, cs.reply[:0])
 		if len(cs.reply) > 0 {
@@ -158,6 +162,10 @@ func (cs *connState) step(store *Store) (progress, executed, quit bool) {
 		}
 	}
 	if idx < 0 {
+		if len(cs.buf)-cs.pos >= maxLineBytes {
+			cs.ep.Write(ReplyLineTooLong)
+			return true, false, true
+		}
 		return false, false, false
 	}
 	line := cs.buf[cs.pos:idx]
@@ -168,7 +176,7 @@ func (cs *connState) step(store *Store) (progress, executed, quit bool) {
 	needData, perr := ParseCommandB(line, &cs.req)
 	if perr != nil {
 		cs.ep.Write(perr)
-		return true, true, false
+		return true, true, ClosesConn(perr)
 	}
 	if cs.req.Op == opSkip {
 		return true, false, false
@@ -201,6 +209,10 @@ func (cs *connState) stepBinary(store *Store) (progress, executed, quit bool) {
 		cs.pos += 24
 		if h.magic != binReqMagic {
 			return true, false, true // framing lost: close
+		}
+		if h.bodyLen > maxBinBody {
+			cs.ep.Write(appendBinError(cs.reply[:0], h.opcode, binStatusTooLarge, h.opaque, "Too large."))
+			return true, false, true
 		}
 		cs.binPending = h
 		cs.binHave = true

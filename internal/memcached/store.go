@@ -388,7 +388,7 @@ func (s *Store) FreeStats() (chunks, bytes int64) {
 	return chunks, bytes
 }
 
-// CrawlShard sweeps one shard, reaping expired items — the unit of
+// CrawlShard scans one shard, reaping expired items — the unit of
 // work of the background LRU crawler thread. It returns the number
 // reaped.
 func (s *Store) CrawlShard(i int) int {

@@ -403,7 +403,7 @@ func (p *greedyPolicy) findWork(w *worker) (*node, *dq) {
 
 func (p *greedyPolicy) onOwnerPush(w *worker, d *dq, needsEnqueue bool) {
 	if needsEnqueue {
-		p.pool.enqueue(d, false, p.pool.homeFor(w))
+		p.pool.enqueue(d, false)
 	}
 }
 
@@ -413,7 +413,7 @@ func (p *greedyPolicy) onSuspend(w *worker, d *dq) {}
 
 func (p *greedyPolicy) onResumable(d *dq, needsEnqueue bool) {
 	if needsEnqueue {
-		p.pool.enqueue(d, false, p.pool.homeFor(nil))
+		p.pool.enqueue(d, false)
 	}
 }
 
@@ -421,7 +421,7 @@ func (p *greedyPolicy) onAbandon(w *worker, d *dq, needsEnqueue bool) {
 	if needsEnqueue {
 		// Greedy keeps Prompt's mugging queue (its bottom level is
 		// Prompt's scheduler).
-		p.pool.enqueue(d, !p.rt.cfg.DisableMuggingQueue, p.pool.homeFor(w))
+		p.pool.enqueue(d, !p.rt.cfg.DisableMuggingQueue)
 	}
 }
 
@@ -438,10 +438,6 @@ func (p *greedyPolicy) checkSwitch(w *worker, level int) (int, bool) {
 func (p *greedyPolicy) poolDepths(level int) (regular, mugging int) {
 	return p.pool.depths(level)
 }
-
-func (p *greedyPolicy) shardCount() int                    { return p.pool.shardCount() }
-func (p *greedyPolicy) shardDepths(level int) []ShardDepth { return p.pool.shardDepths(level) }
-func (p *greedyPolicy) sampleStats() (int64, int64)        { return p.pool.sampleStats() }
 
 // allocator is the shared top-level quantum scheduler of the Adaptive
 // variants: each quantum it measures per-level utilization and

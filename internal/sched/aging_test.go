@@ -146,6 +146,83 @@ func TestDoubleCheckNoLostWork(t *testing.T) {
 	}
 }
 
+// TestBitfieldNeverUnderReports is the bitfield conservation property
+// checked from outside the scheduler, so it also runs in builds
+// without the invariant layer: under a churning multi-worker workload,
+// "level bit clear AND the level's pool holds a deque" may exist only
+// transiently (the enqueue→Set window); if an observation of that
+// state survives repeated re-probes, a level's population has escaped
+// the bitfield and promptness is broken. Run with -race in CI.
+func TestBitfieldNeverUnderReports(t *testing.T) {
+	rt := newTestRuntime(t, Config{Workers: 4, Levels: 2, Policy: Prompt})
+	pool := rt.pol.(*promptPolicy).pool
+
+	stop := make(chan struct{})
+	violation := make(chan string, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for lvl := 0; lvl < 2; lvl++ {
+				if rt.bits.Load()&(1<<uint(lvl)) != 0 || pool.empty(lvl) {
+					continue
+				}
+				// Suspicious state: re-probe. The enqueue→Set window
+				// self-heals in microseconds; 50ms of persistence means
+				// the bit was lost.
+				healed := false
+				for i := 0; i < 500; i++ {
+					if rt.bits.Load()&(1<<uint(lvl)) != 0 || pool.empty(lvl) {
+						healed = true
+						break
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+				if !healed {
+					select {
+					case violation <- pool.debug(lvl):
+					default:
+					}
+					return
+				}
+			}
+		}
+	}()
+
+	var sum atomic.Int64
+	var futs []*Future
+	for r := 0; r < 20; r++ {
+		lvl := r % 2
+		futs = append(futs, rt.SubmitFuture(lvl, func(task *Task) any {
+			v := fib(task, 10)
+			sum.Add(int64(v))
+			return v
+		}))
+	}
+	deadline := time.After(time.Minute)
+	for i, f := range futs {
+		select {
+		case <-f.WaitChan():
+		case msg := <-violation:
+			t.Fatalf("bitfield under-reported a populated level: %s", msg)
+		case <-deadline:
+			t.Fatalf("future %d never completed: scheduler lost work", i)
+		}
+	}
+	close(stop)
+	select {
+	case msg := <-violation:
+		t.Fatalf("bitfield under-reported a populated level: %s", msg)
+	default:
+	}
+	if got, want := sum.Load(), int64(20*55); got != want { // fib(10)=55
+		t.Fatalf("workload sum = %d, want %d", got, want)
+	}
+}
+
 // TestPromptTargetsHighestLevel verifies steal targeting: with many
 // levels populated, an idle worker always takes from the highest
 // (lowest-index) level first.

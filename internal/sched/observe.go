@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"strconv"
-
 	"icilk/internal/metrics"
 	"icilk/internal/stats"
 )
@@ -21,11 +19,6 @@ type LevelSnapshot struct {
 	// meaning).
 	RegularDepth int `json:"regularDepth"`
 	MuggingDepth int `json:"muggingDepth"`
-	// Shards is the per-shard depth breakdown for the sharded
-	// centralized pools (Prompt, AdaptiveGreedy); nil for the
-	// per-worker-pool Adaptive variants. The aggregate fields above
-	// sum over it, so existing consumers keep working unchanged.
-	Shards []ShardDepth `json:"shards,omitempty"`
 }
 
 // WorkerSnapshot is the observable state of one worker.
@@ -51,20 +44,10 @@ type Snapshot struct {
 	Workers    int    `json:"workers"`
 	LevelCount int    `json:"levelCount"`
 	// Bitfield is the raw 64-bit work-availability field (bit i set =
-	// level i has discoverable work). Global across pool shards: a
-	// set bit means some shard at that level has work.
+	// level i has discoverable work).
 	Bitfield uint64 `json:"bitfield"`
 	Inflight int64  `json:"inflight"`
 	Resumes  int64  `json:"resumes"`
-	// PoolShards is the shard count per level of the centralized
-	// pools (1 = the paper's centralized layout; 0 for the Adaptive
-	// variants, which use per-worker pools instead).
-	PoolShards int `json:"poolShards,omitempty"`
-	// SampleMisses counts sampled shards that held nothing runnable
-	// during MultiQueue relaxed selection; Sweeps counts the
-	// full-shard-scan fallbacks that keep the bitfield exact.
-	SampleMisses int64 `json:"sampleMisses,omitempty"`
-	Sweeps       int64 `json:"sweeps,omitempty"`
 	// Total aggregates every worker's clock (durations in
 	// nanoseconds).
 	Total     stats.WasteReport `json:"total"`
@@ -85,11 +68,6 @@ func (rt *Runtime) Snapshot() Snapshot {
 		PerLevel:   make([]LevelSnapshot, rt.cfg.Levels),
 		PerWorker:  make([]WorkerSnapshot, len(rt.workers)),
 	}
-	sh, _ := rt.pol.(shardObserver)
-	if sh != nil {
-		s.PoolShards = sh.shardCount()
-		s.SampleMisses, s.Sweeps = sh.sampleStats()
-	}
 	for l := 0; l < rt.cfg.Levels; l++ {
 		reg, mug := rt.pol.poolDepths(l)
 		s.PerLevel[l] = LevelSnapshot{
@@ -98,9 +76,6 @@ func (rt *Runtime) Snapshot() Snapshot {
 			NonEmptyDeques: rt.nonEmpty[l].Load(),
 			RegularDepth:   reg,
 			MuggingDepth:   mug,
-		}
-		if sh != nil {
-			s.PerLevel[l].Shards = sh.shardDepths(l)
 		}
 	}
 	for i, w := range rt.workers {
@@ -196,40 +171,4 @@ func (rt *Runtime) RegisterMetrics(reg *metrics.Registry) {
 			func() float64 { _, mug := rt.pol.poolDepths(l); return float64(mug) },
 			metrics.LevelLabel(l))
 	}
-	if sh, ok := rt.pol.(shardObserver); ok {
-		reg.GaugeFunc("icilk_pool_shards",
-			"Shards per priority level in the centralized pool (1 = the paper's centralized layout).",
-			func() float64 { return float64(sh.shardCount()) })
-		reg.CounterFunc("icilk_steal_sample_misses_total",
-			"Sampled shards holding nothing runnable during MultiQueue relaxed selection.",
-			func() float64 { m, _ := sh.sampleStats(); return float64(m) })
-		reg.CounterFunc("icilk_steal_sweeps_total",
-			"Full-shard sweeps before declaring a level empty (keeps the bitfield exact).",
-			func() float64 { _, s := sh.sampleStats(); return float64(s) })
-		if sh.shardCount() > 1 {
-			for l := 0; l < rt.cfg.Levels; l++ {
-				l := l
-				for sidx := 0; sidx < sh.shardCount(); sidx++ {
-					sidx := sidx
-					labels := []metrics.Label{metrics.LevelLabel(l), {Key: "shard", Value: strconv.Itoa(sidx)}}
-					reg.GaugeFunc("icilk_pool_shard_regular_depth",
-						"Discoverable deques in this shard's regular queue.",
-						func() float64 { return float64(sh.shardDepths(l)[sidx].Regular) }, labels...)
-					reg.GaugeFunc("icilk_pool_shard_mugging_depth",
-						"Deques in this shard's mugging queue.",
-						func() float64 { return float64(sh.shardDepths(l)[sidx].Mugging) }, labels...)
-				}
-			}
-		}
-	}
-}
-
-// shardObserver is the optional policy surface exposing the sharded
-// centralized pool's layout and relaxed-selection counters (Prompt
-// and AdaptiveGreedy implement it; the per-worker-pool Adaptive
-// variants do not).
-type shardObserver interface {
-	shardCount() int
-	shardDepths(level int) []ShardDepth
-	sampleStats() (sampleMisses, sweeps int64)
 }

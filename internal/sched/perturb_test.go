@@ -79,35 +79,37 @@ func TestPerturbMixedWorkload(t *testing.T) {
 // held a deque, the workload would strand work and time out — and the
 // findWork stability assertion would fail first.
 func TestPerturbBitfieldStabilityUnderMigration(t *testing.T) {
-	for _, seed := range perturb.Seeds([]uint64{0x1, 0xdecade, 0xfeedbeef}) {
-		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
-			rt := newTestRuntime(t, Config{Workers: 2, Levels: 2, Policy: Prompt})
-			perturb.Enable(seed)
-			defer perturb.Disable()
+	for _, workers := range []int{2, 4} {
+		for _, seed := range perturb.Seeds([]uint64{0x1, 0xdecade, 0xfeedbeef}) {
+			t.Run(fmt.Sprintf("workers=%d/seed=%#x", workers, seed), func(t *testing.T) {
+				rt := newTestRuntime(t, Config{Workers: workers, Levels: 2, Policy: Prompt})
+				perturb.Enable(seed)
+				defer perturb.Disable()
 
-			var futs []*Future
-			for r := 0; r < 30; r++ {
-				// Low-priority churners: spawn work and hit scheduling
-				// points often, so level-0 blips force abandons into the
-				// mugging queue.
-				for i := 0; i < 3; i++ {
-					futs = append(futs, rt.SubmitFuture(1, func(task *Task) any {
-						for k := 0; k < 10; k++ {
-							task.Spawn(func(ct *Task) { ct.Yield() })
-							task.Yield()
-						}
-						task.Sync()
-						return nil
+				var futs []*Future
+				for r := 0; r < 30; r++ {
+					// Low-priority churners: spawn work and hit scheduling
+					// points often, so level-0 blips force abandons into the
+					// mugging queue.
+					for i := 0; i < 3; i++ {
+						futs = append(futs, rt.SubmitFuture(1, func(task *Task) any {
+							for k := 0; k < 10; k++ {
+								task.Spawn(func(ct *Task) { ct.Yield() })
+								task.Yield()
+							}
+							task.Sync()
+							return nil
+						}))
+					}
+					// High-priority blip that triggers the churners' switch
+					// checks.
+					futs = append(futs, rt.SubmitFuture(0, func(task *Task) any {
+						return fib(task, 5)
 					}))
 				}
-				// High-priority blip that triggers the churners' switch
-				// checks.
-				futs = append(futs, rt.SubmitFuture(0, func(task *Task) any {
-					return fib(task, 5)
-				}))
-			}
-			waitAll(t, futs, 2*time.Minute)
-		})
+				waitAll(t, futs, 2*time.Minute)
+			})
+		}
 	}
 }
 

@@ -54,24 +54,21 @@ func (p *promptPolicy) findWork(w *worker) (*node, *dq) {
 			w.clock.AddOverhead(time.Since(t0))
 			return frame, d
 		}
-		// The pool was empty (the pop swept every shard): clear the
-		// bit with the double-check protocol so a racing producer is
-		// not left undiscoverable.
+		// The pool was empty: clear the bit with the double-check
+		// protocol so a racing producer is not left undiscoverable.
 		rt.bits.DoubleCheckClear(level, func() bool { return p.pool.empty(level) })
 		if invariant.Enabled {
 			// Stability after the double-check: the bit may be clear with
 			// the pool momentarily non-empty (a producer between its
-			// shard insert and its Set, or a thief holding a deque
-			// mid-migration between shards), but the state "bit clear
-			// AND pool non-empty" must not persist — every enqueue Sets
-			// after inserting, so the window self-heals. A permanent
+			// insert and its Set), but the state "bit clear AND pool
+			// non-empty" must not persist — every enqueue Sets after
+			// inserting, so the window self-heals. A permanent
 			// violation is a lost level: queued work no thief will ever
-			// look for. The empty() probe sweeps all shards, so this is
-			// the shard-aware conservation invariant.
+			// look for.
 			invariant.Eventually(func() bool {
 				return rt.bits.IsSet(level) || p.pool.empty(level)
-			}, "prompt: level %d bit stably clear with non-empty pool after double-check; shards %s",
-				level, p.pool.shardDebug(level))
+			}, "prompt: level %d bit stably clear with non-empty pool after double-check; tickets %s",
+				level, p.pool.debug(level))
 		}
 		w.clock.CountFailedSteal()
 		w.clock.AddWaste(time.Since(t0))
@@ -84,7 +81,7 @@ func (p *promptPolicy) onOwnerPush(w *worker, d *dq, needsEnqueue bool) {
 	// the queue if necessary." (This is the deliberate violation of
 	// the work-first principle the paper defends.)
 	if needsEnqueue {
-		p.pool.enqueue(d, false, p.pool.homeFor(w))
+		p.pool.enqueue(d, false)
 	} else {
 		// Already discoverable; still make sure the bit reflects the
 		// new work in case a thief's double-check cleared it just now.
@@ -107,10 +104,8 @@ func (p *promptPolicy) onSuspend(w *worker, d *dq) {
 func (p *promptPolicy) onResumable(d *dq, needsEnqueue bool) {
 	// "Whenever the system resumes a deque, it checks to see if this
 	// deque is already on the queue and pushes it back if it is not."
-	// Resumptions arrive from any goroutine (I/O threads, external
-	// submitters), so the home shard is the round-robin rotation.
 	if needsEnqueue {
-		p.pool.enqueue(d, false, p.pool.homeFor(nil))
+		p.pool.enqueue(d, false)
 	} else {
 		p.rt.bits.Set(d.Level())
 	}
@@ -118,7 +113,7 @@ func (p *promptPolicy) onResumable(d *dq, needsEnqueue bool) {
 
 func (p *promptPolicy) onAbandon(w *worker, d *dq, needsEnqueue bool) {
 	if needsEnqueue {
-		p.pool.enqueue(d, !p.rt.cfg.DisableMuggingQueue, p.pool.homeFor(w))
+		p.pool.enqueue(d, !p.rt.cfg.DisableMuggingQueue)
 	} else {
 		p.rt.bits.Set(d.Level())
 	}
@@ -138,7 +133,3 @@ func (p *promptPolicy) checkSwitch(w *worker, level int) (int, bool) {
 func (p *promptPolicy) poolDepths(level int) (regular, mugging int) {
 	return p.pool.depths(level)
 }
-
-func (p *promptPolicy) shardCount() int                    { return p.pool.shardCount() }
-func (p *promptPolicy) shardDepths(level int) []ShardDepth { return p.pool.shardDepths(level) }
-func (p *promptPolicy) sampleStats() (int64, int64)        { return p.pool.sampleStats() }

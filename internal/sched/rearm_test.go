@@ -63,10 +63,10 @@ func waitSuspended(t *testing.T, f *Future, want int) {
 // TestGetWaitersResumeInSuspendOrder: three tasks Get one pending
 // future (the first takes the inline slot, the others spill), and one
 // completion resumes all of them, in the order they suspended. One
-// worker and one pool shard make the pool's FIFO order observable.
+// worker makes the pool's FIFO order observable.
 func TestGetWaitersResumeInSuspendOrder(t *testing.T) {
 	forEachSeed(t, func(t *testing.T) {
-		rt := newTestRuntime(t, Config{Workers: 1, PoolShards: 1, Levels: 1, Policy: Prompt})
+		rt := newTestRuntime(t, Config{Workers: 1, Levels: 1, Policy: Prompt})
 		f := rt.NewIOFuture()
 		var mu sync.Mutex
 		var resumed []int

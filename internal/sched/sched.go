@@ -94,7 +94,7 @@ func (k PolicyKind) String() string {
 }
 
 // AdaptiveParams are the runtime parameters of the Adaptive variants'
-// top-level processor allocator — the knobs the paper sweeps per
+// top-level processor allocator — the knobs the paper tunes per
 // benchmark ("the data points are drawn from the runtime parameter
 // configuration with the best latency").
 type AdaptiveParams struct {
@@ -128,19 +128,6 @@ type Config struct {
 	// deques go to the tail of the regular queue ("de-aging" them)
 	// instead of the dedicated mugging queue.
 	DisableMuggingQueue bool
-	// PoolShards is the number of shards each priority level's
-	// centralized pool is split into (Prompt and AdaptiveGreedy; the
-	// Adaptive variants have per-worker pools and ignore it). Zero
-	// means 1: the paper's layout, one regular and one mugging FIFO
-	// per level, which thieves pop without any sampling. A value above
-	// 1 opts into the relaxed MultiQueue layout (see centralPool); it
-	// is rounded up to a power of two and capped at 64. Its cost is
-	// measured — sample misses and sweeps on every workload of the
-	// pinned benchmark on 2 vCPUs — and its benefit is not yet: it is
-	// kept for the ≥ 4-real-core comparison that has still to be run.
-	// The promptness bitfield stays global and exact at every shard
-	// count — a level's bit means "some shard at this level has work".
-	PoolShards int
 	// TraceCapacity, if positive, enables the scheduler event trace
 	// with a ring of that many events.
 	TraceCapacity int
@@ -165,29 +152,7 @@ func (c *Config) applyDefaults() error {
 	if c.Adaptive.Delta <= 0 || c.Adaptive.Delta > 1 {
 		c.Adaptive.Delta = 0.75
 	}
-	if c.PoolShards < 0 {
-		return fmt.Errorf("sched: PoolShards must be >= 0, got %d", c.PoolShards)
-	}
-	c.PoolShards = nextPow2(c.PoolShards)
-	if c.PoolShards > maxPoolShards {
-		c.PoolShards = maxPoolShards
-	}
 	return nil
-}
-
-// maxPoolShards bounds the sharded pool's fan-out: beyond 64 shards
-// the sweep cost of an exact empty(level) probe outweighs any
-// contention relief on machines this code targets.
-const maxPoolShards = 64
-
-// nextPow2 returns the smallest power of two >= n; 1 for n <= 1, which
-// is how PoolShards 0 comes to mean 1.
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // paddedInt64 is an atomic counter alone on its cache line, so
@@ -336,19 +301,6 @@ func (rt *Runtime) SetSpawnCostNS(ns int64) {
 	if ns > 0 {
 		rt.spawnCostNS.CompareAndSwap(0, ns)
 	}
-}
-
-// ShardStats reports the centralized pool's shard layout and relaxed-
-// selection counters: the shard count per level, the number of
-// sampled shards that held nothing runnable, and the number of
-// full-sweep fallbacks that kept empty(level) exact. All zero for the
-// per-worker-pool Adaptive variants (which have no central shards).
-func (rt *Runtime) ShardStats() (shards int, sampleMisses, sweeps int64) {
-	if so, ok := rt.pol.(shardObserver); ok {
-		misses, sw := so.sampleStats()
-		return so.shardCount(), misses, sw
-	}
-	return 0, 0, 0
 }
 
 // NonEmptyDeques returns the instantaneous count of deques holding

@@ -1,6 +1,10 @@
 package icilk
 
-import "io"
+import (
+	"bytes"
+	"errors"
+	"io"
+)
 
 // Conn is the connection surface the I/O-future layer needs. It is
 // satisfied by *netsim.Endpoint and *netreal.Conn; a different
@@ -177,11 +181,18 @@ func (lr *LineReader) fill(t *Task) error {
 		lr.buf = lr.buf[:len(lr.buf)+n]
 		return nil
 	}
-	if err != nil {
-		return err
-	}
-	return nil
+	return err
 }
+
+// maxLineBytes is how much ReadLineBytes buffers looking for a
+// newline. A peer that sends more without one is not speaking a line
+// protocol, and the buffer must not follow it up without limit.
+const maxLineBytes = 64 << 10
+
+// ErrLineTooLong is returned by ReadLine and ReadLineBytes when 64 KiB
+// are buffered and hold no newline. The bytes stay unconsumed; a
+// server cannot recover the framing and closes the connection.
+var ErrLineTooLong = errors.New("icilk: line too long")
 
 // ReadLine returns the next CRLF- or LF-terminated line (without the
 // terminator), suspending until one is available. The line is copied
@@ -199,7 +210,7 @@ func (lr *LineReader) ReadLine(t *Task) (string, error) {
 // until one is available. Valid until the next read on this reader.
 func (lr *LineReader) ReadLineBytes(t *Task) ([]byte, error) {
 	for {
-		if i := indexByte(lr.buf[lr.pos:], '\n'); i >= 0 {
+		if i := bytes.IndexByte(lr.buf[lr.pos:], '\n'); i >= 0 {
 			line := lr.buf[lr.pos : lr.pos+i]
 			lr.pos += i + 1
 			// Strip optional CR.
@@ -207,6 +218,9 @@ func (lr *LineReader) ReadLineBytes(t *Task) ([]byte, error) {
 				line = line[:len(line)-1]
 			}
 			return line, nil
+		}
+		if len(lr.buf)-lr.pos >= maxLineBytes {
+			return nil, ErrLineTooLong
 		}
 		if err := lr.fill(t); err != nil {
 			return nil, err
@@ -285,12 +299,3 @@ func (lr *LineReader) ReadExactBytes(t *Task, n int) ([]byte, error) {
 // (used by servers to batch multiple pipelined requests before
 // yielding, as the pthread Memcached does up to a threshold).
 func (lr *LineReader) Buffered() bool { return lr.pos < len(lr.buf) }
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}

@@ -1,7 +1,9 @@
 package icilk
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +62,34 @@ func TestLineReaderEOFMidLine(t *testing.T) {
 	})
 	if got != io.EOF {
 		t.Fatalf("err = %v, want EOF", got)
+	}
+}
+
+// TestLineReaderLineTooLong: a peer that never sends a newline gets
+// ErrLineTooLong once the bound is buffered, not a buffer that doubles
+// for as long as it keeps sending; a line just under the bound, and
+// the one after it, still read.
+func TestLineReaderLineTooLong(t *testing.T) {
+	rt := newRT(t, Config{Workers: 1, Levels: 1})
+	cli, srv := netsim.Pipe()
+	long := strings.Repeat("a", maxLineBytes-2)
+	cli.WriteString(long + "\r\nnext\n" + strings.Repeat("b", 2*maxLineBytes))
+	got := rt.Run(func(task *Task) any {
+		lr := rt.NewLineReader(srv)
+		if line, err := lr.ReadLine(task); err != nil || line != long {
+			return fmt.Errorf("long line: %d bytes, err %v", len(line), err)
+		}
+		if line, err := lr.ReadLine(task); err != nil || line != "next" {
+			return fmt.Errorf("second line: %q, err %v", line, err)
+		}
+		_, err := lr.ReadLine(task)
+		if cap(lr.buf) > 2*maxLineBytes {
+			return fmt.Errorf("buffer grew to %d bytes", cap(lr.buf))
+		}
+		return err
+	})
+	if got != ErrLineTooLong {
+		t.Fatalf("err = %v, want ErrLineTooLong", got)
 	}
 }
 

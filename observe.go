@@ -33,16 +33,15 @@ type AdminServer = admin.Server
 func (r *Runtime) Metrics() *MetricsRegistry { return r.metrics }
 
 // Snapshot captures the scheduler's observable state: bitfield,
-// per-level pool depths (with per-shard breakdown for the sharded
-// centralized pools), per-worker levels and waste clocks.
+// per-level pool depths, per-worker levels and waste clocks.
 func (r *Runtime) Snapshot() SchedSnapshot { return r.rt.Snapshot() }
 
-// ShardStats reports the centralized pool's shard count per level and
-// the MultiQueue relaxed-selection counters (sampled-shard misses and
-// exactness-preserving full sweeps). Shards is 0 for the Adaptive
-// per-worker-pool schedulers.
+// ShardStats reports one pool per level and no relaxed-selection
+// events: the sharded pool layout it described is gone. It is kept
+// only because benchmark/counters.go reads it, and leaves with the
+// next [benchmark] PR.
 func (r *Runtime) ShardStats() (shards int, sampleMisses, sweeps int64) {
-	return r.rt.ShardStats()
+	return 1, 0, 0
 }
 
 // NewAdminServer creates an unbound admin server with no runtime

@@ -7,7 +7,7 @@ import (
 
 // Schedulers lists every scheduler kind, in the order the paper
 // presents them. Command-line tools iterate this for usage messages
-// and sweeps.
+// and per-scheduler runs.
 func Schedulers() []Scheduler {
 	return []Scheduler{Prompt, Adaptive, AdaptiveAging, AdaptiveGreedy}
 }
