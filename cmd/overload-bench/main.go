@@ -3,7 +3,7 @@
 // admission control and once without, and records per-class goodput
 // (completed within deadline), late and shed counts, and latency
 // percentiles as an entry in a JSON trajectory file (BENCH_overload.json
-// at the repo root, the overload counterpart of BENCH_sched.json):
+// at the repo root):
 //
 //	go run ./cmd/overload-bench -label "my change" -o BENCH_overload.json
 //

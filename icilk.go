@@ -46,6 +46,18 @@ import (
 // for semantics.
 type Task = sched.Task
 
+// TakeFrame returns a zero *R to spawn with Task.SpawnFrame: one the
+// task's context parked earlier if it holds any, else a new one. A fork
+// site that takes its record here and parks it after its sync allocates
+// nothing in steady state (README, "Install & quick start", shows the
+// whole shape).
+func TakeFrame[R any](t *Task) *R { return sched.TakeFrame[R](t) }
+
+// ParkFrame zeroes r and gives it back to the task's context. Call it
+// only on the normal path, after the Sync that joined the spawn r
+// served and after reading the child's result out of r.
+func ParkFrame[R any](t *Task, r *R) { sched.ParkFrame(t, r) }
+
 // Future is a handle to an asynchronously computed value.
 type Future = sched.Future
 

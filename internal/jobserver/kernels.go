@@ -100,16 +100,19 @@ func Fib(t *icilk.Task, n int) int64 {
 	if n < fibBase {
 		return fibSeq(n)
 	}
-	f := &fibFrame{n: n - 1}
+	f := icilk.TakeFrame[fibFrame](t)
+	f.n = n - 1
 	t.SpawnFrame(f)
 	b := Fib(t, n-2)
 	t.Sync()
-	return f.a + b
+	a := f.a
+	icilk.ParkFrame(t, f)
+	return a + b
 }
 
-// fibFrame is the one heap object a Fib fork costs: the spawned call's
-// argument and the slot its result comes back in (a closure would be a
-// second object beside the escaped result it captures).
+// fibFrame is a Fib fork as a record: the spawned call's argument and
+// the slot its result comes back in. It comes from the task's context
+// and goes back after the sync, so the fork allocates nothing.
 type fibFrame struct {
 	n int
 	a int64
@@ -133,10 +136,10 @@ const sortBase = 512
 const mergeBase = 2048
 
 // Sort sorts xs in place with parallel mergesort: the recursion is a
-// ParDo pair (each half joins in its own frame, so one half's steal
-// never serializes the other's sub-syncs) and the merge itself is
-// parallel — the old sequential merge made the final combine a serial
-// O(n) bottleneck on the critical path.
+// parallel pair in icilk.ParDo's shape (each half joins in its own
+// frame, so one half's steal never serializes the other's sub-syncs)
+// and the merge itself is parallel — the old sequential merge made the
+// final combine a serial O(n) bottleneck on the critical path.
 func Sort(t *icilk.Task, xs []int64) {
 	mergesort(t, xs, make([]int64, len(xs)))
 }
@@ -147,18 +150,33 @@ func mergesort(t *icilk.Task, xs, tmp []int64) {
 		return
 	}
 	mid := len(xs) / 2
-	icilk.ParDo(t,
-		func(lt *icilk.Task) { mergesort(lt, xs[:mid], tmp[:mid]) },
-		func(rt *icilk.Task) { mergesort(rt, xs[mid:], tmp[mid:]) })
+	t.Call(func(ft *icilk.Task) {
+		r := icilk.TakeFrame[sortFrame](ft)
+		r.xs, r.tmp = xs[mid:], tmp[mid:]
+		ft.SpawnFrame(r)
+		ft.Call(func(lt *icilk.Task) { mergesort(lt, xs[:mid], tmp[:mid]) })
+		ft.Sync()
+		icilk.ParkFrame(ft, r)
+	})
 	copy(tmp, xs)
 	parMerge(t, tmp[:mid], tmp[mid:], xs)
 }
 
+// sortFrame and mergeFrame are the spawned right halves of mergesort
+// and parMerge as records, where ParDo would take a closure apiece.
+type (
+	sortFrame  struct{ xs, tmp []int64 }
+	mergeFrame struct{ a, b, out []int64 }
+)
+
+func (r *sortFrame) RunFrame(t *icilk.Task)  { mergesort(t, r.xs, r.tmp) }
+func (r *mergeFrame) RunFrame(t *icilk.Task) { parMerge(t, r.a, r.b, r.out) }
+
 // parMerge merges sorted runs a and b into out (len(out) =
 // len(a)+len(b)) by divide and conquer: split the larger run at its
 // midpoint, binary-search the pivot's rank in the smaller run, and
-// merge the two independent sub-pairs as a ParDo pair. Span drops from
-// O(n) to O(log² n).
+// merge the two independent sub-pairs as a parallel pair. Span drops
+// from O(n) to O(log² n).
 func parMerge(t *icilk.Task, a, b, out []int64) {
 	if len(a) < len(b) {
 		// Swapping is value-safe for int64 runs: ties between the runs
@@ -174,9 +192,14 @@ func parMerge(t *icilk.Task, a, b, out []int64) {
 	// everything right of it ≥ pivot, so the sub-merges partition the
 	// value space and out is globally sorted.
 	mb := lowerBound(b, a[ma])
-	icilk.ParDo(t,
-		func(lt *icilk.Task) { parMerge(lt, a[:ma], b[:mb], out[:ma+mb]) },
-		func(rt *icilk.Task) { parMerge(rt, a[ma:], b[mb:], out[ma+mb:]) })
+	t.Call(func(ft *icilk.Task) {
+		r := icilk.TakeFrame[mergeFrame](ft)
+		r.a, r.b, r.out = a[ma:], b[mb:], out[ma+mb:]
+		ft.SpawnFrame(r)
+		ft.Call(func(lt *icilk.Task) { parMerge(lt, a[:ma], b[:mb], out[:ma+mb]) })
+		ft.Sync()
+		icilk.ParkFrame(ft, r)
+	})
 }
 
 // lowerBound returns the first index i with xs[i] >= v (len(xs) if

@@ -34,8 +34,9 @@ type Server struct {
 	adm *icilk.AdmissionController // nil = no admission control
 	cfg Config
 
-	// Per-class scratch sized from cfg; job says who owns one when.
+	// Per-class scratch sized from cfg; run says who owns one when.
 	mm, sort, sw sync.Pool
+	reqs         sync.Pool // *jobReq
 }
 
 // One request's inputs and work arrays, per class.
@@ -85,6 +86,11 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 	s.sw.New = func() any {
 		return newSWScratch(make([]byte, s.cfg.SWSize), make([]byte, s.cfg.SWSize))
 	}
+	s.reqs.New = func() any {
+		r := &jobReq{s: s}
+		r.fn = r.run
+		return r
+	}
 	return s, nil
 }
 
@@ -92,61 +98,93 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 // (Do bypasses it).
 func (s *Server) SetAdmission(adm *icilk.AdmissionController) { s.adm = adm }
 
+// jobReq is one request in record form, where a closure over (s,
+// class, seq) would be a heap object per request. fn is r.run, bound
+// when the record is made: a method value taken per request would
+// allocate again.
+type jobReq struct {
+	s     *Server
+	class int
+	seq   int64
+	fn    func(*icilk.Task) any
+}
+
 // job returns the priority level and task body of one job of the
-// given class (0=mm, 1=fib, 2=sort, 3=sw) with a deterministic input
-// derived from seq. The body returns a checksum of the job's result.
+// given class (0=mm, 1=fib, 2=sort, anything else sw) with a
+// deterministic input derived from seq. The body returns a checksum of
+// the job's result. A job that never runs (shed, or cancelled while
+// queued) leaves its record to the GC.
+func (s *Server) job(class int, seq int64) (int, func(*icilk.Task) any) {
+	r := s.reqs.Get().(*jobReq)
+	r.class, r.seq = class, seq
+	// The classes are numbered in SJF order: a class is its level.
+	level := LevelSW
+	if class >= LevelMM && class < LevelSW {
+		level = class
+	}
+	return level, r.fn
+}
+
+// run is the task body. The record has done its work once class and
+// seq are read, so it goes back to the pool before the job starts.
 //
-// A body owns its scratch from Get to its normal return and recycles
-// it there, never from a defer: a cancellation unwinds through the
-// body before the runtime has joined what it spawned on the root frame
+// A job owns its scratch from Get to its normal return and recycles it
+// there, never from a defer: a cancellation unwinds through the body
+// before the runtime has joined what it spawned on the root frame
 // (sw's tiles), and a deferred Put would hand the next request buffers
 // those children still write. An unwound job's scratch is dropped.
-func (s *Server) job(class int, seq int64) (int, func(*icilk.Task) any) {
+func (r *jobReq) run(t *icilk.Task) any {
+	s, class, seq := r.s, r.class, r.seq
+	s.reqs.Put(r)
 	switch class {
 	case 0:
-		return LevelMM, func(t *icilk.Task) any {
-			sc := s.mm.Get().(*mmScratch)
-			fillMatrix(sc.a, uint64(seq))
-			fillMatrix(sc.b, uint64(seq)+1)
-			mmInto(t, sc.a, sc.b, sc.c, s.cfg.MMSize)
-			var sum float64
-			for _, v := range sc.c {
-				sum += v
-			}
-			recycle(&s.mm, sc)
-			return sum
-		}
+		return s.runMM(t, seq)
 	case 1:
-		return LevelFib, func(t *icilk.Task) any {
-			return Fib(t, s.cfg.FibN)
-		}
+		return Fib(t, s.cfg.FibN)
 	case 2:
-		return LevelSort, func(t *icilk.Task) any {
-			sc := s.sort.Get().(*sortScratch)
-			xs := sc.xs
-			fillInts(xs, uint64(seq))
-			mergesort(t, xs, sc.tmp)
-			// Checksum that also certifies sortedness.
-			var sum int64
-			for i := 1; i < len(xs); i++ {
-				if xs[i-1] > xs[i] {
-					panic("jobserver: sort produced unsorted output")
-				}
-				sum += xs[i] * int64(i%7)
-			}
-			recycle(&s.sort, sc)
-			return sum
-		}
+		return s.runSort(t, seq)
 	default:
-		return LevelSW, func(t *icilk.Task) any {
-			sc := s.sw.Get().(*swScratch)
-			fillSeq(sc.p, uint64(seq))
-			fillSeq(sc.q, uint64(seq)+7)
-			best := swInto(t, sc)
-			recycle(&s.sw, sc)
-			return best
-		}
+		return s.runSW(t, seq)
 	}
+}
+
+func (s *Server) runMM(t *icilk.Task, seq int64) float64 {
+	sc := s.mm.Get().(*mmScratch)
+	fillMatrix(sc.a, uint64(seq))
+	fillMatrix(sc.b, uint64(seq)+1)
+	mmInto(t, sc.a, sc.b, sc.c, s.cfg.MMSize)
+	var sum float64
+	for _, v := range sc.c {
+		sum += v
+	}
+	recycle(&s.mm, sc)
+	return sum
+}
+
+func (s *Server) runSort(t *icilk.Task, seq int64) int64 {
+	sc := s.sort.Get().(*sortScratch)
+	xs := sc.xs
+	fillInts(xs, uint64(seq))
+	mergesort(t, xs, sc.tmp)
+	// Checksum that also certifies sortedness.
+	var sum int64
+	for i := 1; i < len(xs); i++ {
+		if xs[i-1] > xs[i] {
+			panic("jobserver: sort produced unsorted output")
+		}
+		sum += xs[i] * int64(i%7)
+	}
+	recycle(&s.sort, sc)
+	return sum
+}
+
+func (s *Server) runSW(t *icilk.Task, seq int64) int {
+	sc := s.sw.Get().(*swScratch)
+	fillSeq(sc.p, uint64(seq))
+	fillSeq(sc.q, uint64(seq)+7)
+	best := swInto(t, sc)
+	recycle(&s.sw, sc)
+	return best
 }
 
 // Do submits one job of the given class and returns its future.

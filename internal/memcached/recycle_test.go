@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,11 +104,15 @@ func checkGetReply(reply []byte, keys []string) error {
 
 // TestConcurrentRecycleNoTornValue: writers (both protocols), readers
 // (text get, 16-key get, binary getk), a deleter, an appender, a
-// counter and a flusher share a small key space in a store whose
-// budget holds a handful of values, so items are overwritten in place,
-// evicted, listed and reused continuously, across four size classes.
-// Every reply is checked whole. With icilk_debug released buffers are
-// poisoned and the crawl asserts the free lists against the live set.
+// counter, a flusher, a dumper and a ranger share a small key space in
+// a store whose budget holds a handful of values, so items are
+// overwritten in place, evicted, listed and reused continuously, across
+// four size classes. Every reply is checked whole, and every key that
+// DumpShard or Range hands out must be one that was set and must stay
+// what it was once the item it was read from has been evicted and its
+// key buffer rewritten. With icilk_debug released
+// buffers are poisoned and the crawl asserts the free lists against the
+// live set.
 func TestConcurrentRecycleNoTornValue(t *testing.T) {
 	const (
 		chunkKeys, counterKeys = 24, 4
@@ -119,6 +125,10 @@ func TestConcurrentRecycleNoTornValue(t *testing.T) {
 	}
 	for i := 0; i < counterKeys; i++ {
 		keys = append(keys, fmt.Sprintf("n%d", i))
+	}
+	isKey := make(map[string]bool)
+	for _, k := range keys {
+		isKey[k] = true
 	}
 	s := NewStore(StoreConfig{Shards: 2, MaxBytes: 24 << 10})
 
@@ -248,6 +258,50 @@ func TestConcurrentRecycleNoTornValue(t *testing.T) {
 		}
 		s.CrawlShard(i)
 		return reply, nil
+	})
+	// A key that aliased its item's key buffer would be rewritten by the
+	// insert that recycles the item: the dumper holds each dump, with
+	// copies of its keys, across a yield to the writers and compares.
+	// The byte-by-byte read is one the race detector sees (a string
+	// comparison or a map lookup is not).
+	sameKey := func(got, want string) bool {
+		same := len(got) == len(want)
+		for i := 0; same && i < len(got); i++ {
+			same = got[i] == want[i]
+		}
+		return same
+	}
+	var (
+		dumped []DumpEntry
+		held   []string
+	)
+	actor("dumper", func(_ *rand.Rand, i int, reply []byte) ([]byte, error) {
+		runtime.Gosched()
+		for j, e := range dumped {
+			if !sameKey(e.Key, held[j]) {
+				return reply, fmt.Errorf("DumpShard returned key %q, which has since become %q", held[j], e.Key)
+			}
+		}
+		dumped, held = s.DumpShard(i, 0), held[:0]
+		for _, e := range dumped {
+			if !isKey[e.Key] {
+				return reply, fmt.Errorf("DumpShard returned key %q, never set", e.Key)
+			}
+			held = append(held, strings.Clone(e.Key))
+		}
+		return reply, nil
+	})
+	actor("ranger", func(*rand.Rand, int, []byte) (reply []byte, err error) {
+		s.Range(func(key string, value []byte, flags uint32, _ int64) bool {
+			held := strings.Clone(key)
+			if !isKey[held] {
+				err = fmt.Errorf("Range passed key %q, never set", held)
+			} else if err = checkValue(held, flags, value); err == nil && !sameKey(key, held) {
+				err = fmt.Errorf("Range passed key %q, which has since become %q", held, key)
+			}
+			return err == nil
+		})
+		return nil, err
 	})
 	wg.Wait()
 

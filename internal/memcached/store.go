@@ -18,19 +18,22 @@
 // lives in a buffer of its size class, an overwrite that stays in the
 // class copies into that buffer, and every dropped item goes — struct
 // and buffer together — on a bounded per-shard free list of its class,
-// from which the next insert takes it. A steady-state set therefore
-// allocates nothing but a new key's string. The price is the contract
-// that makes it safe: NOTHING LEAVES THE SHARD LOCK. No *Item and no
-// view of an Item's Value may be used after sh.mu is released; readers
+// from which the next insert takes it; the key's bytes live in a second
+// buffer that is recycled with the item. A steady-state set therefore
+// allocates nothing. The price is the contract that makes it safe:
+// NOTHING LEAVES THE SHARD LOCK. No *Item, no view of an Item's Value
+// and no uncloned Key may be used after sh.mu is released; readers
 // render or copy a hit while they hold it (Store.AppendHit, Store.Get).
 package memcached
 
 import (
 	"bytes"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"icilk/internal/invariant"
 )
@@ -38,7 +41,7 @@ import (
 // Item is one cache entry. LRU links are intrusive and guarded by the
 // owning shard's lock; a listed (free) item is chained through next.
 type Item struct {
-	Key      string
+	Key      string // aliases kbuf: strings.Clone it before it leaves the shard lock
 	Value    []byte // cap is the size class's, so a class is a capacity
 	Flags    uint32
 	ExpireAt int64  // unix seconds; 0 = never
@@ -47,6 +50,11 @@ type Item struct {
 	prev, next *Item
 	lastBump   int64 // last LRU move-to-front (unix nanoseconds)
 	class      int8  // index into shard.free; -1 beyond the largest class
+
+	// kbuf holds Key's bytes and outlives release, so an insert into a
+	// recycled item allocates no string. It is rewritten only once
+	// removeLocked has deleted the table entry keyed by the old bytes.
+	kbuf []byte
 }
 
 // Size classes: four per octave (2^k × 1, 1.25, 1.5, 1.75), so
@@ -75,6 +83,19 @@ func sizeClass(n int) (class, size int) {
 	k := bits.Len(uint(n-1)) - 1 // 2^k < n <= 2^(k+1)
 	q := (n - 1 - 1<<k) >> (k - 2)
 	return (k-minClassShift)*4 + q + 1, 1<<k + (q+1)<<(k-2)
+}
+
+// setKey copies key into the item's key buffer and makes Key a view of
+// it. The item must be in no table: a map entry's key bytes never
+// change.
+func (it *Item) setKey(key []byte) {
+	it.kbuf = append(it.kbuf[:0], key...)
+	it.Key = unsafe.String(unsafe.SliceData(it.kbuf), len(it.kbuf))
+}
+
+// keyInBuf reports whether Key is the view setKey made.
+func (it *Item) keyInBuf() bool {
+	return len(it.Key) == len(it.kbuf) && unsafe.StringData(it.Key) == unsafe.SliceData(it.kbuf)
 }
 
 // expired reports whether the item is past its expiry at time now.
@@ -118,13 +139,16 @@ func (sh *shard) release(it *Item) {
 	if c < 0 || sh.nfree[c] == freePerClass {
 		return
 	}
-	buf := it.Value[:cap(it.Value)]
+	buf, kbuf := it.Value[:cap(it.Value)], it.kbuf[:cap(it.kbuf)]
 	if invariant.Enabled {
 		for i := range buf {
 			buf[i] = poison
 		}
+		for i := range kbuf {
+			kbuf[i] = poison
+		}
 	}
-	*it = Item{Value: buf[:0], class: c, next: sh.free[c]}
+	*it = Item{Value: buf[:0], kbuf: kbuf[:0], class: c, next: sh.free[c]}
 	sh.free[c] = it
 	sh.nfree[c]++
 	sh.freeBytes += int64(len(buf))
@@ -431,6 +455,7 @@ func (sh *shard) checkRecycling() {
 	n := 0
 	for it := sh.head; it != nil; it = it.next {
 		invariant.Checkf(sh.table[it.Key] == it, "memcached: LRU item %q is not the table's", it.Key)
+		invariant.Checkf(it.keyInBuf(), "memcached: item %q's key is not its key buffer (%q)", it.Key, it.kbuf)
 		invariant.Checkf(!listed[it], "memcached: listed item %q reachable from the table and the LRU", it.Key)
 		invariant.Checkf(!bufs[&it.Value[:1][0]], "memcached: live item %q owns a listed buffer", it.Key)
 		live += int64(len(it.Value))
@@ -470,7 +495,7 @@ func (s *Store) DumpShard(i, limit int) []DumpEntry {
 		if it.expired(now) {
 			continue
 		}
-		out = append(out, DumpEntry{Key: it.Key, Size: len(it.Value), ExpireAt: it.ExpireAt})
+		out = append(out, DumpEntry{Key: strings.Clone(it.Key), Size: len(it.Value), ExpireAt: it.ExpireAt})
 	}
 	return out
 }
@@ -497,7 +522,7 @@ func (s *Store) Range(fn func(key string, value []byte, flags uint32, expireAt i
 		batch = batch[:0]
 		for _, it := range sh.table {
 			if !it.expired(now) {
-				batch = append(batch, entry{it.Key, append([]byte(nil), it.Value...), it.Flags, it.ExpireAt})
+				batch = append(batch, entry{strings.Clone(it.Key), append([]byte(nil), it.Value...), it.Flags, it.ExpireAt})
 			}
 		}
 		sh.mu.Unlock()

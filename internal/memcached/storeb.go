@@ -194,7 +194,8 @@ func (s *Store) writeLocked(sh *shard, old *Item, key, head, tail []byte, flags 
 	it.Value, it.Flags, it.ExpireAt, it.CAS = buf, flags, expireAt, s.casSeq.Add(1)
 	sh.bytes += int64(n - oldLen)
 	if old == nil {
-		it.Key, it.lastBump = string(key), nano
+		it.setKey(key)
+		it.lastBump = nano
 		sh.table[it.Key] = it
 		sh.lruPushFront(it)
 		s.Stats.CurrItems.Add(1)

@@ -26,6 +26,10 @@ type node struct {
 	// shutdown poison for free-listed contexts (see Runtime.Close).
 	resume chan *worker
 	t      *Task
+
+	// recs is the context's stack of parked fork records (TakeFrame,
+	// ParkFrame), touched only by the goroutine running on the context.
+	recs []any
 }
 
 // syncBit is the sentinel OR-ed into Task.joins while the task is
@@ -233,6 +237,10 @@ func (t *Task) finish() bool {
 	if t.joins.Load() != 0 {
 		panic("sched: task returned with outstanding spawned children (missing Sync)")
 	}
+	// The body goes before the parent hears of the finish: a record the
+	// parent parks (ParkFrame) or re-spawns after its sync is then
+	// referenced by no child.
+	t.body = nil
 
 	rt := t.rt
 	if t.inflightRoot {
@@ -281,7 +289,6 @@ func (t *Task) finish() bool {
 	w := t.w
 	t.w = nil
 	t.parent = nil
-	t.body = nil
 	t.fut = nil
 	t.inflightRoot = false
 	t.cancel = nil

@@ -200,18 +200,34 @@ func For(t *Task, lo, hi, grain int, body func(i int)) {
 	t.Call(func(ft *Task) { forRec(ft, lo2, hi2, g, body) })
 }
 
+// forSplit is a For split's spawned left piece as a record
+// (sched.Frame): what forRec needs to run it, and the link that chains
+// a frame's outstanding splits until its Sync.
+type forSplit struct {
+	lo, hi, grain int
+	body          func(i int)
+	next          *forSplit
+}
+
+func (s *forSplit) RunFrame(t *Task) { forRec(t, s.lo, s.hi, s.grain, s.body) }
+
 // forRec is one loop frame: it runs [lo, hi) in grain-sized chunks and,
 // at a chunk boundary that finds the deque with nothing for a thief,
 // spawns the left piece of the remainder and carries on with the right
 // piece as the stealable continuation. The frame's Sync sees only the
 // frame's own spawns — a called frame boundary above every forRec keeps
-// enclosing loops and user spawns out of its join scope.
+// enclosing loops and user spawns out of its join scope. The split
+// records come from the context and go back to it after the Sync.
 func forRec(t *Task, lo, hi, grain int, body func(i int)) {
 	pace := newChunkPacer(t)
+	var splits *forSplit
 	for lo < hi {
 		if pace.split(t, lo, hi, grain) {
-			lo2, mid := lo, splitMid(lo, hi)
-			t.Spawn(func(ct *Task) { forRec(ct, lo2, mid, grain, body) })
+			mid := splitMid(lo, hi)
+			s := TakeFrame[forSplit](t)
+			*s = forSplit{lo: lo, hi: mid, grain: grain, body: body, next: splits}
+			splits = s
+			t.SpawnFrame(s)
 			lo = mid
 			continue
 		}
@@ -221,6 +237,11 @@ func forRec(t *Task, lo, hi, grain int, body func(i int)) {
 		}
 	}
 	t.Sync()
+	for s := splits; s != nil; {
+		next := s.next
+		ParkFrame(t, s)
+		s = next
+	}
 }
 
 // forProbe is the auto-grain calibration pass: it executes leading
@@ -309,10 +330,9 @@ func Reduce[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combi
 	return rest
 }
 
-// reduceSplit is the one heap object a Reduce split costs: the spawned
-// left piece as a record (sched.Frame) holding what reduceRec needs to
-// fold it and the slot its result comes back in. A closure would be a
-// second object beside the escaped result it captures.
+// reduceSplit is a Reduce split's spawned left piece as a record
+// (sched.Frame): what reduceRec needs to fold it and the slot its
+// result comes back in.
 type reduceSplit[T any] struct {
 	lo, hi, grain int
 	zero          T
@@ -330,19 +350,23 @@ func (s *reduceSplit[T]) RunFrame(t *Task) {
 // a thief, hands the whole remainder to a split — left piece spawned
 // (its own child frame), right piece in a called frame, this frame's
 // Sync joining exactly its one spawn — and combines prefix, left and
-// right in index order.
+// right in index order. The split record comes from the context and
+// goes back to it once its result is read.
 func reduceRec[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combine func(a, b T) T) T {
 	pace := newChunkPacer(t)
 	acc := zero
 	for lo < hi {
 		if pace.split(t, lo, hi, grain) {
 			mid := splitMid(lo, hi)
-			s := &reduceSplit[T]{lo: lo, hi: mid, grain: grain, zero: zero, leaf: leaf, combine: combine}
+			s := TakeFrame[reduceSplit[T]](t)
+			*s = reduceSplit[T]{lo: lo, hi: mid, grain: grain, zero: zero, leaf: leaf, combine: combine}
 			var right T
 			t.SpawnFrame(s)
 			t.Call(func(ft *Task) { right = reduceRec(ft, mid, hi, grain, zero, leaf, combine) })
 			t.Sync()
-			return combine(acc, combine(s.left, right))
+			left := s.left
+			ParkFrame(t, s)
+			return combine(acc, combine(left, right))
 		}
 		end := min(lo+grain, hi)
 		for ; lo < end; lo++ {

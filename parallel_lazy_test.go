@@ -94,15 +94,15 @@ func TestLoopFeedsThief(t *testing.T) {
 	}
 }
 
-// TestLoopSplitAllocatesOneObject pins what a split costs the heap: one
-// object — For's spawned closure, Reduce's reduceSplit record. Demand is
-// forced as in TestLoopFeedsThief, but at every index: a body returns
-// only once it has met another, so each four-index loop is stolen from
-// once and splits three times. The thief's fresh deque, the pool
-// queue's segments and the task contexts are all recycled, and a steal
-// no longer costs the victim's deque its capacity, so the split is all
-// that is left to allocate.
-func TestLoopSplitAllocatesOneObject(t *testing.T) {
+// TestLoopSplitAllocFree pins what a split costs the heap: nothing —
+// For's forSplit and Reduce's reduceSplit records come from the task
+// context and go back to it after the sync. Demand is forced as in
+// TestLoopFeedsThief, but at every index: a body returns only once it
+// has met another, so each four-index loop is stolen from once and
+// splits three times. The thief's fresh deque, the pool queue's
+// segments and the task contexts are all recycled too, and a steal does
+// not cost the victim's deque its capacity.
+func TestLoopSplitAllocFree(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")
 	}
@@ -159,8 +159,8 @@ func TestLoopSplitAllocatesOneObject(t *testing.T) {
 			}
 			if splits < 2*rounds {
 				t.Errorf("%s: %d loops split %d times: the barrier did not force a steal in each", name, rounds, splits)
-			} else if least > 1.05 {
-				t.Errorf("%s: %.2f heap objects per split (%d splits), want 1", name, least, splits)
+			} else if least > 0.05 {
+				t.Errorf("%s: %.2f heap objects per split (%d splits), want 0", name, least, splits)
 			}
 			return nil
 		})
