@@ -108,8 +108,8 @@ func main() {
 		kind, *workers, nl.Addr())
 
 	srv.StartCrawler()
-	// Readiness callbacks batch through the runtime's I/O pool so a
-	// poller pass costs one handoff and one coalesced scheduler wake.
+	// The shared pollers complete each pass's futures themselves,
+	// inside the runtime's bracket: one coalesced scheduler wake.
 	wrapOpts := netreal.Options{Batcher: rt.IOBatcher(), Mode: mode}
 	go func() {
 		for {
@@ -174,10 +174,10 @@ func runCluster(rtCfg icilk.Config, mode netreal.Mode, listen, network, adminAdd
 	}
 	fmt.Printf("memcached cluster (%d shards × %d workers, %s scheduler, replicate-hot=%v) listening on %s\n",
 		shards, rtCfg.Workers, rtCfg.Scheduler, replicateHot, nl.Addr())
-	// Batch completions through the frontend shard's I/O pool; a
-	// future created on another shard still completes correctly (the
-	// callback completes it directly), it just coalesces under this
-	// shard's wake bracket.
+	// The pollers complete futures inside the frontend shard's wake
+	// bracket; a future created on another shard still completes
+	// correctly (the callback completes it directly), its wake just
+	// is not coalesced.
 	wrapOpts := netreal.Options{Batcher: cl.Shard(0).Runtime().IOBatcher(), Mode: mode}
 	go func() {
 		for {

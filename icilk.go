@@ -140,8 +140,11 @@ type Config struct {
 	// multi-core operation run with GOMAXPROCS >= Workers so workers
 	// occupy parallel Ps.
 	Workers int
-	// IOThreads is the number of I/O handling threads. Default 4,
-	// matching the paper's setup.
+	// IOThreads is the number of I/O handling threads for completions
+	// that have no thread of their own — netsim connections, the
+	// per-connection pump, CompleteIO and Sleep's timers. Default 4,
+	// matching the paper's setup. Shared-poller sockets do not use
+	// them: the pollers complete their futures in place.
 	IOThreads int
 	// Levels is the number of priority levels (level 0 highest),
 	// 1..64. Default 2.
@@ -192,10 +195,7 @@ func New(cfg Config) (*Runtime, error) {
 	if io <= 0 {
 		io = 4
 	}
-	// Batched completions (shared-poller connections) drain inside a
-	// wake-coalescing bracket: every resumed task sets its promptness
-	// bit immediately, but the batch crosses the sleeper futex once.
-	pool := iopool.New(io, iopool.WithBatchWrap(rt.CoalesceWakes))
+	pool := iopool.New(io)
 	reg := metrics.NewRegistry()
 	rt.RegisterMetrics(reg)
 	pool.RegisterMetrics(reg)
@@ -305,13 +305,13 @@ func (r *Runtime) CompleteIO(f *Future, v any) {
 	r.io.Submit(func() { f.Complete(v) })
 }
 
-// IOBatcher exposes the runtime's I/O pool as a batch submitter:
-// external readiness sources (the netreal/netpoll shared pollers)
-// hand a whole harvest of completion callbacks to the handler
-// threads in one operation, and the pool drains each batch inside
-// the scheduler's wake-coalescing bracket. The returned value
-// implements netpoll.Batcher.
-func (r *Runtime) IOBatcher() interface{ SubmitBatch(fns []func()) } { return r.io }
+// IOBatcher is what external readiness sources (the netreal/netpoll
+// shared pollers) hand each harvest pass's completion callbacks to:
+// it runs them on the caller inside the scheduler's wake-coalescing
+// bracket — every resumed task sets its promptness bit at once, the
+// pass crosses the sleeper futex once — and runs nothing after
+// Close. The returned value implements netpoll.Batcher.
+func (r *Runtime) IOBatcher() interface{ SubmitBatch(fns []func()) } { return r.rt }
 
 // Sleep parks the calling task for d without occupying a worker: the
 // worker suspends the task's deque and runs other work; a timer

@@ -301,7 +301,9 @@ func RunMemcachedNet(kind icilk.Scheduler, params icilk.AdaptiveParams, opt NetM
 
 	// A per-run Stats instance and poller group keep the syscall
 	// accounting clean across swept runs (netpoll.PollStats is
-	// process-global, so its counters are read as deltas).
+	// process-global, so its counters are read as deltas). Poller
+	// connections complete their futures on the pollers, through
+	// IOBatcher; IOThreads sizes the handler pool the pump and timers use.
 	netStats := &netreal.Stats{}
 	wrapOpts := netreal.Options{Stats: netStats, Batcher: rt.IOBatcher(), Mode: opt.Mode}
 	if opt.Mode != netreal.ModePump && netpoll.Supported {

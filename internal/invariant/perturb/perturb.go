@@ -67,6 +67,7 @@ const (
 	WakeFlush    // prio: coalescer between departing and claiming the pending broadcast
 	LoopSplit    // data-parallel split decision: between a loop frame's spawn and its continuation (the window a thief steals the other half in)
 	Handoff      // sched: a task has passed its worker's token on and not yet parked (the receiver runs while the passer, which may touch no worker state, is still awake)
+	NetDeliver   // netpoll: a pass has mapped its fds and not yet completed their futures on the poller (Desc Close and runtime Close race it)
 	numPoints
 )
 

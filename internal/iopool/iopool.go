@@ -3,7 +3,11 @@
 // plus 4 I/O handling threads (which is based on the design of the
 // prior work on handling I/O futures [40])": I/O completions are not
 // processed inline by whoever detects them, but funneled through a
-// small pool of dedicated handler threads.
+// small pool of dedicated handler threads. The pool serves every
+// completion source that has no thread of its own: the netsim
+// substrate, the per-connection pump, Runtime.CompleteIO and Sleep's
+// timers. Shared-poller sockets do not come here — the poller that
+// harvests readiness completes their futures itself, as in [40].
 //
 // Two properties matter for the reproduction:
 //
@@ -32,52 +36,11 @@ import (
 	"icilk/internal/metrics"
 )
 
-// DefaultCapacity is the handoff-channel bound used when no
-// WithCapacity option is given.
-const DefaultCapacity = 4096
-
-// Option configures a Pool.
-type Option func(*options)
-
-type options struct {
-	capacity  int
-	batchWrap func(run func())
-}
-
-// WithCapacity sets the handoff-channel capacity. Submissions beyond
-// it spill to the overflow list (Submit never blocks), so the capacity
-// bounds the channel's standing memory and tunes how early saturation
-// shows up in the Spills counter — not a hard limit on outstanding
-// completions. Non-positive values keep the default.
-func WithCapacity(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.capacity = n
-		}
-	}
-}
-
-// WithBatchWrap wraps the execution of every SubmitBatch batch in w:
-// the handler calls w(run) and w must call run() exactly once. The
-// scheduler uses this to coalesce wakeups — run() completes N
-// futures (each setting its promptness bit immediately), and the
-// wrapper issues the single deferred wake when the batch ends.
-func WithBatchWrap(w func(run func())) Option {
-	return func(o *options) { o.batchWrap = w }
-}
-
-// item is one handoff unit: either a single completion (fn) or a
-// batch that one handler drains serially — a batch stays one FIFO
-// unit, so completions harvested together complete in harvest order.
-type item struct {
-	fn    func()
-	batch *batch
-}
-
-// batch is the pooled copy of one SubmitBatch call's callbacks. It
-// travels boxed so that recycling it through batchPool moves a
-// pointer instead of allocating a slice header per batch.
-type batch struct{ fns []func() }
+// defaultCapacity is the handoff-channel bound. Submissions beyond it
+// spill to the overflow list (Submit never blocks), so it bounds the
+// channel's standing memory and sets how early saturation shows up in
+// the Spills counter — not a hard limit on outstanding completions.
+const defaultCapacity = 4096
 
 // Pool is a fixed set of I/O handler goroutines draining a FIFO of
 // completion callbacks.
@@ -86,13 +49,8 @@ type Pool struct {
 	// send — Submit's fast path and refill's overflow drain — happens
 	// under mu and is non-blocking, which is what makes Submit safe to
 	// call from a handler callback and keeps cross-submitter FIFO order.
-	ch chan item
+	ch chan func()
 	wg sync.WaitGroup
-
-	// batchWrap, when set, brackets each batch drain (wake
-	// coalescing); batchPool recycles the copied batches.
-	batchWrap func(run func())
-	batchPool sync.Pool
 
 	mu     sync.Mutex
 	cond   *sync.Cond // signaled when overflow drains empty after Close
@@ -101,7 +59,7 @@ type Pool struct {
 	// first. While it is non-empty new submissions must append here
 	// (never jump the line into ch); refill moves its head into ch as
 	// handlers free capacity.
-	overflow []item
+	overflow []func()
 
 	// depth counts accepted completions not yet fully processed (in
 	// ch, in overflow, or running in a handler); it is incremented only
@@ -114,23 +72,19 @@ type Pool struct {
 	highWater   atomic.Int64
 	completions atomic.Int64
 	spills      atomic.Int64
-	batches     atomic.Int64
-	batchedFns  atomic.Int64
 }
 
 // New starts a pool with the given number of handler threads (the
-// paper uses 4). A zero or negative threads count defaults to 4;
-// WithCapacity overrides the handoff-channel bound (default
-// DefaultCapacity).
-func New(threads int, opts ...Option) *Pool {
+// paper uses 4). A zero or negative threads count defaults to 4.
+func New(threads int) *Pool { return newPool(threads, defaultCapacity) }
+
+// newPool is New with an explicit handoff-channel capacity; the tests
+// use a tiny one to force the overflow path.
+func newPool(threads, capacity int) *Pool {
 	if threads <= 0 {
 		threads = 4
 	}
-	o := options{capacity: DefaultCapacity}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	p := &Pool{ch: make(chan item, o.capacity), batchWrap: o.batchWrap}
+	p := &Pool{ch: make(chan func(), capacity)}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < threads; i++ {
 		p.wg.Add(1)
@@ -139,50 +93,21 @@ func New(threads int, opts ...Option) *Pool {
 	return p
 }
 
-// finishOne retires one completion from the depth account.
-func (p *Pool) finishOne() {
-	d := p.depth.Add(-1)
-	if invariant.Enabled {
-		invariant.Checkf(d >= 0,
-			"iopool: depth went negative (%d) after completion", d)
-	}
-	p.completions.Add(1)
-}
-
 // handle is one handler thread's loop.
 func (p *Pool) handle() {
 	defer p.wg.Done()
-	// drain runs the batch in cur serially (preserving harvest order).
-	// It is bound once per handler rather than once per batch, so
-	// handing it to batchWrap allocates nothing.
-	var cur *batch
-	drain := func() {
-		for i, fn := range cur.fns {
-			fn()
-			cur.fns[i] = nil
-			p.finishOne()
-		}
-	}
-	for it := range p.ch {
+	for fn := range p.ch {
 		// Receiving freed a channel slot: pull overflow forward
 		// before running the callback so sibling handlers see the
 		// next completion without waiting for this one.
 		p.refill()
-		if it.fn != nil {
-			it.fn()
-			p.finishOne()
-			continue
+		fn()
+		d := p.depth.Add(-1)
+		if invariant.Enabled {
+			invariant.Checkf(d >= 0,
+				"iopool: depth went negative (%d) after completion", d)
 		}
-		cur = it.batch
-		p.batches.Add(1)
-		p.batchedFns.Add(int64(len(cur.fns)))
-		if p.batchWrap != nil {
-			p.batchWrap(drain)
-		} else {
-			drain()
-		}
-		cur.fns = cur.fns[:0]
-		p.batchPool.Put(cur)
+		p.completions.Add(1)
 	}
 }
 
@@ -204,7 +129,7 @@ moving:
 	if moved > 0 {
 		rem := copy(p.overflow, p.overflow[moved:])
 		for i := rem; i < len(p.overflow); i++ {
-			p.overflow[i] = item{} // release the moved callbacks' refs
+			p.overflow[i] = nil // release the moved callbacks' refs
 		}
 		p.overflow = p.overflow[:rem]
 	}
@@ -225,46 +150,12 @@ func (p *Pool) Submit(fn func()) {
 	if invariant.Enabled {
 		perturb.At(perturb.IO)
 	}
-	p.enqueue(item{fn: fn}, 1)
-}
-
-// SubmitBatch enqueues a batch of completion callbacks as ONE
-// handoff unit: one mutex acquisition, one channel send, one handler
-// claim for the whole batch, which is what amortizes the
-// kernel-to-runtime boundary across a poller pass. The batch drains
-// serially on a single handler in slice order (FIFO within the
-// batch, FIFO against other submissions), bracketed by the
-// WithBatchWrap coalescer when configured. fns is copied — the
-// caller may reuse it as soon as SubmitBatch returns. Like Submit it
-// never blocks and is a silent no-op after Close.
-func (p *Pool) SubmitBatch(fns []func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		p.Submit(fns[0])
-		return
-	}
-	if invariant.Enabled {
-		perturb.At(perturb.IO)
-	}
-	b, _ := p.batchPool.Get().(*batch)
-	if b == nil {
-		b = new(batch)
-	}
-	b.fns = append(b.fns, fns...)
-	p.enqueue(item{batch: b}, len(fns))
-}
-
-// enqueue is the shared non-blocking handoff: channel if it has room
-// and no older spilled work exists, overflow otherwise.
-func (p *Pool) enqueue(it item, n int) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return
 	}
-	d := p.depth.Add(int64(n))
+	d := p.depth.Add(1)
 	for {
 		hw := p.highWater.Load()
 		if d <= hw || p.highWater.CompareAndSwap(hw, d) {
@@ -273,7 +164,7 @@ func (p *Pool) enqueue(it item, n int) {
 	}
 	if len(p.overflow) == 0 {
 		select {
-		case p.ch <- it:
+		case p.ch <- fn:
 			p.mu.Unlock()
 			return
 		default:
@@ -281,7 +172,7 @@ func (p *Pool) enqueue(it item, n int) {
 	}
 	// Channel full (or older spilled work exists, which must run
 	// first): take the overflow path.
-	p.overflow = append(p.overflow, it)
+	p.overflow = append(p.overflow, fn)
 	p.spills.Add(1)
 	p.mu.Unlock()
 }
@@ -304,13 +195,6 @@ func (p *Pool) Completions() int64 { return p.completions.Load() }
 // means the channel capacity or handler count is undersized.
 func (p *Pool) Spills() int64 { return p.spills.Load() }
 
-// Batches returns the number of SubmitBatch units processed.
-func (p *Pool) Batches() int64 { return p.batches.Load() }
-
-// BatchedFns returns the completions delivered inside batches;
-// BatchedFns/Batches is the realized handoff coalescing factor.
-func (p *Pool) BatchedFns() int64 { return p.batchedFns.Load() }
-
 // Capacity returns the handoff-channel bound.
 func (p *Pool) Capacity() int { return cap(p.ch) }
 
@@ -332,12 +216,6 @@ func (p *Pool) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("icilk_io_spills_total",
 		"I/O submissions that overflowed the handoff channel.",
 		func() float64 { return float64(p.Spills()) })
-	reg.CounterFunc("icilk_io_batches_total",
-		"Batched completion handoffs (SubmitBatch units) processed.",
-		func() float64 { return float64(p.Batches()) })
-	reg.CounterFunc("icilk_io_batched_fns_total",
-		"Completion callbacks delivered inside batched handoffs.",
-		func() float64 { return float64(p.BatchedFns()) })
 }
 
 // Close stops accepting work, drains the queue — spilled overflow

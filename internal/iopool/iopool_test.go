@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"icilk/internal/invariant"
 )
 
 func TestAllSubmittedRun(t *testing.T) {
@@ -86,19 +84,16 @@ func TestCloseDrains(t *testing.T) {
 }
 
 func TestCapacityOption(t *testing.T) {
-	if got := New(1).Capacity(); got != DefaultCapacity {
-		t.Errorf("default capacity = %d, want %d", got, DefaultCapacity)
+	if got := New(1).Capacity(); got != defaultCapacity {
+		t.Errorf("default capacity = %d, want %d", got, defaultCapacity)
 	}
-	if got := New(1, WithCapacity(16)).Capacity(); got != 16 {
-		t.Errorf("WithCapacity(16) capacity = %d", got)
-	}
-	if got := New(1, WithCapacity(0)).Capacity(); got != DefaultCapacity {
-		t.Errorf("WithCapacity(0) capacity = %d, want default %d", got, DefaultCapacity)
+	if got := newPool(1, 16).Capacity(); got != 16 {
+		t.Errorf("newPool(1, 16) capacity = %d", got)
 	}
 }
 
 func TestDepthHighWaterCompletions(t *testing.T) {
-	p := New(1, WithCapacity(64))
+	p := newPool(1, 64)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	const n = 10
@@ -150,7 +145,7 @@ func TestDefaultThreads(t *testing.T) {
 // handler, capacity one, the handler's callback re-submits while the
 // channel is full — and is detected by the watchdog timeout.
 func TestHandlerResubmitNoDeadlock(t *testing.T) {
-	p := New(1, WithCapacity(1))
+	p := newPool(1, 1)
 	gate := make(chan struct{})
 	resubmitted := make(chan struct{})
 	var ran atomic.Int64
@@ -194,7 +189,7 @@ func TestHandlerResubmitNoDeadlock(t *testing.T) {
 // smaller than the offered load.
 func TestCloseNotBlockedByFloodingSubmitters(t *testing.T) {
 	const submitters, each = 50, 40
-	p := New(2, WithCapacity(4))
+	p := newPool(2, 4)
 	var ran atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < submitters; i++ {
@@ -233,7 +228,7 @@ func TestCloseNotBlockedByFloodingSubmitters(t *testing.T) {
 // cross-submitter FIFO contract: callbacks spilled past the handoff
 // channel still run strictly after everything submitted before them.
 func TestFIFOOrderAcrossSpill(t *testing.T) {
-	p := New(1, WithCapacity(2))
+	p := newPool(1, 2)
 	gate := make(chan struct{})
 	p.Submit(func() { <-gate }) // hold the single handler
 	var mu sync.Mutex
@@ -280,183 +275,5 @@ func TestDepthCountsOnlyAccepted(t *testing.T) {
 	}
 	if c := p.Completions(); c != 0 {
 		t.Fatalf("Completions = %d, want 0", c)
-	}
-}
-
-func TestSubmitBatchFIFOWithinBatch(t *testing.T) {
-	p := New(4) // a batch runs serially on ONE handler regardless of pool width
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	const n = 100
-	wg.Add(n)
-	fns := make([]func(), n)
-	for i := 0; i < n; i++ {
-		i := i
-		fns[i] = func() {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			wg.Done()
-		}
-	}
-	p.SubmitBatch(fns)
-	wg.Wait()
-	p.Close()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order[%d] = %d; batch FIFO violated", i, v)
-		}
-	}
-	if got := p.Batches(); got != 1 {
-		t.Errorf("Batches = %d, want 1", got)
-	}
-	if got := p.BatchedFns(); got != n {
-		t.Errorf("BatchedFns = %d, want %d", got, n)
-	}
-	if got := p.Completions(); got != n {
-		t.Errorf("Completions = %d, want %d (batched fns count individually)", got, n)
-	}
-	if got := p.Depth(); got != 0 {
-		t.Errorf("Depth = %d after drain, want 0", got)
-	}
-}
-
-func TestSubmitBatchWrap(t *testing.T) {
-	var wraps atomic.Int64
-	var inWrap atomic.Int64
-	p := New(2, WithBatchWrap(func(run func()) {
-		wraps.Add(1)
-		inWrap.Add(1) // a count: both handlers may be inside a wrap at once
-		run()
-		inWrap.Add(-1)
-	}))
-	var wg sync.WaitGroup
-	const batches = 8
-	const per = 5
-	wg.Add(batches * per)
-	var outside atomic.Int64
-	for b := 0; b < batches; b++ {
-		fns := make([]func(), per)
-		for i := range fns {
-			fns[i] = func() {
-				if inWrap.Load() == 0 {
-					outside.Add(1)
-				}
-				wg.Done()
-			}
-		}
-		p.SubmitBatch(fns)
-	}
-	wg.Wait()
-	p.Close()
-	if got := wraps.Load(); got != batches {
-		t.Errorf("wrap invoked %d times, want once per batch (%d)", got, batches)
-	}
-	if got := outside.Load(); got != 0 {
-		t.Errorf("%d batched fns ran outside the wrap", got)
-	}
-}
-
-func TestSubmitBatchSingleAndEmpty(t *testing.T) {
-	p := New(1)
-	p.SubmitBatch(nil) // no-op
-	done := make(chan struct{})
-	p.SubmitBatch([]func(){func() { close(done) }}) // degrades to Submit
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("single-fn batch never ran")
-	}
-	if got := p.Batches(); got != 0 {
-		t.Errorf("Batches = %d; single-fn batches must not count (no wrap, no handoff saved)", got)
-	}
-	p.Close()
-}
-
-func TestSubmitBatchAfterCloseIsNoop(t *testing.T) {
-	p := New(2)
-	p.Close()
-	var ran atomic.Bool
-	p.SubmitBatch([]func(){func() { ran.Store(true) }, func() { ran.Store(true) }})
-	time.Sleep(2 * time.Millisecond)
-	if ran.Load() {
-		t.Fatal("batch ran after Close")
-	}
-}
-
-// TestSubmitBatchStress races many batching producers against the
-// handlers with -race watching the recycled batch slices.
-func TestSubmitBatchStress(t *testing.T) {
-	p := New(4)
-	var count atomic.Int64
-	var wg sync.WaitGroup
-	const producers = 8
-	const rounds = 200
-	const per = 16
-	wg.Add(producers * rounds * per)
-	for g := 0; g < producers; g++ {
-		go func() {
-			for r := 0; r < rounds; r++ {
-				fns := make([]func(), per)
-				for i := range fns {
-					fns[i] = func() {
-						count.Add(1)
-						wg.Done()
-					}
-				}
-				p.SubmitBatch(fns)
-			}
-		}()
-	}
-	wg.Wait()
-	p.Close()
-	if got := count.Load(); got != producers*rounds*per {
-		t.Fatalf("ran %d of %d", got, producers*rounds*per)
-	}
-	if got := p.Depth(); got != 0 {
-		t.Errorf("Depth = %d after drain", got)
-	}
-}
-
-// TestSubmitBatchSteadyStateAllocFree is the pool's allocation gate: a
-// batch of 2..64 completions crosses the pool — copy, handoff, drain
-// inside the wake-coalescing bracket, recycle — without allocating,
-// with and without WithBatchWrap.
-func TestSubmitBatchSteadyStateAllocFree(t *testing.T) {
-	if invariant.Race || invariant.Enabled {
-		t.Skip("allocation accounting differs under -race and icilk_debug")
-	}
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"plain", nil},
-		{"wrapped", []Option{WithBatchWrap(func(run func()) { run() })}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := New(2, tc.opts...)
-			defer p.Close()
-			done := make(chan struct{}, 1)
-			fns := make([]func(), 64)
-			for i := range fns {
-				fns[i] = func() {}
-			}
-			for _, n := range []int{2, 3, 16, 64} {
-				batch := fns[:n]
-				batch[n-1] = func() { done <- struct{}{} }
-				cycle := func() {
-					p.SubmitBatch(batch)
-					<-done
-				}
-				for i := 0; i < 50; i++ {
-					cycle() // grow the pooled batch, fill the sync.Pool
-				}
-				if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-					t.Errorf("SubmitBatch of %d fns: %.2f allocs per batch, want 0", n, allocs)
-				}
-				batch[n-1] = fns[0]
-			}
-		})
 	}
 }

@@ -24,7 +24,7 @@ func TestPerturbSubmitStorm(t *testing.T) {
 			perturb.Enable(seed)
 			defer perturb.Disable()
 
-			p := New(2, WithCapacity(2))
+			p := newPool(2, 2)
 			const submitters, each = 8, 50
 			var ran atomic.Int64
 			var wg sync.WaitGroup

@@ -8,14 +8,14 @@
 // The package deliberately knows nothing about the scheduler or the
 // connection buffering strategy. A registered connection implements
 // the small Conn interface: the poller calls PollReadable /
-// PollWritable when the kernel reports readiness, the connection
-// moves bytes and returns an optional completion callback, and the
-// poller delivers all callbacks harvested in the pass as ONE batch
-// through the Batcher (normally the runtime's iopool via
-// SubmitBatch). That single handoff is what amortizes the
-// mutex/futex boundary across N completions — the scheduler side
-// pairs it with deferred wakeup coalescing so the whole pass costs
-// one scheduler wake.
+// PollWritable when the kernel reports readiness and the connection
+// moves bytes. PollReadable may return a completion callback; the
+// poller hands all callbacks harvested in the pass to the Batcher
+// (the runtime's SubmitBatch) in one call, which runs them on the
+// poller goroutine inside the scheduler's wake-coalescing bracket.
+// The pollers are thus the I/O threads of the design the paper
+// cites: the thread that sees readiness completes the futures, and a
+// pass that resumes N tasks costs one scheduler wake.
 //
 // On Linux the implementation is raw epoll over the stdlib syscall
 // package (level-triggered, interest-mask toggling for backpressure
@@ -42,19 +42,19 @@ var ErrClosed = errors.New("netpoll: closed")
 
 // Batcher receives one batch of completion callbacks per poller
 // pass. fns is the poller's own slice, reused for the next pass: an
-// implementation runs or copies it before returning. iopool.Pool
-// implements it; tests may substitute an inline runner.
+// implementation runs or copies it before returning. sched.Runtime
+// implements it (runs the batch in place); tests substitute their
+// own.
 type Batcher interface {
 	SubmitBatch(fns []func())
 }
 
 // Conn is the poller's view of a registered connection. Both methods
 // are invoked from a poller goroutine with no netpoll locks held;
-// they must not block. The returned callback (nil if the event needs
-// no completion delivered) is batched with every other callback from
-// the same pass and handed to the returned Batcher in one
-// SubmitBatch call; a nil Batcher runs the callback inline on the
-// poller goroutine.
+// they must not block. PollReadable's callback (nil if the event
+// needs no completion delivered) is batched with every other callback
+// from the same pass and handed to the returned Batcher in one
+// SubmitBatch call; a nil Batcher runs the callback at once.
 type Conn interface {
 	// PollReadable is called when the fd is read-ready. forced marks
 	// an EPOLLHUP/EPOLLERR event, which is delivered regardless of
@@ -66,7 +66,7 @@ type Conn interface {
 	// PollWritable is called when the fd is write-ready (EPOLLOUT
 	// interest was set, or a forced hangup/error event arrived while
 	// writes were parked).
-	PollWritable(d *Desc) (fn func(), b Batcher)
+	PollWritable(d *Desc)
 }
 
 // Stats counts the poller's kernel crossings. Shared pollers serve

@@ -59,7 +59,7 @@ func (c *testConn) PollReadable(d *Desc, forced bool) (func(), Batcher) {
 	}
 }
 
-func (c *testConn) PollWritable(d *Desc) (func(), Batcher) { return nil, nil }
+func (c *testConn) PollWritable(d *Desc) {}
 
 // pair returns a nonblocking socketpair (read end, write end).
 func pair(t *testing.T) (int, int) {
@@ -381,7 +381,7 @@ func (c *wakeConn) PollReadable(d *Desc, forced bool) (func(), Batcher) {
 	}
 }
 
-func (c *wakeConn) PollWritable(d *Desc) (func(), Batcher) { return nil, nil }
+func (c *wakeConn) PollWritable(d *Desc) {}
 
 // inlineBatcher runs each batch on the poller goroutine.
 type inlineBatcher struct{ batches atomic.Int64 }

@@ -12,8 +12,8 @@
 //     harvest epoll readiness for all connections, and each ready
 //     connection moves bytes with raw nonblocking read/write/writev on
 //     its own fd. The callbacks armed by ArmRead are returned to the
-//     poller, which delivers every callback of one harvest pass as a
-//     single batch through Options.Batcher (the runtime's I/O pool).
+//     poller, which runs every callback of one harvest pass itself,
+//     in one Options.Batcher call (the runtime's wake bracket).
 //     A write that would block parks its bytes and waits for
 //     EPOLLOUT; a reader that falls bufferSoftCap behind has its read
 //     interest dropped until it drains.
@@ -202,10 +202,11 @@ type Options struct {
 	// Stats receives the connection's accounting; nil means
 	// DefaultStats.
 	Stats *Stats
-	// Batcher receives poller completion callbacks in per-pass
-	// batches (normally the runtime's iopool). nil runs callbacks
-	// inline on the poller goroutine, which is fine for tests but
-	// forfeits wake coalescing.
+	// Batcher runs poller completion callbacks on the poller, one
+	// call per pass (normally the runtime, whose SubmitBatch brackets
+	// the pass with wake coalescing and drops it once the runtime is
+	// closed). nil runs each callback bare, which is fine for tests
+	// but forfeits both.
 	Batcher netpoll.Batcher
 	// Mode selects pump vs poller; see Mode.
 	Mode Mode
@@ -236,13 +237,12 @@ type Conn struct {
 	paused     bool // poller mode: read interest dropped for backpressure
 	detached   bool // poller mode: deregistered mid-backlog; consumer drives the drain
 
-	wmu     sync.Mutex
-	wbuf    []byte      // coalesced pending writes
-	wpend   []byte      // poller mode: bytes parked awaiting EPOLLOUT
-	wnotify func()      // poller mode: one-shot callback when wpend drains
-	vec     net.Buffers // reusable writev vector
-	werr    error       // sticky write error
-	dead    bool        // poller mode: no further raw-fd writes (closing)
+	wmu   sync.Mutex
+	wbuf  []byte      // coalesced pending writes
+	wpend []byte      // poller mode: bytes parked awaiting EPOLLOUT
+	vec   net.Buffers // reusable writev vector
+	werr  error       // sticky write error
+	dead  bool        // poller mode: no further raw-fd writes (closing)
 }
 
 // Wrap adapts nc with default options (shared poller when supported,

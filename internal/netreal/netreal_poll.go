@@ -54,15 +54,16 @@ func (c *Conn) PollerActive() bool {
 	return c.pd != nil
 }
 
-// CompletesViaPool reports that readiness callbacks armed on this
-// connection are already delivered through the runtime's I/O pool
-// (batched by the poller), so the icilk read path may complete
-// futures directly inside them instead of re-submitting.
-func (c *Conn) CompletesViaPool() bool { return c.pd != nil && c.batcher != nil }
+// CompletesOnPoller reports that readiness callbacks armed on this
+// connection run on the shared poller inside the batcher's bracket
+// (the runtime's wake coalescing), so the icilk read path may
+// complete futures directly inside them instead of handing them to
+// the I/O pool.
+func (c *Conn) CompletesOnPoller() bool { return c.pd != nil && c.batcher != nil }
 
 // PollReadable implements netpoll.Conn: drain the socket into the
 // pooled chunk ring, returning the armed readiness callback (if any)
-// for batched delivery.
+// for the poller to run with the rest of its pass.
 func (c *Conn) PollReadable(d *netpoll.Desc, forced bool) (func(), netpoll.Batcher) {
 	c.mu.Lock()
 	if c.closed {
@@ -187,19 +188,18 @@ func (c *Conn) resumeReadsLocked() {
 }
 
 // PollWritable implements netpoll.Conn: drain parked write bytes now
-// that the kernel buffer has room, returning the write-settled
-// callback (if armed) for batched delivery.
-func (c *Conn) PollWritable(d *netpoll.Desc) (func(), netpoll.Batcher) {
+// that the kernel buffer has room.
+func (c *Conn) PollWritable(d *netpoll.Desc) {
 	c.wmu.Lock()
 	if c.dead {
 		c.wmu.Unlock()
-		return nil, nil
+		return
 	}
 	if len(c.wpend) == 0 {
 		// Spurious (forced hangup with nothing parked).
 		d.SetWriteInterest(false)
 		c.wmu.Unlock()
-		return nil, nil
+		return
 	}
 	p := c.wpend
 	for len(p) > 0 {
@@ -209,7 +209,7 @@ func (c *Conn) PollWritable(d *netpoll.Desc) (func(), netpoll.Batcher) {
 		if err == netpoll.ErrWouldBlock {
 			c.wpend = c.wpend[:copy(c.wpend, p)]
 			c.wmu.Unlock()
-			return nil, nil
+			return
 		}
 		if err != nil {
 			c.werr = err
@@ -220,16 +220,12 @@ func (c *Conn) PollWritable(d *netpoll.Desc) (func(), netpoll.Batcher) {
 	// Clearing interest under wmu serializes against a concurrent
 	// Flush that parks fresh bytes and re-arms.
 	d.SetWriteInterest(false)
-	fn := c.wnotify
-	c.wnotify = nil
 	c.wparked.Store(false)
 	closeDesc := c.rdead.Load() || c.werr != nil
-	b := c.batcher
 	c.wmu.Unlock()
 	if closeDesc {
 		d.Close()
 	}
-	return fn, b
 }
 
 // flushPollLocked sends wbuf (plus an optional large payload,
@@ -299,8 +295,6 @@ func (c *Conn) blockingDrainLocked() error {
 	p := c.wpend
 	c.wpend = nil
 	c.wparked.Store(false)
-	fn := c.wnotify
-	c.wnotify = nil
 	var err error
 	if len(p) > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
@@ -311,28 +305,7 @@ func (c *Conn) blockingDrainLocked() error {
 			c.werr = err
 		}
 	}
-	if fn != nil {
-		fn()
-	}
 	return err
-}
-
-// ArmWriteSettled registers a one-shot callback that runs once no
-// parked write bytes remain (immediately if nothing is parked). It
-// is how a parked Flush becomes awaitable as an I/O future.
-func (c *Conn) ArmWriteSettled(fn func()) {
-	c.wmu.Lock()
-	if len(c.wpend) == 0 || c.dead {
-		c.wmu.Unlock()
-		fn()
-		return
-	}
-	if c.wnotify != nil {
-		c.wmu.Unlock()
-		panic("netreal: ArmWriteSettled while already armed")
-	}
-	c.wnotify = fn
-	c.wmu.Unlock()
 }
 
 // closePoll tears down the poller-mode write side: marks the
@@ -347,8 +320,6 @@ func (c *Conn) closePoll() {
 	pend := c.wpend
 	c.wpend = nil
 	c.wparked.Store(false)
-	fn := c.wnotify
-	c.wnotify = nil
 	werr := c.werr
 	c.wmu.Unlock()
 	if alreadyDead {
@@ -362,8 +333,5 @@ func (c *Conn) closePoll() {
 		c.stats.sysWrites.Add(1)
 		c.nc.Write(pend)
 		c.nc.SetWriteDeadline(time.Time{})
-	}
-	if fn != nil {
-		fn()
 	}
 }

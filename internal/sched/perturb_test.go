@@ -160,8 +160,8 @@ func TestPerturbIOFutures(t *testing.T) {
 }
 
 // TestPerturbCoalescedWakes drives I/O-future completions through
-// CoalesceWakes brackets — the runtime path a shared-poller batch
-// takes — while perturbation widens the WakeDefer/WakeFlush windows
+// SubmitBatch — the runtime path a shared-poller pass takes — while
+// perturbation widens the WakeDefer/WakeFlush windows
 // in the bitfield's deferred-broadcast handshake. A lost wakeup
 // leaves a worker asleep with completed work pending and the run
 // deadlocks.
@@ -178,17 +178,13 @@ func TestPerturbCoalescedWakes(t *testing.T) {
 			completerDone := make(chan struct{})
 			go func() {
 				defer close(completerDone)
-				batch := make([]*Future, 0, batchSize)
+				batch := make([]func(), 0, batchSize)
 				deliver := func() {
-					rt.CoalesceWakes(func() {
-						for _, f := range batch {
-							f.Complete(3)
-						}
-					})
+					rt.SubmitBatch(batch)
 					batch = batch[:0]
 				}
 				for f := range pending {
-					batch = append(batch, f)
+					batch = append(batch, func() { f.Complete(3) })
 					if len(batch) == batchSize {
 						deliver()
 					}

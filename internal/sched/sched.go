@@ -611,16 +611,30 @@ func (w *worker) step(cur *node, msg yieldMsg) {
 	w.pass(cur, next)
 }
 
-// CoalesceWakes runs fn with scheduler wakeups coalesced: futures
-// completed inside fn set their promptness-bitfield bits immediately
-// (scheduling stays exact), but the zero→non-zero sleeper broadcast
-// is deferred and issued at most once when fn returns. The I/O pool
-// brackets each completion batch with it, so a poller pass that
-// resumes N tasks crosses the futex boundary once instead of N
-// times. The deferral is bounded by fn's own execution, preserving
-// the promptness bound up to one batch-drain.
-func (rt *Runtime) CoalesceWakes(fn func()) { rt.bits.Coalesce(fn) }
+// SubmitBatch runs fns in slice order on the calling goroutine with
+// scheduler wakeups coalesced: futures completed by fns set their
+// promptness-bitfield bits immediately (scheduling stays exact), but
+// the zero→non-zero sleeper broadcast is deferred and issued at most
+// once when the batch ends. A shared poller hands it each pass's
+// completions (it implements netpoll.Batcher), so a pass that resumes
+// N tasks crosses the futex boundary once instead of N times, and the
+// deferral is bounded by the pass itself. A batch arriving after
+// Close runs nothing: a process-shared poller outlives the runtimes
+// whose connections it serves. The stop check is read once, when the
+// batch starts, so a pass that passed it may still be completing
+// futures while Close stops the bitfield and the workers;
+// TestPerturbPollerDelivery (root package) races exactly that.
+func (rt *Runtime) SubmitBatch(fns []func()) {
+	if len(fns) == 0 || rt.stopped.Load() {
+		return
+	}
+	rt.bits.Coalesce(func() {
+		for _, fn := range fns {
+			fn()
+		}
+	})
+}
 
 // CoalescedWakes reports how many sleeper broadcasts were absorbed
-// into CoalesceWakes flushes instead of issued inline.
+// into SubmitBatch flushes instead of issued inline.
 func (rt *Runtime) CoalescedWakes() int64 { return rt.bits.CoalescedWakes() }

@@ -33,14 +33,14 @@ type Conn interface {
 	Flush() error
 }
 
-// poolRoutedConn is the capability a connection advertises when its
-// armed readiness callbacks are already delivered through the
-// runtime's I/O handler threads (shared-poller connections batch
-// them there). For such connections the read path completes the
-// future directly inside the callback instead of re-submitting it —
-// the completion would otherwise cross the I/O pool twice.
-type poolRoutedConn interface {
-	CompletesViaPool() bool
+// pollerConn is the capability a connection advertises when its
+// armed readiness callbacks run on a shared poller inside the
+// runtime's wake-coalescing bracket (Runtime.IOBatcher). For such
+// connections the poller is the I/O thread: the read path completes
+// the future directly inside the callback instead of handing it to
+// the I/O pool.
+type pollerConn interface {
+	CompletesOnPoller() bool
 }
 
 // readWaiter is everything one suspended read needs, built once and
@@ -53,18 +53,18 @@ type poolRoutedConn interface {
 type readWaiter struct {
 	f *Future
 	// ready is the func handed to Conn.ArmRead, the same value every
-	// time. For a pool-routed connection it completes f on the spot;
-	// otherwise it submits the pre-bound completion to the I/O handler
-	// threads, so completions keep their arrival order. Either way it
-	// is correct when invoked synchronously inside ArmRead, from a
-	// handler thread, or through a caller's wrapper.
+	// time. For a poller connection it completes f on the spot, on the
+	// poller; otherwise it submits the pre-bound completion to the I/O
+	// handler threads, so completions keep their arrival order. Either
+	// way it is correct when invoked synchronously inside ArmRead, from
+	// a poller or handler thread, or through a caller's wrapper.
 	ready func()
 }
 
 func (r *Runtime) newReadWaiter(c Conn) *readWaiter {
 	w := &readWaiter{f: r.rt.NewIOFuture()}
 	complete := func() { w.f.Complete(nil) }
-	if pc, ok := c.(poolRoutedConn); ok && pc.CompletesViaPool() {
+	if pc, ok := c.(pollerConn); ok && pc.CompletesOnPoller() {
 		w.ready = complete
 	} else {
 		pool := r.io

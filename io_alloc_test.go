@@ -84,7 +84,7 @@ const (
 	suspendAllocBoundTCP    = 0.05
 )
 
-// TestSuspendedReadAllocFreeNetsim gates the non-pool-routed path (the
+// TestSuspendedReadAllocFreeNetsim gates the I/O-pool path (the
 // deterministic figures, the pump fallback): readiness callback →
 // pre-bound Submit → handler thread → Complete → resume.
 func TestSuspendedReadAllocFreeNetsim(t *testing.T) {
@@ -106,9 +106,9 @@ func TestSuspendedReadAllocFreeNetsim(t *testing.T) {
 	}
 }
 
-// TestSuspendedReadAllocFreeTCP gates the pool-routed path the real
-// servers run: loopback TCP, shared poller, harvest batched into the
-// runtime's I/O pool, future completed inside the batch.
+// TestSuspendedReadAllocFreeTCP gates the path the real servers run:
+// loopback TCP, shared poller, future completed on the poller inside
+// the runtime's wake bracket.
 func TestSuspendedReadAllocFreeTCP(t *testing.T) {
 	if !netpoll.Supported {
 		t.Skip("shared poller not compiled in")
@@ -137,8 +137,8 @@ func TestSuspendedReadAllocFreeTCP(t *testing.T) {
 		Stats: &netreal.Stats{}, Mode: netreal.ModePoll, Group: g, Batcher: rt.IOBatcher(),
 	})
 	defer srv.Close()
-	if !srv.CompletesViaPool() {
-		t.Fatal("connection is not pool-routed")
+	if !srv.CompletesOnPoller() {
+		t.Fatal("connection does not complete on the poller")
 	}
 	server := echoLines(rt, srv)
 	ping, reply := []byte("ping\n"), make([]byte, 16)
