@@ -3,148 +3,261 @@ package icilk_test
 // bench_test.go holds one testing.B benchmark per table/figure of the
 // paper (reporting the figure's quantities via b.ReportMetric), the
 // ablation benchmarks for the design choices called out in DESIGN.md,
-// and microbenchmarks of the scheduler substrate. The cmd/ binaries
-// produce the full figure tables; these benches are the quick,
-// single-command regeneration path (go test -bench=. -benchmem).
+// and microbenchmarks of the scheduler substrate.
+//
+// Figures 1–6 and the QoS search regenerate from here and nowhere
+// else. Each operating point is a sub-benchmark; -benchtime 1x
+// measures one window per point and -count repeats it:
+//
+//	go test -run '^$' -bench BenchmarkFig3 -benchtime 1x -timeout 0 .
+//
+// -short runs only the first point of each figure, at benchDur.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"icilk"
 	"icilk/internal/bench"
 	"icilk/internal/deque"
+	"icilk/internal/emailserver"
 	"icilk/internal/epoch"
 	"icilk/internal/fifoq"
+	"icilk/internal/jobserver"
 	"icilk/internal/prio"
+	"icilk/internal/stats"
+	"icilk/internal/workload"
 )
 
-// benchDur keeps the macro benchmarks short; the cmd/ harnesses use
-// longer windows for the recorded EXPERIMENTS.md numbers.
+// benchDur is every figure's window under -short.
 const benchDur = 400 * time.Millisecond
 
-func reportLatency(b *testing.B, prefix string, p95, p99 time.Duration) {
-	b.ReportMetric(float64(p95.Microseconds()), prefix+"-p95-us")
-	b.ReportMetric(float64(p99.Microseconds()), prefix+"-p99-us")
+// window returns a figure's measurement window: the one its recorded
+// results used, or benchDur under -short.
+func window(full time.Duration) time.Duration {
+	if testing.Short() {
+		return benchDur
+	}
+	return full
 }
 
-// BenchmarkFig1MemcachedP99 reproduces Figure 1: Memcached p99 under
-// pthread, Adaptive I-Cilk, and Prompt I-Cilk at a moderate load.
-func BenchmarkFig1MemcachedP99(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := bench.MemcachedOptions{RPS: 800, Duration: benchDur}
-		pt, err := bench.RunMemcachedPthread(opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ad, err := bench.RunMemcachedICilk(icilk.Adaptive, bench.DefaultSweep()[1], opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pr, err := bench.RunMemcachedICilk(icilk.Prompt, icilk.AdaptiveParams{}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(pt.Latency.Percentile(99).Microseconds()), "pthread-p99-us")
-		b.ReportMetric(float64(ad.Latency.Percentile(99).Microseconds()), "adaptive-p99-us")
-		b.ReportMetric(float64(pr.Latency.Percentile(99).Microseconds()), "prompt-p99-us")
+// eachPoint runs one sub-benchmark per operating point (under -short
+// the first only), measuring the point once per b.N.
+func eachPoint(b *testing.B, rps []float64, measure func(b *testing.B, rps float64)) {
+	if testing.Short() {
+		rps = rps[:1]
 	}
+	for _, r := range rps {
+		b.Run(fmt.Sprintf("rps=%g", r), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				measure(b, r)
+			}
+		})
+	}
+}
+
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// must fails b on a run's error: must(b)(bench.RunJob(...)).
+func must(b *testing.B) func(*bench.Run, error) *bench.Run {
+	return func(r *bench.Run, err error) *bench.Run {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+}
+
+// logParams records which point of an Adaptive variant's sweep won.
+func logParams(b *testing.B, best *bench.Run) {
+	p := best.Params
+	b.Logf("%s: best of %d params: q=%v d=%.2f r=%.0f", best.Spec.Name, len(best.Spec.Sweep), p.Quantum, p.Delta, p.Rho)
+}
+
+// reportMemcached measures one Memcached point on the pthread baseline
+// and on each spec (best of its sweep by p99), reporting the given
+// latency percentiles of each.
+func reportMemcached(b *testing.B, opt bench.MemcachedOptions, specs []bench.Spec, pcts ...float64) {
+	report := func(name string, r *bench.Run) {
+		for _, p := range pcts {
+			b.ReportMetric(us(r.Latency.Percentile(p)), fmt.Sprintf("%s-p%g-us", name, p))
+		}
+	}
+	report("pthread", must(b)(bench.RunMemcachedPthread(opt)))
+	for _, spec := range specs {
+		best, _, err := bench.BestMemcached(spec, opt)
+		report(spec.Name, must(b)(best, err))
+		if len(spec.Sweep) > 0 {
+			logParams(b, best)
+		}
+	}
+}
+
+// BenchmarkFig1MemcachedP99 reproduces Figure 1: Memcached p99 vs RPS
+// under pthread, Adaptive I-Cilk (best of DefaultSweep) and Prompt
+// I-Cilk. Paper: Adaptive far above pthread ≈ Prompt at every load.
+func BenchmarkFig1MemcachedP99(b *testing.B) {
+	specs := []bench.Spec{
+		{Name: "adaptive", Kind: icilk.Adaptive, Sweep: bench.DefaultSweep()},
+		{Name: "prompt", Kind: icilk.Prompt},
+	}
+	eachPoint(b, []float64{400, 800, 1200, 1600}, func(b *testing.B, rps float64) {
+		reportMemcached(b, bench.MemcachedOptions{RPS: rps, Duration: window(1500 * time.Millisecond)}, specs, 99)
+	})
 }
 
 // BenchmarkFig2DequeCounts reproduces Figure 2: the average number of
-// non-empty deques per quantum under Adaptive I-Cilk on Memcached.
+// non-empty deques per quantum at each level under Adaptive I-Cilk on
+// Memcached with 256 connections. Paper: far more than workers, growing
+// with load.
 func BenchmarkFig2DequeCounts(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run, err := bench.RunMemcachedICilk(icilk.Adaptive, bench.DefaultSweep()[0],
-			bench.MemcachedOptions{RPS: 800, Duration: benchDur})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(run.AvgNonEmptyDeques[0], "deques-req-level")
-		b.ReportMetric(run.AvgNonEmptyDeques[1], "deques-bg-level")
-	}
+	eachPoint(b, []float64{1000, 2000, 3000, 4500}, func(b *testing.B, rps float64) {
+		opt := bench.MemcachedOptions{Connections: 256, RPS: rps, Duration: window(1500 * time.Millisecond)}
+		run := must(b)(bench.RunMemcachedICilk(icilk.Adaptive, bench.DefaultSweep()[0], opt))
+		b.ReportMetric(run.AvgNonEmptyDeques[0], "deques-level0")
+		b.ReportMetric(run.AvgNonEmptyDeques[1], "deques-level1")
+	})
 }
 
-// BenchmarkFig3MemcachedVariants reproduces Figure 3: p95/p99 for all
-// five schedulers (the Adaptive variants best-of-sweep).
+// BenchmarkFig3MemcachedVariants reproduces Figure 3: Memcached p95/p99
+// vs RPS for pthread and all four I-Cilk schedulers, the Adaptive
+// variants best of QuickSweep. Paper: the aging-capable schedulers
+// track pthread; plain Adaptive is far worse.
 func BenchmarkFig3MemcachedVariants(b *testing.B) {
-	sweep := bench.QuickSweep()
-	for i := 0; i < b.N; i++ {
-		opt := bench.MemcachedOptions{RPS: 800, Duration: benchDur}
-		pt, err := bench.RunMemcachedPthread(opt)
-		if err != nil {
-			b.Fatal(err)
+	eachPoint(b, []float64{400, 800, 1200, 1600}, func(b *testing.B, rps float64) {
+		opt := bench.MemcachedOptions{RPS: rps, Duration: window(1500 * time.Millisecond)}
+		reportMemcached(b, opt, bench.Schedulers(bench.QuickSweep()), 95, 99)
+	})
+}
+
+// reportVsPrompt measures one server point under Prompt and under each
+// Adaptive variant (best of DefaultSweep by the paper's (p95+p99)/2
+// criterion), reporting Prompt's per-class statistics (named from
+// p95, p99, mean, p50) in microseconds and each variant's as a ratio to
+// Prompt's (> 1: Prompt wins).
+func reportVsPrompt(b *testing.B, opt bench.ServerOptions, classes []string,
+	runner func(icilk.Scheduler, icilk.AdaptiveParams, bench.ServerOptions) (*bench.Run, error), names ...string) {
+	stat := func(r *bench.Run, class, name string) time.Duration {
+		s := r.PerOp.Class(class).Summarize()
+		return map[string]time.Duration{"p95": s.P95, "p99": s.P99, "mean": s.Mean, "p50": s.Median}[name]
+	}
+	prompt := must(b)(runner(icilk.Prompt, icilk.AdaptiveParams{}, opt))
+	for _, class := range classes {
+		for _, name := range names {
+			b.ReportMetric(us(stat(prompt, class, name)), "prompt-"+class+"-"+name+"-us")
 		}
-		reportLatency(b, "pthread", pt.Latency.Percentile(95), pt.Latency.Percentile(99))
-		for _, spec := range bench.Schedulers(sweep) {
-			best, _, err := bench.BestMemcached(spec, opt)
-			if err != nil {
-				b.Fatal(err)
+	}
+	for _, spec := range bench.Schedulers(bench.DefaultSweep())[1:] {
+		best, _, err := bench.BestServer(spec, opt, runner)
+		must(b)(best, err)
+		for _, class := range classes {
+			for _, name := range names {
+				if pr := stat(prompt, class, name); pr > 0 {
+					b.ReportMetric(float64(stat(best, class, name))/float64(pr), spec.Name+"-"+class+"-"+name+"/prompt")
+				}
 			}
-			reportLatency(b, spec.Name, best.Latency.Percentile(95), best.Latency.Percentile(99))
 		}
+		logParams(b, best)
 	}
 }
 
-// BenchmarkFig4JobServer reproduces Figure 4: per-class p99 of the
-// job server, Prompt vs plain Adaptive (the full per-class × variant
-// matrix comes from cmd/jobserver-bench).
+// BenchmarkFig4JobServer reproduces Figure 4: job-server p95/p99 per
+// class (mm, fib, sort, sw at SJF priorities), every Adaptive variant
+// normalised to Prompt. Paper: Prompt ≤ 1.0 across the board, the gap
+// growing with load and priority.
 func BenchmarkFig4JobServer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := bench.ServerOptions{RPS: 40, Duration: benchDur}
-		pr, err := bench.RunJob(icilk.Prompt, icilk.AdaptiveParams{}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ad, err := bench.RunJob(icilk.Adaptive, bench.DefaultSweep()[0], opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, class := range []string{"mm", "sw"} { // highest and lowest priority
-			b.ReportMetric(float64(pr.PerOp.Class(class).Percentile(99).Microseconds()), "prompt-"+class+"-p99-us")
-			b.ReportMetric(float64(ad.PerOp.Class(class).Percentile(99).Microseconds()), "adaptive-"+class+"-p99-us")
-		}
-	}
+	eachPoint(b, []float64{30, 40, 50}, func(b *testing.B, rps float64) {
+		opt := bench.ServerOptions{RPS: rps, Duration: window(3 * time.Second)}
+		reportVsPrompt(b, opt, jobserver.OpNames, bench.RunJob, "p95", "p99")
+	})
 }
 
-// BenchmarkFig5EmailServer reproduces Figure 5: per-op p99 and median
-// of the email server, Prompt vs plain Adaptive.
+// BenchmarkFig5EmailServer reproduces Figure 5: email-server p95/p99
+// (top row) and mean/median (bottom row) per operation, every Adaptive
+// variant normalised to Prompt. Paper: Prompt wins the tails; the
+// medians can favour the Adaptive variants at low load.
 func BenchmarkFig5EmailServer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := bench.ServerOptions{RPS: 400, Duration: benchDur}
-		pr, err := bench.RunEmail(icilk.Prompt, icilk.AdaptiveParams{}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ad, err := bench.RunEmail(icilk.Adaptive, bench.DefaultSweep()[0], opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, op := range []string{"send", "comp"} {
-			b.ReportMetric(float64(pr.PerOp.Class(op).Percentile(99).Microseconds()), "prompt-"+op+"-p99-us")
-			b.ReportMetric(float64(ad.PerOp.Class(op).Percentile(99).Microseconds()), "adaptive-"+op+"-p99-us")
-		}
-	}
+	eachPoint(b, []float64{250, 500, 800}, func(b *testing.B, rps float64) {
+		opt := bench.ServerOptions{RPS: rps, Duration: window(2500 * time.Millisecond)}
+		reportVsPrompt(b, opt, emailserver.OpNames, bench.RunEmail, "p95", "p99", "mean", "p50")
+	})
 }
 
 // BenchmarkFig6Waste reproduces Figure 6: waste and running time of
-// Adaptive vs Prompt (job server shown; cmd/waste-bench covers all
-// three applications).
+// Adaptive vs Prompt on each of the three applications, with the event
+// counts behind them. Paper: Prompt's running time slightly higher, its
+// waste much lower.
 func BenchmarkFig6Waste(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		opt := bench.ServerOptions{RPS: 40, Duration: benchDur}
-		pr, err := bench.RunJob(icilk.Prompt, icilk.AdaptiveParams{}, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ad, err := bench.RunJob(icilk.Adaptive, bench.DefaultSweep()[0], opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(pr.Waste.Waste.Microseconds()), "prompt-waste-us")
-		b.ReportMetric(float64(pr.Waste.Running().Microseconds()), "prompt-running-us")
-		b.ReportMetric(float64(ad.Waste.Waste.Microseconds()), "adaptive-waste-us")
-		b.ReportMetric(float64(ad.Waste.Running().Microseconds()), "adaptive-running-us")
+	dur := window(3 * time.Second)
+	params := bench.DefaultSweep()[1]
+	for _, app := range []struct {
+		name string
+		run  func(icilk.Scheduler) (*bench.Run, error)
+	}{
+		{"memcached", func(k icilk.Scheduler) (*bench.Run, error) {
+			return bench.RunMemcachedICilk(k, params, bench.MemcachedOptions{RPS: 1000, Duration: dur})
+		}},
+		{"job", func(k icilk.Scheduler) (*bench.Run, error) {
+			return bench.RunJob(k, params, bench.ServerOptions{RPS: 40, Duration: dur})
+		}},
+		{"email", func(k icilk.Scheduler) (*bench.Run, error) {
+			return bench.RunEmail(k, params, bench.ServerOptions{RPS: 600, Duration: dur})
+		}},
+	} {
+		b.Run(app.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, kind := range []icilk.Scheduler{icilk.Adaptive, icilk.Prompt} {
+					w := must(b)(app.run(kind)).Waste
+					k := kind.String() + "-"
+					b.ReportMetric(us(w.Running()), k+"running-us")
+					b.ReportMetric(us(w.Work), k+"work-us")
+					b.ReportMetric(us(w.Waste), k+"waste-us")
+					b.ReportMetric(float64(w.Steals), k+"steals")
+					b.ReportMetric(float64(w.Muggings), k+"mugs")
+					b.ReportMetric(float64(w.FailedSteals), k+"failed-steals")
+					b.ReportMetric(float64(w.Sleeps), k+"sleeps")
+					b.ReportMetric(float64(w.Abandons), k+"abandons")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkQoSMaxRPS runs the paper's operating-point search (Palit et
+// al.'s criterion): the largest Memcached RPS with 95% of requests
+// within 10 ms, binary-searched over [200, 6000] RPS in 7 probes of
+// 1.2 s. Under -short it probes the floor only. Paper: Prompt sustains
+// the pthread baseline's load, Adaptive does not.
+func BenchmarkQoSMaxRPS(b *testing.B) {
+	iters := 7
+	if testing.Short() {
+		iters = 0
+	}
+	for _, server := range []struct {
+		name string
+		run  func(bench.MemcachedOptions) (*bench.Run, error)
+	}{
+		{"pthread", bench.RunMemcachedPthread},
+		{"prompt", func(o bench.MemcachedOptions) (*bench.Run, error) {
+			return bench.RunMemcachedICilk(icilk.Prompt, icilk.AdaptiveParams{}, o)
+		}},
+		{"adaptive", func(o bench.MemcachedOptions) (*bench.Run, error) {
+			return bench.RunMemcachedICilk(icilk.Adaptive, bench.DefaultSweep()[1], o)
+		}},
+	} {
+		b.Run(server.name, func(b *testing.B) {
+			probe := func(rps float64) *stats.Recorder {
+				r := must(b)(server.run(bench.MemcachedOptions{RPS: rps, Duration: window(1200 * time.Millisecond)}))
+				b.Logf("probe rps=%6.0f -> p95=%v", rps, r.Latency.Percentile(95))
+				return r.Latency
+			}
+			for i := 0; i < b.N; i++ {
+				maxRPS := workload.FindMaxRPS(200, 6000, iters, workload.PercentileUnder(95, 10*time.Millisecond), probe)
+				b.ReportMetric(maxRPS, "max-rps")
+			}
+		})
 	}
 }
 

@@ -242,7 +242,7 @@ func main() {
 	label := flag.String("label", "", "entry label (e.g. the change being measured); required")
 	out := flag.String("o", "", "JSON file to append the entry to (created if missing); stdout if empty")
 	appName := flag.String("app", "job", "app to drive: job | email | synth")
-	kneeRPS := flag.Float64("knee", 1000, "QoS knee in RPS (find it with cmd/qos-search)")
+	kneeRPS := flag.Float64("knee", 1000, "QoS knee in RPS: the largest rate meeting the QoS (BenchmarkQoSMaxRPS finds it for Memcached)")
 	multsFlag := flag.String("mults", "0.5,1,2,4", "knee multipliers to run, comma-separated")
 	dur := flag.Duration("dur", 4*time.Second, "measurement duration per load point")
 	warmup := flag.Duration("warmup", 500*time.Millisecond, "per-run warmup (load applied, not measured)")

@@ -1,5 +1,5 @@
-// Package bench is the shared harness behind the cmd/ benchmark
-// binaries: it runs each application (Memcached, email server, job
+// Package bench is the shared harness behind bench_test.go's figure
+// benchmarks: it runs each application (Memcached, email server, job
 // server) under each scheduler, performs the Adaptive-variant
 // parameter searches the paper describes, and returns the measurements
 // the figures plot (latency percentiles, waste/running time, deque
@@ -7,34 +7,26 @@
 package bench
 
 import (
-	"fmt"
-	"net"
-	"runtime"
 	"time"
 
 	"icilk"
 	"icilk/internal/emailserver"
 	"icilk/internal/jobserver"
 	"icilk/internal/memcached"
-	"icilk/internal/netpoll"
-	"icilk/internal/netreal"
 	"icilk/internal/netsim"
 	"icilk/internal/stats"
 	"icilk/internal/workload"
 )
 
-// OnRuntime, when non-nil, is called with every runtime the harness
-// creates, right after construction. The benchmark binaries use it to
-// re-point a long-lived admin server (-admin flag) at the current
-// run's runtime, so /metrics and /debug/sched stay live across a
-// sweep of short-lived runtimes.
-var OnRuntime func(rt *icilk.Runtime)
-
-func notifyRuntime(rt *icilk.Runtime) {
-	if OnRuntime != nil {
-		OnRuntime(rt)
-	}
-}
+const (
+	// workers is the server thread count of every run: the paper's
+	// Memcached and email-server setup (its job server used 20 cores).
+	workers = 4
+	// samplePeriod is the deque-count sampler's quantum (Figure 2).
+	samplePeriod = 2 * time.Millisecond
+	// memcachedSeed seeds the Memcached key/op stream.
+	memcachedSeed = 0xcafe
+)
 
 // Spec names one scheduler configuration to benchmark.
 type Spec struct {
@@ -64,8 +56,8 @@ func QuickSweep() []icilk.AdaptiveParams {
 	return DefaultSweep()[:2]
 }
 
-// Schedulers returns the benchmark specs: Prompt, the three Adaptive
-// variants (with sweep), and optionally only a subset.
+// Schedulers returns the benchmark specs: Prompt and the three
+// Adaptive variants, each variant with the given sweep.
 func Schedulers(sweep []icilk.AdaptiveParams) []Spec {
 	return []Spec{
 		{Name: "prompt", Kind: icilk.Prompt},
@@ -85,139 +77,73 @@ type Run struct {
 	// AvgNonEmptyDeques is the Figure 2 quantity, sampled per quantum
 	// at each level.
 	AvgNonEmptyDeques []float64
-	Elapsed           time.Duration
 	Completed         int64
 	Errors            int64
-	// AllocsPerOp / BytesPerOp are process-wide heap allocation counts
-	// per completed request over the whole load run (client and server
-	// combined — both sides of the byte path are in this process).
-	AllocsPerOp float64
-	BytesPerOp  float64
-	// SyscallsPerOp is the server-side data-path syscall count per
-	// completed request (read + write + epoll_wait + epoll_ctl), with
-	// the read/write/epoll_wait components broken out; populated only
-	// by RunMemcachedNet (real sockets). Client-side syscalls go
-	// through the Go runtime poller and are not counted.
-	SyscallsPerOp   float64
-	SysReadsPerOp   float64
-	SysWritesPerOp  float64
-	EpollWaitsPerOp float64
 }
 
-// measureAllocs wraps fn with runtime.MemStats sampling and charges
-// the allocation deltas to run at completed-request granularity.
-func measureAllocs(completed func() int64, fn func() error) (allocsPerOp, bytesPerOp float64, err error) {
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	err = fn()
-	runtime.ReadMemStats(&ms1)
-	if n := completed(); n > 0 {
-		allocsPerOp = float64(ms1.Mallocs-ms0.Mallocs) / float64(n)
-		bytesPerOp = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n)
+// sampleDeques starts one non-empty-deque sampler per level of rt; the
+// returned function stops them and gives each level's mean.
+func sampleDeques(rt *icilk.Runtime, levels int) (stop func() []float64) {
+	samplers := make([]*stats.Sampler, levels)
+	for l := range samplers {
+		l := l
+		samplers[l] = stats.NewSampler(samplePeriod, func() float64 {
+			return float64(rt.NonEmptyDeques(l))
+		})
+		samplers[l].Start()
 	}
-	return allocsPerOp, bytesPerOp, err
+	return func() []float64 {
+		means := make([]float64, levels)
+		for l, s := range samplers {
+			s.Stop()
+			means[l] = s.Mean()
+		}
+		return means
+	}
 }
 
 // MemcachedOptions configures a Memcached load point.
 type MemcachedOptions struct {
-	Workers     int
-	IOThreads   int
-	Connections int
+	Connections int // 0 = 64
 	RPS         float64
-	Duration    time.Duration
-	KeySpace    int
-	ValueSize   int
-	GetFraction float64
-	Seed        uint64
+	Duration    time.Duration // 0 = 1s
 	// Warmup precedes the measured window (0 = Duration/3).
 	Warmup time.Duration
-	// SamplePeriod for the deque-count sampler (0 = 2ms).
-	SamplePeriod time.Duration
-	// Reps repeats each measurement and keeps the median-by-p99 run
-	// (0/1 = single run). Environmental stalls on shared hosts make
-	// single short windows noisy; the medians stabilize the figures.
-	Reps int
 }
 
-func (o *MemcachedOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.IOThreads <= 0 {
-		o.IOThreads = 4
-	}
+// workload returns the load generator's configuration for o.
+func (o MemcachedOptions) workload() memcached.WorkloadConfig {
 	if o.Connections <= 0 {
 		o.Connections = 64
 	}
 	if o.Duration <= 0 {
 		o.Duration = time.Second
 	}
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = 2 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 0xcafe
-	}
 	if o.Warmup <= 0 {
 		o.Warmup = o.Duration / 3
+	}
+	return memcached.WorkloadConfig{
+		Connections: o.Connections, RPS: o.RPS, Duration: o.Duration,
+		Seed: memcachedSeed, Warmup: o.Warmup,
 	}
 }
 
 // memcachedLevels: requests at level 0, background crawler at 1.
 const memcachedLevels = 2
 
-// medianByP99 returns the run with the median p99 (ties broken low).
-func medianByP99(runs []*Run) *Run {
-	sorted := append([]*Run(nil), runs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j].Latency.Percentile(99) < sorted[j-1].Latency.Percentile(99); j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	return sorted[(len(sorted)-1)/2]
-}
-
-// withReps runs fn opt.Reps times and returns the median-by-p99 run.
-func withReps(reps int, fn func() (*Run, error)) (*Run, error) {
-	if reps <= 1 {
-		return fn()
-	}
-	runs := make([]*Run, 0, reps)
-	for i := 0; i < reps; i++ {
-		r, err := fn()
-		if err != nil {
-			return nil, err
-		}
-		runs = append(runs, r)
-	}
-	return medianByP99(runs), nil
-}
-
 // RunMemcachedICilk measures one (scheduler, params, RPS) Memcached
 // point on the task-parallel port.
 func RunMemcachedICilk(kind icilk.Scheduler, params icilk.AdaptiveParams, opt MemcachedOptions) (*Run, error) {
-	opt.defaults()
-	if opt.Reps > 1 {
-		reps := opt.Reps
-		opt.Reps = 1
-		return withReps(reps, func() (*Run, error) { return RunMemcachedICilk(kind, params, opt) })
-	}
 	rt, err := icilk.New(icilk.Config{
-		Workers: opt.Workers, IOThreads: opt.IOThreads,
-		Levels: memcachedLevels, Scheduler: kind, Adaptive: params,
+		Workers: workers, Levels: memcachedLevels, Scheduler: kind, Adaptive: params,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
-	notifyRuntime(rt)
 
 	store := memcached.NewStore(memcached.StoreConfig{})
-	wcfg := memcached.WorkloadConfig{
-		Connections: opt.Connections, RPS: opt.RPS, Duration: opt.Duration,
-		KeySpace: opt.KeySpace, ValueSize: opt.ValueSize,
-		GetFraction: opt.GetFraction, Seed: opt.Seed, Warmup: opt.Warmup,
-	}
+	wcfg := opt.workload()
 	memcached.Preload(store, wcfg)
 	srv := memcached.NewICilkServer(store, rt, memcached.ICilkConfig{})
 	ln := netsim.NewListener()
@@ -225,194 +151,33 @@ func RunMemcachedICilk(kind icilk.Scheduler, params icilk.AdaptiveParams, opt Me
 	defer func() { ln.Close(); srv.Close() }()
 
 	rt.ResetWaste()
-	samplers := make([]*stats.Sampler, memcachedLevels)
-	for l := range samplers {
-		l := l
-		samplers[l] = stats.NewSampler(opt.SamplePeriod, func() float64 {
-			return float64(rt.NonEmptyDeques(l))
-		})
-		samplers[l].Start()
-	}
-
-	var res *memcached.LoadResult
-	aOp, bOp, err := measureAllocs(
-		func() int64 {
-			if res == nil {
-				return 0
-			}
-			return res.Completed
-		},
-		func() (err error) { res, err = memcached.RunLoad(ln, wcfg); return err })
-	for _, s := range samplers {
-		s.Stop()
-	}
-	if err != nil {
-		return nil, err
-	}
-	run := &Run{
-		Params: params, Latency: res.Latency, Waste: rt.WasteReport(),
-		Elapsed: res.Elapsed, Completed: res.Completed, Errors: res.Errors,
-		AllocsPerOp: aOp, BytesPerOp: bOp,
-	}
-	for _, s := range samplers {
-		run.AvgNonEmptyDeques = append(run.AvgNonEmptyDeques, s.Mean())
-	}
-	return run, nil
-}
-
-// NetMemcachedOptions configures a Memcached load point over real TCP
-// sockets (loopback): the workload knobs plus the transport choice.
-type NetMemcachedOptions struct {
-	MemcachedOptions
-	// Mode selects the socket readiness transport (pump goroutine vs
-	// shared epoll poller); ModeAuto prefers the poller where built.
-	Mode netreal.Mode
-}
-
-// RunMemcachedNet measures one Memcached point over real loopback TCP
-// with the netreal socket layer, reporting data-path syscalls per op
-// alongside the usual latency/allocation measurements. This is the
-// harness behind the -connsweep benchmark mode.
-func RunMemcachedNet(kind icilk.Scheduler, params icilk.AdaptiveParams, opt NetMemcachedOptions) (*Run, error) {
-	opt.defaults()
-	if opt.Reps > 1 {
-		reps := opt.Reps
-		opt.Reps = 1
-		return withReps(reps, func() (*Run, error) { return RunMemcachedNet(kind, params, opt) })
-	}
-	rt, err := icilk.New(icilk.Config{
-		Workers: opt.Workers, IOThreads: opt.IOThreads,
-		Levels: memcachedLevels, Scheduler: kind, Adaptive: params,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer rt.Close()
-	notifyRuntime(rt)
-
-	store := memcached.NewStore(memcached.StoreConfig{})
-	wcfg := memcached.WorkloadConfig{
-		Connections: opt.Connections, RPS: opt.RPS, Duration: opt.Duration,
-		KeySpace: opt.KeySpace, ValueSize: opt.ValueSize,
-		GetFraction: opt.GetFraction, Seed: opt.Seed, Warmup: opt.Warmup,
-	}
-	memcached.Preload(store, wcfg)
-	srv := memcached.NewICilkServer(store, rt, memcached.ICilkConfig{})
-
-	// A per-run Stats instance and poller group keep the syscall
-	// accounting clean across swept runs (netpoll.PollStats is
-	// process-global, so its counters are read as deltas). Poller
-	// connections complete their futures on the pollers, through
-	// IOBatcher; IOThreads sizes the handler pool the pump and timers use.
-	netStats := &netreal.Stats{}
-	wrapOpts := netreal.Options{Stats: netStats, Batcher: rt.IOBatcher(), Mode: opt.Mode}
-	if opt.Mode != netreal.ModePump && netpoll.Supported {
-		g, err := netpoll.Open(min(4, runtime.GOMAXPROCS(0)))
-		if err != nil {
-			return nil, err
-		}
-		defer g.Close()
-		wrapOpts.Group = g
-	}
-	waits0, ctls0 := netpoll.PollStats.EpollWaits(), netpoll.PollStats.EpollCtls()
-
-	nl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go func() {
-		for {
-			nc, err := nl.Accept()
-			if err != nil {
-				return
-			}
-			srv.HandleConn(netreal.WrapOptions(nc, wrapOpts))
-		}
-	}()
-	defer func() { nl.Close(); srv.Close() }()
-
-	rt.ResetWaste()
-	samplers := make([]*stats.Sampler, memcachedLevels)
-	for l := range samplers {
-		l := l
-		samplers[l] = stats.NewSampler(opt.SamplePeriod, func() float64 {
-			return float64(rt.NonEmptyDeques(l))
-		})
-		samplers[l].Start()
-	}
-
-	var res *memcached.LoadResult
-	aOp, bOp, err := measureAllocs(
-		func() int64 {
-			if res == nil {
-				return 0
-			}
-			return res.Completed
-		},
-		func() (err error) { res, err = memcached.RunLoadTCP(nl.Addr().String(), wcfg); return err })
-	for _, s := range samplers {
-		s.Stop()
-	}
-	if err != nil {
-		return nil, err
-	}
-	run := &Run{
-		Params: params, Latency: res.Latency, Waste: rt.WasteReport(),
-		Elapsed: res.Elapsed, Completed: res.Completed, Errors: res.Errors,
-		AllocsPerOp: aOp, BytesPerOp: bOp,
-	}
-	if n := res.Completed; n > 0 {
-		reads, writes := netStats.SysReads(), netStats.SysWrites()
-		waits := netpoll.PollStats.EpollWaits() - waits0
-		ctls := netpoll.PollStats.EpollCtls() - ctls0
-		run.SysReadsPerOp = float64(reads) / float64(n)
-		run.SysWritesPerOp = float64(writes) / float64(n)
-		run.EpollWaitsPerOp = float64(waits) / float64(n)
-		run.SyscallsPerOp = float64(reads+writes+waits+ctls) / float64(n)
-	}
-	for _, s := range samplers {
-		run.AvgNonEmptyDeques = append(run.AvgNonEmptyDeques, s.Mean())
-	}
-	return run, nil
-}
-
-// RunMemcachedPthread measures one Memcached point on the baseline.
-func RunMemcachedPthread(opt MemcachedOptions) (*Run, error) {
-	opt.defaults()
-	if opt.Reps > 1 {
-		reps := opt.Reps
-		opt.Reps = 1
-		return withReps(reps, func() (*Run, error) { return RunMemcachedPthread(opt) })
-	}
-	store := memcached.NewStore(memcached.StoreConfig{})
-	wcfg := memcached.WorkloadConfig{
-		Connections: opt.Connections, RPS: opt.RPS, Duration: opt.Duration,
-		KeySpace: opt.KeySpace, ValueSize: opt.ValueSize,
-		GetFraction: opt.GetFraction, Seed: opt.Seed, Warmup: opt.Warmup,
-	}
-	memcached.Preload(store, wcfg)
-	srv := memcached.NewPthreadServer(store, memcached.PthreadConfig{Workers: opt.Workers})
-	ln := netsim.NewListener()
-	go srv.Serve(ln)
-	defer func() { ln.Close(); srv.Close() }()
-
-	var res *memcached.LoadResult
-	aOp, bOp, err := measureAllocs(
-		func() int64 {
-			if res == nil {
-				return 0
-			}
-			return res.Completed
-		},
-		func() (err error) { res, err = memcached.RunLoad(ln, wcfg); return err })
+	stop := sampleDeques(rt, memcachedLevels)
+	res, err := memcached.RunLoad(ln, wcfg)
+	deques := stop()
 	if err != nil {
 		return nil, err
 	}
 	return &Run{
-		Latency: res.Latency, Elapsed: res.Elapsed,
-		Completed: res.Completed, Errors: res.Errors,
-		AllocsPerOp: aOp, BytesPerOp: bOp,
+		Params: params, Latency: res.Latency, Waste: rt.WasteReport(),
+		AvgNonEmptyDeques: deques, Completed: res.Completed, Errors: res.Errors,
 	}, nil
+}
+
+// RunMemcachedPthread measures one Memcached point on the baseline.
+func RunMemcachedPthread(opt MemcachedOptions) (*Run, error) {
+	store := memcached.NewStore(memcached.StoreConfig{})
+	wcfg := opt.workload()
+	memcached.Preload(store, wcfg)
+	srv := memcached.NewPthreadServer(store, memcached.PthreadConfig{Workers: workers})
+	ln := netsim.NewListener()
+	go srv.Serve(ln)
+	defer func() { ln.Close(); srv.Close() }()
+
+	res, err := memcached.RunLoad(ln, wcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Run{Latency: res.Latency, Completed: res.Completed, Errors: res.Errors}, nil
 }
 
 // BestMemcached searches the spec's parameters at one RPS and returns
@@ -441,20 +206,14 @@ func BestMemcached(spec Spec, opt MemcachedOptions) (*Run, []*Run, error) {
 
 // ServerOptions configures an email- or job-server load point.
 type ServerOptions struct {
-	Workers  int
 	RPS      float64
-	Duration time.Duration
-	Seed     uint64
+	Duration time.Duration // 0 = 1s
+	Seed     uint64        // 0 = 0xbeef
 	// Warmup precedes the measured window (0 = Duration/3).
 	Warmup time.Duration
-	// SamplePeriod for the deque-count sampler (0 = 2ms).
-	SamplePeriod time.Duration
 }
 
 func (o *ServerOptions) defaults() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
 	if o.Duration <= 0 {
 		o.Duration = time.Second
 	}
@@ -464,9 +223,6 @@ func (o *ServerOptions) defaults() {
 	if o.Warmup <= 0 {
 		o.Warmup = o.Duration / 3
 	}
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = 2 * time.Millisecond
-	}
 }
 
 // runServer abstracts the email/job server run shape.
@@ -475,41 +231,26 @@ func runServer(kind icilk.Scheduler, params icilk.AdaptiveParams, opt ServerOpti
 	mkSubmit func(rt *icilk.Runtime) (workload.SubmitFunc, error)) (*Run, error) {
 
 	opt.defaults()
-	rt, err := icilk.New(icilk.Config{Workers: opt.Workers, Levels: levels, Scheduler: kind, Adaptive: params})
+	rt, err := icilk.New(icilk.Config{Workers: workers, Levels: levels, Scheduler: kind, Adaptive: params})
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
-	notifyRuntime(rt)
 	submit, err := mkSubmit(rt)
 	if err != nil {
 		return nil, err
 	}
 	rt.ResetWaste()
-	samplers := make([]*stats.Sampler, levels)
-	for l := range samplers {
-		l := l
-		samplers[l] = stats.NewSampler(opt.SamplePeriod, func() float64 {
-			return float64(rt.NonEmptyDeques(l))
-		})
-		samplers[l].Start()
-	}
+	stop := sampleDeques(rt, levels)
 	res := workload.RunOpenLoop(workload.OpenLoopConfig{
 		RPS: opt.RPS, Duration: opt.Duration, Mix: mix,
 		ClassNames: names, Seed: opt.Seed, Spread: spread,
 		Warmup: opt.Warmup,
 	}, submit)
-	for _, s := range samplers {
-		s.Stop()
-	}
-	run := &Run{
+	return &Run{
 		Params: params, Latency: res.All, PerOp: res.PerClass,
-		Waste: rt.WasteReport(), Elapsed: res.Elapsed, Completed: res.Sent,
-	}
-	for _, s := range samplers {
-		run.AvgNonEmptyDeques = append(run.AvgNonEmptyDeques, s.Mean())
-	}
-	return run, nil
+		Waste: rt.WasteReport(), AvgNonEmptyDeques: stop(), Completed: res.Sent,
+	}, nil
 }
 
 // RunEmail measures one email-server point. Mix follows the paper's
@@ -551,14 +292,13 @@ func RunJobCfg(cfg icilk.Config, opt ServerOptions) (*Run, error) {
 	opt.defaults()
 	cfg.Levels = jobserver.Levels
 	if cfg.Workers <= 0 {
-		cfg.Workers = opt.Workers
+		cfg.Workers = workers
 	}
 	rt, err := icilk.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
-	notifyRuntime(rt)
 	srv, err := jobserver.New(rt, jobserver.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -572,7 +312,7 @@ func RunJobCfg(cfg icilk.Config, opt ServerOptions) (*Run, error) {
 	})
 	return &Run{
 		Latency: res.All, PerOp: res.PerClass, Waste: rt.WasteReport(),
-		Elapsed: res.Elapsed, Completed: res.Sent,
+		Completed: res.Sent,
 	}, nil
 }
 
@@ -602,9 +342,4 @@ func BestServer(spec Spec, opt ServerOptions,
 		}
 	}
 	return best, all, nil
-}
-
-// Fmt renders a duration in fixed microseconds for table alignment.
-func Fmt(d time.Duration) string {
-	return fmt.Sprintf("%8.0fus", float64(d)/float64(time.Microsecond))
 }

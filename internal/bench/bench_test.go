@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"icilk"
-	"icilk/internal/netpoll"
-	"icilk/internal/netreal"
 )
 
-// Short smoke runs of each harness path: the figure binaries build on
+// Short smoke runs of each harness path: the figure benchmarks build on
 // these, so they must produce sane measurements for every scheduler.
 
 func shortMemcachedOpt() MemcachedOptions {
@@ -109,49 +107,5 @@ func TestBestServerUsesP95P99Average(t *testing.T) {
 		if score(r) < score(best) {
 			t.Fatal("best is not the lowest (p95+p99)/2")
 		}
-	}
-}
-
-// TestRunMemcachedNetSmoke drives the real-socket harness end to end
-// on loopback TCP in both transport modes. It is the tier-1 guard for
-// the -connsweep benchmark path: dial phase, load run, and syscall
-// accounting must all hold together at small scale.
-func TestRunMemcachedNetSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-socket smoke is not -short friendly")
-	}
-	modes := []struct {
-		name string
-		mode netreal.Mode
-	}{{"pump", netreal.ModePump}}
-	if netpoll.Supported {
-		modes = append(modes, struct {
-			name string
-			mode netreal.Mode
-		}{"poll", netreal.ModePoll})
-	}
-	for _, m := range modes {
-		t.Run(m.name, func(t *testing.T) {
-			run, err := RunMemcachedNet(icilk.Prompt, icilk.AdaptiveParams{}, NetMemcachedOptions{
-				MemcachedOptions: shortMemcachedOpt(),
-				Mode:             m.mode,
-			})
-			if err != nil {
-				t.Fatalf("RunMemcachedNet(%s): %v", m.name, err)
-			}
-			if run.Completed == 0 {
-				t.Fatal("no requests completed")
-			}
-			if run.Errors != 0 {
-				t.Fatalf("%d request errors", run.Errors)
-			}
-			if run.SysReadsPerOp <= 0 || run.SyscallsPerOp <= 0 {
-				t.Fatalf("syscall accounting empty: total=%v reads=%v",
-					run.SyscallsPerOp, run.SysReadsPerOp)
-			}
-			if m.mode == netreal.ModePoll && run.EpollWaitsPerOp <= 0 {
-				t.Fatalf("poll mode counted no epoll_waits (%v)", run.EpollWaitsPerOp)
-			}
-		})
 	}
 }

@@ -48,7 +48,14 @@ func TestLoopSpawnsIndependentOfChunkCount(t *testing.T) {
 				before := rt.WasteReport().Spawns
 				loop(n)
 				spawns[k] = rt.WasteReport().Spawns - before
+				// The allocation counter is the whole process's: an
+				// allocation of the race detector or another goroutine
+				// lands in some samples, the loop's own in every one, so
+				// the least of five is the loop's.
 				allocs[k] = testing.AllocsPerRun(5, func() { loop(n) })
+				for s := 1; s < 5; s++ {
+					allocs[k] = min(allocs[k], testing.AllocsPerRun(5, func() { loop(n) }))
+				}
 			}
 			return
 		}
@@ -57,7 +64,7 @@ func TestLoopSpawnsIndependentOfChunkCount(t *testing.T) {
 			"Reduce": func(n int) { Reduce(task, 0, n, grain, 0, leaf, add) },
 		} {
 			spawns, allocs := measure(loop)
-			if spawns[0] != spawns[1] || allocs[0] != allocs[1] {
+			if spawns[0] != spawns[1] || allocs[1] > allocs[0]+0.05 {
 				t.Errorf("%s: %d chunks cost %d spawns / %.0f allocs, %d chunks cost %d / %.0f; the cost must not follow the chunk count",
 					name, (1<<10)/grain, spawns[0], allocs[0], (1<<16)/grain, spawns[1], allocs[1])
 			}
