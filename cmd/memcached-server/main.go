@@ -8,13 +8,6 @@
 // Flags select the scheduler, so the same binary serves as a live
 // playground for comparing Prompt I-Cilk against the Adaptive
 // variants under real client load.
-//
-// With -shards N (N > 1) the binary runs the cluster topology
-// instead: N in-process runtime shards behind consistent-hash
-// routing, multi-key GETs fanned out as per-shard subtasks, and —
-// with -replicate-hot — frequency-sketch detection of hot keys
-// promoted to replicated read-any/write-all. The cluster frontend
-// speaks the text protocol only.
 package main
 
 import (
@@ -26,7 +19,6 @@ import (
 	"time"
 
 	"icilk"
-	"icilk/internal/cluster"
 	"icilk/internal/memcached"
 	"icilk/internal/netpoll"
 	"icilk/internal/netreal"
@@ -49,13 +41,10 @@ func parseTransport(s string) (netreal.Mode, error) {
 func main() {
 	listen := flag.String("listen", "127.0.0.1:11211", "listen address (host:port)")
 	network := flag.String("net", "tcp", "network (tcp, unix)")
-	workers := flag.Int("workers", 4, "scheduler workers (per shard in cluster mode)")
+	workers := flag.Int("workers", 4, "scheduler workers")
 	schedName := flag.String("scheduler", "prompt", icilk.SchedulerNames())
-	maxBytes := flag.Int64("max-bytes", 64<<20, "cache size bound per shard (0 = unbounded)")
-	adminAddr := flag.String("admin", "", "admin HTTP address (bind loopback, e.g. 127.0.0.1:6060; unauthenticated) serving /metrics, /debug/sched, /debug/trace, /debug/cluster")
-	shards := flag.Int("shards", 1, "runtime shards; >1 enables the cluster topology (consistent-hash routing, fanned-out multi-gets)")
-	vnodes := flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring (cluster mode)")
-	replicateHot := flag.Bool("replicate-hot", false, "detect hot keys by frequency sketch and replicate them read-any/write-all (cluster mode)")
+	maxBytes := flag.Int64("max-bytes", 64<<20, "cache size bound (0 = unbounded)")
+	adminAddr := flag.String("admin", "", "admin HTTP address (bind loopback, e.g. 127.0.0.1:6060; unauthenticated) serving /metrics, /debug/sched, /debug/trace")
 	transport := flag.String("transport", "auto", "socket readiness transport: auto, pump (per-connection goroutine fallback), poll (shared epoll pollers)")
 	flag.Parse()
 
@@ -69,14 +58,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	rtCfg := icilk.Config{Workers: *workers, Levels: 2, Scheduler: kind}
-
-	if *shards > 1 {
-		runCluster(rtCfg, mode, *listen, *network, *adminAddr, *shards, *vnodes, *replicateHot, *maxBytes)
-		return
-	}
-
-	rt, err := icilk.New(rtCfg)
+	rt, err := icilk.New(icilk.Config{Workers: *workers, Levels: 2, Scheduler: kind})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "runtime:", err)
 		os.Exit(1)
@@ -137,73 +119,6 @@ func main() {
 			fmt.Printf("conns=%d items=%d hits=%d misses=%d service{%v}\n",
 				srv.ActiveConns(), store.Len(),
 				store.Stats.GetHits.Load(), store.Stats.GetMisses.Load(), hist)
-		}
-	}
-}
-
-// runCluster is the -shards>1 serving path: the cluster topology on a
-// real socket.
-func runCluster(rtCfg icilk.Config, mode netreal.Mode, listen, network, adminAddr string, shards, vnodes int, replicateHot bool, maxBytes int64) {
-	cl, err := cluster.New(cluster.Config{
-		Shards:       shards,
-		VNodes:       vnodes,
-		Runtime:      rtCfg,
-		Store:        memcached.StoreConfig{MaxBytes: maxBytes},
-		ReplicateHot: replicateHot,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cluster:", err)
-		os.Exit(1)
-	}
-	if adminAddr != "" {
-		netreal.DefaultStats.RegisterMetrics(cl.Shard(0).Runtime().Metrics())
-		netpoll.PollStats.RegisterMetrics(cl.Shard(0).Runtime().Metrics())
-		adm := icilk.NewAdminServer()
-		cl.AttachAdmin(adm)
-		if err := adm.Start(adminAddr); err != nil {
-			fmt.Fprintln(os.Stderr, "admin:", err)
-			os.Exit(1)
-		}
-		defer adm.Close()
-		fmt.Printf("admin endpoint on http://%s (/metrics, /debug/sched, /debug/cluster)\n", adm.Addr())
-	}
-	nl, err := net.Listen(network, listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "listen:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("memcached cluster (%d shards × %d workers, %s scheduler, replicate-hot=%v) listening on %s\n",
-		shards, rtCfg.Workers, rtCfg.Scheduler, replicateHot, nl.Addr())
-	// The pollers complete futures inside the frontend shard's wake
-	// bracket; a future created on another shard still completes
-	// correctly (the callback completes it directly), its wake just
-	// is not coalesced.
-	wrapOpts := netreal.Options{Batcher: cl.Shard(0).Runtime().IOBatcher(), Mode: mode}
-	go func() {
-		for {
-			nc, err := nl.Accept()
-			if err != nil {
-				return
-			}
-			cl.HandleConn(netreal.WrapOptions(nc, wrapOpts))
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	ticker := time.NewTicker(10 * time.Second)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-sig:
-			fmt.Println("\nshutting down")
-			nl.Close()
-			cl.Close()
-			return
-		case <-ticker.C:
-			snap := cl.Snapshot()
-			fmt.Printf("epoch=%d conns=%d items=%d hot=%d\n",
-				snap.Epoch, snap.Conns, cl.TotalItems(), len(snap.Promoted))
 		}
 	}
 }

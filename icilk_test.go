@@ -151,7 +151,7 @@ func TestLineReaderLinesAndBlocks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		block, err := lr.ReadBlock(task, 4)
+		block, err := lr.ReadExact(task, 4)
 		if err != nil {
 			return err
 		}

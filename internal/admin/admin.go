@@ -16,16 +16,14 @@
 //	GET /debug/predict JSON snapshot of the service-time predictor
 //	                 (per-table occupancy and hit/alias counts,
 //	                 mispredict rate, absolute-error summary)
-//	GET /debug/cluster JSON snapshot of the cluster topology (ring
-//	                 epoch, live shards, per-shard item counts and
-//	                 inflight work, promoted hot keys)
 //	GET /debug/pprof/ Go runtime profiles (net/http/pprof): heap and
 //	                 allocs for the hot-path allocation budget, profile
 //	                 (CPU), goroutine, block, mutex, trace, …
 //
 // The server's data sources are swappable at runtime (SetSources), so
-// one admin server can follow a sequence of short-lived runtimes — the
-// benchmark binaries re-point it at each measurement's runtime.
+// one admin server can follow a sequence of short-lived runtimes:
+// icilk's Runtime.AttachAdmin re-points it at a runtime, as
+// TestAdminFollowsRuntimes does for two in turn.
 //
 // # Security
 //
@@ -79,10 +77,6 @@ type Sources struct {
 	// Predict returns the service-time predictor snapshot for GET
 	// /debug/predict; nil when the runtime carries no predictor.
 	Predict func() any
-	// Cluster returns the cluster topology snapshot for GET
-	// /debug/cluster (ring epoch, live shards, per-shard occupancy,
-	// promoted hot keys); nil for single-runtime deployments.
-	Cluster func() any
 }
 
 // Server is the admin HTTP server. Create with New, point it at a
@@ -107,7 +101,6 @@ func New() *Server {
 	s.mux.HandleFunc("GET /debug/sched", s.handleSched)
 	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
 	s.mux.HandleFunc("GET /debug/predict", s.handlePredict)
-	s.mux.HandleFunc("GET /debug/cluster", s.handleCluster)
 	// Go runtime profiling: /debug/pprof/ routes named profiles
 	// (heap, allocs, goroutine, block, mutex, …) itself; the four
 	// below are special-cased by net/http/pprof and need their own
@@ -200,7 +193,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /debug/sched  scheduler snapshot (JSON)\n"+
 		"  /debug/trace  recent scheduler events (JSON, ?n=K)\n"+
 		"  /debug/predict service-time predictor snapshot (JSON)\n"+
-		"  /debug/cluster cluster topology snapshot (JSON)\n"+
 		"  /debug/pprof/ Go runtime profiles (heap, profile, goroutine, ...)\n")
 }
 
@@ -255,15 +247,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, src.Predict())
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	src := s.src.Load()
-	if src.Cluster == nil {
-		http.Error(w, "no cluster attached", http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, src.Cluster())
 }
 
 // traceEvent is the JSON rendering of one trace.Event (kind as its

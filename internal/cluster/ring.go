@@ -1,43 +1,20 @@
-// Package cluster grows the single-runtime Memcached port into a
-// sharded multi-runtime serving topology: N in-process shards, each
-// its own icilk.Runtime plus store, behind a consistent-hash router.
-// A front-end connection handler (a future routine on one of the
-// shard runtimes, the "receiving" runtime) parses each request once
-// and routes it — single-key commands hop to the owner shard's
-// runtime and are joined through an I/O future, multi-key GETs split
-// into per-shard subtasks spawned on the receiving runtime and joined
-// by futures (the intra-request task parallelism the paper's
-// interactive apps lack), and hot keys detected by a frequency sketch
-// are promoted to replicated read-any/write-all handling so the
-// zipfian head stops paying the cross-shard hop.
-//
-// Rebalancing is epoch-based: the ring is immutable once built, the
-// routing table swaps atomically to a new epoch, and every request
-// pins the ring it routed with (an epoch gate), so a drain can wait
-// for exactly the requests that saw the old topology before migrating
-// data. During migration, reads that miss on the new owner fall back
-// to the old one, so an accepted write is never unobservable.
+// Package cluster holds the consistent-hash ring that routed keys to
+// in-process runtime shards before the cluster tier left the tree
+// (DESIGN.md "Tried and removed"). What remains is only what the
+// pinned benchmark's cluster.ring_owner_ns probe calls.
 package cluster
 
 import (
 	"sort"
 	"strconv"
-	"sync/atomic"
 )
 
-// Hasher maps a key to a point on the ring. Pluggable so deployments
-// can trade distribution quality against hash cost; the default is
-// 64-bit FNV-1a with an avalanche finalizer.
-type Hasher func([]byte) uint64
-
-// FNV1a64 is raw 64-bit FNV-1a. Fast, but unsuitable for ring
-// placement on its own: keys differing only in their last characters
-// (key:00000041 vs key:00000042 — exactly the shape cache keyspaces
-// take) hash to values a small multiple of the FNV prime apart, which
-// lands whole runs of sequential keys inside one vnode arc. The
-// sketch uses it directly (its double-hashing re-mixes), the ring
-// default wraps it in a finalizer.
-func FNV1a64(b []byte) uint64 {
+// DefaultHasher is 64-bit FNV-1a pushed through a 64-bit avalanche
+// (the MurmurHash3 fmix64 finalizer). Raw FNV-1a alone lands runs of
+// sequential keys (key:00000041, key:00000042) inside one vnode arc;
+// the finalizer flips about half the output bits per one-character
+// difference, so sequential keys scatter uniformly around the ring.
+func DefaultHasher(b []byte) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -47,15 +24,6 @@ func FNV1a64(b []byte) uint64 {
 		h ^= uint64(b[i])
 		h *= prime
 	}
-	return h
-}
-
-// DefaultHasher is FNV-1a pushed through a 64-bit avalanche (the
-// MurmurHash3 fmix64 finalizer), so a one-character key difference
-// flips about half the output bits and sequential keys scatter
-// uniformly around the ring.
-func DefaultHasher(b []byte) uint64 {
-	h := FNV1a64(b)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -71,74 +39,48 @@ type ringPoint struct {
 	shard int32
 }
 
-// Ring is one immutable epoch of the routing table: the sorted
-// virtual-node points of the live shards. Requests route against one
-// Ring for their whole lifetime and pin it via the inflight gate, so
-// a topology change can quiesce the previous epoch precisely.
+// Ring is an immutable routing table: the sorted virtual-node points
+// of a shard set.
 type Ring struct {
-	epoch  uint64
 	points []ringPoint
-	shards []int // live shard ids, ascending
-	hash   Hasher
-
-	// inflight counts requests routed with this ring that have not
-	// finished. Drain/rebalance swaps the table to a new epoch and
-	// then waits for the old ring's count to reach zero before moving
-	// data (see Cluster.enterRing for the pin protocol).
-	inflight atomic.Int64
 }
 
-// buildRing places vnodes virtual nodes per live shard. The vnode
-// positions depend only on (shard id, vnode index, hasher), so a
-// shard's points are identical across epochs — removing a shard moves
-// only the keys it owned, the consistent-hashing property the
-// rebalance test asserts.
-func buildRing(epoch uint64, shards []int, vnodes int, hash Hasher) *Ring {
-	r := &Ring{
-		epoch:  epoch,
-		shards: append([]int(nil), shards...),
-		hash:   hash,
-		points: make([]ringPoint, 0, len(shards)*vnodes),
-	}
-	sort.Ints(r.shards)
+// buildRing places vnodes virtual nodes per shard. The vnode
+// positions depend only on (shard id, vnode index), so a shard's
+// points are the same in every ring that contains it — removing a
+// shard moves only the keys it owned.
+func buildRing(shards []int, vnodes int) *Ring {
+	r := &Ring{points: make([]ringPoint, 0, len(shards)*vnodes)}
 	var name []byte
-	for _, s := range r.shards {
+	for _, s := range shards {
 		for v := 0; v < vnodes; v++ {
 			name = name[:0]
 			name = append(name, "shard-"...)
 			name = strconv.AppendInt(name, int64(s), 10)
 			name = append(name, "-vnode-"...)
 			name = strconv.AppendInt(name, int64(v), 10)
-			r.points = append(r.points, ringPoint{h: hash(name), shard: int32(s)})
+			r.points = append(r.points, ringPoint{h: DefaultHasher(name), shard: int32(s)})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].h != r.points[j].h {
 			return r.points[i].h < r.points[j].h
 		}
-		// Deterministic tie-break so equal hash points (rare but
-		// possible with a weak pluggable hasher) still yield exactly
-		// one owner per key in every epoch.
+		// Deterministic tie-break so equal hash points still yield
+		// exactly one owner per key.
 		return r.points[i].shard < r.points[j].shard
 	})
 	return r
 }
 
-// Epoch returns the ring's epoch number.
-func (r *Ring) Epoch() uint64 { return r.epoch }
-
-// Shards returns the live shard ids (ascending). Callers must not
-// mutate the slice.
-func (r *Ring) Shards() []int { return r.shards }
-
 // Owner returns the shard owning key: the shard of the first virtual
 // node clockwise from the key's hash point. Exactly one shard owns
-// any key in any given epoch. Returns -1 on an empty ring.
+// any key. Returns -1 on an empty ring.
 func (r *Ring) Owner(key []byte) int {
 	if len(r.points) == 0 {
 		return -1
 	}
-	h := r.hash(key)
+	h := DefaultHasher(key)
 	// First point with h >= key hash, wrapping to 0. Manual binary
 	// search keeps the routing decision allocation-free.
 	lo, hi := 0, len(r.points)

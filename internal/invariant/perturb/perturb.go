@@ -57,17 +57,15 @@ const (
 	Abandon
 	Enqueue
 	Dequeue
-	Check        // the frequent bitfield/cancellation check (maybeSwitch)
-	Submit       // external submission entering the runtime
-	IO           // I/O pool handoff
-	Predict      // service-time predictor read/update ordering (internal/predict)
-	RouteSelect  // cluster ring lookup/route decision before a cross-shard hop (internal/cluster)
-	DrainHandoff // cluster drain: between the ring swap and the old-epoch quiesce/migration
-	WakeDefer    // prio: zero→non-zero Set deferring its broadcast to a coalescer flush
-	WakeFlush    // prio: coalescer between departing and claiming the pending broadcast
-	LoopSplit    // data-parallel split decision: between a loop frame's spawn and its continuation (the window a thief steals the other half in)
-	Handoff      // sched: a task has passed its worker's token on and not yet parked (the receiver runs while the passer, which may touch no worker state, is still awake)
-	NetDeliver   // netpoll: a pass has mapped its fds and not yet completed their futures on the poller (Desc Close and runtime Close race it)
+	Check      // the frequent bitfield/cancellation check (maybeSwitch)
+	Submit     // external submission entering the runtime
+	IO         // I/O pool handoff
+	Predict    // service-time predictor read/update ordering (internal/predict)
+	WakeDefer  // prio: zero→non-zero Set deferring its broadcast to a coalescer flush
+	WakeFlush  // prio: coalescer between departing and claiming the pending broadcast
+	LoopSplit  // data-parallel split decision: between a loop frame's spawn and its continuation (the window a thief steals the other half in)
+	Handoff    // sched: a task has passed its worker's token on and not yet parked (the receiver runs while the passer, which may touch no worker state, is still awake)
+	NetDeliver // netpoll: a pass has mapped its fds and not yet completed their futures on the poller (Desc Close and runtime Close race it)
 	numPoints
 )
 

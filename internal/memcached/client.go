@@ -3,7 +3,6 @@ package memcached
 import (
 	"fmt"
 	"io"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -144,18 +143,10 @@ type pendingReq struct {
 	isGet     bool
 }
 
-// clientConn is the transport surface the load generator needs; the
-// in-memory netsim.Endpoint and a real net.Conn both satisfy it.
-type clientConn interface {
-	Read(p []byte) (n int, err error)
-	Write(p []byte) (n int, err error)
-	Close() error
-}
-
 // lineScanner is a minimal blocking line reader over a connection for
 // the client side (clients are plain goroutines, outside the runtime).
 type lineScanner struct {
-	ep  clientConn
+	ep  io.Reader
 	buf []byte
 	pos int
 }
@@ -203,37 +194,6 @@ func (ls *lineScanner) readLine() ([]byte, error) {
 // overload shows up as queueing delay rather than silently slowing
 // the generator).
 func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
-	return runLoad(cfg, func(i int) (clientConn, byte, error) {
-		ep, err := ln.Dial()
-		if err != nil {
-			return nil, 0, err
-		}
-		return ep, byte(ep.ID), nil
-	})
-}
-
-// RunLoadTCP drives a real-socket server at addr with the same
-// workload and measurement conventions as RunLoad. Dials retry
-// briefly: at thousands of connections the listen backlog can
-// transiently overflow while the accept loop catches up.
-func RunLoadTCP(addr string, cfg WorkloadConfig) (*LoadResult, error) {
-	return runLoad(cfg, func(i int) (clientConn, byte, error) {
-		var lastErr error
-		for attempt := 0; attempt < 100; attempt++ {
-			nc, err := net.Dial("tcp", addr)
-			if err == nil {
-				return nc, byte(i), nil
-			}
-			lastErr = err
-			time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-		}
-		return nil, 0, lastErr
-	})
-}
-
-// runLoad is the transport-independent load loop; dial produces the
-// i-th connection plus a per-connection payload salt.
-func runLoad(cfg WorkloadConfig, dial func(i int) (clientConn, byte, error)) (*LoadResult, error) {
 	cfg.applyDefaults()
 	res := &LoadResult{Latency: stats.NewRecorder(int(cfg.RPS * cfg.Duration.Seconds()))}
 	rootRNG := xrand.New(cfg.Seed)
@@ -252,8 +212,7 @@ func runLoad(cfg WorkloadConfig, dial func(i int) (clientConn, byte, error)) (*L
 	// (every sender's deadline is start+Duration). Dials run with
 	// bounded concurrency so the server's accept loop sees a burst it
 	// can absorb.
-	conns := make([]clientConn, cfg.Connections)
-	salts := make([]byte, cfg.Connections)
+	conns := make([]*netsim.Endpoint, cfg.Connections)
 	dialErrs := make(chan error, cfg.Connections)
 	sem := make(chan struct{}, 64)
 	var dialWG sync.WaitGroup
@@ -263,12 +222,12 @@ func runLoad(cfg WorkloadConfig, dial func(i int) (clientConn, byte, error)) (*L
 			defer dialWG.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ep, salt, err := dial(i)
+			ep, err := ln.Dial()
 			if err != nil {
 				dialErrs <- err
 				return
 			}
-			conns[i], salts[i] = ep, salt
+			conns[i] = ep
 		}(i)
 	}
 	dialWG.Wait()
@@ -287,17 +246,17 @@ func runLoad(cfg WorkloadConfig, dial func(i int) (clientConn, byte, error)) (*L
 	measureFrom := start.Add(cfg.Warmup)
 
 	for c := 0; c < cfg.Connections; c++ {
-		ep, salt := conns[c], salts[c]
+		ep := conns[c]
 		rng := rootRNG.Split()
 		zipf := xrand.NewZipf(rng, cfg.ZipfS, uint64(cfg.KeySpace))
 		pending := make(chan pendingReq, 65536)
 
 		// Sender: paced, open-loop.
 		wg.Add(1)
-		go func(ep clientConn, salt byte) {
+		go func(ep *netsim.Endpoint) {
 			defer wg.Done()
 			defer close(pending)
-			val := makeValue(cfg.ValueSize, salt)
+			val := makeValue(cfg.ValueSize, byte(ep.ID))
 			var req []byte // reused request-encoding scratch
 			next := time.Now()
 			deadline := start.Add(cfg.Duration)
@@ -334,11 +293,11 @@ func runLoad(cfg WorkloadConfig, dial func(i int) (clientConn, byte, error)) (*L
 				}
 				sent.Add(1)
 			}
-		}(ep, salt)
+		}(ep)
 
 		// Receiver: parse responses in order, record latency.
 		wg.Add(1)
-		go func(ep clientConn) {
+		go func(ep *netsim.Endpoint) {
 			defer wg.Done()
 			defer ep.Close()
 			ls := &lineScanner{ep: ep}

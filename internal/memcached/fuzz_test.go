@@ -171,7 +171,7 @@ func runNewTextPath(input []byte) (out []byte, quit bool) {
 		needData, perr := ParseCommandB(line, &req)
 		if perr != nil {
 			out = append(out, perr...)
-			if ClosesConn(perr) {
+			if closesConn(perr) {
 				return out, false
 			}
 			continue

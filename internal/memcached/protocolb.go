@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"icilk/internal/predict"
 	"icilk/internal/wire"
 )
 
@@ -97,7 +96,7 @@ func (r *RequestB) Reset() {
 // when none). A non-nil errReply is the complete error response to
 // write; r.Op == opSkip with nil errReply signals an empty line to
 // skip. Accept/reject behaviour matches ParseCommand exactly. One
-// errReply ends the connection: see ClosesConn.
+// errReply ends the connection: see closesConn.
 func ParseCommandB(line []byte, r *RequestB) (needData int, errReply []byte) {
 	r.Reset()
 	r.fields = wire.Fields(r.fields[:0], line)
@@ -247,57 +246,16 @@ func ParseCommandB(line []byte, r *RequestB) (needData int, errReply []byte) {
 	}
 }
 
-// Routing surface for the cluster frontend (internal/cluster): the
-// router parses once with ParseCommandB and then needs to know which
-// shard a command belongs to and whether it mutates the store,
-// without re-inspecting the line. Multi-key GETs never reach these —
-// the frontend fans them out itself from the raw key list.
-
-// RouteKey returns the single key a parsed command addresses — the
-// consistent-hash routing input — or nil for keyless commands
-// (stats, version, flush_all, quit, ...) and for multi-key GETs,
-// which route per key.
-func (r *RequestB) RouteKey() []byte {
-	switch r.Op {
-	case opSet, opAdd, opReplace, opAppend, opPrepend, opCas,
-		opDelete, opIncr, opDecr, opTouch:
-		return r.Key
-	}
-	return nil
-}
-
-// IsFlushAll reports the one keyless mutation, which the cluster
-// frontend broadcasts to every shard.
-func (r *RequestB) IsFlushAll() bool { return r.Op == opFlushAll }
-
-// AdmissionClass returns the request class (opcode × value-size
-// bucket) the admission controller's predictive policy keys on — the
-// same class the single-runtime server charges, so a clustered
-// deployment trains the identical predictor tables.
-func (r *RequestB) AdmissionClass() predict.Class {
-	return predict.Class{Op: uint8(r.Op), Size: predict.SizeBucket(len(r.Data))}
-}
-
-// MultiGetClass is the admission class of a multi-key GET handled on
-// the cluster frontend's fan-out fast path (which never builds a
-// RequestB).
-func MultiGetClass() predict.Class { return predict.Class{Op: uint8(opGet)} }
-
-// ReplyOutOfCapacity is the admission-control shed response line,
-// exported for frontends outside this package (the cluster router
-// sheds with the same protocol error as the single-runtime server).
-var ReplyOutOfCapacity = replyOutOfCapacity
-
-// ReplyLineTooLong answers a command line that ran past the line
+// errReplyLineTooLong answers a command line that ran past the line
 // bound with no newline (icilk.ErrLineTooLong, or the pthread
 // frontend's own scan); the connection closes after it.
-var ReplyLineTooLong = []byte(replyLineTooLong)
+var errReplyLineTooLong = []byte(replyLineTooLong)
 
-// ClosesConn reports whether errReply, a ParseCommandB error, is the
+// closesConn reports whether errReply, a ParseCommandB error, is the
 // rejection of a data block over maxItemBytes. That block is on the
 // wire and will not be read, so the framing is lost: the caller
 // writes the reply and closes the connection.
-func ClosesConn(errReply []byte) bool { return &errReply[0] == &errReplyTooLarge[0] }
+func closesConn(errReply []byte) bool { return &errReply[0] == &errReplyTooLarge[0] }
 
 // SetData attaches a storage command's data block. raw is the r.Bytes
 // payload bytes the command line declared plus the two after them,
@@ -316,10 +274,8 @@ func (r *RequestB) SetData(raw []byte) (errReply []byte) {
 
 // AppendValueLine appends one "VALUE <key> <flags> <len>[ <cas>]",
 // the value block, and CRLF framing to dst — the per-key unit of a
-// GET response, and the text protocol's HitRenderer. The cluster
-// frontend assembles fanned-out multi-get replies from these in
-// original request key order; the bytes are identical to
-// ExecuteAppend's for the same hit.
+// GET response, and the text protocol's HitRenderer; the bytes are
+// identical to ExecuteAppend's for the same hit.
 func AppendValueLine(dst []byte, key, value []byte, flags uint32, cas uint64, withCAS bool) []byte {
 	dst = append(dst, "VALUE "...)
 	dst = append(dst, key...)

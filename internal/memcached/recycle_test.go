@@ -104,13 +104,13 @@ func checkGetReply(reply []byte, keys []string) error {
 
 // TestConcurrentRecycleNoTornValue: writers (both protocols), readers
 // (text get, 16-key get, binary getk), a deleter, an appender, a
-// counter, a flusher, a dumper and a ranger share a small key space in
-// a store whose budget holds a handful of values, so items are
-// overwritten in place, evicted, listed and reused continuously, across
-// four size classes. Every reply is checked whole, and every key that
-// DumpShard or Range hands out must be one that was set and must stay
-// what it was once the item it was read from has been evicted and its
-// key buffer rewritten. With icilk_debug released
+// counter, a flusher and a dumper share a small key space in a store
+// whose budget holds a handful of values, so items are overwritten in
+// place, evicted, listed and reused continuously, across four size
+// classes. Every reply is checked whole, and every key that DumpShard
+// hands out must be one that was set and must stay what it was once
+// the item it was read from has been evicted and its key buffer
+// rewritten. With icilk_debug released
 // buffers are poisoned and the crawl asserts the free lists against the
 // live set.
 func TestConcurrentRecycleNoTornValue(t *testing.T) {
@@ -290,18 +290,6 @@ func TestConcurrentRecycleNoTornValue(t *testing.T) {
 			held = append(held, strings.Clone(e.Key))
 		}
 		return reply, nil
-	})
-	actor("ranger", func(*rand.Rand, int, []byte) (reply []byte, err error) {
-		s.Range(func(key string, value []byte, flags uint32, _ int64) bool {
-			held := strings.Clone(key)
-			if !isKey[held] {
-				err = fmt.Errorf("Range passed key %q, never set", held)
-			} else if err = checkValue(held, flags, value); err == nil && !sameKey(key, held) {
-				err = fmt.Errorf("Range passed key %q, which has since become %q", held, key)
-			}
-			return err == nil
-		})
-		return nil, err
 	})
 	wg.Wait()
 

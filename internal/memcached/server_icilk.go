@@ -203,7 +203,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 		line, err := lr.ReadLineBytes(t)
 		if err != nil {
 			if errors.Is(err, icilk.ErrLineTooLong) {
-				ep.Write(ReplyLineTooLong)
+				ep.Write(errReplyLineTooLong)
 			}
 			return // EOF: client disconnected
 		}
@@ -217,7 +217,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 		needData, perr := ParseCommandB(line, &req)
 		if perr != nil {
 			ep.Write(perr)
-			if ClosesConn(perr) {
+			if closesConn(perr) {
 				return
 			}
 			continue

@@ -163,7 +163,7 @@ func (cs *connState) step(store *Store) (progress, executed, quit bool) {
 	}
 	if idx < 0 {
 		if len(cs.buf)-cs.pos >= maxLineBytes {
-			cs.ep.Write(ReplyLineTooLong)
+			cs.ep.Write(errReplyLineTooLong)
 			return true, false, true
 		}
 		return false, false, false
@@ -176,7 +176,7 @@ func (cs *connState) step(store *Store) (progress, executed, quit bool) {
 	needData, perr := ParseCommandB(line, &cs.req)
 	if perr != nil {
 		cs.ep.Write(perr)
-		return true, true, ClosesConn(perr)
+		return true, true, closesConn(perr)
 	}
 	if cs.req.Op == opSkip {
 		return true, false, false

@@ -500,39 +500,5 @@ func (s *Store) DumpShard(i, limit int) []DumpEntry {
 	return out
 }
 
-// Range calls fn for every live (unexpired) item — the enumeration a
-// cluster rebalance needs to move a shard's keys to their new owners.
-// Each hash-table partition's entries are copied, value bytes
-// included, under its lock and fn runs outside it, so concurrent
-// protocol traffic is never blocked behind fn and an overwrite that
-// lands mid-iteration cannot tear what fn sees: the whole value
-// current at snapshot time. fn returning false stops the walk.
-func (s *Store) Range(fn func(key string, value []byte, flags uint32, expireAt int64) bool) {
-	now := time.Now().Unix()
-	type entry struct {
-		key      string
-		value    []byte
-		flags    uint32
-		expireAt int64
-	}
-	var batch []entry
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		batch = batch[:0]
-		for _, it := range sh.table {
-			if !it.expired(now) {
-				batch = append(batch, entry{strings.Clone(it.Key), append([]byte(nil), it.Value...), it.Flags, it.ExpireAt})
-			}
-		}
-		sh.mu.Unlock()
-		for _, e := range batch {
-			if !fn(e.key, e.value, e.flags, e.expireAt) {
-				return
-			}
-		}
-	}
-}
-
 // Uptime returns seconds since the store was created.
 func (s *Store) Uptime() int64 { return int64(time.Since(s.started) / time.Second) }

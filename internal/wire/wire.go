@@ -59,57 +59,6 @@ func isSpace(r rune) bool {
 	return unicode.IsSpace(r)
 }
 
-// FieldIter walks the whitespace-separated fields of a byte slice one
-// at a time, without materializing a [][]byte. The cluster router's
-// multi-get fan-out uses it to split "gets key1 key2 ..." into
-// per-shard subtasks straight off the connection buffer: each Next is
-// a view into the underlying slice and the iterator itself is a small
-// value (keep it on the stack), so the split performs no allocation
-// at all. Field boundaries match strings.Fields exactly (the fuzz
-// parity test asserts it), like Fields above.
-type FieldIter struct {
-	s []byte
-	i int
-}
-
-// IterFields returns an iterator over the fields of s. s must not be
-// mutated while the iterator (or any view it returned) is in use.
-func IterFields(s []byte) FieldIter { return FieldIter{s: s} }
-
-// Next returns the next field as a view into the underlying slice,
-// or ok=false when the fields are exhausted.
-func (it *FieldIter) Next() (field []byte, ok bool) {
-	s := it.s
-	i := it.i
-	for i < len(s) {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRune(s[i:])
-		}
-		if !isSpace(r) {
-			break
-		}
-		i += size
-	}
-	if i >= len(s) {
-		it.i = i
-		return nil, false
-	}
-	start := i
-	for i < len(s) {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
-			r, size = utf8.DecodeRune(s[i:])
-		}
-		if isSpace(r) {
-			break
-		}
-		i += size
-	}
-	it.i = i
-	return s[start:i], true
-}
-
 // Equal reports b == s without converting either side.
 func Equal(b []byte, s string) bool { return string(b) == s }
 

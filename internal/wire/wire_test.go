@@ -101,89 +101,6 @@ func FuzzFieldsParity(f *testing.F) {
 	})
 }
 
-// TestFieldIterMatchesStringsFields: the view iterator must yield
-// exactly the fields strings.Fields produces, in order.
-func TestFieldIterMatchesStringsFields(t *testing.T) {
-	cases := []string{
-		"", " ", "  \t ", "a", " a ", "a b c", "gets key1 key2  key3\t",
-		"héllo wörld", "　x　", "\xff\xfe", "a\x80b", "k\r",
-	}
-	for _, c := range cases {
-		want := strings.Fields(c)
-		it := IterFields([]byte(c))
-		var got []string
-		for {
-			f, ok := it.Next()
-			if !ok {
-				break
-			}
-			got = append(got, string(f))
-		}
-		if len(got) != len(want) {
-			t.Errorf("IterFields(%q): %d fields, want %d", c, len(got), len(want))
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("IterFields(%q)[%d] = %q, want %q", c, i, got[i], want[i])
-			}
-		}
-	}
-	// Exhausted iterators stay exhausted.
-	it := IterFields([]byte("x"))
-	it.Next()
-	if _, ok := it.Next(); ok {
-		t.Error("exhausted iterator returned another field")
-	}
-	if _, ok := it.Next(); ok {
-		t.Error("doubly exhausted iterator returned another field")
-	}
-}
-
-// TestFieldIterNoAlloc: the multi-get split must stay off the
-// allocator — the whole point of the iterator over Fields.
-func TestFieldIterNoAlloc(t *testing.T) {
-	line := []byte("gets key:00000001 key:00000002 key:00000003 key:00000004")
-	n := testing.AllocsPerRun(200, func() {
-		it := IterFields(line)
-		for {
-			f, ok := it.Next()
-			if !ok {
-				break
-			}
-			_ = f
-		}
-	})
-	if n != 0 {
-		t.Fatalf("FieldIter allocates %.1f per line, want 0", n)
-	}
-}
-
-// FuzzFieldIterParity drives the iterator against strings.Fields —
-// the router's fan-out split must tokenize exactly like the reference
-// splitter on every input.
-func FuzzFieldIterParity(f *testing.F) {
-	f.Add([]byte("gets a b  c\t"))
-	f.Add([]byte("　x y"))
-	f.Add([]byte{0xff, ' ', 0x80})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		want := strings.Fields(string(b))
-		it := IterFields(b)
-		for i := 0; ; i++ {
-			got, ok := it.Next()
-			if !ok {
-				if i != len(want) {
-					t.Fatalf("IterFields(%q): %d fields, want %d", b, i, len(want))
-				}
-				return
-			}
-			if i >= len(want) || string(got) != want[i] {
-				t.Fatalf("IterFields(%q)[%d] = %q, want list %q", b, i, got, want)
-			}
-		}
-	})
-}
-
 // FuzzParseParity drives both numeric parsers against strconv.
 func FuzzParseParity(f *testing.F) {
 	f.Add("18446744073709551615")

@@ -51,14 +51,14 @@ type Result struct {
 // request sequence number.
 type SubmitFunc func(class, user int, seq int64) *icilk.Future
 
-// Pacer generates one deterministic open-loop arrival schedule:
+// pacer generates one deterministic open-loop arrival schedule:
 // Poisson gaps at the configured rate, class picks by mix weight, and
 // the optional user spread — the shared arrival process behind
-// RunOpenLoop, RunOpenLoopGoodput, and the cluster load generator.
+// RunOpenLoop and RunOpenLoopGoodput.
 // The draw sequence per arrival (gap, class, user) is fixed, so two
 // pacers with the same config and seed produce identical schedules
 // regardless of what the caller does between calls.
-type Pacer struct {
+type pacer struct {
 	rng      *xrand.Rand
 	meanGap  float64
 	mix      []float64
@@ -68,8 +68,8 @@ type Pacer struct {
 	deadline time.Time
 }
 
-// NewPacer builds the arrival schedule [start, start+cfg.Duration).
-func NewPacer(cfg OpenLoopConfig, start time.Time) *Pacer {
+// newPacer builds the arrival schedule [start, start+cfg.Duration).
+func newPacer(cfg OpenLoopConfig, start time.Time) *pacer {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0xfeed
 	}
@@ -77,7 +77,7 @@ func NewPacer(cfg OpenLoopConfig, start time.Time) *Pacer {
 	for _, w := range cfg.Mix {
 		totalW += w
 	}
-	return &Pacer{
+	return &pacer{
 		rng: xrand.New(cfg.Seed),
 		// Truncate to whole nanoseconds exactly as the pre-extraction
 		// loops did, so existing seeds reproduce bit-identical
@@ -94,7 +94,7 @@ func NewPacer(cfg OpenLoopConfig, start time.Time) *Pacer {
 // Next returns the next scheduled arrival, or ok=false when the
 // schedule is exhausted. The caller sleeps until the returned time
 // (open-loop: the schedule never slows down for a lagging server).
-func (p *Pacer) Next() (scheduled time.Time, class, user int, ok bool) {
+func (p *pacer) Next() (scheduled time.Time, class, user int, ok bool) {
 	gap := time.Duration(p.rng.Exp(p.meanGap))
 	p.next = p.next.Add(gap)
 	if p.next.After(p.deadline) {
@@ -134,10 +134,10 @@ func RunOpenLoop(cfg OpenLoopConfig, submit SubmitFunc) *Result {
 	var wg sync.WaitGroup
 	start := time.Now()
 	measureFrom := start.Add(cfg.Warmup)
-	pacer := NewPacer(cfg, start)
+	arrivals := newPacer(cfg, start)
 	var seq int64
 	for {
-		scheduled, class, user, ok := pacer.Next()
+		scheduled, class, user, ok := arrivals.Next()
 		if !ok {
 			break
 		}
@@ -249,10 +249,10 @@ func RunOpenLoopGoodput(cfg OpenLoopConfig, deadline time.Duration, submit Goodp
 	var wg sync.WaitGroup
 	start := time.Now()
 	measureFrom := start.Add(cfg.Warmup)
-	pacer := NewPacer(cfg, start)
+	arrivals := newPacer(cfg, start)
 	var seq int64
 	for {
-		scheduled, class, user, ok := pacer.Next()
+		scheduled, class, user, ok := arrivals.Next()
 		if !ok {
 			break
 		}

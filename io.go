@@ -228,33 +228,6 @@ func (lr *LineReader) ReadLineBytes(t *Task) ([]byte, error) {
 	}
 }
 
-// ReadBlock returns the next n bytes followed by CRLF (the Memcached
-// data-block framing), suspending until available. The block is a
-// fresh copy the caller may retain.
-func (lr *LineReader) ReadBlock(t *Task, n int) ([]byte, error) {
-	block, err := lr.ReadBlockBytes(t, n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, block)
-	return out, nil
-}
-
-// ReadBlockBytes returns the next n bytes followed by CRLF as a view
-// into the internal buffer, suspending until available. Valid until
-// the next read on this reader.
-func (lr *LineReader) ReadBlockBytes(t *Task, n int) ([]byte, error) {
-	for len(lr.buf)-lr.pos < n+2 {
-		if err := lr.fill(t); err != nil {
-			return nil, err
-		}
-	}
-	block := lr.buf[lr.pos : lr.pos+n]
-	lr.pos += n + 2 // skip trailing CRLF
-	return block, nil
-}
-
 // PeekByte returns the next byte without consuming it, suspending
 // until one is available. Servers that speak several protocols on one
 // port use it to sniff the framing (memcached's binary protocol is

@@ -35,7 +35,7 @@ func TestLineReaderSplitAcrossFills(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		block, err := lr.ReadBlock(task, 3)
+		block, err := lr.ReadExact(task, 3+2)
 		if err != nil {
 			return err
 		}
@@ -45,7 +45,7 @@ func TestLineReaderSplitAcrossFills(t *testing.T) {
 		}
 		return line + "|" + string(block) + "|" + line2
 	})
-	if got != "set x 0 0 3|abc|next" {
+	if got != "set x 0 0 3|abc\r\n|next" {
 		t.Fatalf("got %v", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestLineReaderEOFMidBlock(t *testing.T) {
 	cli.Close()
 	got := rt.Run(func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		_, err := lr.ReadBlock(task, 4)
+		_, err := lr.ReadExact(task, 4+2)
 		return err
 	})
 	if got != io.EOF {

@@ -178,8 +178,8 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeAdminUnboundRuntime covers the swappable-sources path the
-// bench binaries use: one admin server following two runtimes.
+// TestAdminFollowsRuntimes covers the swappable-sources path: one
+// admin server re-pointed by AttachAdmin at two runtimes in turn.
 func TestAdminFollowsRuntimes(t *testing.T) {
 	adm := icilk.NewAdminServer()
 	if err := adm.Start("127.0.0.1:0"); err != nil {
