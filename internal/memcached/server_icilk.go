@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,14 +63,25 @@ type ICilkConfig struct {
 // (suspending on an I/O future when the socket is dry), execute it,
 // write the reply. The scheduler transparently multiplexes the
 // hundreds of concurrent connection routines.
+//
+// The server borrows the Store and the Runtime it is built with until
+// Close. Each routine takes both as parameters when it starts, so once
+// Close has returned, and the crawler and every connection routine
+// started before it have returned, the server holds neither, even
+// while the server value or a metrics closure over it stays reachable.
 type ICilkServer struct {
-	store *Store
-	rt    *icilk.Runtime
-	cfg   ICilkConfig
+	cfg ICilkConfig
 
-	stopped atomic.Bool
-	crawler *icilk.Future
-	conns   atomic.Int64
+	// mu orders Close against HandleConn, StartCrawler and the
+	// crawler's naps. rt == nil means closed.
+	mu       sync.Mutex
+	store    *Store
+	rt       *icilk.Runtime
+	crawler  *icilk.Future
+	nap      *icilk.Future // the crawler's pending sleep
+	napTimer *time.Timer   // completes nap, unless Close stops it first
+
+	conns atomic.Int64
 
 	reqs *metrics.Counter   // nil unless cfg.Metrics is set
 	lat  *metrics.Histogram // nil unless cfg.Metrics is set
@@ -113,20 +125,39 @@ func NewICilkServer(store *Store, rt *icilk.Runtime, cfg ICilkConfig) *ICilkServ
 // StartCrawler launches the background LRU crawler as a low-priority
 // future routine — the pthread version's background thread, expressed
 // as a task. Serve calls it automatically; real-network frontends
-// that bypass Serve call it themselves.
+// that bypass Serve call it themselves. After Close it does nothing.
 func (s *ICilkServer) StartCrawler() {
-	if s.crawler != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.crawler != nil || s.rt == nil {
 		return
 	}
-	s.crawler = s.rt.Submit(s.cfg.CrawlerLevel, func(t *icilk.Task) any {
-		i := 0
-		for !s.stopped.Load() {
-			s.store.CrawlShard(i)
-			i++
-			s.rt.Sleep(t, s.cfg.CrawlInterval)
+	rt, store := s.rt, s.store
+	s.crawler = rt.Submit(s.cfg.CrawlerLevel, func(t *icilk.Task) any {
+		for i := 0; ; i++ {
+			nap := s.startNap(rt)
+			if nap == nil {
+				return nil
+			}
+			store.CrawlShard(i)
+			nap.Get(t)
 		}
-		return nil
 	})
+}
+
+// startNap arms the crawler's next CrawlInterval and returns the I/O
+// future that ends it, or nil once Close has begun. The nap is a
+// Runtime.Sleep that Close can cut short: whichever of the timer and
+// Close's timer.Stop wins completes the future, exactly once.
+func (s *ICilkServer) startNap(rt *icilk.Runtime) *icilk.Future {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rt == nil {
+		return nil
+	}
+	f := rt.NewIOFuture()
+	s.nap, s.napTimer = f, time.AfterFunc(s.cfg.CrawlInterval, func() { rt.CompleteIO(f, nil) })
+	return f
 }
 
 // Serve accepts connections until the listener closes, submitting one
@@ -153,15 +184,32 @@ type Conn interface {
 // HandleConn submits a connection-handling future routine for ep and
 // returns its future (which resolves when the client disconnects).
 // Real-network frontends (cmd/memcached-server) call this directly
-// with adapted TCP connections.
+// with adapted TCP connections. After Close it closes ep and returns
+// an already-completed future without starting a routine.
 func (s *ICilkServer) HandleConn(ep Conn) *icilk.Future {
+	s.mu.Lock()
+	rt, store := s.rt, s.store
+	s.mu.Unlock()
+	if rt == nil {
+		ep.Close()
+		return closedConn
+	}
 	s.conns.Add(1)
-	return s.rt.Submit(s.cfg.RequestLevel, func(t *icilk.Task) any {
+	return rt.Submit(s.cfg.RequestLevel, func(t *icilk.Task) any {
 		defer s.conns.Add(-1)
-		s.handleConn(t, ep)
+		s.handleConn(t, rt, store, ep)
 		return nil
 	})
 }
+
+// closedConn is what HandleConn returns after Close: complete from
+// the start and bound to no runtime, so a late connection pins nothing
+// the server has let go of.
+var closedConn = func() *icilk.Future {
+	f := new(icilk.Future)
+	f.Complete(nil)
+	return f
+}()
 
 // writeBufferer is the optional coalescing surface a connection may
 // expose (netsim endpoints are write-through until a server opts in;
@@ -177,12 +225,12 @@ type writeBufferer interface{ BufferWrites() }
 // replies are encoded into a per-connection scratch buffer. Replies
 // coalesce in the connection's write buffer and flush when the loop
 // suspends for more input (Runtime.Read's auto-flush).
-func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
+func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store, ep Conn) {
 	defer ep.Close()
 	if b, ok := ep.(writeBufferer); ok {
 		b.BufferWrites()
 	}
-	lr := s.rt.NewLineReader(ep)
+	lr := rt.NewLineReader(ep)
 	// Protocol sniff, as real memcached does: a 0x80 first byte means
 	// the client speaks the binary protocol.
 	first, err := lr.PeekByte(t)
@@ -190,7 +238,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 		return
 	}
 	if first == binReqMagic {
-		s.handleBinaryConn(t, ep, lr)
+		s.handleBinaryConn(t, store, ep, lr)
 		return
 	}
 	var (
@@ -262,9 +310,9 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 			// Whole-store scan: intercepted before the sequential
 			// executor and run as a data-parallel sweep at ScanLevel.
 			// Reply bytes are identical to ExecuteAppend's.
-			reply = s.cachedumpParallel(t, string(req.Keys[1]), string(req.Keys[2]), reply[:0])
+			reply = s.cachedumpParallel(t, store, string(req.Keys[1]), string(req.Keys[2]), reply[:0])
 		} else {
-			reply, quit = ExecuteAppend(s.store, &req, reply[:0])
+			reply, quit = ExecuteAppend(store, &req, reply[:0])
 		}
 		if len(reply) > 0 {
 			ep.Write(reply)
@@ -293,7 +341,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, ep Conn) {
 // length-prefixed bodies, read through the same suspending I/O-future
 // reader (ReadExact instead of ReadLine — the framing is the only
 // difference between the two protocol loops).
-func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineReader) {
+func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr *icilk.LineReader) {
 	var reply []byte // per-connection response scratch
 	sinceYield := 0
 	for {
@@ -336,7 +384,7 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineRea
 			t0 = time.Now()
 		}
 		var quit bool
-		reply, quit = ExecuteBinaryAppend(s.store, h, body, reply[:0])
+		reply, quit = ExecuteBinaryAppend(store, h, body, reply[:0])
 		if len(reply) > 0 {
 			ep.Write(reply)
 		}
@@ -363,14 +411,14 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, ep Conn, lr *icilk.LineRea
 // promptness checks, and the rendered bytes match the sequential
 // cachedumpAppend exactly: same per-shard snapshots, same shard
 // order, same global limit, same renderer.
-func (s *ICilkServer) cachedumpParallel(t *icilk.Task, shardSel, limitStr string, dst []byte) []byte {
-	shards, limit, ok := cachedumpArgs(s.store, shardSel, limitStr)
+func (s *ICilkServer) cachedumpParallel(t *icilk.Task, store *Store, shardSel, limitStr string, dst []byte) []byte {
+	shards, limit, ok := cachedumpArgs(store, shardSel, limitStr)
 	if !ok {
 		return append(dst, replyBadCachedump...)
 	}
 	f := t.FutCreate(s.cfg.ScanLevel, func(ct *icilk.Task) any {
 		return icilk.Map(ct, shards, 1, func(si int) []DumpEntry {
-			return s.store.DumpShard(si, limit)
+			return store.DumpShard(si, limit)
 		})
 	})
 	perShard := f.Get(t).([][]DumpEntry)
@@ -395,13 +443,25 @@ func (s *ICilkServer) recordRequest(tk icilk.AdmissionTicket, d time.Duration) {
 // ActiveConns returns the number of live connection routines.
 func (s *ICilkServer) ActiveConns() int64 { return s.conns.Load() }
 
-// Close stops the crawler. Close the listener first; connection
-// routines exit when their clients disconnect.
+// Close stops the crawler, cutting its pending CrawlInterval short,
+// and waits for it; then the server lets go of its store and runtime.
+// Close the listener first. Connection routines already running keep
+// serving their clients from the store they started with and exit
+// when those clients disconnect; connections handed over after Close
+// are closed at once. The store is the caller's to reuse or drop once
+// those routines have returned.
 func (s *ICilkServer) Close() {
-	if s.stopped.Swap(true) {
+	s.mu.Lock()
+	rt, crawler, nap, napTimer := s.rt, s.crawler, s.nap, s.napTimer
+	s.store, s.rt, s.crawler, s.nap, s.napTimer = nil, nil, nil, nil, nil
+	s.mu.Unlock()
+	if rt == nil {
 		return
 	}
-	if s.crawler != nil {
-		s.crawler.Wait()
+	if napTimer != nil && napTimer.Stop() {
+		rt.CompleteIO(nap, nil)
+	}
+	if crawler != nil {
+		crawler.Wait()
 	}
 }

@@ -28,14 +28,22 @@ type PthreadConfig struct {
 // event loop, connections pinned to a worker at accept time, and
 // request handling written as an explicit state machine inside the
 // read callback.
+//
+// The server borrows the Store it is built with until Close; once
+// Close has returned it holds neither the store nor its event bases.
 type PthreadServer struct {
+	cfg  PthreadConfig
+	wg   sync.WaitGroup
+	next atomic.Int64 // round-robin connection assignment
+	stop chan struct{}
+	once sync.Once
+
+	// mu orders Serve's start against Close. Callbacks read store
+	// unlocked: Close drops both fields only after wg.Wait, when no
+	// event loop is left to run one.
+	mu    sync.Mutex
 	store *Store
-	cfg   PthreadConfig
 	bases []*levent.Base
-	wg    sync.WaitGroup
-	next  atomic.Int64 // round-robin connection assignment
-	stop  chan struct{}
-	once  sync.Once
 }
 
 // NewPthreadServer creates the server around an existing store.
@@ -269,41 +277,55 @@ func (s *PthreadServer) onReadable(e *levent.Event) {
 
 // Serve accepts connections until the listener closes. It blocks;
 // run it on its own goroutine. Stop the server by closing the
-// listener and then calling Close.
+// listener and then calling Close; connections accepted after Close
+// are closed at once.
 func (s *PthreadServer) Serve(ln *netsim.Listener) {
-	// Worker threads.
-	for _, b := range s.bases {
-		b := b
+	s.mu.Lock()
+	store, bases := s.store, s.bases
+	select {
+	case <-s.stop:
+	default:
+		// Worker threads.
+		for _, b := range bases {
+			b := b
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				b.Dispatch()
+			}()
+		}
+		// Background crawler thread.
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			b.Dispatch()
+			i := 0
+			t := time.NewTicker(s.cfg.CrawlInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-s.stop:
+					return
+				case <-t.C:
+					store.CrawlShard(i)
+					i++
+				}
+			}
 		}()
 	}
-	// Background crawler thread.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		i := 0
-		t := time.NewTicker(s.cfg.CrawlInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.store.CrawlShard(i)
-				i++
-			}
-		}
-	}()
+	s.mu.Unlock()
 	// Main thread: accept and pin connections round-robin.
 	for {
 		ep, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		base := s.bases[int(s.next.Add(1))%len(s.bases)]
+		select {
+		case <-s.stop:
+			ep.Close() // no event loop is left to serve it
+			continue
+		default:
+		}
+		base := bases[int(s.next.Add(1))%len(bases)]
 		ep.BufferWrites()
 		cs := &connState{ep: ep, needData: -1}
 		ev := base.NewReadEvent(ep, s.onReadable)
@@ -312,14 +334,21 @@ func (s *PthreadServer) Serve(ln *netsim.Listener) {
 	}
 }
 
-// Close stops the event loops and the crawler. Call after closing the
-// listener.
+// Close stops the event loops and the crawler, waits for them, and
+// then lets go of the store and the bases. Call after closing the
+// listener. Connections still open are abandoned: no callback runs
+// after Close returns.
 func (s *PthreadServer) Close() {
 	s.once.Do(func() {
+		s.mu.Lock()
 		close(s.stop)
 		for _, b := range s.bases {
 			b.Stop()
 		}
+		s.mu.Unlock()
 	})
 	s.wg.Wait()
+	s.mu.Lock()
+	s.store, s.bases = nil, nil
+	s.mu.Unlock()
 }
