@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -144,9 +145,8 @@ func TestReadyzDegradedUnderSustainedShed(t *testing.T) {
 		Workers: 1,
 		Levels:  1,
 		Admission: &icilk.AdmissionConfig{
-			Policy:        icilk.ShedTailDrop,
-			QueueCap:      1,
-			DegradedAfter: 10,
+			Policy:   icilk.ShedTailDrop,
+			QueueCap: 1,
 		},
 	})
 	if err != nil {
@@ -158,12 +158,13 @@ func TestReadyzDegradedUnderSustainedShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Occupy the single slot, then shed past the degraded threshold.
+	// Occupy the single slot, then shed past the degraded threshold of
+	// 100 consecutive sheds.
 	tk, err := rt.Admission().Acquire(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 100; i++ {
 		if _, err := rt.Admission().Acquire(0); !errors.Is(err, icilk.ErrShed) {
 			t.Fatalf("expected shed, got %v", err)
 		}
@@ -178,4 +179,20 @@ func TestReadyzDegradedUnderSustainedShed(t *testing.T) {
 		t.Fatalf("/readyz under sustained shed = %d, want 503", res.StatusCode)
 	}
 	rt.Admission().Release(tk, false)
+}
+
+// TestReadmeQuotesAdmissionExample: README's overload snippet is the
+// body of ExampleAdmissionController_SubmitClass, so the snippet
+// compiles and runs with the example instead of drifting from the API.
+func TestReadmeQuotesAdmissionExample(t *testing.T) {
+	src, err1 := os.ReadFile("example_test.go")
+	readme, err2 := os.ReadFile("README.md")
+	if err := errors.Join(err1, err2); err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(string(src), "func ExampleAdmissionController_SubmitClass() {\n\t")
+	body, _, _ = strings.Cut(body, "\n}\n")
+	if body == "" || !strings.Contains(string(readme), "```go\n"+strings.ReplaceAll(body, "\n\t", "\n")+"\n```") {
+		t.Fatal("README.md does not quote ExampleAdmissionController_SubmitClass verbatim")
+	}
 }

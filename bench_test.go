@@ -15,6 +15,8 @@ package icilk_test
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,6 +30,7 @@ import (
 	"icilk/internal/prio"
 	"icilk/internal/stats"
 	"icilk/internal/workload"
+	"icilk/internal/xrand"
 )
 
 // benchDur is every figure's window under -short.
@@ -258,6 +261,120 @@ func BenchmarkQoSMaxRPS(b *testing.B) {
 				b.ReportMetric(maxRPS, "max-rps")
 			}
 		})
+	}
+}
+
+// ---- Goodput under overload (beyond the paper's figures) ------------
+
+// request describes one arrival at a server: its priority level, its
+// predictor class and its task body.
+type request func(class, user int, seq int64) (int, icilk.RequestClass, func(*icilk.Task) any)
+
+// overloadApp is one server driven past its QoS knee. knee, deadline
+// (goodput bound and admission timeout) and queueCap are the values its
+// recorded runs used (EXPERIMENTS.md, "Goodput under overload"); the
+// email server has no recorded run and takes the job server's.
+type overloadApp struct {
+	name          string
+	knee          float64
+	deadline, dur time.Duration // dur: a full-length point's window
+	queueCap      int
+	classes       []string
+	levels        []int // per class
+	spread        int
+	mix           []float64
+	serve         func(*testing.B, *icilk.Runtime) request
+}
+
+func overloadApps() []overloadApp {
+	// Per level a dominant cheap class and a minority class ~40x as
+	// expensive: a per-class predictor has signal a sojourn cannot see.
+	synth := workload.BimodalMix(2, 200*time.Microsecond, 8*time.Millisecond, 0.1)
+	return []overloadApp{
+		{"job", 1000, 20 * time.Millisecond, 4 * time.Second, 16, jobserver.OpNames, []int{0, 1, 2, 3}, 0, []float64{1, 1, 1, 1},
+			func(b *testing.B, rt *icilk.Runtime) request {
+				srv, err := jobserver.New(rt, jobserver.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				return func(class, _ int, seq int64) (int, icilk.RequestClass, func(*icilk.Task) any) {
+					return srv.Job(class, seq)
+				}
+			}},
+		{"email", 1000, 20 * time.Millisecond, 4 * time.Second, 16, emailserver.OpNames, []int{0, 1, 2, 2}, 64, []float64{1, 1, 1, 1},
+			func(b *testing.B, rt *icilk.Runtime) request {
+				srv, err := emailserver.New(rt, emailserver.Config{Users: 64})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return srv.Request
+			}},
+		{"synth", 800, 10 * time.Millisecond, 3 * time.Second, 64, workload.ClassNames(synth), []int{0, 0, 1, 1}, 0, workload.ClassWeights(synth),
+			func(*testing.B, *icilk.Runtime) request {
+				return func(class, _ int, _ int64) (int, icilk.RequestClass, func(*icilk.Task) any) {
+					c := &synth[class]
+					return c.Level, icilk.RequestClass{Op: uint8(1 + class), Size: icilk.SizeBucket(c.Size)}, func(t *icilk.Task) any {
+						workload.SpinService(t, c.Work)
+						return nil
+					}
+				}
+			}},
+	}
+}
+
+// BenchmarkOverload drives each app at 0.5x, 1x, 2x and 4x its QoS
+// knee, uncontrolled and under each shedding policy, all on the same
+// arrival schedule at a given rate. It reports each class's fractions
+// of post-warmup arrivals that were good (done within the deadline),
+// late (done past it, or cancelled by it) and shed, and top-goodput,
+// the good fraction over the level-0 classes. Expected: with
+// priority-drop, the job server's top-goodput at 4x stays >= 0.9 of
+// its 0.5x value while the low levels shed.
+func BenchmarkOverload(b *testing.B) {
+	warmup := 500 * time.Millisecond
+	if testing.Short() {
+		warmup = 100 * time.Millisecond
+	}
+	for _, app := range overloadApps() {
+		for _, adm := range []*icilk.AdmissionConfig{nil, {Policy: icilk.ShedPriorityDrop},
+			{Policy: icilk.ShedTailDrop}, {Policy: icilk.ShedCoDel}, {Policy: icilk.ShedPredictive}} {
+			name := "off"
+			if adm != nil {
+				name = adm.Policy.String()
+				adm = &icilk.AdmissionConfig{Policy: adm.Policy, QueueCap: app.queueCap, Timeout: app.deadline}
+			}
+			b.Run(app.name+"/"+name, func(b *testing.B) {
+				eachPoint(b, []float64{app.knee / 2, app.knee, 2 * app.knee, 4 * app.knee}, func(b *testing.B, rps float64) {
+					rt, err := icilk.New(icilk.Config{Workers: runtime.GOMAXPROCS(0), Levels: slices.Max(app.levels) + 1, Admission: adm})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer rt.Close()
+					req := app.serve(b, rt)
+					cfg := workload.OpenLoopConfig{RPS: rps, Duration: warmup + window(app.dur), Warmup: warmup,
+						Mix: app.mix, ClassNames: app.classes, Seed: xrand.Mix(42, uint64(rps)), Spread: app.spread}
+					res := workload.RunOpenLoopGoodput(cfg, app.deadline, func(class, user int, seq int64) (*icilk.Future, error) {
+						level, cls, fn := req(class, user, seq)
+						if adm == nil {
+							return rt.Submit(level, fn), nil
+						}
+						return rt.Admission().SubmitClass(level, cls, time.Time{}, fn)
+					})
+					var top workload.ClassGoodput
+					for i, c := range res.PerClass {
+						name, off := app.classes[i], float64(max(c.Offered(), 1))
+						b.ReportMetric(float64(c.Good)/off, name+"-goodput")
+						b.ReportMetric(float64(c.Late)/off, name+"-late")
+						b.ReportMetric(float64(c.Shed)/off, name+"-shed")
+						if app.levels[i] == 0 {
+							top.Good, top.Late, top.Shed = top.Good+c.Good, top.Late+c.Late, top.Shed+c.Shed
+						}
+						b.Logf("%-8s good %6d late %6d shed %6d p99 %v", name, c.Good, c.Late, c.Shed, res.Latency.Class(name).Percentile(99))
+					}
+					b.ReportMetric(top.GoodputFraction(), "top-goodput")
+				})
+			})
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package icilk_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -113,4 +115,34 @@ func ExampleRuntime_Inversions() {
 	}).Wait()
 	fmt.Println(rt.Inversions())
 	// Output: 1
+}
+
+// Admission control is a gate the caller puts in front of the runtime:
+// a request arriving at a full level is shed at once, without a task
+// context, and an admitted request that outlives its deadline is
+// cancelled at its next scheduling point.
+func ExampleAdmissionController_SubmitClass() {
+	rt, _ := icilk.New(icilk.Config{Workers: 2, Levels: 2,
+		Admission: &icilk.AdmissionConfig{
+			Policy: icilk.ShedTailDrop, QueueCap: 1, Timeout: 5 * time.Millisecond}})
+	defer rt.Close()
+	adm := rt.Admission()
+	// The class (opcode, size bucket) is what ShedPredictive learns.
+	cls := icilk.RequestClass{Op: 1, Size: icilk.SizeBucket(64)}
+
+	tk, _ := adm.Acquire(0) // level 0's one slot is taken
+	_, err := adm.SubmitClass(0, cls, time.Now(), func(*icilk.Task) any { return "served" })
+	fmt.Println("shed:", errors.Is(err, icilk.ErrShed))
+	adm.Release(tk, false)
+
+	f, _ := adm.SubmitClass(0, cls, time.Now(), func(t *icilk.Task) any {
+		for {
+			t.Yield() // cancelled here once the 5ms deadline passes
+		}
+	})
+	f.Wait()
+	fmt.Println("late:", errors.Is(f.Err(), context.DeadlineExceeded))
+	// Output:
+	// shed: true
+	// late: true
 }

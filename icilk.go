@@ -84,14 +84,15 @@ const (
 // allocator (the paper tunes these per benchmark).
 type AdaptiveParams = sched.AdaptiveParams
 
-// AdmissionConfig configures the admission-control subsystem (queue
-// capacities, shedding policy, per-request deadlines). See the
-// admission package for field semantics.
+// AdmissionConfig configures the admission-control subsystem: the
+// shedding policy, the per-level queue capacity and the per-request
+// deadline.
 type AdmissionConfig = admission.Config
 
-// AdmissionController is the admission gate in front of a runtime:
-// Submit/Acquire admit or shed requests, Stats snapshots the
-// counters. Obtain one via Config.Admission + Runtime.Admission.
+// AdmissionController is the admission gate a caller puts in front of
+// a runtime: Submit/SubmitClass admit or shed future routines,
+// Acquire/Release inline requests, Stats snapshots the counters.
+// Obtain one via Config.Admission + Runtime.Admission.
 type AdmissionController = admission.Controller
 
 // AdmissionTicket is the occupancy charge of an inline request
@@ -100,9 +101,9 @@ type AdmissionTicket = admission.Ticket
 
 // RequestClass identifies a request class for the ShedPredictive
 // policy's service-time predictor: an application opcode plus a
-// value-size bucket (see SizeBucket). Pass it via the controller's
-// SubmitClass*/AcquireClass* variants; class-blind submissions train
-// one synthetic class per priority level.
+// value-size bucket (see SizeBucket). Pass it to the controller's
+// SubmitClass; class-blind submissions train one synthetic class per
+// priority level.
 type RequestClass = predict.Class
 
 // SizeBucket buckets a payload length logarithmically for

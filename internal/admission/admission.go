@@ -13,21 +13,21 @@
 // shed work — lowest priorities first — so the top levels keep
 // operating at their isolated maximum while only the bottom degrades.
 //
-// Three shedding policies are provided (Config.Policy):
+// Four shedding policies are provided (Config.Policy):
 //
 //   - TailDrop: reject a request when its own level's in-flight count
-//     has reached that level's capacity. Levels are isolated; a full
-//     low level cannot crowd out a quiet high one, but neither does
-//     load on low levels protect high ones.
+//     has reached Config.QueueCap. Levels are isolated; a full low
+//     level cannot crowd out a quiet high one, but neither does load
+//     on low levels protect high ones.
 //   - PriorityDrop: additionally reject *low* levels when aggregate
 //     occupancy across all levels is high. Level 0 is shed only when
 //     the system is completely full; the lowest level is shed as soon
-//     as aggregate occupancy crosses Config.ShedThreshold — so under
-//     overload the bottom levels brown out first and the top keeps
-//     its isolated goodput (the experiment cmd/overload-bench runs).
+//     as aggregate occupancy crosses shedThreshold — so under overload
+//     the bottom levels brown out first and the top keeps its isolated
+//     goodput (BenchmarkOverload in the root package measures it).
 //   - CoDel: a sojourn-time policy in the spirit of CoDel ("
 //     Controlling Queue Delay", Nichols & Jacobson): per level, track
-//     the minimum queue sojourn (submit → first execution) over an
+//     the minimum queue sojourn (arrival → first execution) over an
 //     interval; if even the *minimum* stayed above the target the
 //     level's standing queue is too long and new arrivals are shed
 //     until a sojourn below target is observed. While shedding, one
@@ -35,11 +35,11 @@
 //     only observed for admitted requests, so the probe is what lets
 //     the estimator see the queue drain and reopen the level (without
 //     it a transient overload would latch the level at 100% shed
-//     forever). Sojourn samples come from the Submit path (queue wait
-//     until first execution) and from AcquireSince (caller-measured
-//     arrival-to-admission wait); plain Acquire observes no wait and
-//     feeds nothing, so an Acquire-only level falls back to the
-//     tail-drop capacity backstop.
+//     forever). Sojourn samples come from the Submit path: the wait
+//     from the caller's arrival time (SubmitClass), or from submission
+//     when it is unknown, until the body first runs. Acquire observes
+//     no wait and feeds nothing, so an Acquire-only level falls back
+//     to the tail-drop capacity backstop.
 //   - Predictive: shed on a *predicted* deadline miss instead of an
 //     observed one. Each admitted request's measured service time is
 //     fed back into a TAGE-style per-class predictor
@@ -54,12 +54,11 @@
 //     requests that still fit their deadline keep flowing, the
 //     per-class discrimination a sojourn-only policy cannot make.
 //     When the predictor has no confident entry for the class (cold
-//     class, or confidence below Config.PredictConfidence) the
-//     decision falls back to the CoDel sojourn test above, so a
-//     mistrained predictor degrades to reactive shedding rather than
-//     to no shedding. Class-aware callers use the *Class entry points
-//     (SubmitClassSince, AcquireClassSince); class-blind callers get
-//     one synthetic class per priority level.
+//     class, or confidence below predictConfidence) the decision
+//     falls back to the CoDel sojourn test above, so a mistrained
+//     predictor degrades to reactive shedding rather than to no
+//     shedding. Class-aware callers use SubmitClass; class-blind
+//     callers get one synthetic class per priority level.
 //
 // The controller is deliberately scheduler-agnostic: it talks to the
 // runtime only through the Submitter interface (satisfied by
@@ -136,25 +135,12 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
-// ParsePolicy maps the String names back to policies (flag parsing).
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "priority-drop":
-		return PriorityDrop, nil
-	case "tail-drop":
-		return TailDrop, nil
-	case "codel":
-		return CoDel, nil
-	case "predictive":
-		return Predictive, nil
-	}
-	return 0, fmt.Errorf("admission: unknown policy %q (priority-drop|tail-drop|codel|predictive)", s)
-}
-
 // Submitter is the scheduler surface the controller needs —
-// *sched.Runtime satisfies it.
+// *sched.Runtime satisfies it. Workers is the service parallelism of
+// the Predictive wait model (wait ≈ predicted backlog / workers).
 type Submitter interface {
 	Levels() int
+	Workers() int
 	SubmitFutureWithDeadline(level int, timeout time.Duration, fn func(*sched.Task) any) *sched.Future
 }
 
@@ -165,74 +151,31 @@ type Config struct {
 	// QueueCap bounds each level's admitted-but-unfinished request
 	// count. Default 256.
 	QueueCap int
-	// PerLevelCap overrides QueueCap per level when non-nil (length
-	// must equal the runtime's level count).
-	PerLevelCap []int
-	// ShedThreshold is the aggregate-occupancy fraction at which
-	// PriorityDrop starts shedding the lowest level; the shed floor
-	// rises linearly until level 0 is shed only at 100%. Default 0.5.
-	ShedThreshold float64
 	// Timeout is the per-request deadline attached to every admitted
 	// submission; past it the request's task tree is cancelled and
 	// unwinds at its next scheduling point. Zero disables deadlines.
 	Timeout time.Duration
-	// PerLevelTimeout overrides Timeout per level when non-nil.
-	PerLevelTimeout []time.Duration
-	// CoDelTarget is the acceptable minimum queue sojourn. Sojourns
-	// are observed on the Submit path (submission to first execution)
-	// and by AcquireSince; plain Acquire observes no wait and does not
-	// sample (see Acquire). Default 5ms.
-	CoDelTarget time.Duration
-	// CoDelInterval is the sojourn observation window. Default 100ms.
-	CoDelInterval time.Duration
-	// DegradedAfter is how many consecutive shed decisions (with no
-	// intervening admission) flip the controller to Degraded — the
-	// /readyz signal. Default 100.
-	DegradedAfter int64
-	// Predict sizes the service-time predictor built for the
-	// Predictive policy (zero value = predict defaults). Ignored when
-	// Predictor is set or the policy is not Predictive.
-	Predict predict.Config
-	// Predictor supplies an external predictor instance (e.g. one
-	// shared with the scheduler's slack ordering). When nil and the
-	// policy is Predictive, NewController builds one from Predict.
-	Predictor *predict.Predictor
-	// PredictConfidence is the minimum provider confidence
-	// (1..predict.ConfMax) at which a prediction is trusted for the
-	// shed decision; below it Predictive falls back to the CoDel
-	// sojourn test. Default 2.
-	PredictConfidence int
-	// PredictWorkers is the service parallelism assumed by the
-	// queue-wait model (wait ≈ predicted backlog / workers). Default:
-	// the Submitter's worker count when it exposes Workers() int
-	// (sched.Runtime does), else 1.
-	PredictWorkers int
 }
 
-func (c *Config) applyDefaults(levels int) error {
-	if c.QueueCap <= 0 {
-		c.QueueCap = 256
-	}
-	if c.PerLevelCap != nil && len(c.PerLevelCap) != levels {
-		return fmt.Errorf("admission: PerLevelCap has %d entries, runtime has %d levels", len(c.PerLevelCap), levels)
-	}
-	if c.PerLevelTimeout != nil && len(c.PerLevelTimeout) != levels {
-		return fmt.Errorf("admission: PerLevelTimeout has %d entries, runtime has %d levels", len(c.PerLevelTimeout), levels)
-	}
-	if c.ShedThreshold <= 0 || c.ShedThreshold >= 1 {
-		c.ShedThreshold = 0.5
-	}
-	if c.CoDelTarget <= 0 {
-		c.CoDelTarget = 5 * time.Millisecond
-	}
-	if c.CoDelInterval <= 0 {
-		c.CoDelInterval = 100 * time.Millisecond
-	}
-	if c.DegradedAfter <= 0 {
-		c.DegradedAfter = 100
-	}
-	return nil
-}
+const (
+	// shedThreshold is the aggregate-occupancy fraction at which
+	// PriorityDrop starts shedding the lowest level; the shed floor
+	// rises linearly until level 0 is shed only at 100%.
+	shedThreshold = 0.5
+	// codelTarget is the acceptable minimum queue sojourn and
+	// codelInterval the window it is observed over.
+	codelTarget   = 5 * time.Millisecond
+	codelInterval = 100 * time.Millisecond
+	// degradedAfter is how many consecutive shed decisions (with no
+	// intervening admission) flip the controller to Degraded — the
+	// /readyz signal.
+	degradedAfter = 100
+	// predictConfidence is the minimum provider confidence
+	// (1..predict.ConfMax) at which a prediction is trusted for the
+	// shed decision; below it Predictive falls back to the CoDel
+	// sojourn test.
+	predictConfidence = 2
+)
 
 // levelState is one priority level's admission accounting, padded so
 // adjacent levels' hot counters do not false-share.
@@ -255,7 +198,7 @@ type levelState struct {
 // agree on one winner.
 type codelState struct {
 	intervalEnd atomic.Int64 // ns since epoch; 0 = not started
-	minSojourn  atomic.Int64 // ns; math.MaxInt64 = none this interval
+	minSojourn  atomic.Int64 // ns; noSojourn = none this interval
 	dropping    atomic.Bool
 }
 
@@ -267,7 +210,7 @@ const noSojourn = int64(1)<<62 - 1
 func (cs *codelState) init() { cs.minSojourn.Store(noSojourn) }
 
 // sample records one observed queue sojourn and rolls the interval.
-func (cs *codelState) sample(nowNS, sojournNS int64, target, interval time.Duration) {
+func (cs *codelState) sample(nowNS, sojournNS int64) {
 	// Keep the interval minimum.
 	for {
 		cur := cs.minSojourn.Load()
@@ -277,16 +220,16 @@ func (cs *codelState) sample(nowNS, sojournNS int64, target, interval time.Durat
 	}
 	end := cs.intervalEnd.Load()
 	if end == 0 {
-		cs.intervalEnd.CompareAndSwap(0, nowNS+int64(interval))
+		cs.intervalEnd.CompareAndSwap(0, nowNS+int64(codelInterval))
 		return
 	}
 	if nowNS < end {
 		return
 	}
-	if !cs.intervalEnd.CompareAndSwap(end, nowNS+int64(interval)) {
+	if !cs.intervalEnd.CompareAndSwap(end, nowNS+int64(codelInterval)) {
 		return // another sampler rolled the interval
 	}
-	cs.evaluate(target)
+	cs.evaluate()
 }
 
 // evaluate closes the interval just rolled: harvest its minimum
@@ -294,9 +237,9 @@ func (cs *codelState) sample(nowNS, sojournNS int64, target, interval time.Durat
 // *minimum* sojourn stayed above target means a standing queue: start
 // (or keep) shedding. An interval with an under-target sojourn — or
 // with no sojourns at all, meaning nothing queued — stops it.
-func (cs *codelState) evaluate(target time.Duration) {
+func (cs *codelState) evaluate() {
 	minS := cs.minSojourn.Swap(noSojourn)
-	cs.dropping.Store(minS != noSojourn && minS > int64(target))
+	cs.dropping.Store(minS != noSojourn && minS > int64(codelTarget))
 }
 
 // shouldShed is the admission decision for one arrival while the
@@ -309,7 +252,7 @@ func (cs *codelState) evaluate(target time.Duration) {
 // dropping from whatever the expired interval observed — a sample-free
 // or under-target interval reopens the level, an over-target one keeps
 // it shedding while the probe refreshes the estimator.
-func (cs *codelState) shouldShed(nowNS int64, target, interval time.Duration) bool {
+func (cs *codelState) shouldShed(nowNS int64) bool {
 	if !cs.dropping.Load() {
 		return false
 	}
@@ -317,112 +260,71 @@ func (cs *codelState) shouldShed(nowNS int64, target, interval time.Duration) bo
 	if nowNS < end {
 		return true
 	}
-	if !cs.intervalEnd.CompareAndSwap(end, nowNS+int64(interval)) {
+	if !cs.intervalEnd.CompareAndSwap(end, nowNS+int64(codelInterval)) {
 		return true // a concurrent arrival claimed this interval's probe
 	}
-	cs.evaluate(target)
+	cs.evaluate()
 	return false
 }
 
 // Controller is the admission gate in front of one runtime.
 type Controller struct {
-	sub    Submitter
-	cfg    Config
-	levels int
+	sub Submitter
+	cfg Config
 
-	caps []int64 // per-level occupancy bound
 	// prioThreshold[l] is the aggregate occupancy at or above which
 	// PriorityDrop sheds level l (monotone decreasing in priority:
 	// threshold[0] = total capacity, threshold[last] = total *
-	// ShedThreshold).
+	// shedThreshold).
 	prioThreshold []int64
-	timeouts      []time.Duration
 
 	total    atomic.Int64 // aggregate occupancy
 	lvl      []levelState
 	consecut atomic.Int64 // consecutive sheds since the last admit
 
-	// Predictive-policy state. pred is non-nil iff the policy is
-	// Predictive (or an external Predictor was supplied).
+	// Predictive-policy state: pred is non-nil iff the policy is
+	// Predictive.
 	pred        *predict.Predictor
 	predWorkers int64
-	predMinConf uint8
 }
 
 // NewController builds an admission controller over sub. The zero
 // Config is usable (priority-drop, 256/level, no deadlines).
 func NewController(sub Submitter, cfg Config) (*Controller, error) {
-	levels := sub.Levels()
-	if err := cfg.applyDefaults(levels); err != nil {
-		return nil, err
+	if cfg.Policy < PriorityDrop || cfg.Policy > Predictive {
+		return nil, fmt.Errorf("admission: unknown policy %v", cfg.Policy)
 	}
+	if cfg.QueueCap <= 0 {
+		cfg.QueueCap = 256
+	}
+	levels := sub.Levels()
 	c := &Controller{
 		sub:           sub,
 		cfg:           cfg,
-		levels:        levels,
-		caps:          make([]int64, levels),
 		prioThreshold: make([]int64, levels),
-		timeouts:      make([]time.Duration, levels),
 		lvl:           make([]levelState, levels),
+		predWorkers:   int64(max(sub.Workers(), 1)),
 	}
-	var totalCap int64
+	totalCap := int64(cfg.QueueCap) * int64(levels)
 	for l := 0; l < levels; l++ {
-		capL := int64(cfg.QueueCap)
-		if cfg.PerLevelCap != nil {
-			capL = int64(cfg.PerLevelCap[l])
-		}
-		if capL <= 0 {
-			return nil, fmt.Errorf("admission: level %d capacity must be positive", l)
-		}
-		c.caps[l] = capL
-		totalCap += capL
-		c.timeouts[l] = cfg.Timeout
-		if cfg.PerLevelTimeout != nil {
-			c.timeouts[l] = cfg.PerLevelTimeout[l]
-		}
-	}
-	for l := 0; l < levels; l++ {
-		// Linear interpolation from ShedThreshold (lowest level) up
+		// Linear interpolation from shedThreshold (lowest level) up
 		// to 1.0 (level 0): low levels shed first as occupancy grows.
 		frac := 1.0
 		if levels > 1 {
-			frac = 1.0 - (1.0-cfg.ShedThreshold)*float64(l)/float64(levels-1)
+			frac = 1.0 - (1.0-shedThreshold)*float64(l)/float64(levels-1)
 		}
 		c.prioThreshold[l] = int64(frac * float64(totalCap))
 		c.lvl[l].codel.init()
 	}
-	c.pred = cfg.Predictor
-	if c.pred == nil && cfg.Policy == Predictive {
-		p, err := predict.New(cfg.Predict)
+	if cfg.Policy == Predictive {
+		p, err := predict.New(predict.Config{})
 		if err != nil {
 			return nil, err
 		}
 		c.pred = p
 	}
-	c.predWorkers = int64(cfg.PredictWorkers)
-	if c.predWorkers <= 0 {
-		if w, ok := sub.(interface{ Workers() int }); ok {
-			c.predWorkers = int64(w.Workers())
-		}
-		if c.predWorkers <= 0 {
-			c.predWorkers = 1
-		}
-	}
-	c.predMinConf = 2
-	if cfg.PredictConfidence > 0 {
-		c.predMinConf = uint8(cfg.PredictConfidence)
-	}
 	return c, nil
 }
-
-// Levels returns the controller's level count.
-func (c *Controller) Levels() int { return c.levels }
-
-// Policy returns the configured shedding policy.
-func (c *Controller) Policy() Policy { return c.cfg.Policy }
-
-// Timeout returns the per-request deadline applied at level l.
-func (c *Controller) Timeout(l int) time.Duration { return c.timeouts[l] }
 
 // levelClass is the synthetic request class used for class-blind
 // callers: one class per priority level, in an opcode range
@@ -442,7 +344,7 @@ func levelClass(l int) predict.Class {
 // nothing else happens — no allocation, no scheduler interaction.
 func (c *Controller) admit(l int, cls predict.Class, arrivalNS int64) (int64, error) {
 	ls := &c.lvl[l]
-	if ls.occ.Add(1) > c.caps[l] {
+	if ls.occ.Add(1) > int64(c.cfg.QueueCap) {
 		ls.occ.Add(-1)
 		return 0, c.shed(ls, ErrQueueFull)
 	}
@@ -456,7 +358,7 @@ func (c *Controller) admit(l int, cls predict.Class, arrivalNS int64) (int64, er
 			return 0, c.shed(ls, ErrPriorityShed)
 		}
 	case CoDel:
-		if ls.codel.shouldShed(time.Now().UnixNano(), c.cfg.CoDelTarget, c.cfg.CoDelInterval) {
+		if ls.codel.shouldShed(time.Now().UnixNano()) {
 			ls.occ.Add(-1)
 			c.total.Add(-1)
 			return 0, c.shed(ls, ErrSojourn)
@@ -496,8 +398,8 @@ func (c *Controller) admit(l int, cls predict.Class, arrivalNS int64) (int64, er
 // about unpredicted admissions.
 func (c *Controller) predictDecision(l int, cls predict.Class, arrivalNS, nowNS int64) (int64, error) {
 	ls := &c.lvl[l]
-	if timeout := c.timeouts[l]; timeout > 0 && c.pred != nil {
-		if est, conf, ok := c.pred.Predict(cls); ok && conf >= c.predMinConf {
+	if timeout := c.cfg.Timeout; timeout > 0 {
+		if est, conf, ok := c.pred.Predict(cls); ok && conf >= predictConfidence {
 			slack := int64(timeout)
 			if arrivalNS > 0 {
 				slack -= nowNS - arrivalNS // queueing before admission already spent
@@ -508,7 +410,7 @@ func (c *Controller) predictDecision(l int, cls predict.Class, arrivalNS, nowNS 
 			return int64(est), nil
 		}
 	}
-	if ls.codel.shouldShed(nowNS, c.cfg.CoDelTarget, c.cfg.CoDelInterval) {
+	if ls.codel.shouldShed(nowNS) {
 		return 0, ErrSojourn
 	}
 	return ls.svcMean.Load(), nil
@@ -543,7 +445,7 @@ func (c *Controller) noteService(l int, cls predict.Class, svcNS int64) {
 }
 
 // Predictor returns the controller's service-time predictor (nil
-// unless the policy is Predictive or Config.Predictor was supplied).
+// unless the policy is Predictive).
 func (c *Controller) Predictor() *predict.Predictor { return c.pred }
 
 func (c *Controller) shed(ls *levelState, err error) error {
@@ -569,35 +471,32 @@ func (c *Controller) release(l int, charge int64, timedOut bool) {
 	}
 }
 
-// Submit admits and dispatches fn as a future routine at level l with
-// the level's deadline attached. A shed request returns a nil future
-// and a preallocated error wrapping ErrShed, in microseconds, without
-// allocating a task context or touching the scheduler. The occupancy
-// charge is released when the future completes on any path — normal
-// return, deadline cancellation mid-run, or the queued-past-deadline
-// case where the body never executes (Future.OnComplete covers all
-// three; a body-side defer would miss the last).
+// Submit is SubmitClass for a class-blind caller with no arrival
+// time: the request trains its level's synthetic class, and its
+// sojourn is measured from submission.
 func (c *Controller) Submit(l int, fn func(*sched.Task) any) (*sched.Future, error) {
-	return c.SubmitClassSince(l, levelClass(l), time.Time{}, fn)
+	return c.SubmitClass(l, levelClass(l), time.Time{}, fn)
 }
 
-// SubmitClass is Submit with an application request class, so the
-// Predictive policy predicts and trains per class instead of lumping
-// the level together.
-func (c *Controller) SubmitClass(l int, cls predict.Class, fn func(*sched.Task) any) (*sched.Future, error) {
-	return c.SubmitClassSince(l, cls, time.Time{}, fn)
-}
-
-// SubmitClassSince is the fully-informed submission: request class
-// for the predictor and arrival timestamp for the sojourn/slack
-// accounting. A zero arrival means "unknown" — sojourns then measure
+// SubmitClass admits and dispatches fn as a future routine at level l
+// with the configured deadline attached. cls is the request's class
+// for the Predictive policy's predictor; arrival is when the request
+// reached the caller, zero meaning unknown — sojourns then measure
 // from submission, and the predictive slack model assumes the full
-// deadline remains. Under the Predictive policy the body's measured
-// service time (body start to return) is fed back into the predictor
-// on normal completion; cancelled bodies feed nothing, since a
-// truncated measurement would train the predictor to underestimate
+// deadline remains.
+//
+// A shed request returns a nil future and a preallocated error
+// wrapping ErrShed, in microseconds, without allocating a task context
+// or touching the scheduler. The occupancy charge is released when the
+// future completes on any path — normal return, deadline cancellation
+// mid-run, or the queued-past-deadline case where the body never
+// executes (Future.OnComplete covers all three; a body-side defer
+// would miss the last). Under the Predictive policy the body's
+// measured service time (body start to return) is fed back into the
+// predictor on normal completion; cancelled bodies feed nothing, since
+// a truncated measurement would train the predictor to underestimate
 // exactly the classes that are timing out.
-func (c *Controller) SubmitClassSince(l int, cls predict.Class, arrival time.Time, fn func(*sched.Task) any) (*sched.Future, error) {
+func (c *Controller) SubmitClass(l int, cls predict.Class, arrival time.Time, fn func(*sched.Task) any) (*sched.Future, error) {
 	var arrivalNS int64
 	if !arrival.IsZero() {
 		arrivalNS = arrival.UnixNano()
@@ -612,11 +511,10 @@ func (c *Controller) SubmitClassSince(l int, cls predict.Class, arrival time.Tim
 	if sojourn && enq.IsZero() {
 		enq = time.Now()
 	}
-	f := c.sub.SubmitFutureWithDeadline(l, c.timeouts[l], func(t *sched.Task) any {
+	f := c.sub.SubmitFutureWithDeadline(l, c.cfg.Timeout, func(t *sched.Task) any {
 		if sojourn {
 			now := time.Now()
-			c.lvl[l].codel.sample(now.UnixNano(), now.Sub(enq).Nanoseconds(),
-				c.cfg.CoDelTarget, c.cfg.CoDelInterval)
+			c.lvl[l].codel.sample(now.UnixNano(), now.Sub(enq).Nanoseconds())
 		}
 		if t.Err() != nil {
 			// Fired between resume and body start: abandon early.
@@ -637,74 +535,32 @@ func (c *Controller) SubmitClassSince(l int, cls predict.Class, arrival time.Tim
 }
 
 // Ticket is the occupancy charge of an inline request admitted with
-// Acquire or AcquireSince. It is a value type: the acquire/release
-// pair allocates nothing.
+// Acquire. It is a value type: the acquire/release pair allocates
+// nothing.
 type Ticket struct {
 	level   int
-	cls     predict.Class
 	admitNS int64 // admit time for the service measurement; 0 = no predictor feedback
 	charge  int64 // predicted-service backlog charge taken at admission
 }
 
 // Acquire admits one inline request (one a caller executes on its own
-// task rather than submitting as a future — e.g. a Memcached command
-// inside a connection routine). The caller must Release the ticket
-// when the request finishes. The shed path is identical to Submit's:
-// preallocated error, no allocation.
+// task rather than submitting as a future). The caller must Release
+// the ticket when the request finishes. The shed path is identical to
+// Submit's: preallocated error, no allocation.
 //
 // Acquire observes no queue wait, so it feeds nothing to the CoDel
 // sojourn estimator: service time is not queueing delay, and sampling
 // it would trip dropping on any level whose normal request cost
-// exceeds CoDelTarget even with zero backlog. A caller that knows
-// when the request actually arrived (e.g. when its bytes were read
-// off the wire) should use AcquireSince so real queueing is visible
-// to CoDel; under plain Acquire alone the CoDel policy degenerates to
-// the tail-drop capacity backstop.
+// exceeds the target even with zero backlog. Under Acquire alone the
+// CoDel policy degenerates to the tail-drop capacity backstop.
 func (c *Controller) Acquire(l int) (Ticket, error) {
-	return c.AcquireClassSince(l, levelClass(l), time.Time{})
-}
-
-// AcquireSince is Acquire for callers that can timestamp the
-// request's arrival: the wait from arrival to admission is a genuine
-// queue sojourn and is fed to the CoDel estimator (and, under
-// Predictive, subtracted from the request's remaining deadline
-// slack). Under the occupancy-only policies it behaves exactly like
-// Acquire.
-func (c *Controller) AcquireSince(l int, arrival time.Time) (Ticket, error) {
-	return c.AcquireClassSince(l, levelClass(l), arrival)
-}
-
-// AcquireClass is Acquire with an application request class (see
-// SubmitClass).
-func (c *Controller) AcquireClass(l int, cls predict.Class) (Ticket, error) {
-	return c.AcquireClassSince(l, cls, time.Time{})
-}
-
-// AcquireClassSince is the fully-informed inline admission: request
-// class for the predictor and arrival timestamp for the sojourn and
-// slack accounting (zero arrival = unknown, as in SubmitClassSince).
-// When a predictor is attached, the ticket carries the admit time and
-// Release feeds admit→release as the request's measured service time.
-func (c *Controller) AcquireClassSince(l int, cls predict.Class, arrival time.Time) (Ticket, error) {
-	var arrivalNS int64
-	if !arrival.IsZero() {
-		arrivalNS = arrival.UnixNano()
-	}
-	charge, err := c.admit(l, cls, arrivalNS)
+	charge, err := c.admit(l, levelClass(l), 0)
 	if err != nil {
 		return Ticket{}, err
 	}
-	tk := Ticket{level: l, cls: cls, charge: charge}
-	sojourn := c.cfg.Policy == CoDel || c.cfg.Policy == Predictive
-	if c.pred != nil || (sojourn && arrivalNS > 0) {
-		now := time.Now()
-		if sojourn && arrivalNS > 0 {
-			c.lvl[l].codel.sample(now.UnixNano(), now.Sub(arrival).Nanoseconds(),
-				c.cfg.CoDelTarget, c.cfg.CoDelInterval)
-		}
-		if c.pred != nil {
-			tk.admitNS = now.UnixNano()
-		}
+	tk := Ticket{level: l, charge: charge}
+	if c.pred != nil {
+		tk.admitNS = time.Now().UnixNano()
 	}
 	return tk, nil
 }
@@ -718,16 +574,16 @@ func (c *Controller) AcquireClassSince(l int, cls predict.Class, arrival time.Ti
 // overruns the predictor must learn) service time.
 func (c *Controller) Release(tk Ticket, late bool) {
 	if tk.admitNS > 0 {
-		c.noteService(tk.level, tk.cls, time.Now().UnixNano()-tk.admitNS)
+		c.noteService(tk.level, levelClass(tk.level), time.Now().UnixNano()-tk.admitNS)
 	}
 	c.release(tk.level, tk.charge, late)
 }
 
 // Degraded reports sustained 100%-shed operation: at least
-// Config.DegradedAfter consecutive rejections with no intervening
-// admission. The /readyz endpoint surfaces it.
+// degradedAfter consecutive rejections with no intervening admission.
+// The /readyz endpoint surfaces it.
 func (c *Controller) Degraded() bool {
-	return c.consecut.Load() >= c.cfg.DegradedAfter
+	return c.consecut.Load() >= degradedAfter
 }
 
 // LevelStats is one level's admission accounting.
@@ -764,7 +620,7 @@ func (c *Controller) Stats() Stats {
 		Policy:   c.cfg.Policy.String(),
 		Total:    c.total.Load(),
 		Degraded: c.Degraded(),
-		PerLevel: make([]LevelStats, c.levels),
+		PerLevel: make([]LevelStats, len(c.lvl)),
 	}
 	for l := range s.PerLevel {
 		ls := &c.lvl[l]
@@ -802,7 +658,7 @@ func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 			}
 			return 0
 		})
-	for l := 0; l < c.levels; l++ {
+	for l := range c.lvl {
 		ls := &c.lvl[l]
 		lbl := metrics.LevelLabel(l)
 		reg.GaugeFunc("icilk_admission_queue_depth",

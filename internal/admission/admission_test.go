@@ -72,7 +72,7 @@ func TestTailDropCapacity(t *testing.T) {
 func TestPriorityDropShedsLowFirst(t *testing.T) {
 	rt := newRT(t, 1, 2)
 	// total capacity 16; threshold[0]=16, threshold[1]=8.
-	c := newCtl(t, rt, Config{Policy: PriorityDrop, QueueCap: 8, ShedThreshold: 0.5})
+	c := newCtl(t, rt, Config{Policy: PriorityDrop, QueueCap: 8})
 
 	var held []Ticket
 	for i := 0; i < 2; i++ {
@@ -112,26 +112,24 @@ func TestPriorityDropShedsLowFirst(t *testing.T) {
 func TestCoDelTripsUnderSustainedSojourn(t *testing.T) {
 	var cs codelState
 	cs.init()
-	target := 5 * time.Millisecond
-	interval := 100 * time.Millisecond
 	ms := int64(time.Millisecond)
 
 	now := int64(1_000_000_000)
-	cs.sample(now, 20*ms, target, interval) // starts the interval
+	cs.sample(now, 20*ms) // starts the interval
 	if cs.dropping.Load() {
 		t.Fatal("dropping before a full interval elapsed")
 	}
 	for i := int64(1); i <= 9; i++ {
-		cs.sample(now+i*10*ms, 20*ms, target, interval)
+		cs.sample(now+i*10*ms, 20*ms)
 	}
 	// Cross the interval boundary with another over-target sojourn.
-	cs.sample(now+101*ms, 30*ms, target, interval)
+	cs.sample(now+101*ms, 30*ms)
 	if !cs.dropping.Load() {
 		t.Fatal("not dropping after a full over-target interval")
 	}
 	// An under-target sojourn in the next interval clears it.
-	cs.sample(now+150*ms, 1*ms, target, interval)
-	cs.sample(now+202*ms, 2*ms, target, interval) // rolls the interval
+	cs.sample(now+150*ms, 1*ms)
+	cs.sample(now+202*ms, 2*ms) // rolls the interval
 	if cs.dropping.Load() {
 		t.Fatal("still dropping after an under-target interval")
 	}
@@ -176,27 +174,25 @@ func TestCoDelControllerSheds(t *testing.T) {
 func TestCoDelProbeUnlatchesAfterDrain(t *testing.T) {
 	var cs codelState
 	cs.init()
-	target := 5 * time.Millisecond
-	interval := 100 * time.Millisecond
 	ms := int64(time.Millisecond)
 	now := int64(1_000_000_000)
 
-	cs.sample(now, 20*ms, target, interval)        // opens the interval
-	cs.sample(now+101*ms, 30*ms, target, interval) // rolls it: dropping on
+	cs.sample(now, 20*ms)        // opens the interval
+	cs.sample(now+101*ms, 30*ms) // rolls it: dropping on
 	if !cs.dropping.Load() {
 		t.Fatal("not dropping after a full over-target interval")
 	}
 	// Backlog drains; no further samples arrive. Long after the
 	// interval expired, an arrival must be admitted as a probe and the
 	// sample-free interval must clear dropping.
-	if cs.shouldShed(now+500*ms, target, interval) {
+	if cs.shouldShed(now + 500*ms) {
 		t.Fatal("arrival after a sample-free interval was shed")
 	}
 	if cs.dropping.Load() {
 		t.Fatal("dropping still latched after a sample-free interval")
 	}
 	// The level stays open afterwards.
-	if cs.shouldShed(now+501*ms, target, interval) {
+	if cs.shouldShed(now + 501*ms) {
 		t.Fatal("arrival shed after dropping cleared")
 	}
 }
@@ -207,24 +203,22 @@ func TestCoDelProbeUnlatchesAfterDrain(t *testing.T) {
 func TestCoDelProbeUnderSustainedOverload(t *testing.T) {
 	var cs codelState
 	cs.init()
-	target := 5 * time.Millisecond
-	interval := 100 * time.Millisecond
 	ms := int64(time.Millisecond)
 	now := int64(1_000_000_000)
 
-	cs.sample(now, 20*ms, target, interval)        // opens [now, now+100ms)
-	cs.sample(now+101*ms, 30*ms, target, interval) // rolls: dropping on, end now+201ms
+	cs.sample(now, 20*ms)        // opens [now, now+100ms)
+	cs.sample(now+101*ms, 30*ms) // rolls: dropping on, end now+201ms
 	if !cs.dropping.Load() {
 		t.Fatal("not dropping after a full over-target interval")
 	}
 	// Inside the open interval every arrival sheds.
-	if !cs.shouldShed(now+150*ms, target, interval) {
+	if !cs.shouldShed(now + 150*ms) {
 		t.Fatal("arrival inside the interval was not shed")
 	}
 	// An admitted probe observes a still-over-target sojourn.
-	cs.sample(now+150*ms, 40*ms, target, interval)
+	cs.sample(now+150*ms, 40*ms)
 	// The interval expires: the first arrival past it is the probe...
-	if cs.shouldShed(now+250*ms, target, interval) {
+	if cs.shouldShed(now + 250*ms) {
 		t.Fatal("probe arrival was shed")
 	}
 	// ...and the over-target minimum keeps dropping latched, so
@@ -232,57 +226,49 @@ func TestCoDelProbeUnderSustainedOverload(t *testing.T) {
 	if !cs.dropping.Load() {
 		t.Fatal("dropping cleared despite sustained over-target sojourns")
 	}
-	if !cs.shouldShed(now+251*ms, target, interval) {
+	if !cs.shouldShed(now + 251*ms) {
 		t.Fatal("follower admitted while still dropping")
 	}
 }
 
 // TestInlineServiceTimeDoesNotTripCoDel: Release used to feed raw
 // service time into the sojourn estimator, so any level whose normal
-// per-request cost exceeded CoDelTarget tripped dropping with zero
-// queueing. Inline tickets observe no wait and must leave the
+// per-request cost exceeded the CoDel target tripped dropping with
+// zero queueing. Inline tickets observe no wait and must leave the
 // estimator alone.
 func TestInlineServiceTimeDoesNotTripCoDel(t *testing.T) {
 	rt := newRT(t, 1, 1)
-	c := newCtl(t, rt, Config{
-		Policy:        CoDel,
-		QueueCap:      64,
-		CoDelTarget:   time.Microsecond, // far below the service time below
-		CoDelInterval: time.Millisecond,
-	})
-	deadline := time.Now().Add(50 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	c := newCtl(t, rt, Config{Policy: CoDel, QueueCap: 64})
+	for i := 0; i < 3; i++ {
 		tk, err := c.Acquire(0)
 		if err != nil {
 			t.Fatalf("Acquire shed on an unqueued level: %v", err)
 		}
-		time.Sleep(2 * time.Millisecond) // "service" far above target
+		time.Sleep(2 * codelTarget) // "service" far above target
 		c.Release(tk, false)
 	}
-	if c.lvl[0].codel.dropping.Load() {
-		t.Fatal("dropping tripped by inline service time")
+	if cs := &c.lvl[0].codel; cs.intervalEnd.Load() != 0 || cs.minSojourn.Load() != noSojourn {
+		t.Fatal("inline service time reached the sojourn estimator")
 	}
 }
 
-// TestAcquireSinceFeedsSojourn: callers that timestamp request
-// arrival give CoDel a real queueing signal on the inline path.
-func TestAcquireSinceFeedsSojourn(t *testing.T) {
+// TestSubmitClassArrivalFeedsSojourn: a caller-supplied arrival time
+// makes the pre-admission wait part of the sojourn CoDel sees, so
+// requests that waited 50ms before reaching the controller trip it
+// even though the runtime runs them at once.
+func TestSubmitClassArrivalFeedsSojourn(t *testing.T) {
 	rt := newRT(t, 1, 1)
-	c := newCtl(t, rt, Config{
-		Policy:        CoDel,
-		QueueCap:      64,
-		CoDelTarget:   time.Millisecond,
-		CoDelInterval: 5 * time.Millisecond,
-	})
+	c := newCtl(t, rt, Config{Policy: CoDel, QueueCap: 64})
 	cs := &c.lvl[0].codel
-	deadline := time.Now().Add(2 * time.Second)
+	body := func(*sched.Task) any { return nil }
+	deadline := time.Now().Add(5 * time.Second)
 	for !cs.dropping.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("sustained over-target arrival waits never tripped dropping")
 		}
-		tk, err := c.AcquireSince(0, time.Now().Add(-50*time.Millisecond))
+		f, err := c.SubmitClass(0, levelClass(0), time.Now().Add(-50*time.Millisecond), body)
 		if err == nil {
-			c.Release(tk, false)
+			f.Wait()
 		} else if !errors.Is(err, ErrSojourn) {
 			t.Fatal(err)
 		}
@@ -334,12 +320,12 @@ func TestShedPathDoesNotAllocate(t *testing.T) {
 
 func TestDegraded(t *testing.T) {
 	rt := newRT(t, 1, 1)
-	c := newCtl(t, rt, Config{Policy: TailDrop, QueueCap: 1, DegradedAfter: 5})
+	c := newCtl(t, rt, Config{Policy: TailDrop, QueueCap: 1})
 	tk, err := c.Acquire(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < degradedAfter-1; i++ {
 		c.Acquire(0) // shed
 		if c.Degraded() {
 			t.Fatalf("degraded after only %d sheds", i+1)
@@ -347,7 +333,7 @@ func TestDegraded(t *testing.T) {
 	}
 	c.Acquire(0)
 	if !c.Degraded() {
-		t.Fatal("not degraded after 5 consecutive sheds")
+		t.Fatalf("not degraded after %d consecutive sheds", degradedAfter)
 	}
 	// One admission resets the streak.
 	c.Release(tk, false)
@@ -519,28 +505,10 @@ func TestConcurrentSubmitShedCancel(t *testing.T) {
 	t.Logf("admitted=%d shed=%d", admitted.Load(), shed.Load())
 }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{PriorityDrop, TailDrop, CoDel} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("round-trip %v: got %v, err %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Fatal("ParsePolicy(bogus) succeeded")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	rt := newRT(t, 1, 2)
-	if _, err := NewController(rt, Config{PerLevelCap: []int{1}}); err == nil {
-		t.Fatal("mismatched PerLevelCap accepted")
-	}
-	if _, err := NewController(rt, Config{PerLevelTimeout: []time.Duration{time.Second}}); err == nil {
-		t.Fatal("mismatched PerLevelTimeout accepted")
-	}
-	if _, err := NewController(rt, Config{PerLevelCap: []int{0, 1}}); err == nil {
-		t.Fatal("zero per-level capacity accepted")
+	if _, err := NewController(rt, Config{Policy: Predictive + 1}); err == nil {
+		t.Fatal("unknown policy accepted")
 	}
 }
 

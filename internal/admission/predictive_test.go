@@ -23,7 +23,7 @@ func trainClass(t *testing.T, c *Controller, cls predict.Class, svc time.Duratio
 		p.Update(cls, svc)
 	}
 	est, conf, ok := p.Predict(cls)
-	if !ok || conf < c.predMinConf {
+	if !ok || conf < predictConfidence {
 		t.Fatalf("training failed: est=%v conf=%d ok=%v", est, conf, ok)
 	}
 }
@@ -36,29 +36,28 @@ func trainClass(t *testing.T, c *Controller, cls predict.Class, svc time.Duratio
 func TestPredictiveShedsOnPredictedMiss(t *testing.T) {
 	rt := newRT(t, 1, 1)
 	c := newCtl(t, rt, Config{
-		Policy:         Predictive,
-		QueueCap:       64,
-		Timeout:        10 * time.Millisecond,
-		PredictWorkers: 1,
+		Policy:   Predictive,
+		QueueCap: 64,
+		Timeout:  10 * time.Millisecond,
 	})
 	cls := predict.Class{Op: 7, Size: 4}
 	trainClass(t, c, cls, 8*time.Millisecond)
 
 	// Empty backlog: 0 + 8ms < 10ms slack -> admit, charging ~8ms.
-	tk, err := c.AcquireClass(0, cls)
+	charge, err := c.admit(0, cls, 0)
 	if err != nil {
 		t.Fatalf("first arrival shed with an empty backlog: %v", err)
 	}
-	if tk.charge < int64(4*time.Millisecond) {
-		t.Fatalf("admitted charge = %v, want ~8ms", time.Duration(tk.charge))
+	if charge < int64(4*time.Millisecond) {
+		t.Fatalf("admitted charge = %v, want ~8ms", time.Duration(charge))
 	}
-	if got := c.Stats().PerLevel[0].BacklogNS; got != tk.charge {
-		t.Fatalf("backlog = %d after admit, want the charge %d", got, tk.charge)
+	if got := c.Stats().PerLevel[0].BacklogNS; got != charge {
+		t.Fatalf("backlog = %d after admit, want the charge %d", got, charge)
 	}
 
 	// Second identical arrival: ~8ms backlog + ~8ms service > 10ms
 	// slack -> predicted miss.
-	if _, err := c.AcquireClass(0, cls); !errors.Is(err, ErrPredicted) {
+	if _, err := c.admit(0, cls, 0); !errors.Is(err, ErrPredicted) {
 		t.Fatalf("second arrival err = %v, want ErrPredicted", err)
 	}
 	if !errors.Is(ErrPredicted, ErrShed) {
@@ -71,42 +70,40 @@ func TestPredictiveShedsOnPredictedMiss(t *testing.T) {
 
 	// Releasing the in-flight request un-charges the backlog; the next
 	// arrival fits again.
-	c.Release(tk, false)
+	c.release(0, charge, false)
 	if got := c.Stats().PerLevel[0].BacklogNS; got != 0 {
 		t.Fatalf("backlog = %d after release, want 0", got)
 	}
-	tk, err = c.AcquireClass(0, cls)
-	if err != nil {
+	if charge, err = c.admit(0, cls, 0); err != nil {
 		t.Fatalf("arrival after release shed: %v", err)
 	}
-	c.Release(tk, false)
+	c.release(0, charge, false)
 }
 
-// TestPredictiveArrivalSlack: queueing before admission (the wire-read
-// to admission wait reported via AcquireClassSince) is spent slack —
+// TestPredictiveArrivalSlack: queueing before admission (the wait
+// from the caller's arrival time to admit) is spent slack —
 // a request that arrived long ago is doomed even with an empty
 // backlog.
 func TestPredictiveArrivalSlack(t *testing.T) {
 	rt := newRT(t, 1, 1)
 	c := newCtl(t, rt, Config{
-		Policy:         Predictive,
-		QueueCap:       64,
-		Timeout:        10 * time.Millisecond,
-		PredictWorkers: 1,
+		Policy:   Predictive,
+		QueueCap: 64,
+		Timeout:  10 * time.Millisecond,
 	})
 	cls := predict.Class{Op: 7, Size: 4}
 	trainClass(t, c, cls, 8*time.Millisecond)
 
 	// 9ms already queued: 1ms slack left < 8ms predicted service.
-	if _, err := c.AcquireClassSince(0, cls, time.Now().Add(-9*time.Millisecond)); !errors.Is(err, ErrPredicted) {
+	if _, err := c.admit(0, cls, time.Now().Add(-9*time.Millisecond).UnixNano()); !errors.Is(err, ErrPredicted) {
 		t.Fatalf("stale arrival err = %v, want ErrPredicted", err)
 	}
 	// A fresh arrival of the same class fits.
-	tk, err := c.AcquireClassSince(0, cls, time.Now())
+	charge, err := c.admit(0, cls, time.Now().UnixNano())
 	if err != nil {
 		t.Fatalf("fresh arrival shed: %v", err)
 	}
-	c.Release(tk, false)
+	c.release(0, charge, false)
 }
 
 // TestPredictiveFallsBackWhenCold: without a confident prediction the
@@ -116,23 +113,23 @@ func TestPredictiveArrivalSlack(t *testing.T) {
 func TestPredictiveFallsBackWhenCold(t *testing.T) {
 	rt := newRT(t, 1, 1)
 	c := newCtl(t, rt, Config{
-		Policy:         Predictive,
-		QueueCap:       64,
-		Timeout:        10 * time.Millisecond,
-		PredictWorkers: 1,
+		Policy:   Predictive,
+		QueueCap: 64,
+		Timeout:  10 * time.Millisecond,
 	})
 	cold := predict.Class{Op: 11, Size: 2}
 
 	// Cold predictor, empty level: admitted (nothing to predict, no
 	// sojourn signal), charge = svcMean = 0.
-	tk, err := c.AcquireClass(0, cold)
+	charge, err := c.admit(0, cold, 0)
 	if err != nil {
 		t.Fatalf("cold arrival shed: %v", err)
 	}
-	if tk.charge != 0 {
-		t.Fatalf("cold charge = %d with no observed mean, want 0", tk.charge)
+	if charge != 0 {
+		t.Fatalf("cold charge = %d with no observed mean, want 0", charge)
 	}
-	c.Release(tk, false) // feeds a (tiny) measured service into svcMean
+	c.release(0, charge, false)
+	c.noteService(0, cold, int64(time.Microsecond))
 
 	// With an observed mean, a still-cold class is charged the mean.
 	other := predict.Class{Op: 12, Size: 2}
@@ -140,24 +137,23 @@ func TestPredictiveFallsBackWhenCold(t *testing.T) {
 	if mean <= 0 {
 		t.Fatal("release did not train the level's mean service time")
 	}
-	tk, err = c.AcquireClass(0, other)
-	if err != nil {
+	if charge, err = c.admit(0, other, 0); err != nil {
 		t.Fatal(err)
 	}
-	if tk.charge != mean {
-		t.Fatalf("cold-class charge = %d, want level mean %d", tk.charge, mean)
+	if charge != mean {
+		t.Fatalf("cold-class charge = %d, want level mean %d", charge, mean)
 	}
-	if got := c.Stats().PerLevel[0].BacklogNS; got != tk.charge {
-		t.Fatalf("backlog = %d, want %d", got, tk.charge)
+	if got := c.Stats().PerLevel[0].BacklogNS; got != charge {
+		t.Fatalf("backlog = %d, want %d", got, charge)
 	}
-	c.Release(tk, false)
+	c.release(0, charge, false)
 
 	// With CoDel dropping latched, the low-confidence fallback sheds
 	// with ErrSojourn, not ErrPredicted.
 	cs := &c.lvl[0].codel
 	cs.dropping.Store(true)
 	cs.intervalEnd.Store(time.Now().Add(time.Hour).UnixNano())
-	if _, err := c.AcquireClass(0, predict.Class{Op: 13, Size: 2}); !errors.Is(err, ErrSojourn) {
+	if _, err := c.admit(0, predict.Class{Op: 13, Size: 2}, 0); !errors.Is(err, ErrSojourn) {
 		t.Fatalf("cold arrival under latched dropping err = %v, want ErrSojourn", err)
 	}
 	if got := c.Stats().PerLevel[0].PredictShed; got != 0 {
@@ -166,20 +162,19 @@ func TestPredictiveFallsBackWhenCold(t *testing.T) {
 }
 
 // TestPredictiveSubmitChargesAndReleases covers the future path: the
-// backlog charge taken at SubmitClassSince must be released on
+// backlog charge taken at SubmitClass must be released on
 // completion, and the body's measured service time must train the
 // predictor.
 func TestPredictiveSubmitChargesAndReleases(t *testing.T) {
 	rt := newRT(t, 1, 1)
 	c := newCtl(t, rt, Config{
-		Policy:         Predictive,
-		QueueCap:       64,
-		Timeout:        100 * time.Millisecond,
-		PredictWorkers: 1,
+		Policy:   Predictive,
+		QueueCap: 64,
+		Timeout:  100 * time.Millisecond,
 	})
 	cls := predict.Class{Op: 9, Size: 1}
 	before := c.Predictor().Updates()
-	f, err := c.SubmitClass(0, cls, func(task *sched.Task) any { return "ok" })
+	f, err := c.SubmitClass(0, cls, time.Time{}, func(task *sched.Task) any { return "ok" })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,45 +198,54 @@ func TestPredictiveSubmitChargesAndReleases(t *testing.T) {
 func TestPredictiveShedPathDoesNotAllocate(t *testing.T) {
 	rt := newRT(t, 1, 1)
 	c := newCtl(t, rt, Config{
-		Policy:         Predictive,
-		QueueCap:       64,
-		Timeout:        10 * time.Millisecond,
-		PredictWorkers: 1,
+		Policy:   Predictive,
+		QueueCap: 64,
+		Timeout:  10 * time.Millisecond,
 	})
 	cls := predict.Class{Op: 7, Size: 4}
 	trainClass(t, c, cls, 8*time.Millisecond)
 
 	// Saturate the backlog so every further arrival is a predicted miss.
-	tk, err := c.AcquireClass(0, cls)
+	charge, err := c.admit(0, cls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	body := func(task *sched.Task) any { return nil }
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := c.SubmitClass(0, cls, body); !errors.Is(err, ErrPredicted) {
+		if _, err := c.SubmitClass(0, cls, time.Time{}, body); !errors.Is(err, ErrPredicted) {
 			t.Fatal("expected predicted shed")
 		}
 	}); n != 0 {
 		t.Fatalf("predicted-shed Submit allocates %.1f objects/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := c.AcquireClass(0, cls); !errors.Is(err, ErrPredicted) {
+		if _, err := c.admit(0, cls, 0); !errors.Is(err, ErrPredicted) {
 			t.Fatal("expected predicted shed")
 		}
 	}); n != 0 {
-		t.Fatalf("predicted-shed Acquire allocates %.1f objects/op, want 0", n)
+		t.Fatalf("predicted-shed admit allocates %.1f objects/op, want 0", n)
 	}
 
-	// The admit half of the decision (Predict + backlog charge +
-	// ticket) must be allocation-free too: release inside the loop so
-	// the backlog never saturates. Feeding the measured service back on
-	// Release is part of the path and must also stay allocation-free.
-	c.Release(tk, false)
+	// The admit half of the decision (Predict + backlog charge) must be
+	// allocation-free too: release inside the loop so the backlog never
+	// saturates. An inline ticket's Release feeds the measured service
+	// back to the predictor; that is part of the path and must also
+	// stay allocation-free.
+	c.release(0, charge, false)
 	if n := testing.AllocsPerRun(200, func() {
-		tk, err := c.AcquireClass(0, cls)
+		charge, err := c.admit(0, cls, 0)
 		if err != nil {
 			t.Fatal("unexpected shed during admit measurement")
+		}
+		c.release(0, charge, false)
+	}); n != 0 {
+		t.Fatalf("predictive admit/release allocates %.1f objects/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		tk, err := c.Acquire(0)
+		if err != nil {
+			t.Fatal("unexpected shed during Acquire measurement")
 		}
 		c.Release(tk, false)
 	}); n != 0 {
@@ -264,11 +268,11 @@ func TestPredictiveStatsAndMetrics(t *testing.T) {
 
 	cls := predict.Class{Op: 7, Size: 4}
 	trainClass(t, c, cls, 8*time.Millisecond)
-	tk, err := c.AcquireClass(0, cls)
+	charge, err := c.admit(0, cls, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.AcquireClass(0, cls) // predicted shed
+	c.admit(0, cls, 0) // predicted shed
 	out := reg.String()
 	for _, want := range []string{
 		`icilk_admission_predicted_shed_total{level="0"}`,
@@ -288,15 +292,5 @@ func TestPredictiveStatsAndMetrics(t *testing.T) {
 	if s.Predict.Updates == 0 || s.Predict.Predictions == 0 {
 		t.Fatalf("predictor snapshot empty: %+v", s.Predict)
 	}
-	c.Release(tk, false)
-}
-
-func TestParsePolicyPredictive(t *testing.T) {
-	p, err := ParsePolicy("predictive")
-	if err != nil || p != Predictive {
-		t.Fatalf("ParsePolicy(predictive) = %v, %v", p, err)
-	}
-	if Predictive.String() != "predictive" {
-		t.Fatalf("String() = %q", Predictive.String())
-	}
+	c.release(0, charge, false)
 }

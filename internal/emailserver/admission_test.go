@@ -9,44 +9,53 @@ import (
 	"icilk"
 )
 
-// TestTrySendShedAndLate covers the overload outcomes of the Try
-// variants: with a level at capacity they return an error wrapping
-// ErrShed — per level, and only until load drains — and an operation
-// cancelled by its level's deadline yields a future whose Err is
-// context.DeadlineExceeded.
-func TestTrySendShedAndLate(t *testing.T) {
-	timeouts := make([]time.Duration, Levels)
-	timeouts[LevelCompress] = time.Nanosecond // any compress misses
+// gated builds a server on a runtime whose admission controller has
+// one slot per level and the given deadline.
+func gated(t *testing.T, timeout time.Duration) (*Server, *icilk.AdmissionController) {
+	t.Helper()
 	rt, err := icilk.New(icilk.Config{
 		Workers: 2,
 		Levels:  Levels,
 		Admission: &icilk.AdmissionConfig{
-			Policy:          icilk.ShedTailDrop,
-			QueueCap:        1,
-			PerLevelTimeout: timeouts,
+			Policy:   icilk.ShedTailDrop,
+			QueueCap: 1,
+			Timeout:  timeout,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt.Close()
+	t.Cleanup(rt.Close)
 	srv, err := New(rt, Config{Users: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(rt.Admission())
-	send := func() (*icilk.Future, error) { return srv.TrySend(1, "a@x", "s", []byte("hello")) }
+	return srv, rt.Admission()
+}
 
-	tk, err := rt.Admission().Acquire(LevelSend)
+// TestSubmitClassShedAndLate covers the overload outcomes of an
+// operation gated by composing Request with the runtime's admission
+// controller: with a level at capacity it returns an error wrapping
+// ErrShed — per level, and only until load drains — and an operation
+// cancelled by its deadline yields a future whose Err is
+// context.DeadlineExceeded.
+func TestSubmitClassShedAndLate(t *testing.T) {
+	srv, adm := gated(t, 0)
+	submit := func(op int) (*icilk.Future, error) {
+		level, cls, fn := srv.Request(op, 1, 0)
+		return adm.SubmitClass(level, cls, time.Time{}, fn)
+	}
+
+	tk, err := adm.Acquire(LevelSend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := send(); !errors.Is(err, icilk.ErrShed) || f != nil {
+	if f, err := submit(0); !errors.Is(err, icilk.ErrShed) || f != nil {
 		t.Fatalf("overloaded send: future %v, err %v, want nil and ErrShed", f, err)
 	}
-	rt.Admission().Release(tk, false)
+	adm.Release(tk, false)
 
-	f, err := send()
+	f, err := submit(0)
 	if err != nil {
 		t.Fatalf("send after release: %v", err)
 	}
@@ -55,21 +64,23 @@ func TestTrySendShedAndLate(t *testing.T) {
 		t.Fatalf("send after release: Err %v, mailbox holds %d", f.Err(), srv.MailboxLen(1))
 	}
 	// Sheds are per level: a full sort level does not block sends.
-	tk, err = rt.Admission().Acquire(LevelSort)
+	tk, err = adm.Acquire(LevelSort)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.TrySort(1); !errors.Is(err, icilk.ErrShed) {
+	if _, err := submit(1); !errors.Is(err, icilk.ErrShed) {
 		t.Fatalf("overloaded sort: err %v, want ErrShed", err)
 	}
-	if f, err = send(); err != nil {
+	if f, err = submit(0); err != nil {
 		t.Fatalf("send with sort level full: %v", err)
 	}
 	f.Wait()
-	rt.Admission().Release(tk, false)
+	adm.Release(tk, false)
 
-	// Late: the compress level's deadline is below any service time.
-	if f, err = srv.TryCompress(1); err != nil {
+	// Late: a deadline below any service time.
+	srv, adm = gated(t, time.Nanosecond)
+	level, cls, fn := srv.Request(3, 1, 0)
+	if f, err = adm.SubmitClass(level, cls, time.Now(), fn); err != nil {
 		t.Fatal(err)
 	}
 	f.Wait()

@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"icilk"
-	"icilk/internal/predict"
 )
 
 // Priority levels of the operations.
@@ -76,7 +75,6 @@ type Mailbox struct {
 // operations execute on.
 type Server struct {
 	rt    *icilk.Runtime
-	adm   *icilk.AdmissionController // nil = no admission control
 	boxes []*Mailbox
 }
 
@@ -110,30 +108,13 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 // Users returns the mailbox count.
 func (s *Server) Users() int { return len(s.boxes) }
 
-// SetAdmission attaches an admission controller: the Try submission
-// variants (TrySend/TrySort/TryCompress/TryPrint/TryDo) then gate
-// every operation through it, inheriting its per-level queue bounds,
-// shedding policy, and deadlines. The unconditional variants (Send,
-// Do, ...) bypass it.
-func (s *Server) SetAdmission(adm *icilk.AdmissionController) { s.adm = adm }
-
-// submit routes one operation through the admission controller when
-// one is attached, or straight to the runtime otherwise. cls is the
-// operation's predictor class.
-func (s *Server) submit(level int, cls predict.Class, fn func(*icilk.Task) any) (*icilk.Future, error) {
-	if s.adm != nil {
-		return s.adm.SubmitClass(level, cls, fn)
-	}
-	return s.rt.Submit(level, fn), nil
-}
-
-// boxSize returns user's current mailbox population (the size signal
-// for the whole-mailbox operation classes).
-func (s *Server) boxSize(user int) int {
+// boxClass is the predictor class of a whole-mailbox operation on
+// user's mailbox: its size signal is the mailbox population.
+func (s *Server) boxClass(op uint8, user int) icilk.RequestClass {
 	b := s.boxes[user%len(s.boxes)]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.messages)
+	return icilk.RequestClass{Op: op, Size: icilk.SizeBucket(len(b.messages))}
 }
 
 // MailboxLen returns user u's current message count (tests).
@@ -146,20 +127,16 @@ func (s *Server) MailboxLen(u int) int {
 
 // Send submits a send operation and returns its future.
 func (s *Server) Send(user int, from, subject string, body []byte) *icilk.Future {
-	return s.rt.Submit(LevelSend, func(t *icilk.Task) any {
-		s.doSend(user, from, subject, body)
-		return nil
-	})
+	level, _, fn := s.send(user, from, subject, body)
+	return s.rt.Submit(level, fn)
 }
 
-// TrySend is Send gated by the attached admission controller: a shed
-// request returns a nil future and an error wrapping icilk.ErrShed.
-func (s *Server) TrySend(user int, from, subject string, body []byte) (*icilk.Future, error) {
-	cls := predict.Class{Op: classSend, Size: predict.SizeBucket(len(body))}
-	return s.submit(LevelSend, cls, func(t *icilk.Task) any {
+// send describes a send operation (see Request).
+func (s *Server) send(user int, from, subject string, body []byte) (int, icilk.RequestClass, func(*icilk.Task) any) {
+	return LevelSend, icilk.RequestClass{Op: classSend, Size: icilk.SizeBucket(len(body))}, func(*icilk.Task) any {
 		s.doSend(user, from, subject, body)
 		return nil
-	})
+	}
 }
 
 func (s *Server) doSend(user int, from, subject string, body []byte) {
@@ -180,21 +157,7 @@ func (s *Server) doSend(user int, from, subject string, body []byte) {
 
 // Sort submits a sort operation (order mailbox by subject, then
 // sender, then sequence) and returns its future.
-func (s *Server) Sort(user int) *icilk.Future {
-	return s.rt.Submit(LevelSort, func(t *icilk.Task) any {
-		s.doSort(t, user)
-		return nil
-	})
-}
-
-// TrySort is Sort gated by the attached admission controller.
-func (s *Server) TrySort(user int) (*icilk.Future, error) {
-	cls := predict.Class{Op: classSort, Size: predict.SizeBucket(s.boxSize(user))}
-	return s.submit(LevelSort, cls, func(t *icilk.Task) any {
-		s.doSort(t, user)
-		return nil
-	})
-}
+func (s *Server) Sort(user int) *icilk.Future { return s.Do(1, user, 0) }
 
 func (s *Server) doSort(t *icilk.Task, user int) {
 	b := s.boxes[user%len(s.boxes)]
@@ -239,19 +202,7 @@ func render(msgs []Message) []byte {
 }
 
 // Compress submits a compress operation and returns its future.
-func (s *Server) Compress(user int) *icilk.Future {
-	return s.rt.Submit(LevelCompress, func(t *icilk.Task) any {
-		return s.doCompress(t, user)
-	})
-}
-
-// TryCompress is Compress gated by the attached admission controller.
-func (s *Server) TryCompress(user int) (*icilk.Future, error) {
-	cls := predict.Class{Op: classCompress, Size: predict.SizeBucket(s.boxSize(user))}
-	return s.submit(LevelCompress, cls, func(t *icilk.Task) any {
-		return s.doCompress(t, user)
-	})
-}
+func (s *Server) Compress(user int) *icilk.Future { return s.Do(3, user, 0) }
 
 func (s *Server) doCompress(t *icilk.Task, user int) int {
 	b := s.boxes[user%len(s.boxes)]
@@ -292,19 +243,7 @@ func (s *Server) doCompress(t *icilk.Task, user int) int {
 
 // Print submits a print operation (decompress the latest snapshot and
 // render it); the future resolves to the rendered length.
-func (s *Server) Print(user int) *icilk.Future {
-	return s.rt.Submit(LevelPrint, func(t *icilk.Task) any {
-		return s.doPrint(t, user)
-	})
-}
-
-// TryPrint is Print gated by the attached admission controller.
-func (s *Server) TryPrint(user int) (*icilk.Future, error) {
-	cls := predict.Class{Op: classPrint, Size: predict.SizeBucket(s.boxSize(user))}
-	return s.submit(LevelPrint, cls, func(t *icilk.Task) any {
-		return s.doPrint(t, user)
-	})
-}
+func (s *Server) Print(user int) *icilk.Future { return s.Do(2, user, 0) }
 
 func (s *Server) doPrint(t *icilk.Task, user int) int {
 	b := s.boxes[user%len(s.boxes)]
@@ -399,38 +338,36 @@ func (s *Server) searchBox(user int, query string, q []byte) []SearchResult {
 // paper's Figure 5 labels them.
 var OpNames = []string{"send", "sort", "print", "comp"}
 
-// Do dispatches an operation by class index (0=send, 1=sort, 2=print,
-// 3=comp), used by the workload driver.
-func (s *Server) Do(op int, user int, seq int64) *icilk.Future {
+// Request describes an operation by class index (0=send, 1=sort,
+// 2=print, 3=comp) for user, as the workload driver issues it: its
+// priority level, its predictor class and its task body. Do submits
+// it as is; a caller gating the server passes the three to its
+// admission controller's SubmitClass.
+func (s *Server) Request(op int, user int, seq int64) (level int, cls icilk.RequestClass, fn func(*icilk.Task) any) {
 	switch op {
 	case 0:
 		subject := fmt.Sprintf("msg-%d", seq%97)
-		body := makeBody(int(seq))
-		return s.Send(user, fmt.Sprintf("user%d@example.com", seq%31), subject, body)
+		return s.send(user, fmt.Sprintf("user%d@example.com", seq%31), subject, makeBody(int(seq)))
 	case 1:
-		return s.Sort(user)
+		return LevelSort, s.boxClass(classSort, user), func(t *icilk.Task) any {
+			s.doSort(t, user)
+			return nil
+		}
 	case 2:
-		return s.Print(user)
+		return LevelPrint, s.boxClass(classPrint, user), func(t *icilk.Task) any {
+			return s.doPrint(t, user)
+		}
 	default:
-		return s.Compress(user)
+		return LevelCompress, s.boxClass(classCompress, user), func(t *icilk.Task) any {
+			return s.doCompress(t, user)
+		}
 	}
 }
 
-// TryDo is Do gated by the attached admission controller: a shed
-// operation returns a nil future and an error wrapping icilk.ErrShed.
-func (s *Server) TryDo(op int, user int, seq int64) (*icilk.Future, error) {
-	switch op {
-	case 0:
-		subject := fmt.Sprintf("msg-%d", seq%97)
-		body := makeBody(int(seq))
-		return s.TrySend(user, fmt.Sprintf("user%d@example.com", seq%31), subject, body)
-	case 1:
-		return s.TrySort(user)
-	case 2:
-		return s.TryPrint(user)
-	default:
-		return s.TryCompress(user)
-	}
+// Do submits the operation Request describes and returns its future.
+func (s *Server) Do(op int, user int, seq int64) *icilk.Future {
+	level, _, fn := s.Request(op, user, seq)
+	return s.rt.Submit(level, fn)
 }
 
 // makeBody builds a deterministic, mildly compressible body.

@@ -9,20 +9,19 @@ import (
 	"icilk"
 )
 
-// TestTryDoShedAndLate covers the two overload outcomes of TryDo: an
+// TestSubmitClassShedAndLate covers the two overload outcomes of a job
+// gated by composing Job with the runtime's admission controller: an
 // error wrapping ErrShed for an admission rejection, and a future
-// whose Err is context.DeadlineExceeded for a job cancelled by its
-// level's deadline.
-func TestTryDoShedAndLate(t *testing.T) {
-	timeouts := make([]time.Duration, Levels)
-	timeouts[LevelSW] = 200 * time.Microsecond // sw takes ms: certain to miss
+// whose Err is context.DeadlineExceeded for a job cancelled mid-run by
+// its deadline.
+func TestSubmitClassShedAndLate(t *testing.T) {
 	rt, err := icilk.New(icilk.Config{
 		Workers: 2,
 		Levels:  Levels,
 		Admission: &icilk.AdmissionConfig{
-			Policy:          icilk.ShedTailDrop,
-			QueueCap:        4,
-			PerLevelTimeout: timeouts,
+			Policy:   icilk.ShedTailDrop,
+			QueueCap: 4,
+			Timeout:  200 * time.Microsecond, // sw takes ms: certain to miss
 		},
 	})
 	if err != nil {
@@ -30,32 +29,34 @@ func TestTryDoShedAndLate(t *testing.T) {
 	}
 	defer rt.Close()
 	cfg := DefaultConfig()
-	cfg.SWSize = 512 // several ms of work, far past the sw deadline
+	cfg.SWSize = 512 // several ms of work, far past the deadline
 	srv, err := New(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetAdmission(rt.Admission())
+	adm := rt.Admission()
 
 	// Shed: fill the mm level from outside, then submit an mm job.
 	var held []icilk.AdmissionTicket
 	for i := 0; i < 4; i++ {
-		tk, err := rt.Admission().Acquire(LevelMM)
+		tk, err := adm.Acquire(LevelMM)
 		if err != nil {
 			t.Fatal(err)
 		}
 		held = append(held, tk)
 	}
-	if f, err := srv.TryDo(0, 1); !errors.Is(err, icilk.ErrShed) || f != nil {
+	level, cls, fn := srv.Job(0, 1)
+	if f, err := adm.SubmitClass(level, cls, time.Time{}, fn); !errors.Is(err, icilk.ErrShed) || f != nil {
 		t.Fatalf("overloaded mm job: future %v, err %v, want nil and ErrShed", f, err)
 	}
 	for _, tk := range held {
-		rt.Admission().Release(tk, false)
+		adm.Release(tk, false)
 	}
 
 	// Late: an sw job whose deadline is far below its service time is
 	// cancelled mid-run.
-	f, err := srv.TryDo(3, 2)
+	level, cls, fn = srv.Job(3, 2)
+	f, err := adm.SubmitClass(level, cls, time.Now(), fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,12 +65,8 @@ func TestTryDoShedAndLate(t *testing.T) {
 		t.Fatalf("over-deadline sw job: Err = %v, want DeadlineExceeded", f.Err())
 	}
 
-	// A class with no deadline still completes normally.
-	f, err = srv.TryDo(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := f.Wait(); v == nil || f.Err() != nil {
-		t.Fatalf("fib job: value %v, Err %v", v, f.Err())
+	// The ungated path still completes the same job normally.
+	if v := srv.Do(3, 2).Wait(); v == nil {
+		t.Fatal("ungated sw job returned nil")
 	}
 }

@@ -123,10 +123,10 @@ func TestCancelledJobKeepsScratchPrivate(t *testing.T) {
 				}
 				kept <- n
 			}()
-			level, cancelled := class, 0
+			cancelled := 0
 			const rounds = 300
 			for round := 0; round < rounds; round++ {
-				_, body := srv.job(class, int64(round))
+				level, _, body := srv.Job(class, int64(round))
 				f := rt.SubmitWithDeadline(level, time.Duration(10+5*round)*time.Microsecond, body)
 				f.Wait()
 				if f.Err() != nil {

@@ -6,7 +6,6 @@ import (
 
 	"icilk"
 	"icilk/internal/invariant"
-	"icilk/internal/predict"
 	"icilk/internal/xrand"
 )
 
@@ -31,8 +30,11 @@ func DefaultConfig() Config {
 // levels.
 type Server struct {
 	rt  *icilk.Runtime
-	adm *icilk.AdmissionController // nil = no admission control
 	cfg Config
+	// classes[l] is the predictor class of the job class at level l:
+	// one opcode per class, size bucket from the class's configured
+	// input size (the cost-determining input is fixed per class).
+	classes [Levels]icilk.RequestClass
 
 	// Per-class scratch sized from cfg; run says who owns one when.
 	mm, sort, sw sync.Pool
@@ -76,6 +78,9 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{rt: rt, cfg: cfg}
+	for l, size := range [Levels]int{cfg.MMSize, cfg.FibN, cfg.SortSize, cfg.SWSize} {
+		s.classes[l] = icilk.RequestClass{Op: 1 + uint8(l), Size: icilk.SizeBucket(size)}
+	}
 	s.mm.New = func() any {
 		n := s.cfg.MMSize * s.cfg.MMSize
 		return &mmScratch{make([]float64, n), make([]float64, n), make([]float64, n)}
@@ -94,10 +99,6 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// SetAdmission attaches an admission controller consulted by TryDo
-// (Do bypasses it).
-func (s *Server) SetAdmission(adm *icilk.AdmissionController) { s.adm = adm }
-
 // jobReq is one request in record form, where a closure over (s,
 // class, seq) would be a heap object per request. fn is r.run, bound
 // when the record is made: a method value taken per request would
@@ -109,20 +110,22 @@ type jobReq struct {
 	fn    func(*icilk.Task) any
 }
 
-// job returns the priority level and task body of one job of the
-// given class (0=mm, 1=fib, 2=sort, anything else sw) with a
-// deterministic input derived from seq. The body returns a checksum of
-// the job's result. A job that never runs (shed, or cancelled while
-// queued) leaves its record to the GC.
-func (s *Server) job(class int, seq int64) (int, func(*icilk.Task) any) {
+// Job describes one job of the given class (0=mm, 1=fib, 2=sort,
+// anything else sw) with a deterministic input derived from seq: its
+// priority level, its predictor class and its task body, which returns
+// a checksum of the job's result. Do submits it as is; a caller gating
+// the server passes the three to its admission controller's
+// SubmitClass. A job that never runs (shed, or cancelled while queued)
+// leaves its record to the GC.
+func (s *Server) Job(class int, seq int64) (level int, cls icilk.RequestClass, fn func(*icilk.Task) any) {
 	r := s.reqs.Get().(*jobReq)
 	r.class, r.seq = class, seq
 	// The classes are numbered in SJF order: a class is its level.
-	level := LevelSW
+	level = LevelSW
 	if class >= LevelMM && class < LevelSW {
 		level = class
 	}
-	return level, r.fn
+	return level, s.classes[level], r.fn
 }
 
 // run is the task body. The record has done its work once class and
@@ -189,27 +192,8 @@ func (s *Server) runSW(t *icilk.Task, seq int64) int {
 
 // Do submits one job of the given class and returns its future.
 func (s *Server) Do(class int, seq int64) *icilk.Future {
-	level, fn := s.job(class, seq)
+	level, _, fn := s.Job(class, seq)
 	return s.rt.Submit(level, fn)
-}
-
-// TryDo is Do gated by the attached admission controller: a shed job
-// returns a nil future and an error wrapping icilk.ErrShed. Without a
-// controller it behaves like Do.
-func (s *Server) TryDo(class int, seq int64) (*icilk.Future, error) {
-	level, fn := s.job(class, seq)
-	if s.adm != nil {
-		return s.adm.SubmitClass(level, s.predictClass(class), fn)
-	}
-	return s.rt.Submit(level, fn), nil
-}
-
-// predictClass maps a job class to its predictor class: one opcode
-// per class, size bucket from the class's configured input size (the
-// cost-determining input is fixed per class on one server).
-func (s *Server) predictClass(class int) predict.Class {
-	size := [4]int{s.cfg.MMSize, s.cfg.FibN, s.cfg.SortSize, s.cfg.SWSize}[class&3]
-	return predict.Class{Op: 1 + uint8(class&3), Size: predict.SizeBucket(size)}
 }
 
 // fillMatrix, fillInts and fillSeq overwrite a buffer with the input

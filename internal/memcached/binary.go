@@ -49,7 +49,6 @@ const (
 	binStatusItemNotStored  = 0x0005
 	binStatusDeltaBadval    = 0x0006
 	binStatusUnknownCommand = 0x0081
-	binStatusTmpFail        = 0x0086 // temporary failure (admission shed)
 )
 
 // binHeader is the fixed 24-byte request/response header.

@@ -40,11 +40,6 @@ type WorkloadConfig struct {
 	// this span after start (the load still runs; only measurement is
 	// suppressed). Throughput counters include warmup traffic.
 	Warmup time.Duration
-	// Deadline, if positive, classifies measured requests for goodput:
-	// a reply within Deadline of the scheduled arrival is Good, a
-	// later reply is Late, and a "SERVER_ERROR out of capacity"
-	// admission rejection is Shed.
-	Deadline time.Duration
 }
 
 func (c *WorkloadConfig) applyDefaults() {
@@ -109,14 +104,6 @@ type LoadResult struct {
 	Completed int64
 	Errors    int64
 	Elapsed   time.Duration
-
-	// Goodput classification of measured (post-warmup) requests,
-	// populated when WorkloadConfig.Deadline is set: Good completed
-	// within the deadline, Late completed after it, Shed were rejected
-	// by admission control ("SERVER_ERROR out of capacity").
-	Good int64
-	Late int64
-	Shed int64
 }
 
 // AchievedRPS returns the completed-request throughput.
@@ -125,16 +112,6 @@ func (r *LoadResult) AchievedRPS() float64 {
 		return 0
 	}
 	return float64(r.Completed) / r.Elapsed.Seconds()
-}
-
-// GoodputFraction returns Good over all measured outcomes (good +
-// late + shed), or 0 with nothing measured.
-func (r *LoadResult) GoodputFraction() float64 {
-	total := r.Good + r.Late + r.Shed
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Good) / float64(total)
 }
 
 // pendingReq tracks one in-flight request on a connection.
@@ -199,7 +176,6 @@ func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
 	rootRNG := xrand.New(cfg.Seed)
 
 	var sent, completed, errors atomic.Int64
-	var good, late, shedCount atomic.Int64
 	var wg sync.WaitGroup
 	perConnRate := cfg.RPS / float64(cfg.Connections)
 	if perConnRate <= 0 {
@@ -302,7 +278,7 @@ func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
 			defer ep.Close()
 			ls := &lineScanner{ep: ep}
 			for p := range pending {
-				ok, shed := true, false
+				ok := true
 				if p.isGet {
 					for {
 						line, err := ls.readLine()
@@ -323,7 +299,6 @@ func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
 							continue
 						}
 						ok = false
-						shed = string(line) == shedReplyLine
 						break
 					}
 				} else {
@@ -333,31 +308,14 @@ func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
 						return
 					}
 					ok = string(line) == "STORED"
-					shed = string(line) == shedReplyLine
-				}
-				measured := p.scheduled.After(measureFrom)
-				if shed {
-					// An admission rejection is the server protecting
-					// itself, not a client-visible fault.
-					if measured {
-						shedCount.Add(1)
-					}
-					continue
 				}
 				if !ok {
 					errors.Add(1)
 					continue
 				}
 				lat := time.Since(p.scheduled)
-				if measured {
+				if p.scheduled.After(measureFrom) {
 					res.Latency.Record(lat)
-					if cfg.Deadline > 0 {
-						if lat <= cfg.Deadline {
-							good.Add(1)
-						} else {
-							late.Add(1)
-						}
-					}
 				}
 				completed.Add(1)
 			}
@@ -369,9 +327,6 @@ func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
 	res.Sent = sent.Load()
 	res.Completed = completed.Load()
 	res.Errors = errors.Load()
-	res.Good = good.Load()
-	res.Late = late.Load()
-	res.Shed = shedCount.Load()
 	if res.Errors > 0 && res.Completed == 0 {
 		return res, io.ErrUnexpectedEOF
 	}

@@ -38,14 +38,6 @@ const (
 	replyNonNumeric  = "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
 )
 
-// replyOutOfCapacity is the admission-control shed reply, preallocated
-// so the shed path writes without formatting or allocation;
-// shedReplyLine is the same reply as the client sees it (CRLF
-// stripped by the line reader).
-var replyOutOfCapacity = []byte("SERVER_ERROR out of capacity\r\n")
-
-const shedReplyLine = "SERVER_ERROR out of capacity"
-
 // Bounds on what a client may make a connection buffer. A length is
 // checked where it is parsed, before anything is read or grown for
 // it; a server that meets one over the bound answers if the protocol

@@ -9,7 +9,6 @@ import (
 	"icilk"
 	"icilk/internal/metrics"
 	"icilk/internal/netsim"
-	"icilk/internal/predict"
 	"icilk/internal/stats"
 )
 
@@ -44,17 +43,6 @@ type ICilkConfig struct {
 	// request priority level) — typically Runtime.Metrics(), so one
 	// /metrics scrape covers scheduler and application together.
 	Metrics *metrics.Registry
-	// Admission, if non-nil, gates every request: a shed request is
-	// answered "SERVER_ERROR out of capacity" (text protocol) or a
-	// temporary-failure status (binary protocol) without executing,
-	// and the connection stays usable — exactly how real memcached
-	// reports transient server-side pressure.
-	Admission *icilk.AdmissionController
-	// RequestTimeout, with Admission set, classifies requests whose
-	// service time exceeds it as late in the admission accounting
-	// (they still receive their reply — a finished result is worth
-	// sending even if the deadline was missed).
-	RequestTimeout time.Duration
 }
 
 // ICilkServer is the task-parallel Memcached port (Section 3 of the
@@ -85,9 +73,8 @@ type ICilkServer struct {
 
 	reqs *metrics.Counter   // nil unless cfg.Metrics is set
 	lat  *metrics.Histogram // nil unless cfg.Metrics is set
-	// timed: someone listens to request timing (Admission, Service-
-	// Histogram or Metrics); without a sink the request loops read no
-	// clock at all.
+	// timed: someone listens to request timing (ServiceHistogram or
+	// Metrics); without a sink the request loops read no clock at all.
 	timed bool
 }
 
@@ -118,7 +105,7 @@ func NewICilkServer(store *Store, rt *icilk.Runtime, cfg ICilkConfig) *ICilkServ
 			"Live connection-handling future routines.",
 			func() float64 { return float64(s.ActiveConns()) }, app)
 	}
-	s.timed = cfg.Admission != nil || cfg.ServiceHistogram != nil || s.reqs != nil
+	s.timed = cfg.ServiceHistogram != nil || s.reqs != nil
 	return s
 }
 
@@ -255,13 +242,6 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 			}
 			return // EOF: client disconnected
 		}
-		// The request's genuine arrival: its first line is off the
-		// wire. Queueing from here on (data-block reads, admission) is
-		// real sojourn the admission estimators should see.
-		var arrival, t0 time.Time
-		if s.timed {
-			arrival = time.Now()
-		}
 		needData, perr := ParseCommandB(line, &req)
 		if perr != nil {
 			ep.Write(perr)
@@ -288,20 +268,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 				continue
 			}
 		}
-		// Admission decision only after the request is fully read:
-		// shedding before consuming the data block would desync the
-		// protocol framing. The class (opcode × value-size bucket) and
-		// the arrival timestamp let the predictive policy estimate this
-		// request's cost and remaining slack.
-		var tk icilk.AdmissionTicket
-		if s.cfg.Admission != nil {
-			cls := predict.Class{Op: uint8(req.Op), Size: predict.SizeBucket(len(req.Data))}
-			var aerr error
-			if tk, aerr = s.cfg.Admission.AcquireClassSince(s.cfg.RequestLevel, cls, arrival); aerr != nil {
-				ep.Write(replyOutOfCapacity)
-				continue
-			}
-		}
+		var t0 time.Time
 		if s.timed {
 			t0 = time.Now()
 		}
@@ -318,7 +285,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 			ep.Write(reply)
 		}
 		if s.timed {
-			s.recordRequest(tk, time.Since(t0))
+			s.recordRequest(time.Since(t0))
 		}
 		if quit {
 			return
@@ -349,10 +316,6 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr 
 		if err != nil {
 			return
 		}
-		var arrival, t0 time.Time
-		if s.timed {
-			arrival = time.Now()
-		}
 		h := parseBinHeader(hdr)
 		if h.magic != binReqMagic {
 			return // framing lost; drop the connection
@@ -368,18 +331,7 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr 
 				return
 			}
 		}
-		var tk icilk.AdmissionTicket
-		if s.cfg.Admission != nil {
-			// 0x80 | opcode keeps binary-protocol classes disjoint from
-			// the text opCode space on a mixed-protocol server.
-			cls := predict.Class{Op: 0x80 | h.opcode, Size: predict.SizeBucket(int(h.bodyLen))}
-			var aerr error
-			if tk, aerr = s.cfg.Admission.AcquireClassSince(s.cfg.RequestLevel, cls, arrival); aerr != nil {
-				reply = appendBinError(reply[:0], h.opcode, binStatusTmpFail, h.opaque, "out of capacity")
-				ep.Write(reply)
-				continue
-			}
-		}
+		var t0 time.Time
 		if s.timed {
 			t0 = time.Now()
 		}
@@ -389,7 +341,7 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr 
 			ep.Write(reply)
 		}
 		if s.timed {
-			s.recordRequest(tk, time.Since(t0))
+			s.recordRequest(time.Since(t0))
 		}
 		if quit {
 			return
@@ -425,12 +377,9 @@ func (s *ICilkServer) cachedumpParallel(t *icilk.Task, store *Store, shardSel, l
 	return appendDumpEntries(dst, perShard, limit)
 }
 
-// recordRequest releases a completed request's admission ticket and
-// charges its service time to the configured latency sinks.
-func (s *ICilkServer) recordRequest(tk icilk.AdmissionTicket, d time.Duration) {
-	if s.cfg.Admission != nil {
-		s.cfg.Admission.Release(tk, s.cfg.RequestTimeout > 0 && d > s.cfg.RequestTimeout)
-	}
+// recordRequest charges a completed request's service time to the
+// configured latency sinks.
+func (s *ICilkServer) recordRequest(d time.Duration) {
 	if h := s.cfg.ServiceHistogram; h != nil {
 		h.Record(d)
 	}

@@ -280,8 +280,9 @@ func (p *Predictor) lookup(key, hist uint64) (ti int, slot uint64, e uint64) {
 // c and the provider entry's confidence (0..ConfMax). ok is false when
 // no table holds a valid entry for the class — the caller then has no
 // basis for a cost-aware decision and should fall back to its reactive
-// policy (callers should also apply their own confidence floor; see
-// admission.Config.PredictConfidence). Zero-allocation and lock-free.
+// policy (callers should also apply their own confidence floor, as the
+// admission controller's predictConfidence does). Zero-allocation and
+// lock-free.
 func (p *Predictor) Predict(c Class) (est time.Duration, conf uint8, ok bool) {
 	if invariant.Enabled {
 		// The read half of the predict/update race: a concurrent Update

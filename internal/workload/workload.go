@@ -167,7 +167,7 @@ func RunOpenLoop(cfg OpenLoopConfig, submit SubmitFunc) *Result {
 
 // GoodputSubmitFunc injects one request of the given class through an
 // admission-controlled path. A non-nil error (wrapping
-// admission.ErrShed) means the request was rejected at the door and
+// icilk.ErrShed) means the request was rejected at the door and
 // never reached the scheduler; otherwise the future resolves when the
 // request finishes or is cancelled by its deadline.
 type GoodputSubmitFunc func(class, user int, seq int64) (*icilk.Future, error)

@@ -55,8 +55,8 @@ type Health = admin.Health
 
 // Health reports the runtime's readiness: Ready while the runtime is
 // open with its workers started; Degraded while admission control is
-// shedding 100% of arrivals (sustained — see
-// AdmissionConfig.DegradedAfter).
+// shedding 100% of arrivals (sustained: 100 consecutive sheds with no
+// admission between them).
 func (r *Runtime) Health() Health {
 	h := Health{Ready: !r.closed.Load()}
 	if !h.Ready {
