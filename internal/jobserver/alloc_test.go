@@ -13,17 +13,18 @@ import (
 var benchConfig = Config{MMSize: 16, FibN: 16, SortSize: 2048, SWSize: 64}
 
 // TestJobAllocBudget gates what one request may allocate in steady
-// state: the future, the waiter's channel and the boxed result (sw's
-// score is small enough to box for free), plus mm's loop-body closure.
-// There is no root closure (the request is a pooled jobReq) and no
+// state: the boxed result (sw's score is small enough to box for free)
+// and a 1/32 share of the block its future comes from. The waiter's
+// channel is pooled, there is no root closure (the request is a pooled
+// jobReq), mm's loop body is bound once per scratch, and there is no
 // object per fork: mm's loop splits, fib's 12 frames and sort's 3
 // halves are records that ride the task contexts, and sw's tile frames
 // live in its scratch. The inputs, work arrays and generators are the
 // scratch pools' and the stack's. The counter is the whole process's,
 // so the smallest of three windows is read; the allowance above the
-// whole numbers is for a context that meets a fork with no record
-// parked yet (a goroutine new to the class) and for a pool refill
-// after a GC.
+// whole numbers is the future's block share, a context that meets a
+// fork with no record parked yet (a goroutine new to the class) and a
+// pool refill after a GC.
 func TestJobAllocBudget(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")
@@ -35,7 +36,7 @@ func TestJobAllocBudget(t *testing.T) {
 	}
 	const warm, rounds, windows = 200, 2000, 3
 	const maxBytes = 1 << 10
-	for class, maxMallocs := range [Levels]float64{4.1, 3.1, 3.2, 2.1} {
+	for class, maxMallocs := range [Levels]float64{1.1, 1.1, 1.1, 0.1} {
 		for i := int64(0); i < warm; i++ {
 			srv.Do(class, i).Wait()
 		}

@@ -47,18 +47,22 @@ const mmTile = 16
 // bitwise identical.
 func MM(t *icilk.Task, a, b []float64, n int) []float64 {
 	c := make([]float64, n*n)
-	mmInto(t, a, b, c, n)
+	mmInto(t, newMMScratch(a, b, c, n))
 	return c
 }
 
-// mmInto is MM into a caller-owned c, cleared first: the tiles
-// accumulate.
-func mmInto(t *icilk.Task, a, b, c []float64, n int) {
-	clear(c)
-	nt := (n + mmTile - 1) / mmTile
-	icilk.For(t, 0, nt*nt, 1, func(tile int) {
-		mmTileCompute(a, b, c, n, tile/nt, tile%nt)
-	})
+// mmInto is MM over caller-owned scratch, with s.c cleared first: the
+// tiles accumulate.
+func mmInto(t *icilk.Task, s *mmScratch) {
+	clear(s.c)
+	icilk.For(t, 0, s.nt*s.nt, 1, s.tileFn)
+}
+
+// tile is mm's loop body in record form: s.tileFn binds it once per
+// scratch, where a closure over the request's matrices would be a heap
+// object per request.
+func (s *mmScratch) tile(i int) {
+	mmTileCompute(s.a, s.b, s.c, s.n, i/s.nt, i%s.nt)
 }
 
 // mmTileCompute accumulates output tile (ti, tj): the full dot product

@@ -32,7 +32,7 @@ func TestMMIntoClearsDirtyC(t *testing.T) {
 		a, b := randomMatrix(n, uint64(n)), randomMatrix(n, uint64(n+1))
 		c := make([]float64, n*n)
 		poisonFill(c)
-		rt.Run(func(task *icilk.Task) any { mmInto(task, a, b, c, n); return nil })
+		rt.Run(func(task *icilk.Task) any { mmInto(task, newMMScratch(a, b, c, n)); return nil })
 		want := rt.Run(func(task *icilk.Task) any { return MM(task, a, b, n) }).([]float64)
 		for i := range want {
 			if c[i] != want[i] {

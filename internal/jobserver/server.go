@@ -43,7 +43,11 @@ type Server struct {
 
 // One request's inputs and work arrays, per class.
 type (
-	mmScratch   struct{ a, b, c []float64 }
+	mmScratch struct {
+		a, b, c []float64
+		n, nt   int       // matrix edge and tiles per edge
+		tileFn  func(int) // s.tile, bound by newMMScratch
+	}
 	sortScratch struct{ xs, tmp []int64 }
 	swScratch   struct {
 		p, q  []byte
@@ -51,6 +55,14 @@ type (
 		tiles []swTileFrame // the spawned tiles of one anti-diagonal
 	}
 )
+
+// newMMScratch returns the scratch for multiplying n×n matrices a and b
+// into c.
+func newMMScratch(a, b, c []float64, n int) *mmScratch {
+	s := &mmScratch{a: a, b: b, c: c, n: n, nt: (n + mmTile - 1) / mmTile}
+	s.tileFn = s.tile
+	return s
+}
 
 // newSWScratch returns the scratch for aligning p with q. A diagonal
 // spawns all of its tiles but one, so at most min(len(p), len(q))/swTile.
@@ -82,8 +94,8 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 		s.classes[l] = icilk.RequestClass{Op: 1 + uint8(l), Size: icilk.SizeBucket(size)}
 	}
 	s.mm.New = func() any {
-		n := s.cfg.MMSize * s.cfg.MMSize
-		return &mmScratch{make([]float64, n), make([]float64, n), make([]float64, n)}
+		n := s.cfg.MMSize
+		return newMMScratch(make([]float64, n*n), make([]float64, n*n), make([]float64, n*n), n)
 	}
 	s.sort.New = func() any {
 		return &sortScratch{make([]int64, s.cfg.SortSize), make([]int64, s.cfg.SortSize)}
@@ -155,7 +167,7 @@ func (s *Server) runMM(t *icilk.Task, seq int64) float64 {
 	sc := s.mm.Get().(*mmScratch)
 	fillMatrix(sc.a, uint64(seq))
 	fillMatrix(sc.b, uint64(seq)+1)
-	mmInto(t, sc.a, sc.b, sc.c, s.cfg.MMSize)
+	mmInto(t, sc)
 	var sum float64
 	for _, v := range sc.c {
 		sum += v

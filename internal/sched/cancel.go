@@ -119,8 +119,7 @@ func (rt *Runtime) submitCancelable(level int, c *cancelState, fn func(*Task) an
 	if level < 0 || level >= rt.cfg.Levels {
 		panic(submitLevelError(level, rt.cfg.Levels))
 	}
-	f := newFuture(rt)
-	f.ownerLevel = int32(level)
+	f := rt.newFuture(nil, int32(level))
 	rt.inflight.Add(1)
 	n := rt.newNode(nil, level, nil, futFrame(fn))
 	n.t.fut = f

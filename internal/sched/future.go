@@ -33,10 +33,11 @@ type Future struct {
 	mu sync.Mutex
 
 	// ownerLevel is the priority level of the task computing this
-	// future, or -1 for externally-completed (I/O) futures — used by
-	// the dynamic priority-inversion detector. It is an int32 in the
-	// padding beside done and mu so the struct stays in the 144-byte
-	// size class (TestFutureSizeClass).
+	// future, or -1 for externally-completed (I/O, tasksync) futures —
+	// used by the dynamic priority-inversion detector. It is an int32 in
+	// the padding beside done and mu so an I/O future stays in the
+	// 144-byte size class and a futBlock in the 4864-byte one
+	// (TestFutureSizeClass).
 	ownerLevel int32
 
 	val     any
@@ -46,9 +47,13 @@ type Future struct {
 	onDone1 func(error)   // first completion callback (see OnComplete)
 	onDone  []func(error) // second and later callbacks, in registration order
 
-	// ch is closed at completion for external waiters. It is created
-	// lazily by the first Wait/WaitChan that needs it, so futures only
-	// ever observed by tasks (the common case) never allocate it.
+	// ch wakes external waiters, in one of two forms told apart by
+	// capacity. Capacity 1: a lone Wait parks on a channel borrowed from
+	// waitChans, and completion sends on it once and forgets it.
+	// Capacity 0: WaitChan's channel, made lazily and closed at
+	// completion; a second waiter replaces a borrowed channel with one
+	// (see WaitChan). Futures only ever observed by tasks (the common
+	// case) never have either.
 	ch chan struct{}
 
 	// result stages the future routine's return value between the
@@ -57,14 +62,61 @@ type Future struct {
 	result any
 }
 
-func newFuture(rt *Runtime) *Future {
-	return &Future{rt: rt, ownerLevel: -1}
+// futBlockSize is how many futures one allocation holds (futBlock).
+const futBlockSize = 32
+
+// futBlock is the allocation task-backed futures are carved from: a
+// slot is claimed with one atomic add, so FutCreate and SubmitFuture
+// cost the allocator 1/futBlockSize of an object. A block is never
+// reused; the GC frees it once none of its futures is reachable, so one
+// live future keeps up to futBlockSize-1 completed neighbours and their
+// values alive with it. Blocks belong to one runtime (its shared block
+// and each worker's own), so a future never pins another runtime.
+type futBlock struct {
+	next atomic.Int32 // slots claimed; past futBlockSize the block is spent
+	f    [futBlockSize]Future
+}
+
+// newFuture claims a future computed at level (-1: completed by a
+// tasksync primitive) from w's block — the caller holds w's token — or,
+// for a nil w, from the runtime's shared block, starting a new block
+// when the current one is spent.
+func (rt *Runtime) newFuture(w *worker, level int32) *Future {
+	cur := &rt.futs
+	if w != nil {
+		cur = &w.futs
+	}
+	var f *Future
+	if b := cur.Load(); b != nil {
+		if i := b.next.Add(1) - 1; i < futBlockSize {
+			f = &b.f[i]
+		}
+	}
+	if f == nil {
+		// Racing claimants each start a block; the last stored stays
+		// current and the others' spare slots are dropped.
+		b := new(futBlock)
+		b.next.Store(1)
+		cur.Store(b)
+		f = &b.f[0]
+	}
+	if invariant.Enabled {
+		invariant.Checkf(f.rt == nil, "sched: future slot handed out twice")
+	}
+	f.rt, f.ownerLevel = rt, level
+	return f
 }
 
 // NewIOFuture creates a future that will be completed externally via
 // Complete — the runtime's representation of an in-flight I/O
-// operation.
-func (rt *Runtime) NewIOFuture() *Future { return newFuture(rt) }
+// operation. It is allocated on its own, not from a block: an I/O
+// future is rearmed and lives as long as its connection, and in a
+// block it would keep its neighbours alive as long.
+func (rt *Runtime) NewIOFuture() *Future { return &Future{rt: rt, ownerLevel: -1} }
+
+// waitChans holds the capacity-1 channels lone Wait callers park on;
+// each goes back empty, after its one send has been received.
+var waitChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Complete fulfills the future with v. It must be called exactly once
 // and only for externally-completed (I/O) futures; futures backed by a
@@ -92,7 +144,12 @@ func (f *Future) completeWith(v any, err error) {
 	cb1, cbs := f.onDone1, f.onDone
 	f.onDone1, f.onDone = nil, nil
 	if f.ch != nil {
-		close(f.ch)
+		if cap(f.ch) == 0 {
+			close(f.ch)
+		} else {
+			f.ch <- struct{}{} // the lone Wait's borrowed channel: empty, never blocks
+			f.ch = nil
+		}
 	}
 	f.mu.Unlock()
 
@@ -268,10 +325,26 @@ func (f *Future) Get(t *Task) any {
 }
 
 // Wait blocks the calling (non-task) goroutine until completion and
-// returns the value. Load generators and tests use this.
+// returns the value. Load generators and tests use this. A lone waiter
+// parks on a pooled channel, so Wait allocates nothing; a second
+// concurrent one moves both onto WaitChan's.
 func (f *Future) Wait() any {
 	if f.done.Load() {
 		return f.val
+	}
+	f.mu.Lock()
+	if f.ch == nil && !f.done.Load() {
+		c := waitChans.Get().(chan struct{})
+		f.ch = c
+		f.mu.Unlock()
+		<-c
+		waitChans.Put(c)
+		if f.done.Load() {
+			return f.val
+		}
+		// Woken by WaitChan taking the slot over: wait on its channel.
+	} else {
+		f.mu.Unlock()
 	}
 	<-f.WaitChan()
 	return f.val
@@ -280,7 +353,12 @@ func (f *Future) Wait() any {
 // WaitChan returns a channel closed at completion, for select loops.
 func (f *Future) WaitChan() <-chan struct{} {
 	f.mu.Lock()
-	if f.ch == nil {
+	if f.ch == nil || cap(f.ch) != 0 {
+		if f.ch != nil {
+			// A lone Wait is parked on a borrowed channel: wake it to
+			// move onto the one made here.
+			f.ch <- struct{}{}
+		}
 		f.ch = make(chan struct{})
 		if f.done.Load() {
 			close(f.ch)
@@ -312,8 +390,7 @@ func (rt *Runtime) SubmitFuture(level int, fn func(*Task) any) *Future {
 	if level < 0 || level >= rt.cfg.Levels {
 		panic(submitLevelError(level, rt.cfg.Levels))
 	}
-	f := newFuture(rt)
-	f.ownerLevel = int32(level)
+	f := rt.newFuture(nil, int32(level))
 	rt.inflight.Add(1)
 	n := rt.newNode(nil, level, nil, futFrame(fn))
 	n.t.fut = f

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-	"unsafe"
 
 	"icilk/internal/invariant"
 	"icilk/internal/invariant/perturb"
@@ -26,15 +25,6 @@ func forEachSeed(t *testing.T, body func(t *testing.T)) {
 			defer perturb.Disable()
 			body(t)
 		})
-	}
-}
-
-// TestFutureSizeClass keeps Future in the allocator's 144-byte size
-// class: every FutCreate/Submit allocates one, and one more word tips
-// it into the 160-byte class (sched.submit_wait_bytes +16 B/op).
-func TestFutureSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Future{}); got > 144 {
-		t.Fatalf("sizeof(Future) = %d bytes, want <= 144", got)
 	}
 }
 

@@ -199,6 +199,10 @@ type Runtime struct {
 	// here. Bounded at sharedFreeCap. See newNode/Task.finish.
 	free chan *node
 
+	// futs is the block external submissions take their futures from
+	// (newFuture); token holders use their worker's own.
+	futs atomic.Pointer[futBlock]
+
 	// deques recycles dead execution-context deques (see freeDeque for
 	// the safety argument); recycleDeques gates it to the
 	// centralized-pool policies.
@@ -482,9 +486,12 @@ type worker struct {
 	free     [workerFreeCap]*node
 	nfree    int
 	executes int
-	part     *epoch.Participant
-	rng      *xrand.Rand
-	clock    stats.WorkerClock
+	// futs is the block the token holder's FutCreate and tasksync
+	// futures come from (newFuture).
+	futs  atomic.Pointer[futBlock]
+	part  *epoch.Participant
+	rng   *xrand.Rand
+	clock stats.WorkerClock
 	// tok is the debug-build token-holder tracker (zero-size no-op in
 	// normal builds): at most one node holds this worker's token, and
 	// only the holder may run step. It follows the token (see pass).

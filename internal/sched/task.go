@@ -392,8 +392,7 @@ func (t *Task) FutCreate(level int, fn func(*Task) any) *Future {
 	if level < 0 || level >= t.rt.cfg.Levels {
 		panic(fmt.Sprintf("sched: FutCreate level %d out of range [0,%d)", level, t.rt.cfg.Levels))
 	}
-	f := newFuture(t.rt)
-	f.ownerLevel = int32(level)
+	f := t.rt.newFuture(t.w, int32(level))
 	child := t.rt.newNode(t.w, level, nil, futFrame(fn))
 	child.t.fut = f
 	// Future routines inherit the creator's cancellation: a cancelled

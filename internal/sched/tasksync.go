@@ -49,7 +49,7 @@ func (m *Mutex) Lock(t *Task) {
 	if t.level < m.holder {
 		m.rt.noteInversion()
 	}
-	f := newFuture(m.rt)
+	f := m.rt.newFuture(t.w, -1)
 	m.waiters = append(m.waiters, f)
 	m.mu.Unlock()
 	f.Get(t)
@@ -124,7 +124,7 @@ func (rt *Runtime) NewCond(m *Mutex) *Cond {
 // reacquires c.L before returning. As with sync.Cond, callers must
 // re-check their condition in a loop.
 func (c *Cond) Wait(t *Task) {
-	f := newFuture(c.L.rt)
+	f := c.L.rt.newFuture(t.w, -1)
 	c.mu.Lock()
 	c.waiters = append(c.waiters, f)
 	c.mu.Unlock()

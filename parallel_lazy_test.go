@@ -33,10 +33,14 @@ func spinUntil(limit time.Duration, cond func() bool) bool {
 
 // TestLoopSpawnsIndependentOfChunkCount: with one worker there is no
 // thief, so a loop's spawns and allocations do not depend on how many
-// chunks it has — 16 or 1024 at the same grain.
+// chunks it has — 16 or 1024 at the same grain. The spawn count is the
+// scheduler's own and always compared; the allocation count is the
+// whole process's, and -race and icilk_debug builds allocate beside the
+// loop, so there it is not.
 func TestLoopSpawnsIndependentOfChunkCount(t *testing.T) {
 	rt := newRT(t, Config{Workers: 1, Levels: 1})
 	const grain = 64
+	countAllocs := !invariant.Race && !invariant.Enabled
 	data := make([]int64, 1<<16)
 	body := func(i int) { data[i]++ }
 	leaf := func(i int) int64 { return data[i] }
@@ -48,10 +52,12 @@ func TestLoopSpawnsIndependentOfChunkCount(t *testing.T) {
 				before := rt.WasteReport().Spawns
 				loop(n)
 				spawns[k] = rt.WasteReport().Spawns - before
-				// The allocation counter is the whole process's: an
-				// allocation of the race detector or another goroutine
-				// lands in some samples, the loop's own in every one, so
-				// the least of five is the loop's.
+				if !countAllocs {
+					continue
+				}
+				// An allocation of another goroutine lands in some samples,
+				// the loop's own in every one, so the least of five is the
+				// loop's.
 				allocs[k] = testing.AllocsPerRun(5, func() { loop(n) })
 				for s := 1; s < 5; s++ {
 					allocs[k] = min(allocs[k], testing.AllocsPerRun(5, func() { loop(n) }))
