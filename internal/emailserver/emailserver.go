@@ -19,10 +19,11 @@ package emailserver
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -170,14 +171,14 @@ func (s *Server) doSort(t *icilk.Task, user int) {
 		lastSeq = msgs[len(msgs)-1].Seq
 	}
 	t.Yield() // scheduling point between snapshot and the sort burst
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].Subject != msgs[j].Subject {
-			return msgs[i].Subject < msgs[j].Subject
+	slices.SortFunc(msgs, func(a, b Message) int {
+		if c := strings.Compare(a.Subject, b.Subject); c != 0 {
+			return c
 		}
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
+		if c := strings.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return msgs[i].Seq < msgs[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 	b.mu.Lock()
 	// Install only if the mailbox didn't change meanwhile (cheap

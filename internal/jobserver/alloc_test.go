@@ -18,13 +18,14 @@ var benchConfig = Config{MMSize: 16, FibN: 16, SortSize: 2048, SWSize: 64}
 // channel is pooled, there is no root closure (the request is a pooled
 // jobReq), mm's loop body is bound once per scratch, and there is no
 // object per fork: mm's loop splits, fib's 12 frames and sort's 3
-// halves are records that ride the task contexts, and sw's tile frames
-// live in its scratch. The inputs, work arrays and generators are the
-// scratch pools' and the stack's. The counter is the whole process's,
-// so the smallest of three windows is read; the allowance above the
-// whole numbers is the future's block share, a context that meets a
-// fork with no record parked yet (a goroutine new to the class) and a
-// pool refill after a GC.
+// halves (2048 elements over 512-element leaves; a merge that size is
+// sequential) are records that ride the task contexts, and sw's tile
+// frames live in its scratch. The inputs, work arrays and generators
+// are the scratch pools' and the stack's. The counter is the whole
+// process's, so the smallest of three windows is read; the allowance
+// above the whole numbers is the future's block share, a context that
+// meets a fork with no record parked yet (a goroutine new to the
+// class) and a pool refill after a GC.
 func TestJobAllocBudget(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")

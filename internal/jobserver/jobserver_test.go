@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -111,6 +112,38 @@ func TestSortAdversarialInputs(t *testing.T) {
 		for i := range xs {
 			if xs[i] != want[i] {
 				t.Fatalf("%s: xs[%d] = %d, want %d", name, i, xs[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSortAtCutoffs runs Sort at and around both cutoffs, where the
+// recursion switches between a leaf, one fork over two leaves, and a
+// sequential or split merge, on one worker and on four.
+func TestSortAtCutoffs(t *testing.T) {
+	sizes := []int{0, 1, 2, sortBase - 1, sortBase, sortBase + 1, 2*sortBase + 1, mergeBase - 1, mergeBase, mergeBase + 1}
+	inputs := map[string]func(xs []int64){
+		"random":   func(xs []int64) { fillInts(xs, uint64(len(xs))) },
+		"sorted":   func(xs []int64) { fillInts(xs, uint64(len(xs))); slices.Sort(xs) },
+		"reversed": func(xs []int64) { fillInts(xs, uint64(len(xs))); slices.Sort(xs); slices.Reverse(xs) },
+		"allEqual": func(xs []int64) { clear(xs) },
+	}
+	for _, workers := range []int{1, 4} {
+		rt, err := icilk.New(icilk.Config{Workers: workers, Levels: Levels})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		for name, fill := range inputs {
+			for _, n := range sizes {
+				xs := make([]int64, n)
+				fill(xs)
+				want := slices.Clone(xs)
+				slices.Sort(want)
+				rt.Run(func(task *icilk.Task) any { Sort(task, xs); return nil })
+				if !slices.Equal(xs, want) {
+					t.Errorf("%d workers, %s, n=%d: Sort differs from slices.Sort", workers, name, n)
+				}
 			}
 		}
 	}

@@ -15,7 +15,11 @@
 // spawn/sync under priority scheduling.
 package jobserver
 
-import "icilk"
+import (
+	"slices"
+
+	"icilk"
+)
 
 // Priority levels (SJF order).
 const (
@@ -133,6 +137,12 @@ func fibSeq(n int) int64 {
 
 // ---- sort: parallel mergesort ---------------------------------------
 
+// sortBase is the leaf size. A leaf is sorted by pdqsort (slices.Sort:
+// in place, no allocation) with no scheduling point inside, so it
+// bounds the job's promptness window: ~22 µs on a 2-vCPU Xeon guest,
+// where the quadratic insertion sort took ~45. 256 would halve the window, but
+// no tail of the pinned benchmark moves, and sort time and throughput
+// lose 6–13 %. EXPERIMENTS.md, "The sort leaf", has the sweep.
 const sortBase = 512
 
 // mergeBase is the sequential cutoff of the parallel merge: below it
@@ -150,7 +160,7 @@ func Sort(t *icilk.Task, xs []int64) {
 
 func mergesort(t *icilk.Task, xs, tmp []int64) {
 	if len(xs) <= sortBase {
-		insertionSort(xs)
+		slices.Sort(xs)
 		return
 	}
 	mid := len(xs) / 2
@@ -236,18 +246,6 @@ func mergeRuns(a, b, out []int64) {
 	}
 	copy(out[k:], a[i:])
 	copy(out[k+len(a)-i:], b[j:])
-}
-
-func insertionSort(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		v := xs[i]
-		j := i - 1
-		for j >= 0 && xs[j] > v {
-			xs[j+1] = xs[j]
-			j--
-		}
-		xs[j+1] = v
-	}
 }
 
 // ---- sw: Smith-Waterman wavefront -----------------------------------
