@@ -72,7 +72,6 @@ func TestAdmissionConfigWiring(t *testing.T) {
 		Workers: 2,
 		Levels:  2,
 		Admission: &icilk.AdmissionConfig{
-			Policy:   icilk.ShedTailDrop,
 			QueueCap: 1,
 			Timeout:  time.Second,
 		},
@@ -145,7 +144,6 @@ func TestReadyzDegradedUnderSustainedShed(t *testing.T) {
 		Workers: 1,
 		Levels:  1,
 		Admission: &icilk.AdmissionConfig{
-			Policy:   icilk.ShedTailDrop,
 			QueueCap: 1,
 		},
 	})
@@ -182,7 +180,7 @@ func TestReadyzDegradedUnderSustainedShed(t *testing.T) {
 }
 
 // TestReadmeQuotesAdmissionExample: README's overload snippet is the
-// body of ExampleAdmissionController_SubmitClass, so the snippet
+// body of ExampleAdmissionController_Submit, so the snippet
 // compiles and runs with the example instead of drifting from the API.
 func TestReadmeQuotesAdmissionExample(t *testing.T) {
 	src, err1 := os.ReadFile("example_test.go")
@@ -190,9 +188,9 @@ func TestReadmeQuotesAdmissionExample(t *testing.T) {
 	if err := errors.Join(err1, err2); err != nil {
 		t.Fatal(err)
 	}
-	_, body, _ := strings.Cut(string(src), "func ExampleAdmissionController_SubmitClass() {\n\t")
+	_, body, _ := strings.Cut(string(src), "func ExampleAdmissionController_Submit() {\n\t")
 	body, _, _ = strings.Cut(body, "\n}\n")
 	if body == "" || !strings.Contains(string(readme), "```go\n"+strings.ReplaceAll(body, "\n\t", "\n")+"\n```") {
-		t.Fatal("README.md does not quote ExampleAdmissionController_SubmitClass verbatim")
+		t.Fatal("README.md does not quote ExampleAdmissionController_Submit verbatim")
 	}
 }

@@ -266,14 +266,16 @@ func BenchmarkQoSMaxRPS(b *testing.B) {
 
 // ---- Goodput under overload (beyond the paper's figures) ------------
 
-// request describes one arrival at a server: its priority level, its
-// predictor class and its task body.
-type request func(class, user int, seq int64) (int, icilk.RequestClass, func(*icilk.Task) any)
+// request describes one arrival at a server: its priority level and
+// its task body.
+type request func(class, user int, seq int64) (int, func(*icilk.Task) any)
 
-// overloadApp is one server driven past its QoS knee. knee, deadline
-// (goodput bound and admission timeout) and queueCap are the values its
-// recorded runs used (EXPERIMENTS.md, "Goodput under overload"); the
-// email server has no recorded run and takes the job server's.
+// overloadApp is one server driven past its QoS knee. knee is the
+// highest rate at which every class keeps goodput >= 0.99 within
+// deadline (goodput bound and admission timeout) on GOMAXPROCS workers
+// without admission, found with workload.FindMaxRPS on a 2-vCPU guest
+// (EXPERIMENTS.md, "Goodput under overload"); queueCap is the per-level
+// admission cap.
 type overloadApp struct {
 	name          string
 	knee          float64
@@ -288,20 +290,20 @@ type overloadApp struct {
 
 func overloadApps() []overloadApp {
 	// Per level a dominant cheap class and a minority class ~40x as
-	// expensive: a per-class predictor has signal a sojourn cannot see.
+	// expensive.
 	synth := workload.BimodalMix(2, 200*time.Microsecond, 8*time.Millisecond, 0.1)
 	return []overloadApp{
-		{"job", 1000, 20 * time.Millisecond, 4 * time.Second, 16, jobserver.OpNames, []int{0, 1, 2, 3}, 0, []float64{1, 1, 1, 1},
+		{"job", 1150, 20 * time.Millisecond, 4 * time.Second, 16, jobserver.OpNames, []int{0, 1, 2, 3}, 0, []float64{1, 1, 1, 1},
 			func(b *testing.B, rt *icilk.Runtime) request {
 				srv, err := jobserver.New(rt, jobserver.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
-				return func(class, _ int, seq int64) (int, icilk.RequestClass, func(*icilk.Task) any) {
+				return func(class, _ int, seq int64) (int, func(*icilk.Task) any) {
 					return srv.Job(class, seq)
 				}
 			}},
-		{"email", 1000, 20 * time.Millisecond, 4 * time.Second, 16, emailserver.OpNames, []int{0, 1, 2, 2}, 64, []float64{1, 1, 1, 1},
+		{"email", 3850, 20 * time.Millisecond, 4 * time.Second, 16, emailserver.OpNames, []int{0, 1, 2, 2}, 64, []float64{1, 1, 1, 1},
 			func(b *testing.B, rt *icilk.Runtime) request {
 				srv, err := emailserver.New(rt, emailserver.Config{Users: 64})
 				if err != nil {
@@ -309,11 +311,11 @@ func overloadApps() []overloadApp {
 				}
 				return srv.Request
 			}},
-		{"synth", 800, 10 * time.Millisecond, 3 * time.Second, 64, workload.ClassNames(synth), []int{0, 0, 1, 1}, 0, workload.ClassWeights(synth),
+		{"synth", 145, 10 * time.Millisecond, 3 * time.Second, 64, workload.ClassNames(synth), []int{0, 0, 1, 1}, 0, workload.ClassWeights(synth),
 			func(*testing.B, *icilk.Runtime) request {
-				return func(class, _ int, _ int64) (int, icilk.RequestClass, func(*icilk.Task) any) {
+				return func(class, _ int, _ int64) (int, func(*icilk.Task) any) {
 					c := &synth[class]
-					return c.Level, icilk.RequestClass{Op: uint8(1 + class), Size: icilk.SizeBucket(c.Size)}, func(t *icilk.Task) any {
+					return c.Level, func(t *icilk.Task) any {
 						workload.SpinService(t, c.Work)
 						return nil
 					}
@@ -323,8 +325,8 @@ func overloadApps() []overloadApp {
 }
 
 // BenchmarkOverload drives each app at 0.5x, 1x, 2x and 4x its QoS
-// knee, uncontrolled and under each shedding policy, all on the same
-// arrival schedule at a given rate. It reports each class's fractions
+// knee, uncontrolled and under priority-drop admission, both on the
+// same arrival schedule at a given rate. It reports each class's fractions
 // of post-warmup arrivals that were good (done within the deadline),
 // late (done past it, or cancelled by it) and shed, and top-goodput,
 // the good fraction over the level-0 classes. Expected: with
@@ -336,12 +338,10 @@ func BenchmarkOverload(b *testing.B) {
 		warmup = 100 * time.Millisecond
 	}
 	for _, app := range overloadApps() {
-		for _, adm := range []*icilk.AdmissionConfig{nil, {Policy: icilk.ShedPriorityDrop},
-			{Policy: icilk.ShedTailDrop}, {Policy: icilk.ShedCoDel}, {Policy: icilk.ShedPredictive}} {
+		for _, adm := range []*icilk.AdmissionConfig{nil, {QueueCap: app.queueCap, Timeout: app.deadline}} {
 			name := "off"
 			if adm != nil {
-				name = adm.Policy.String()
-				adm = &icilk.AdmissionConfig{Policy: adm.Policy, QueueCap: app.queueCap, Timeout: app.deadline}
+				name = "priority-drop"
 			}
 			b.Run(app.name+"/"+name, func(b *testing.B) {
 				eachPoint(b, []float64{app.knee / 2, app.knee, 2 * app.knee, 4 * app.knee}, func(b *testing.B, rps float64) {
@@ -354,11 +354,11 @@ func BenchmarkOverload(b *testing.B) {
 					cfg := workload.OpenLoopConfig{RPS: rps, Duration: warmup + window(app.dur), Warmup: warmup,
 						Mix: app.mix, ClassNames: app.classes, Seed: xrand.Mix(42, uint64(rps)), Spread: app.spread}
 					res := workload.RunOpenLoopGoodput(cfg, app.deadline, func(class, user int, seq int64) (*icilk.Future, error) {
-						level, cls, fn := req(class, user, seq)
+						level, fn := req(class, user, seq)
 						if adm == nil {
 							return rt.Submit(level, fn), nil
 						}
-						return rt.Admission().SubmitClass(level, cls, time.Time{}, fn)
+						return rt.Admission().Submit(level, fn)
 					})
 					var top workload.ClassGoodput
 					for i, c := range res.PerClass {

@@ -121,21 +121,18 @@ func ExampleRuntime_Inversions() {
 // a request arriving at a full level is shed at once, without a task
 // context, and an admitted request that outlives its deadline is
 // cancelled at its next scheduling point.
-func ExampleAdmissionController_SubmitClass() {
+func ExampleAdmissionController_Submit() {
 	rt, _ := icilk.New(icilk.Config{Workers: 2, Levels: 2,
-		Admission: &icilk.AdmissionConfig{
-			Policy: icilk.ShedTailDrop, QueueCap: 1, Timeout: 5 * time.Millisecond}})
+		Admission: &icilk.AdmissionConfig{QueueCap: 1, Timeout: 5 * time.Millisecond}})
 	defer rt.Close()
 	adm := rt.Admission()
-	// The class (opcode, size bucket) is what ShedPredictive learns.
-	cls := icilk.RequestClass{Op: 1, Size: icilk.SizeBucket(64)}
 
 	tk, _ := adm.Acquire(0) // level 0's one slot is taken
-	_, err := adm.SubmitClass(0, cls, time.Now(), func(*icilk.Task) any { return "served" })
+	_, err := adm.Submit(0, func(*icilk.Task) any { return "served" })
 	fmt.Println("shed:", errors.Is(err, icilk.ErrShed))
 	adm.Release(tk, false)
 
-	f, _ := adm.SubmitClass(0, cls, time.Now(), func(t *icilk.Task) any {
+	f, _ := adm.Submit(0, func(t *icilk.Task) any {
 		for {
 			t.Yield() // cancelled here once the 5ms deadline passes
 		}

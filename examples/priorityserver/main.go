@@ -40,7 +40,6 @@ func main() {
 		// per level, 5ms deadline on each. rt.Submit bypasses the
 		// controller, so part one is unaffected.
 		Admission: &icilk.AdmissionConfig{
-			Policy:   icilk.ShedPriorityDrop,
 			QueueCap: 8,
 			Timeout:  5 * time.Millisecond,
 		},

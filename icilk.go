@@ -35,7 +35,6 @@ import (
 	"icilk/internal/admission"
 	"icilk/internal/iopool"
 	"icilk/internal/metrics"
-	"icilk/internal/predict"
 	"icilk/internal/sched"
 	"icilk/internal/stats"
 	"icilk/internal/trace"
@@ -85,51 +84,19 @@ const (
 type AdaptiveParams = sched.AdaptiveParams
 
 // AdmissionConfig configures the admission-control subsystem: the
-// shedding policy, the per-level queue capacity and the per-request
-// deadline.
+// per-level queue capacity and the per-request deadline.
 type AdmissionConfig = admission.Config
 
 // AdmissionController is the admission gate a caller puts in front of
-// a runtime: Submit/SubmitClass admit or shed future routines,
-// Acquire/Release inline requests, Stats snapshots the counters.
-// Obtain one via Config.Admission + Runtime.Admission.
+// a runtime: Submit admits or sheds future routines, Acquire/Release
+// inline requests, Stats snapshots the counters. It sheds by priority,
+// lowest levels first as aggregate occupancy grows. Obtain one via
+// Config.Admission + Runtime.Admission.
 type AdmissionController = admission.Controller
 
 // AdmissionTicket is the occupancy charge of an inline request
 // admitted with AdmissionController.Acquire.
 type AdmissionTicket = admission.Ticket
-
-// RequestClass identifies a request class for the ShedPredictive
-// policy's service-time predictor: an application opcode plus a
-// value-size bucket (see SizeBucket). Pass it to the controller's
-// SubmitClass; class-blind submissions train one synthetic class per
-// priority level.
-type RequestClass = predict.Class
-
-// SizeBucket buckets a payload length logarithmically for
-// RequestClass.Size (bucket i covers [2^(i-1), 2^i) bytes; 0 covers
-// 0).
-func SizeBucket(n int) uint8 { return predict.SizeBucket(n) }
-
-// Admission shedding policies (AdmissionConfig.Policy).
-const (
-	// ShedPriorityDrop sheds low priority levels first as aggregate
-	// occupancy grows (the default).
-	ShedPriorityDrop = admission.PriorityDrop
-	// ShedTailDrop rejects only when a request's own level is full.
-	ShedTailDrop = admission.TailDrop
-	// ShedCoDel sheds a level whose minimum queue sojourn stays above
-	// the target for a full interval.
-	ShedCoDel = admission.CoDel
-	// ShedPredictive sheds on a predicted deadline miss: a TAGE-style
-	// per-class service-time predictor (trained from measured service
-	// times at completion) plus a predicted-backlog queue-wait model
-	// (each admitted request charges its predicted service to its
-	// level; wait ≈ backlog / workers), falling back to CoDel while
-	// prediction confidence is low. See the admission and predict
-	// packages.
-	ShedPredictive = admission.Predictive
-)
 
 // ErrShed is the sentinel wrapped by every admission rejection; match
 // with errors.Is.
@@ -202,14 +169,8 @@ func New(cfg Config) (*Runtime, error) {
 	pool.RegisterMetrics(reg)
 	r := &Runtime{rt: rt, io: pool, metrics: reg}
 	if cfg.Admission != nil {
-		adm, err := admission.NewController(rt, *cfg.Admission)
-		if err != nil {
-			pool.Close()
-			rt.Close()
-			return nil, err
-		}
-		adm.RegisterMetrics(reg)
-		r.adm = adm
+		r.adm = admission.NewController(rt, *cfg.Admission)
+		r.adm.RegisterMetrics(reg)
 	}
 	return r, nil
 }

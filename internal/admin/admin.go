@@ -13,9 +13,6 @@
 //	                 depths, per-worker state and waste clocks)
 //	GET /debug/trace JSON snapshot of the recent scheduler event ring
 //	                 (?n=K limits to the most recent K events)
-//	GET /debug/predict JSON snapshot of the service-time predictor
-//	                 (per-table occupancy and hit/alias counts,
-//	                 mispredict rate, absolute-error summary)
 //	GET /debug/pprof/ Go runtime profiles (net/http/pprof): heap and
 //	                 allocs for the hot-path allocation budget, profile
 //	                 (CPU), goroutine, block, mutex, trace, …
@@ -74,9 +71,6 @@ type Sources struct {
 	TraceEvents func() (events []trace.Event, enabled bool)
 	// Health backs GET /readyz (liveness /healthz never consults it).
 	Health func() Health
-	// Predict returns the service-time predictor snapshot for GET
-	// /debug/predict; nil when the runtime carries no predictor.
-	Predict func() any
 }
 
 // Server is the admin HTTP server. Create with New, point it at a
@@ -100,7 +94,6 @@ func New() *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/sched", s.handleSched)
 	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /debug/predict", s.handlePredict)
 	// Go runtime profiling: /debug/pprof/ routes named profiles
 	// (heap, allocs, goroutine, block, mutex, …) itself; the four
 	// below are special-cased by net/http/pprof and need their own
@@ -192,7 +185,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /metrics      Prometheus text exposition\n"+
 		"  /debug/sched  scheduler snapshot (JSON)\n"+
 		"  /debug/trace  recent scheduler events (JSON, ?n=K)\n"+
-		"  /debug/predict service-time predictor snapshot (JSON)\n"+
 		"  /debug/pprof/ Go runtime profiles (heap, profile, goroutine, ...)\n")
 }
 
@@ -238,15 +230,6 @@ func (s *Server) handleSched(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, src.Sched())
-}
-
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	src := s.src.Load()
-	if src.Predict == nil {
-		http.Error(w, "no predictor attached", http.StatusServiceUnavailable)
-		return
-	}
-	writeJSON(w, src.Predict())
 }
 
 // traceEvent is the JSON rendering of one trace.Event (kind as its

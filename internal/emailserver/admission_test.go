@@ -17,7 +17,6 @@ func gated(t *testing.T, timeout time.Duration) (*Server, *icilk.AdmissionContro
 		Workers: 2,
 		Levels:  Levels,
 		Admission: &icilk.AdmissionConfig{
-			Policy:   icilk.ShedTailDrop,
 			QueueCap: 1,
 			Timeout:  timeout,
 		},
@@ -33,17 +32,16 @@ func gated(t *testing.T, timeout time.Duration) (*Server, *icilk.AdmissionContro
 	return srv, rt.Admission()
 }
 
-// TestSubmitClassShedAndLate covers the overload outcomes of an
+// TestSubmitShedAndLate covers the overload outcomes of an
 // operation gated by composing Request with the runtime's admission
 // controller: with a level at capacity it returns an error wrapping
 // ErrShed — per level, and only until load drains — and an operation
 // cancelled by its deadline yields a future whose Err is
 // context.DeadlineExceeded.
-func TestSubmitClassShedAndLate(t *testing.T) {
+func TestSubmitShedAndLate(t *testing.T) {
 	srv, adm := gated(t, 0)
 	submit := func(op int) (*icilk.Future, error) {
-		level, cls, fn := srv.Request(op, 1, 0)
-		return adm.SubmitClass(level, cls, time.Time{}, fn)
+		return adm.Submit(srv.Request(op, 1, 0))
 	}
 
 	tk, err := adm.Acquire(LevelSend)
@@ -79,8 +77,7 @@ func TestSubmitClassShedAndLate(t *testing.T) {
 
 	// Late: a deadline below any service time.
 	srv, adm = gated(t, time.Nanosecond)
-	level, cls, fn := srv.Request(3, 1, 0)
-	if f, err = adm.SubmitClass(level, cls, time.Now(), fn); err != nil {
+	if f, err = adm.Submit(srv.Request(3, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	f.Wait()

@@ -41,17 +41,6 @@ const (
 	Levels = 3
 )
 
-// Predictor request classes, one opcode per operation. The size
-// bucket carries the cost-relevant input: the message body length for
-// send, the mailbox population for the three whole-mailbox
-// operations.
-const (
-	classSend uint8 = 1 + iota
-	classSort
-	classCompress
-	classPrint
-)
-
 // Message is one email.
 type Message struct {
 	From    string
@@ -109,15 +98,6 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 // Users returns the mailbox count.
 func (s *Server) Users() int { return len(s.boxes) }
 
-// boxClass is the predictor class of a whole-mailbox operation on
-// user's mailbox: its size signal is the mailbox population.
-func (s *Server) boxClass(op uint8, user int) icilk.RequestClass {
-	b := s.boxes[user%len(s.boxes)]
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return icilk.RequestClass{Op: op, Size: icilk.SizeBucket(len(b.messages))}
-}
-
 // MailboxLen returns user u's current message count (tests).
 func (s *Server) MailboxLen(u int) int {
 	b := s.boxes[u]
@@ -128,13 +108,12 @@ func (s *Server) MailboxLen(u int) int {
 
 // Send submits a send operation and returns its future.
 func (s *Server) Send(user int, from, subject string, body []byte) *icilk.Future {
-	level, _, fn := s.send(user, from, subject, body)
-	return s.rt.Submit(level, fn)
+	return s.rt.Submit(s.send(user, from, subject, body))
 }
 
 // send describes a send operation (see Request).
-func (s *Server) send(user int, from, subject string, body []byte) (int, icilk.RequestClass, func(*icilk.Task) any) {
-	return LevelSend, icilk.RequestClass{Op: classSend, Size: icilk.SizeBucket(len(body))}, func(*icilk.Task) any {
+func (s *Server) send(user int, from, subject string, body []byte) (int, func(*icilk.Task) any) {
+	return LevelSend, func(*icilk.Task) any {
 		s.doSend(user, from, subject, body)
 		return nil
 	}
@@ -341,25 +320,25 @@ var OpNames = []string{"send", "sort", "print", "comp"}
 
 // Request describes an operation by class index (0=send, 1=sort,
 // 2=print, 3=comp) for user, as the workload driver issues it: its
-// priority level, its predictor class and its task body. Do submits
-// it as is; a caller gating the server passes the three to its
-// admission controller's SubmitClass.
-func (s *Server) Request(op int, user int, seq int64) (level int, cls icilk.RequestClass, fn func(*icilk.Task) any) {
+// priority level and its task body. Do submits it as is; a caller
+// gating the server passes the two to its admission controller's
+// Submit.
+func (s *Server) Request(op int, user int, seq int64) (level int, fn func(*icilk.Task) any) {
 	switch op {
 	case 0:
 		subject := fmt.Sprintf("msg-%d", seq%97)
 		return s.send(user, fmt.Sprintf("user%d@example.com", seq%31), subject, makeBody(int(seq)))
 	case 1:
-		return LevelSort, s.boxClass(classSort, user), func(t *icilk.Task) any {
+		return LevelSort, func(t *icilk.Task) any {
 			s.doSort(t, user)
 			return nil
 		}
 	case 2:
-		return LevelPrint, s.boxClass(classPrint, user), func(t *icilk.Task) any {
+		return LevelPrint, func(t *icilk.Task) any {
 			return s.doPrint(t, user)
 		}
 	default:
-		return LevelCompress, s.boxClass(classCompress, user), func(t *icilk.Task) any {
+		return LevelCompress, func(t *icilk.Task) any {
 			return s.doCompress(t, user)
 		}
 	}
@@ -367,8 +346,7 @@ func (s *Server) Request(op int, user int, seq int64) (level int, cls icilk.Requ
 
 // Do submits the operation Request describes and returns its future.
 func (s *Server) Do(op int, user int, seq int64) *icilk.Future {
-	level, _, fn := s.Request(op, user, seq)
-	return s.rt.Submit(level, fn)
+	return s.rt.Submit(s.Request(op, user, seq))
 }
 
 // makeBody builds a deterministic, mildly compressible body.

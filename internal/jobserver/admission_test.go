@@ -9,17 +9,16 @@ import (
 	"icilk"
 )
 
-// TestSubmitClassShedAndLate covers the two overload outcomes of a job
+// TestSubmitShedAndLate covers the two overload outcomes of a job
 // gated by composing Job with the runtime's admission controller: an
 // error wrapping ErrShed for an admission rejection, and a future
 // whose Err is context.DeadlineExceeded for a job cancelled mid-run by
 // its deadline.
-func TestSubmitClassShedAndLate(t *testing.T) {
+func TestSubmitShedAndLate(t *testing.T) {
 	rt, err := icilk.New(icilk.Config{
 		Workers: 2,
 		Levels:  Levels,
 		Admission: &icilk.AdmissionConfig{
-			Policy:   icilk.ShedTailDrop,
 			QueueCap: 4,
 			Timeout:  200 * time.Microsecond, // sw takes ms: certain to miss
 		},
@@ -45,8 +44,7 @@ func TestSubmitClassShedAndLate(t *testing.T) {
 		}
 		held = append(held, tk)
 	}
-	level, cls, fn := srv.Job(0, 1)
-	if f, err := adm.SubmitClass(level, cls, time.Time{}, fn); !errors.Is(err, icilk.ErrShed) || f != nil {
+	if f, err := adm.Submit(srv.Job(0, 1)); !errors.Is(err, icilk.ErrShed) || f != nil {
 		t.Fatalf("overloaded mm job: future %v, err %v, want nil and ErrShed", f, err)
 	}
 	for _, tk := range held {
@@ -55,8 +53,7 @@ func TestSubmitClassShedAndLate(t *testing.T) {
 
 	// Late: an sw job whose deadline is far below its service time is
 	// cancelled mid-run.
-	level, cls, fn = srv.Job(3, 2)
-	f, err := adm.SubmitClass(level, cls, time.Now(), fn)
+	f, err := adm.Submit(srv.Job(3, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

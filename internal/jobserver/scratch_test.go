@@ -126,7 +126,7 @@ func TestCancelledJobKeepsScratchPrivate(t *testing.T) {
 			cancelled := 0
 			const rounds = 300
 			for round := 0; round < rounds; round++ {
-				level, _, body := srv.Job(class, int64(round))
+				level, body := srv.Job(class, int64(round))
 				f := rt.SubmitWithDeadline(level, time.Duration(10+5*round)*time.Microsecond, body)
 				f.Wait()
 				if f.Err() != nil {

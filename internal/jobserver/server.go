@@ -31,10 +31,6 @@ func DefaultConfig() Config {
 type Server struct {
 	rt  *icilk.Runtime
 	cfg Config
-	// classes[l] is the predictor class of the job class at level l:
-	// one opcode per class, size bucket from the class's configured
-	// input size (the cost-determining input is fixed per class).
-	classes [Levels]icilk.RequestClass
 
 	// Per-class scratch sized from cfg; run says who owns one when.
 	mm, sort, sw sync.Pool
@@ -90,9 +86,6 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{rt: rt, cfg: cfg}
-	for l, size := range [Levels]int{cfg.MMSize, cfg.FibN, cfg.SortSize, cfg.SWSize} {
-		s.classes[l] = icilk.RequestClass{Op: 1 + uint8(l), Size: icilk.SizeBucket(size)}
-	}
 	s.mm.New = func() any {
 		n := s.cfg.MMSize
 		return newMMScratch(make([]float64, n*n), make([]float64, n*n), make([]float64, n*n), n)
@@ -124,12 +117,11 @@ type jobReq struct {
 
 // Job describes one job of the given class (0=mm, 1=fib, 2=sort,
 // anything else sw) with a deterministic input derived from seq: its
-// priority level, its predictor class and its task body, which returns
-// a checksum of the job's result. Do submits it as is; a caller gating
-// the server passes the three to its admission controller's
-// SubmitClass. A job that never runs (shed, or cancelled while queued)
-// leaves its record to the GC.
-func (s *Server) Job(class int, seq int64) (level int, cls icilk.RequestClass, fn func(*icilk.Task) any) {
+// priority level and its task body, which returns a checksum of the
+// job's result. Do submits it as is; a caller gating the server passes
+// the two to its admission controller's Submit. A job that never runs
+// (shed, or cancelled while queued) leaves its record to the GC.
+func (s *Server) Job(class int, seq int64) (level int, fn func(*icilk.Task) any) {
 	r := s.reqs.Get().(*jobReq)
 	r.class, r.seq = class, seq
 	// The classes are numbered in SJF order: a class is its level.
@@ -137,7 +129,7 @@ func (s *Server) Job(class int, seq int64) (level int, cls icilk.RequestClass, f
 	if class >= LevelMM && class < LevelSW {
 		level = class
 	}
-	return level, s.classes[level], r.fn
+	return level, r.fn
 }
 
 // run is the task body. The record has done its work once class and
@@ -204,8 +196,7 @@ func (s *Server) runSW(t *icilk.Task, seq int64) int {
 
 // Do submits one job of the given class and returns its future.
 func (s *Server) Do(class int, seq int64) *icilk.Future {
-	level, _, fn := s.Job(class, seq)
-	return s.rt.Submit(level, fn)
+	return s.rt.Submit(s.Job(class, seq))
 }
 
 // fillMatrix, fillInts and fillSeq overwrite a buffer with the input

@@ -316,36 +316,6 @@ func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels .
 	return h
 }
 
-// RawHistogram registers an exposition histogram rendered from an
-// existing stats.Histogram the caller records into elsewhere (e.g. the
-// predictor's absolute-error histogram) — the histogram analogue of
-// CounterFunc: all cost is at scrape time.
-func (r *Registry) RawHistogram(name, help string, bounds []time.Duration, h *stats.Histogram, labels ...Label) {
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %s bounds not ascending", name))
-		}
-	}
-	ls := renderLabels(labels, "")
-	bls := make([]string, len(bounds))
-	for i, bd := range bounds {
-		bls[i] = renderLabels(labels, `le="`+formatFloat(bd.Seconds())+`"`)
-	}
-	infLS := renderLabels(labels, `le="+Inf"`)
-	r.register(name, help, histogramKind, labels, func(b *bytes.Buffer) {
-		counts, total, sum := h.Cumulative(bounds)
-		for i := range bounds {
-			fmt.Fprintf(b, "%s_bucket%s %d\n", name, bls[i], counts[i])
-		}
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, infLS, total)
-		fmt.Fprintf(b, "%s_sum%s %s\n", name, ls, formatFloat(sum.Seconds()))
-		fmt.Fprintf(b, "%s_count%s %d\n", name, ls, total)
-	})
-}
-
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -74,26 +74,18 @@ func TestPerturbUpdatePredictOrdering(t *testing.T) {
 			}
 			wg.Wait()
 
-			s := p.Snapshot()
-			if s.Updates != updaters*iters {
-				t.Fatalf("Updates = %d, want %d", s.Updates, updaters*iters)
+			if u := p.Updates(); u != updaters*iters {
+				t.Fatalf("Updates = %d, want %d", u, updaters*iters)
 			}
-			if s.Predictions+s.NoPrediction != predictCalls.Load() {
+			if p.Predictions()+p.noPrediction.Load() != predictCalls.Load() {
 				t.Fatalf("predictions %d + noPrediction %d != calls %d",
-					s.Predictions, s.NoPrediction, predictCalls.Load())
+					p.Predictions(), p.noPrediction.Load(), predictCalls.Load())
 			}
-			if s.Misses > s.Updates {
-				t.Fatalf("misses %d > updates %d", s.Misses, s.Updates)
+			if p.Misses() > p.Updates() {
+				t.Fatalf("misses %d > updates %d", p.Misses(), p.Updates())
 			}
-			var hits int64
-			for _, ts := range s.Tables {
-				hits += ts.Hits
-				if ts.Valid > ts.Entries {
-					t.Fatalf("table %s: %d valid in %d slots", ts.Table, ts.Valid, ts.Entries)
-				}
-			}
-			if hits != s.Predictions {
-				t.Fatalf("per-table hits %d != predictions %d", hits, s.Predictions)
+			if base, tagged := hits(p); base+tagged != p.Predictions() {
+				t.Fatalf("per-table hits %d != predictions %d", base+tagged, p.Predictions())
 			}
 		})
 	}

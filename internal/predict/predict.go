@@ -1,10 +1,11 @@
-// Package predict is the runtime's service-time predictor: a
-// TAGE-style tagged-history table bank that learns, from measured
-// service times fed back at task completion, how long a request of a
-// given class will run — so admission control can shed on a
-// *predicted* deadline miss instead of waiting for CoDel's rear-view
-// sojourn signal, and the scheduler can order same-priority work by
-// predicted slack instead of FIFO arrival.
+// Package predict is a service-time predictor: a TAGE-style
+// tagged-history table bank that learns, from measured service times
+// fed back at completion, how long a request of a given class will
+// run. Nothing in the runtime uses it any more (admission control
+// sheds by priority alone; DESIGN.md, "Tried and removed"). It lives
+// only for the pinned benchmark's predict.predict_ns and
+// predict.update_ns probes, and is deleted together with those rows by
+// the next [benchmark] change.
 //
 // The design ports the branch-predictor playbook (Seznec's TAGE) to
 // request scheduling:
@@ -14,43 +15,33 @@
 //     bimodal table of a branch predictor.
 //   - Two or three tagged tables indexed by a hash of the class AND a
 //     geometric-length suffix of the recent class path (the last 2, 4,
-//     8 completions by default). A request whose cost depends on what
-//     ran just before it — cache-warming effects, store contention,
-//     phase behaviour — hits in a long-history table; a request whose
-//     cost is a pure function of its class is served by the base
-//     table. The longest-history hit wins, exactly TAGE's provider
-//     rule.
-//   - Each entry carries a saturating confidence counter (predictions
-//     are only *used* above a confidence floor; below it the caller
-//     falls back to its reactive policy) and a useful counter that
-//     makes entries resist replacement while they are paying their
-//     way. Allocation on a misprediction decrements victims' useful
-//     bits first — the aging that keeps one noisy class from wiping
-//     the bank.
+//     8 completions by default). The longest-history hit wins, exactly
+//     TAGE's provider rule.
+//   - Each entry carries a saturating confidence counter and a useful
+//     counter that makes entries resist replacement while they are
+//     paying their way. Allocation on a misprediction decrements
+//     victims' useful bits first — the aging that keeps one noisy class
+//     from wiping the bank.
 //
 // Every structure is a fixed-size array of packed atomic words:
 // Predict performs only atomic loads and arithmetic (zero allocation,
-// no locks — verified by TestPredictPathDoesNotAllocate), so it can
-// sit directly on the admission decision path. Update is CAS-based
-// and runs on the completion path, off the SpawnSync hot path
-// entirely (see DESIGN.md, "Prediction cost model").
+// no locks — verified by TestPredictPathDoesNotAllocate). Update is
+// CAS-based.
 package predict
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"time"
 
 	"icilk/internal/invariant"
 	"icilk/internal/invariant/perturb"
-	"icilk/internal/metrics"
 	"icilk/internal/stats"
 	"icilk/internal/xrand"
 )
 
 // Class identifies a request class: an application-defined opcode and
-// a value-size bucket (SizeBucket). Two requests in one class are
+// a value-size bucket. Two requests in one class are
 // expected to have similar service times; the tagged tables then
 // separate history-dependent cost variation within a class.
 type Class struct {
@@ -58,20 +49,9 @@ type Class struct {
 	// operation, job kind, ...). Values only need to be stable, not
 	// dense.
 	Op uint8
-	// Size is the value-size bucket, usually SizeBucket(payload
-	// length); 0 for sizeless operations.
+	// Size is the value-size bucket, e.g. the bit length of the
+	// payload length; 0 for sizeless operations.
 	Size uint8
-}
-
-// SizeBucket buckets a payload length logarithmically (bucket i covers
-// [2^(i-1), 2^i) bytes; 0 covers 0). Log bucketing keeps the class
-// space small while separating the size decades that dominate
-// service-time variance in value-size-dependent workloads.
-func SizeBucket(n int) uint8 {
-	if n <= 0 {
-		return 0
-	}
-	return uint8(bits.Len(uint(n)))
 }
 
 // key folds a class into the 16-bit value hashed into every index.
@@ -206,7 +186,7 @@ type Predictor struct {
 	updates      atomic.Int64
 	misses       atomic.Int64 // updates whose provider prediction was outside tolerance
 
-	absErrSum atomic.Int64 // ns, for the snapshot's mean
+	absErrSum atomic.Int64 // ns, summed prediction error
 	absErr    *stats.Histogram
 }
 
@@ -280,9 +260,8 @@ func (p *Predictor) lookup(key, hist uint64) (ti int, slot uint64, e uint64) {
 // c and the provider entry's confidence (0..ConfMax). ok is false when
 // no table holds a valid entry for the class — the caller then has no
 // basis for a cost-aware decision and should fall back to its reactive
-// policy (callers should also apply their own confidence floor, as the
-// admission controller's predictConfidence does). Zero-allocation and
-// lock-free.
+// policy (callers should also apply their own confidence floor).
+// Zero-allocation and lock-free.
 func (p *Predictor) Predict(c Class) (est time.Duration, conf uint8, ok bool) {
 	if invariant.Enabled {
 		// The read half of the predict/update race: a concurrent Update
@@ -454,100 +433,3 @@ func (p *Predictor) Misses() int64 { return p.misses.Load() }
 
 // Updates returns the count of completed-request feedbacks.
 func (p *Predictor) Updates() int64 { return p.updates.Load() }
-
-// TableSnapshot is one table's occupancy and accounting.
-type TableSnapshot struct {
-	Table   string `json:"table"` // "base" or "tagged<i>"
-	Entries int    `json:"entries"`
-	HistLen int    `json:"histLen"`
-	Valid   int    `json:"valid"`
-	Hits    int64  `json:"hits"`
-	Aliases int64  `json:"aliases"`
-}
-
-// Snapshot is a point-in-time predictor view (the /debug/predict
-// payload). Counter fields are monotone; Valid counts require a scan
-// and are racy-by-design monitoring reads.
-type Snapshot struct {
-	Predictions  int64           `json:"predictions"`
-	NoPrediction int64           `json:"noPrediction"`
-	Updates      int64           `json:"updates"`
-	Misses       int64           `json:"misses"`
-	MissRate     float64         `json:"missRate"` // misses / updates
-	MeanAbsErrMS float64         `json:"meanAbsErrMs"`
-	P99AbsErrMS  float64         `json:"p99AbsErrMs"`
-	Tables       []TableSnapshot `json:"tables"`
-}
-
-func (t *table) snapshot(name string) TableSnapshot {
-	s := TableSnapshot{
-		Table: name, Entries: len(t.entries), HistLen: t.histLen,
-		Hits: t.hits.Load(), Aliases: t.aliases.Load(),
-	}
-	for i := range t.entries {
-		if entryValid(t.entries[i].Load()) {
-			s.Valid++
-		}
-	}
-	return s
-}
-
-// Snapshot captures the predictor's observable state.
-func (p *Predictor) Snapshot() Snapshot {
-	s := Snapshot{
-		Predictions:  p.predictions.Load(),
-		NoPrediction: p.noPrediction.Load(),
-		Updates:      p.updates.Load(),
-		Misses:       p.misses.Load(),
-	}
-	if s.Updates > 0 {
-		s.MissRate = float64(s.Misses) / float64(s.Updates)
-		s.MeanAbsErrMS = float64(p.absErrSum.Load()) / float64(s.Updates) / 1e6
-	}
-	if p.absErr.Count() > 0 {
-		s.P99AbsErrMS = float64(p.absErr.Percentile(99).Microseconds()) / 1000
-	}
-	s.Tables = append(s.Tables, p.base.snapshot("base"))
-	for i := range p.tag {
-		s.Tables = append(s.Tables, p.tag[i].snapshot(fmt.Sprintf("tagged%d", i)))
-	}
-	return s
-}
-
-// RegisterMetrics exports the predictor's counters into reg. All
-// sources are pull-based atomics; registration adds nothing to the
-// predict or update paths.
-func (p *Predictor) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("icilk_predict_predictions_total",
-		"Service-time predictions served by a valid table entry.",
-		func() float64 { return float64(p.predictions.Load()) })
-	reg.CounterFunc("icilk_predict_unpredicted_total",
-		"Predict calls that found no valid entry (cold classes).",
-		func() float64 { return float64(p.noPrediction.Load()) })
-	reg.CounterFunc("icilk_predict_updates_total",
-		"Measured service times fed back at task completion.",
-		func() float64 { return float64(p.updates.Load()) })
-	reg.CounterFunc("icilk_predict_misses_total",
-		"Updates whose provider prediction was outside tolerance (mispredicts).",
-		func() float64 { return float64(p.misses.Load()) })
-	names := []metrics.Label{metrics.L("table", "base")}
-	tabs := []*table{&p.base}
-	for i := range p.tag {
-		names = append(names, metrics.L("table", fmt.Sprintf("tagged%d", i)))
-		tabs = append(tabs, &p.tag[i])
-	}
-	for i, t := range tabs {
-		t := t
-		reg.CounterFunc("icilk_predict_table_hits_total",
-			"Provider hits per predictor table.",
-			func() float64 { return float64(t.hits.Load()) }, names[i])
-		reg.CounterFunc("icilk_predict_table_aliases_total",
-			"Valid entries evicted by a differently-tagged allocation.",
-			func() float64 { return float64(t.aliases.Load()) }, names[i])
-	}
-	// Absolute-error histogram: rendered from the fine-grained internal
-	// histogram at scrape time, like the app latency histograms.
-	reg.RawHistogram("icilk_predict_abs_error_seconds",
-		"Absolute service-time prediction error per scored completion.",
-		nil, p.absErr)
-}

@@ -1,28 +1,19 @@
 package predict
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"icilk/internal/metrics"
 )
 
-func TestSizeBucket(t *testing.T) {
-	cases := []struct {
-		n    int
-		want uint8
-	}{
-		{-5, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 2}, {4, 3}, {63, 6}, {64, 7},
-		{1 << 10, 11}, {64 << 10, 17},
+// hits returns the provider hits of the base table and, summed, of the
+// tagged tables.
+func hits(p *Predictor) (base, tagged int64) {
+	for i := range p.tag {
+		tagged += p.tag[i].hits.Load()
 	}
-	for _, c := range cases {
-		if got := SizeBucket(c.n); got != c.want {
-			t.Errorf("SizeBucket(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
+	return p.base.hits.Load(), tagged
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -50,9 +41,8 @@ func TestColdStartNoPrediction(t *testing.T) {
 	if _, _, ok := p.Predict(Class{Op: 1, Size: 2}); ok {
 		t.Fatal("fresh predictor returned a prediction")
 	}
-	s := p.Snapshot()
-	if s.NoPrediction != 1 || s.Predictions != 0 {
-		t.Fatalf("counters after cold miss: %+v", s)
+	if p.noPrediction.Load() != 1 || p.Predictions() != 0 {
+		t.Fatalf("counters after cold miss: noPrediction=%d predictions=%d", p.noPrediction.Load(), p.Predictions())
 	}
 }
 
@@ -239,22 +229,14 @@ func TestTaggedTableSeparatesHistory(t *testing.T) {
 		t.Fatalf("after-B estimate %v nowhere near %v", estB, afterB)
 	}
 	// The tagged tables, not the base table, must be providing.
-	s := p.Snapshot()
-	var taggedHits int64
-	for _, ts := range s.Tables {
-		if ts.Table != "base" {
-			taggedHits += ts.Hits
-		}
-	}
-	if taggedHits == 0 {
+	if _, taggedHits := hits(p); taggedHits == 0 {
 		t.Fatal("no tagged-table provider hits despite history-dependent costs")
 	}
 }
 
 // TestAliasingUnderPressure crams far more (class, history) pairs than
 // tiny tagged tables can hold and checks the accounting stays sane:
-// aliases are counted, occupancy never exceeds capacity, and the
-// predictor keeps answering.
+// aliases are counted and the predictor keeps answering.
 func TestAliasingUnderPressure(t *testing.T) {
 	p, err := New(Config{BaseBits: 4, TableBits: 2, HistoryLengths: []int{1, 2}})
 	if err != nil {
@@ -266,24 +248,18 @@ func TestAliasingUnderPressure(t *testing.T) {
 		// mispredict, forcing constant allocation pressure.
 		p.Update(c, time.Duration(100+(i%100)*90)*time.Microsecond)
 	}
-	s := p.Snapshot()
 	var aliases int64
-	for _, ts := range s.Tables {
-		if ts.Valid > ts.Entries {
-			t.Fatalf("table %s: %d valid entries in %d slots", ts.Table, ts.Valid, ts.Entries)
-		}
-		if ts.Table != "base" {
-			aliases += ts.Aliases
-		}
+	for i := range p.tag {
+		aliases += p.tag[i].aliases.Load()
 	}
 	if aliases == 0 {
 		t.Fatal("no aliases recorded despite 407 classes in 4-entry tagged tables")
 	}
-	if s.Updates != 4000 {
-		t.Fatalf("Updates = %d, want 4000", s.Updates)
+	if p.Updates() != 4000 {
+		t.Fatalf("Updates = %d, want 4000", p.Updates())
 	}
-	if s.MissRate <= 0 || s.MissRate > 1 {
-		t.Fatalf("MissRate = %v out of range", s.MissRate)
+	if m := p.Misses(); m <= 0 || m > 4000 {
+		t.Fatalf("Misses = %d out of range", m)
 	}
 	if _, _, ok := p.Predict(Class{Op: 1, Size: 1}); !ok {
 		// Op 1 / Size 1 was updated recently enough that at least the
@@ -310,28 +286,6 @@ func TestPredictPathDoesNotAllocate(t *testing.T) {
 	}
 	if est == 0 {
 		t.Fatal("prediction lost during alloc measurement")
-	}
-}
-
-func TestMetricsExport(t *testing.T) {
-	p, _ := New(Config{})
-	reg := metrics.NewRegistry()
-	p.RegisterMetrics(reg)
-	p.Update(Class{Op: 1, Size: 1}, time.Millisecond)
-	p.Predict(Class{Op: 1, Size: 1})
-	out := reg.String()
-	for _, want := range []string{
-		"icilk_predict_predictions_total",
-		"icilk_predict_unpredicted_total",
-		"icilk_predict_updates_total",
-		"icilk_predict_misses_total",
-		`icilk_predict_table_hits_total{table="base"}`,
-		`icilk_predict_table_aliases_total{table="tagged0"}`,
-		"icilk_predict_abs_error_seconds",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics output missing %s", want)
-		}
 	}
 }
 
@@ -366,19 +320,14 @@ func TestConcurrentUpdatePredict(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s := p.Snapshot()
-	if s.Updates != workers*iters/2 {
-		t.Fatalf("Updates = %d, want %d", s.Updates, workers*iters/2)
+	if u := p.Updates(); u != workers*iters/2 {
+		t.Fatalf("Updates = %d, want %d", u, workers*iters/2)
 	}
-	if s.Predictions+s.NoPrediction != predictCalls.Load() {
+	if p.Predictions()+p.noPrediction.Load() != predictCalls.Load() {
 		t.Fatalf("predictions %d + noPrediction %d != calls %d",
-			s.Predictions, s.NoPrediction, predictCalls.Load())
+			p.Predictions(), p.noPrediction.Load(), predictCalls.Load())
 	}
-	var hits int64
-	for _, ts := range s.Tables {
-		hits += ts.Hits
-	}
-	if hits != s.Predictions {
-		t.Fatalf("per-table hits %d != predictions %d", hits, s.Predictions)
+	if base, tagged := hits(p); base+tagged != p.Predictions() {
+		t.Fatalf("per-table hits %d != predictions %d", base+tagged, p.Predictions())
 	}
 }

@@ -154,6 +154,37 @@ func TestCancelJoinsOutstandingChildren(t *testing.T) {
 	}
 }
 
+// TestSyncUnwindsAfterCancelledChild: a parent parked in Sync (its
+// continuation stolen while the child runs) is released by a child
+// that unwound, its work undone. Sync must unwind the parent too
+// rather than return as if the child had finished: the job server's
+// mergesort merged such half-sorted runs and failed its sortedness
+// check under overload.
+func TestSyncUnwindsAfterCancelledChild(t *testing.T) {
+	rt := newTestRT(t, 2, 1)
+	for i := 0; i < 20; i++ {
+		var continued atomic.Bool
+		f := rt.SubmitFutureWithDeadline(0, 2*time.Millisecond, func(task *Task) any {
+			task.Spawn(func(ct *Task) {
+				for {
+					spin(500)
+					ct.Yield()
+				}
+			})
+			task.Sync()
+			continued.Store(true)
+			return nil
+		})
+		f.Wait()
+		if continued.Load() {
+			t.Fatalf("round %d: the parent ran past Sync after its child was cancelled", i)
+		}
+		if err := f.Err(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("round %d: Err() = %v, want DeadlineExceeded", i, err)
+		}
+	}
+}
+
 func TestTaskErrCooperative(t *testing.T) {
 	rt := newTestRT(t, 2, 1)
 	var sawErr atomic.Bool

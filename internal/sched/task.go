@@ -362,11 +362,17 @@ func (t *Task) SpawnFrame(f Frame) {
 
 // Sync blocks until all children spawned by this task have returned.
 // Futures created with FutCreate are not joined by Sync; use Get.
+//
+// A child that returned because the tree was cancelled left its work
+// undone, so cancellation is checked again once the children are
+// joined: the parent unwinds instead of running its continuation on
+// partial results.
 func (t *Task) Sync() {
 	t.maybeSwitch()
 	for {
 		v := t.joins.Load()
 		if v == 0 {
+			t.checkCancel()
 			return
 		}
 		if t.joins.CompareAndSwap(v, v|syncBit) {
@@ -379,6 +385,7 @@ func (t *Task) Sync() {
 		perturb.At(perturb.Sync)
 	}
 	t.parkAfter(yieldMsg{kind: ySyncWait})
+	t.checkCancel()
 }
 
 // FutCreate creates a future computing fn at the given priority level

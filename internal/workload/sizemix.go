@@ -7,22 +7,13 @@ import (
 	"icilk"
 )
 
-// Value-size-dependent operation classes: the workload counterpart of
-// the predict package's request-class schema. A predictor keys on
-// (opcode, size bucket); here each SizeClass is one such key — its
-// index in the mix (offset by one, opcode 0 means "unclassified") is
-// the opcode, and SizeBucket(Size) is the size bucket — with a stable
-// calibrated service demand, so a service-time predictor driving
-// admission sees a learnable cost per class while a sojourn-only
-// estimator sees only the blended mean.
-//
-// The canonical mix is bimodal per priority level: a dominant small
-// class (cheap, latency-critical — a GET of a small value) and a
-// minority large class an order of magnitude or two costlier (a range
-// scan, a large SET). Under overload the two respond very differently
-// to a deadline: the large class is doomed as soon as a queue forms,
-// while the small class still fits — exactly the signal predictive
-// shedding exploits and reactive sojourn shedding cannot see.
+// Size-dependent operation classes, each with a stable calibrated
+// service demand. The canonical mix is bimodal per priority level: a
+// dominant small class (cheap, latency-critical — a GET of a small
+// value) and a minority large class an order of magnitude or two
+// costlier (a range scan, a large SET). Under overload the two respond
+// very differently to a deadline: the large class is doomed as soon as
+// a queue forms, while the small class still fits.
 
 // SizeClass is one operation class of a size-dependent workload.
 type SizeClass struct {
@@ -30,9 +21,6 @@ type SizeClass struct {
 	Name string
 	// Level is the class's priority level.
 	Level int
-	// Size is the nominal value size in bytes; its log2 bucket is the
-	// class's predictor size key.
-	Size int
 	// Work is the class's calibrated sequential service demand.
 	Work time.Duration
 	// Weight is the class's share of the arrival stream.
@@ -41,9 +29,8 @@ type SizeClass struct {
 
 // BimodalMix builds the canonical bimodal value-size mix over the
 // given number of priority levels: per level, a small class with
-// weight (1-largeShare) and smallWork service demand (64-byte nominal
-// size), and a large class with weight largeShare and largeWork
-// demand (64KiB nominal size). Total weight per level is equal, so
+// weight (1-largeShare) and smallWork service demand, and a large
+// class with weight largeShare and largeWork demand. Total weight per level is equal, so
 // each level sees the same arrival rate. Classes are ordered
 // small-L0, large-L0, small-L1, ... — index 0 is the dominant
 // top-priority class, the goodput headline of overload benchmarks.
@@ -57,14 +44,12 @@ func BimodalMix(levels int, smallWork, largeWork time.Duration, largeShare float
 			SizeClass{
 				Name:   fmt.Sprintf("small-L%d", l),
 				Level:  l,
-				Size:   64,
 				Work:   smallWork,
 				Weight: 1 - largeShare,
 			},
 			SizeClass{
 				Name:   fmt.Sprintf("large-L%d", l),
 				Level:  l,
-				Size:   64 << 10,
 				Work:   largeWork,
 				Weight: largeShare,
 			})
@@ -98,7 +83,7 @@ var spinSink float64
 // and deadline-cancellable; it returns early once the task is
 // cancelled. This is the service body of synthetic size-class
 // servers: wall-clock-calibrated, so a class's measured service time
-// is stable across machines — the property the predictor learns.
+// is stable across machines.
 func SpinService(t *icilk.Task, d time.Duration) {
 	end := time.Now().Add(d)
 	x := 1.1

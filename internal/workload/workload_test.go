@@ -108,7 +108,6 @@ func TestRunOpenLoopGoodputClassifies(t *testing.T) {
 		Workers: 2,
 		Levels:  2,
 		Admission: &icilk.AdmissionConfig{
-			Policy:   icilk.ShedTailDrop,
 			QueueCap: 64,
 			Timeout:  20 * time.Millisecond,
 		},

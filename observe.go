@@ -73,7 +73,7 @@ func (r *Runtime) Health() Health {
 // AttachAdmin points s's endpoints at this runtime (atomically; an
 // admin server can be re-attached to a newer runtime at any time).
 func (r *Runtime) AttachAdmin(s *AdminServer) {
-	src := admin.Sources{
+	s.SetSources(admin.Sources{
 		Metrics: r.metrics,
 		Sched:   func() any { return r.rt.Snapshot() },
 		TraceEvents: func() ([]trace.Event, bool) {
@@ -81,12 +81,7 @@ func (r *Runtime) AttachAdmin(s *AdminServer) {
 			return l.Snapshot(), l != nil
 		},
 		Health: r.Health,
-	}
-	if r.adm != nil && r.adm.Predictor() != nil {
-		p := r.adm.Predictor()
-		src.Predict = func() any { return p.Snapshot() }
-	}
-	s.SetSources(src)
+	})
 }
 
 // ServeAdmin starts an admin HTTP server bound to addr (host:port;
