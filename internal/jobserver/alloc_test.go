@@ -12,13 +12,33 @@ import (
 // (benchmark/joblevels.go).
 var benchConfig = Config{MMSize: 16, FibN: 16, SortSize: 2048, SWSize: 64}
 
+// TestSortKernelsAllocFree gates sort's two sequential runs: a leaf of
+// sortBase elements scatters into the tmp run mergesort already owns,
+// with its histogram on the stack, and the base merge of mergeBase
+// elements writes only out.
+func TestSortKernelsAllocFree(t *testing.T) {
+	in, xs, tmp := randomInts(mergeBase, 1), make([]int64, mergeBase), make([]int64, mergeBase)
+	if n := testing.AllocsPerRun(100, func() {
+		copy(xs, in)
+		radixSort(xs[:sortBase], tmp)
+	}); n != 0 {
+		t.Errorf("radix leaf of %d: %v allocs, want 0", sortBase, n)
+	}
+	mid := mergeBase / 2
+	radixSort(tmp[:mid], xs)
+	radixSort(tmp[mid:], xs)
+	if n := testing.AllocsPerRun(100, func() { mergeRuns(tmp[:mid], tmp[mid:], xs) }); n != 0 {
+		t.Errorf("merge of %d: %v allocs, want 0", mergeBase, n)
+	}
+}
+
 // TestJobAllocBudget gates what one request may allocate in steady
 // state: the boxed result (sw's score is small enough to box for free)
 // and a 1/32 share of the block its future comes from. The waiter's
 // channel is pooled, there is no root closure (the request is a pooled
 // jobReq), mm's loop body is bound once per scratch, and there is no
-// object per fork: mm's loop splits, fib's 12 frames and sort's 3
-// halves (2048 elements over 512-element leaves; a merge that size is
+// object per fork: mm's loop splits, fib's 12 frames and sort's one
+// half (2048 elements over 1024-element leaves; a merge that size is
 // sequential) are records that ride the task contexts, and sw's tile
 // frames live in its scratch. The inputs, work arrays and generators
 // are the scratch pools' and the stack's. The counter is the whole
