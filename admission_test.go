@@ -41,29 +41,6 @@ func TestSubmitWithDeadline(t *testing.T) {
 	}
 }
 
-func TestSubmitCtx(t *testing.T) {
-	rt, err := icilk.New(icilk.Config{Workers: 2, Levels: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	f := rt.SubmitCtx(ctx, 0, func(task *icilk.Task) any {
-		close(started)
-		for {
-			task.Yield()
-		}
-	})
-	<-started
-	cancel()
-	f.Wait()
-	if err := f.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err() = %v, want Canceled", err)
-	}
-}
-
 // TestAdmissionConfigWiring: Config.Admission builds a controller,
 // its Submit admits and sheds, and its counters land in the runtime's
 // metric registry.

@@ -42,19 +42,6 @@ func ExampleTask_FutCreate() {
 	// Output: first/second
 }
 
-// Typed futures restore compile-time types at the API boundary.
-func ExampleFutCreateOf() {
-	rt, _ := icilk.New(icilk.Config{Workers: 2})
-	defer rt.Close()
-
-	n := rt.Run(func(t *icilk.Task) any {
-		f := icilk.FutCreateOf(t, 0, func(*icilk.Task) int { return 6 * 7 })
-		return f.Get(t) // int, no assertion needed
-	})
-	fmt.Println(n)
-	// Output: 42
-}
-
 // I/O futures: Read blocks the task (its deque suspends and the
 // worker runs other work) until the connection is readable.
 func ExampleRuntime_Read() {
@@ -74,32 +61,6 @@ func ExampleRuntime_Read() {
 	})
 	fmt.Println(msg)
 	// Output: hello from the network
-}
-
-// Task-aware locks suspend the task, not the worker, and hand off
-// FIFO.
-func ExampleRuntime_NewMutex() {
-	rt, _ := icilk.New(icilk.Config{Workers: 2})
-	defer rt.Close()
-
-	m := rt.NewMutex()
-	total := 0
-	var futs []*icilk.Future
-	for i := 0; i < 4; i++ {
-		futs = append(futs, rt.Submit(0, func(t *icilk.Task) any {
-			for j := 0; j < 100; j++ {
-				m.Lock(t)
-				total++
-				m.Unlock()
-			}
-			return nil
-		}))
-	}
-	for _, f := range futs {
-		f.Wait()
-	}
-	fmt.Println(total)
-	// Output: 400
 }
 
 // The inversion detector flags waits that violate the priority

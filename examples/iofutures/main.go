@@ -39,11 +39,13 @@ func main() {
 				defer conn.Close()
 				lr := rt.NewLineReader(conn)
 				for {
-					line, err := lr.ReadLine(t)
+					line, err := lr.ReadLineBytes(t)
 					if err != nil {
 						return nil // client hung up
 					}
-					fields := strings.Fields(line)
+					// line is a view into the reader's buffer; the
+					// string conversion copies it before the next read.
+					fields := strings.Fields(string(line))
 					switch {
 					case len(fields) == 3 && fields[0] == "put":
 						store.Store(fields[1], fields[2])

@@ -219,14 +219,6 @@ func (r *Runtime) SubmitWithDeadline(level int, timeout time.Duration, fn func(*
 	return r.rt.SubmitFutureWithDeadline(level, timeout, fn)
 }
 
-// SubmitCtx is Submit bound to a context: when ctx is done (deadline
-// or explicit cancel) fn's task tree is cancelled and the future
-// completes with Err() == context.Cause(ctx). A nil or never-done
-// context behaves like Submit.
-func (r *Runtime) SubmitCtx(ctx context.Context, level int, fn func(*Task) any) *Future {
-	return r.rt.SubmitFutureCtx(ctx, level, fn)
-}
-
 // Inflight returns the number of submitted-but-unfinished futures.
 func (r *Runtime) Inflight() int64 { return r.rt.Inflight() }
 

@@ -2,6 +2,7 @@ package icilk
 
 import (
 	"io"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -139,23 +140,20 @@ func TestLineReaderLinesAndBlocks(t *testing.T) {
 	}()
 	f := rt.Submit(0, func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		l1, err := lr.ReadLine(task)
+		// Each view is copied out before the next read invalidates it.
+		var parts []string
+		for i := 0; i < 3; i++ {
+			line, err := lr.ReadLineBytes(task)
+			if err != nil {
+				return err
+			}
+			parts = append(parts, string(line))
+		}
+		block, err := lr.ReadExactBytes(task, 4)
 		if err != nil {
 			return err
 		}
-		l2, err := lr.ReadLine(task)
-		if err != nil {
-			return err
-		}
-		l3, err := lr.ReadLine(task)
-		if err != nil {
-			return err
-		}
-		block, err := lr.ReadExact(task, 4)
-		if err != nil {
-			return err
-		}
-		return l1 + "|" + l2 + "|" + l3 + "|" + string(block)
+		return strings.Join(append(parts, string(block)), "|")
 	})
 	want := "first line|second|set x 0 0 4|data"
 	if got := f.Wait().(string); got != want {
@@ -169,7 +167,7 @@ func TestLineReaderBuffered(t *testing.T) {
 	cli.WriteString("a\r\nb\r\n")
 	f := rt.Submit(0, func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		lr.ReadLine(task)
+		lr.ReadLineBytes(task)
 		return lr.Buffered()
 	})
 	if !f.Wait().(bool) {
@@ -257,12 +255,12 @@ func TestAllSchedulersViaPublicAPI(t *testing.T) {
 			}()
 			f := rt.Submit(1, func(task *Task) any {
 				lr := rt.NewLineReader(srv)
-				line, err := lr.ReadLine(task)
+				line, err := lr.ReadLineBytes(task)
 				if err != nil {
 					return err
 				}
 				hi := task.FutCreate(0, func(*Task) any { return "hi" })
-				return line + "-" + hi.Get(task).(string)
+				return string(line) + "-" + hi.Get(task).(string)
 			})
 			if got := f.Wait().(string); got != "ping-hi" {
 				t.Fatalf("got %q", got)

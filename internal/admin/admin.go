@@ -17,11 +17,6 @@
 //	                 allocs for the hot-path allocation budget, profile
 //	                 (CPU), goroutine, block, mutex, trace, …
 //
-// The server's data sources are swappable at runtime (SetSources), so
-// one admin server can follow a sequence of short-lived runtimes:
-// icilk's Runtime.AttachAdmin re-points it at a runtime, as
-// TestAdminFollowsRuntimes does for two in turn.
-//
 // # Security
 //
 // Every endpoint is unauthenticated, and the pprof handlers include
@@ -41,7 +36,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"icilk/internal/metrics"
 	"icilk/internal/trace"
@@ -73,21 +67,20 @@ type Sources struct {
 	Health func() Health
 }
 
-// Server is the admin HTTP server. Create with New, point it at a
-// runtime with SetSources, bind with Start.
+// Server is the admin HTTP server. Create it over a runtime's sources
+// with New, bind with Start.
 type Server struct {
 	mux *http.ServeMux
-	src atomic.Pointer[Sources]
+	src Sources
 
 	mu   sync.Mutex
 	ln   net.Listener
 	http *http.Server
 }
 
-// New creates a server with no sources attached.
-func New() *Server {
-	s := &Server{mux: http.NewServeMux()}
-	s.src.Store(&Sources{})
+// New creates a server over src.
+func New(src Sources) *Server {
+	s := &Server{mux: http.NewServeMux(), src: src}
 	s.mux.HandleFunc("GET /", s.handleIndex)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -107,10 +100,6 @@ func New() *Server {
 	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return s
 }
-
-// SetSources re-points the endpoints (atomically; in-flight requests
-// finish against the sources they started with).
-func (s *Server) SetSources(src Sources) { s.src.Store(&src) }
 
 // Handler returns the route handler (tests drive it via
 // httptest without binding a socket).
@@ -195,15 +184,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "ok\n")
 }
 
-// handleReadyz is the readiness probe: 200 only while an attached
-// runtime is open and not shedding everything.
+// handleReadyz is the readiness probe: 200 only while the runtime is
+// open and not shedding everything.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	src := s.src.Load()
-	if src.Health == nil {
+	if s.src.Health == nil {
 		http.Error(w, "no runtime attached", http.StatusServiceUnavailable)
 		return
 	}
-	h := src.Health()
+	h := s.src.Health()
 	if !h.Ready || h.Degraded {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -214,22 +202,20 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	src := s.src.Load()
-	if src.Metrics == nil {
+	if s.src.Metrics == nil {
 		http.Error(w, "no metrics registry attached", http.StatusServiceUnavailable)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	src.Metrics.WriteTo(w)
+	s.src.Metrics.WriteTo(w)
 }
 
 func (s *Server) handleSched(w http.ResponseWriter, r *http.Request) {
-	src := s.src.Load()
-	if src.Sched == nil {
+	if s.src.Sched == nil {
 		http.Error(w, "no scheduler attached", http.StatusServiceUnavailable)
 		return
 	}
-	writeJSON(w, src.Sched())
+	writeJSON(w, s.src.Sched())
 }
 
 // traceEvent is the JSON rendering of one trace.Event (kind as its
@@ -242,12 +228,11 @@ type traceEvent struct {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	src := s.src.Load()
-	if src.TraceEvents == nil {
+	if s.src.TraceEvents == nil {
 		http.Error(w, "no trace source attached", http.StatusServiceUnavailable)
 		return
 	}
-	evs, enabled := src.TraceEvents()
+	evs, enabled := s.src.TraceEvents()
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
 		n, err := strconv.Atoi(nStr)
 		if err != nil || n < 0 {

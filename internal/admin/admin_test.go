@@ -24,7 +24,7 @@ func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
 }
 
 func TestEndpointsUnavailableWithoutSources(t *testing.T) {
-	s := New()
+	s := New(Sources{})
 	for _, path := range []string{"/metrics", "/debug/sched", "/debug/trace"} {
 		res, _ := get(t, s.Handler(), path)
 		if res.StatusCode != http.StatusServiceUnavailable {
@@ -36,8 +36,7 @@ func TestEndpointsUnavailableWithoutSources(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("icilk_test_total", "help").Add(3)
-	s := New()
-	s.SetSources(Sources{Metrics: reg})
+	s := New(Sources{Metrics: reg})
 	res, body := get(t, s.Handler(), "/metrics")
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", res.StatusCode)
@@ -51,8 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestSchedEndpoint(t *testing.T) {
-	s := New()
-	s.SetSources(Sources{Sched: func() any {
+	s := New(Sources{Sched: func() any {
 		return map[string]any{"policy": "prompt", "bitfield": 5}
 	}})
 	res, body := get(t, s.Handler(), "/debug/sched")
@@ -74,8 +72,7 @@ func TestTraceEndpoint(t *testing.T) {
 		{TS: 2, Worker: 1, Level: 1, Kind: trace.Mug},
 		{TS: 3, Worker: 2, Level: 0, Kind: trace.Abandon},
 	}
-	s := New()
-	s.SetSources(Sources{TraceEvents: func() ([]trace.Event, bool) { return evs, true }})
+	s := New(Sources{TraceEvents: func() ([]trace.Event, bool) { return evs, true }})
 
 	decode := func(body string) (bool, []traceEvent) {
 		var out struct {
@@ -110,8 +107,7 @@ func TestTraceEndpoint(t *testing.T) {
 }
 
 func TestTraceDisabled(t *testing.T) {
-	s := New()
-	s.SetSources(Sources{TraceEvents: func() ([]trace.Event, bool) { return nil, false }})
+	s := New(Sources{TraceEvents: func() ([]trace.Event, bool) { return nil, false }})
 	_, body := get(t, s.Handler(), "/debug/trace")
 	var out struct {
 		Enabled bool `json:"enabled"`
@@ -125,7 +121,7 @@ func TestTraceDisabled(t *testing.T) {
 }
 
 func TestPprofEndpoint(t *testing.T) {
-	s := New()
+	s := New(Sources{})
 	// pprof works with no sources attached — it reads the Go runtime.
 	res, body := get(t, s.Handler(), "/debug/pprof/")
 	if res.StatusCode != http.StatusOK {
@@ -146,28 +142,10 @@ func TestPprofEndpoint(t *testing.T) {
 	}
 }
 
-func TestSetSourcesSwaps(t *testing.T) {
-	a := metrics.NewRegistry()
-	a.Counter("icilk_run_a_total", "")
-	b := metrics.NewRegistry()
-	b.Counter("icilk_run_b_total", "")
-	s := New()
-	s.SetSources(Sources{Metrics: a})
-	if _, body := get(t, s.Handler(), "/metrics"); !strings.Contains(body, "icilk_run_a_total") {
-		t.Fatal("first registry not served")
-	}
-	s.SetSources(Sources{Metrics: b})
-	_, body := get(t, s.Handler(), "/metrics")
-	if !strings.Contains(body, "icilk_run_b_total") || strings.Contains(body, "icilk_run_a_total") {
-		t.Errorf("swap not effective:\n%s", body)
-	}
-}
-
 func TestStartAddrClose(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("icilk_live_total", "").Inc()
-	s := New()
-	s.SetSources(Sources{Metrics: reg})
+	s := New(Sources{Metrics: reg})
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +165,7 @@ func TestStartAddrClose(t *testing.T) {
 }
 
 func TestHealthzAlwaysOK(t *testing.T) {
-	s := New()
+	s := New(Sources{})
 	// Liveness never consults sources.
 	res, body := get(t, s.Handler(), "/healthz")
 	if res.StatusCode != http.StatusOK || !strings.Contains(body, "ok") {
@@ -196,16 +174,14 @@ func TestHealthzAlwaysOK(t *testing.T) {
 }
 
 func TestReadyzStates(t *testing.T) {
-	s := New()
-
 	// No runtime attached: not ready.
-	res, _ := get(t, s.Handler(), "/readyz")
+	res, _ := get(t, New(Sources{}).Handler(), "/readyz")
 	if res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("unattached /readyz = %d, want 503", res.StatusCode)
 	}
 
 	var h Health
-	s.SetSources(Sources{Health: func() Health { return h }})
+	s := New(Sources{Health: func() Health { return h }})
 
 	h = Health{Ready: true}
 	res, body := get(t, s.Handler(), "/readyz")
@@ -231,8 +207,7 @@ func TestReadyzStates(t *testing.T) {
 }
 
 func TestShutdownGraceful(t *testing.T) {
-	s := New()
-	s.SetSources(Sources{Metrics: metrics.NewRegistry()})
+	s := New(Sources{Metrics: metrics.NewRegistry()})
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +222,7 @@ func TestShutdownGraceful(t *testing.T) {
 		t.Fatal("listener still accepting after Shutdown")
 	}
 	// Shutdown on an unstarted server is a no-op.
-	if err := New().Shutdown(context.Background()); err != nil {
+	if err := New(Sources{}).Shutdown(context.Background()); err != nil {
 		t.Fatalf("unstarted Shutdown: %v", err)
 	}
 }

@@ -31,12 +31,10 @@ type cancelState struct {
 	mu  sync.Mutex
 	err error // cause; non-nil exactly when fired
 
-	// timer is the deadline timer (SubmitFutureWithDeadline); stop is
-	// the context.AfterFunc release (SubmitFutureCtx). Both are
-	// released when the root task finishes, so completed requests do
-	// not pin timers until their deadline.
+	// timer is the deadline timer (SubmitFutureWithDeadline), stopped
+	// when the root task finishes so that completed requests do not pin
+	// timers until their deadline.
 	timer *time.Timer
-	stop  func() bool
 }
 
 // cancel fires the state with cause err (first call wins).
@@ -60,16 +58,6 @@ func (c *cancelState) Err() error {
 	return c.err
 }
 
-// release drops the deadline timer / context hook (root task finish).
-func (c *cancelState) release() {
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	if c.stop != nil {
-		c.stop()
-	}
-}
-
 // canceledUnwind is the panic sentinel a cancelled task throws at its
 // next scheduling point; Task.runBody recovers it and routes the task
 // to its normal finish path.
@@ -77,10 +65,8 @@ type canceledUnwind struct{}
 
 // Err returns the task's cancellation cause: nil while the task may
 // keep running, context.DeadlineExceeded after its submission
-// deadline passed, or context.Canceled (or the submission context's
-// cause) after an explicit cancellation. Cooperative code can check
-// it to stop cleanly before the next scheduling point unwinds the
-// task automatically.
+// deadline passed. Cooperative code can check it to stop cleanly
+// before the next scheduling point unwinds the task automatically.
 func (t *Task) Err() error {
 	if c := t.cancel; c != nil {
 		return c.Err()
@@ -113,29 +99,13 @@ func (t *Task) joinOutstanding() {
 	t.parkAfter(yieldMsg{kind: ySyncWait})
 }
 
-// submitCancelable is SubmitFuture with a cancellation state attached
-// to the root task (and inherited by everything it spawns).
-func (rt *Runtime) submitCancelable(level int, c *cancelState, fn func(*Task) any) *Future {
-	if level < 0 || level >= rt.cfg.Levels {
-		panic(submitLevelError(level, rt.cfg.Levels))
-	}
-	f := rt.newFuture(nil, int32(level))
-	rt.inflight.Add(1)
-	n := rt.newNode(nil, level, nil, futFrame(fn))
-	n.t.fut = f
-	n.t.inflightRoot = true
-	n.t.cancel = c
-	n.t.cancelRoot = true
-	rt.submitNode(n, level)
-	return f
-}
-
 // SubmitFutureWithDeadline injects fn as a root future routine at the
 // given level with a per-request deadline: if the routine (and
 // everything it spawns) has not completed within timeout, the task
 // tree is cancelled and unwinds at its next scheduling points, and
 // the future completes with Err() == context.DeadlineExceeded. A
-// non-positive timeout submits without a deadline.
+// non-positive timeout submits without a deadline. A tree whose
+// deadline passes while it is still queued never runs its body.
 //
 // Because cancellation is cooperative, the deadline does not bound
 // time spent suspended in Get on an unfinished (I/O) future: the task
@@ -146,23 +116,18 @@ func (rt *Runtime) SubmitFutureWithDeadline(level int, timeout time.Duration, fn
 	if timeout <= 0 {
 		return rt.SubmitFuture(level, fn)
 	}
+	if level < 0 || level >= rt.cfg.Levels {
+		panic(submitLevelError(level, rt.cfg.Levels))
+	}
 	c := &cancelState{}
 	c.timer = time.AfterFunc(timeout, func() { c.cancel(context.DeadlineExceeded) })
-	return rt.submitCancelable(level, c, fn)
-}
-
-// SubmitFutureCtx injects fn as a root future routine whose task tree
-// is cancelled when ctx is done (deadline or explicit cancel); the
-// future then completes with Err() == context.Cause(ctx). A nil or
-// never-done context behaves like SubmitFuture.
-func (rt *Runtime) SubmitFutureCtx(ctx context.Context, level int, fn func(*Task) any) *Future {
-	if ctx == nil || ctx.Done() == nil {
-		return rt.SubmitFuture(level, fn)
-	}
-	c := &cancelState{}
-	c.stop = context.AfterFunc(ctx, func() { c.cancel(context.Cause(ctx)) })
-	if err := ctx.Err(); err != nil {
-		c.cancel(context.Cause(ctx)) // doomed before submission; body never runs
-	}
-	return rt.submitCancelable(level, c, fn)
+	f := rt.newFuture(nil, int32(level))
+	rt.inflight.Add(1)
+	n := rt.newNode(nil, level, nil, futFrame(fn))
+	n.t.fut = f
+	n.t.inflightRoot = true
+	n.t.cancel = c
+	n.t.cancelRoot = true
+	rt.submitNode(n, level)
+	return f
 }

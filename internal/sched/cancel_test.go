@@ -63,47 +63,37 @@ func TestZeroTimeoutMeansNoDeadline(t *testing.T) {
 	}
 }
 
-func TestCtxCancelUnwinds(t *testing.T) {
-	rt := newTestRT(t, 2, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	f := rt.SubmitFutureCtx(ctx, 0, func(task *Task) any {
-		close(started)
+// TestDeadlineWhileQueuedSkipsBody: a tree whose deadline passes
+// before its first resume never runs its body. A deadline-free hog
+// holds the only worker past the queued request's deadline; the worker
+// then pops the doomed deque and abandons it.
+func TestDeadlineWhileQueuedSkipsBody(t *testing.T) {
+	rt := newTestRT(t, 1, 1)
+	release := make(chan struct{})
+	hog := rt.SubmitFuture(0, func(task *Task) any {
 		for {
-			task.Yield()
+			select {
+			case <-release:
+				return nil
+			default:
+				task.Yield()
+			}
 		}
 	})
-	<-started
-	cancel()
-	f.Wait()
-	if err := f.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err() = %v, want Canceled", err)
-	}
-}
-
-func TestCtxAlreadyCancelledSkipsBody(t *testing.T) {
-	rt := newTestRT(t, 2, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	var ran atomic.Bool
-	f := rt.SubmitFutureCtx(ctx, 0, func(task *Task) any {
+	f := rt.SubmitFutureWithDeadline(0, 5*time.Millisecond, func(task *Task) any {
 		ran.Store(true)
 		return nil
 	})
+	time.Sleep(30 * time.Millisecond)
+	close(release)
+	hog.Wait()
 	f.Wait()
 	if ran.Load() {
-		t.Fatal("body ran despite pre-cancelled context")
+		t.Fatal("body ran after its deadline passed in the queue")
 	}
-	if err := f.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err() = %v, want Canceled", err)
-	}
-}
-
-func TestNilCtxBehavesLikeSubmit(t *testing.T) {
-	rt := newTestRT(t, 2, 1)
-	f := rt.SubmitFutureCtx(context.Background(), 0, func(task *Task) any { return 7 })
-	if v := f.Wait(); v != 7 {
-		t.Fatalf("value = %v", v)
+	if err := f.Err(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Err() = %v, want DeadlineExceeded", err)
 	}
 }
 

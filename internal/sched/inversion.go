@@ -5,10 +5,10 @@ package sched
 // which a higher-priority task can wait for a lower-priority one —
 // the precondition for the prompt scheduler's response-time bounds.
 // Go has no such type-system hook, so this runtime provides the
-// dynamic equivalent: every wait edge (future get, mutex acquisition)
-// is checked at runtime, and waits by a higher-priority task on work
-// owned by a strictly lower-priority level are counted (and, for
-// tests and tools, observable via a callback).
+// dynamic equivalent: every future get is checked at runtime, and
+// gets by a higher-priority task of futures computed at a strictly
+// lower-priority level are counted (and, for tests and tools,
+// observable via a callback).
 //
 // A non-zero inversion count means the program's priority assignment
 // violates the well-formedness condition under which the paper's
@@ -34,20 +34,15 @@ func (rt *Runtime) Inversions() int64 { return rt.inv.count.Load() }
 // detecting task's goroutine and must be fast and non-blocking.
 func (rt *Runtime) OnInversion(fn func()) { rt.inv.onInversion = fn }
 
-// noteInversion records one event.
-func (rt *Runtime) noteInversion() {
-	rt.inv.count.Add(1)
-	if fn := rt.inv.onInversion; fn != nil {
-		fn()
-	}
-}
-
 // checkGetInversion flags a get by task t on future f computed at a
 // strictly lower-priority level. I/O futures (ownerLevel < 0) never
 // invert: their completion is driven by external events, not by
 // scheduler-subordinated work.
 func (rt *Runtime) checkGetInversion(t *Task, f *Future) {
 	if f.ownerLevel >= 0 && t.level < int(f.ownerLevel) {
-		rt.noteInversion()
+		rt.inv.count.Add(1)
+		if fn := rt.inv.onInversion; fn != nil {
+			fn()
+		}
 	}
 }

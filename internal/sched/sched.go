@@ -486,8 +486,8 @@ type worker struct {
 	free     [workerFreeCap]*node
 	nfree    int
 	executes int
-	// futs is the block the token holder's FutCreate and tasksync
-	// futures come from (newFuture).
+	// futs is the block the token holder's FutCreate futures come from
+	// (newFuture).
 	futs  atomic.Pointer[futBlock]
 	part  *epoch.Participant
 	rng   *xrand.Rand

@@ -10,7 +10,7 @@ import (
 
 // TestStressMixedWorkload hammers every policy with a seeded random
 // mixture of spawns, same-level futures, cross-level futures, I/O
-// futures, task mutexes, and priority switches, then checks global
+// futures, and priority switches, then checks global
 // invariants: every future completes, inflight drains to zero, and
 // the non-empty-deque gauges return to zero.
 func TestStressMixedWorkload(t *testing.T) {
@@ -22,8 +22,6 @@ func TestStressMixedWorkload(t *testing.T) {
 		t.Run(pk.String(), func(t *testing.T) {
 			const levels = 4
 			rt := newTestRuntime(t, Config{Workers: 4, Levels: levels, Policy: pk})
-			m := rt.NewMutex()
-			var lockCounter int
 			var work atomic.Int64
 
 			rng := xrand.New(uint64(0x57e55 + int(pk)))
@@ -33,7 +31,7 @@ func TestStressMixedWorkload(t *testing.T) {
 				seed := rng.Uint64()
 				level := int(seed % levels)
 				futs = append(futs, rt.SubmitFuture(level, func(task *Task) any {
-					stressTask(task, rt, m, &lockCounter, &work, xrand.New(seed), 3)
+					stressTask(task, rt, &work, xrand.New(seed), 3)
 					return nil
 				}))
 			}
@@ -60,23 +58,23 @@ func TestStressMixedWorkload(t *testing.T) {
 }
 
 // stressTask performs a random tree of scheduler operations.
-func stressTask(task *Task, rt *Runtime, m *Mutex, lockCounter *int, work *atomic.Int64, rng *xrand.Rand, depth int) {
+func stressTask(task *Task, rt *Runtime, work *atomic.Int64, rng *xrand.Rand, depth int) {
 	work.Add(1)
 	if depth == 0 {
 		return
 	}
 	n := 1 + rng.Intn(3)
 	for i := 0; i < n; i++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0: // spawn subtree
 			childSeed := rng.Uint64()
 			task.Spawn(func(ct *Task) {
-				stressTask(ct, rt, m, lockCounter, work, xrand.New(childSeed), depth-1)
+				stressTask(ct, rt, work, xrand.New(childSeed), depth-1)
 			})
 		case 1: // same-level future
 			seed := rng.Uint64()
 			f := task.FutCreate(task.Level(), func(ct *Task) any {
-				stressTask(ct, rt, m, lockCounter, work, xrand.New(seed), depth-1)
+				stressTask(ct, rt, work, xrand.New(seed), depth-1)
 				return depth
 			})
 			if f.Get(task).(int) != depth {
@@ -86,7 +84,7 @@ func stressTask(task *Task, rt *Runtime, m *Mutex, lockCounter *int, work *atomi
 			seed := rng.Uint64()
 			lvl := rng.Intn(rt.Levels())
 			f := task.FutCreate(lvl, func(ct *Task) any {
-				stressTask(ct, rt, m, lockCounter, work, xrand.New(seed), depth-1)
+				stressTask(ct, rt, work, xrand.New(seed), depth-1)
 				return lvl
 			})
 			if f.Get(task).(int) != lvl {
@@ -100,11 +98,7 @@ func stressTask(task *Task, rt *Runtime, m *Mutex, lockCounter *int, work *atomi
 			if iof.Get(task).(string) != "io" {
 				panic("io value corrupted")
 			}
-		case 4: // critical section
-			m.Lock(task)
-			*lockCounter++
-			m.Unlock()
-		case 5: // explicit scheduling point
+		case 4: // explicit scheduling point
 			task.Yield()
 		}
 	}

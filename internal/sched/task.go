@@ -253,7 +253,7 @@ func (t *Task) finish() bool {
 	// cannot retroactively mark the completed result as failed.
 	cause := t.cause
 	if c := t.cancel; c != nil && t.cancelRoot {
-		c.release()
+		c.timer.Stop()
 	}
 	if t.fut != nil {
 		t.fut.completeWith(t.fut.result, cause)

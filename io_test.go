@@ -31,19 +31,21 @@ func TestLineReaderSplitAcrossFills(t *testing.T) {
 	}()
 	got := rt.Run(func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		line, err := lr.ReadLine(task)
+		line, err := lr.ReadLineBytes(task)
 		if err != nil {
 			return err
 		}
-		block, err := lr.ReadExact(task, 3+2)
+		out := string(line)
+		block, err := lr.ReadExactBytes(task, 3+2)
 		if err != nil {
 			return err
 		}
-		line2, err := lr.ReadLine(task)
+		out += "|" + string(block)
+		line, err = lr.ReadLineBytes(task)
 		if err != nil {
 			return err
 		}
-		return line + "|" + string(block) + "|" + line2
+		return out + "|" + string(line)
 	})
 	if got != "set x 0 0 3|abc\r\n|next" {
 		t.Fatalf("got %v", got)
@@ -57,7 +59,7 @@ func TestLineReaderEOFMidLine(t *testing.T) {
 	cli.Close()
 	got := rt.Run(func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		_, err := lr.ReadLine(task)
+		_, err := lr.ReadLineBytes(task)
 		return err
 	})
 	if got != io.EOF {
@@ -76,13 +78,13 @@ func TestLineReaderLineTooLong(t *testing.T) {
 	cli.WriteString(long + "\r\nnext\n" + strings.Repeat("b", 2*maxLineBytes))
 	got := rt.Run(func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		if line, err := lr.ReadLine(task); err != nil || line != long {
+		if line, err := lr.ReadLineBytes(task); err != nil || string(line) != long {
 			return fmt.Errorf("long line: %d bytes, err %v", len(line), err)
 		}
-		if line, err := lr.ReadLine(task); err != nil || line != "next" {
+		if line, err := lr.ReadLineBytes(task); err != nil || string(line) != "next" {
 			return fmt.Errorf("second line: %q, err %v", line, err)
 		}
-		_, err := lr.ReadLine(task)
+		_, err := lr.ReadLineBytes(task)
 		if cap(lr.buf) > 2*maxLineBytes {
 			return fmt.Errorf("buffer grew to %d bytes", cap(lr.buf))
 		}
@@ -100,7 +102,7 @@ func TestLineReaderEOFMidBlock(t *testing.T) {
 	cli.Close()
 	got := rt.Run(func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		_, err := lr.ReadExact(task, 4+2)
+		_, err := lr.ReadExactBytes(task, 4+2)
 		return err
 	})
 	if got != io.EOF {
@@ -123,8 +125,8 @@ func TestPeekByteDoesNotConsume(t *testing.T) {
 		if b2 != 'Z' {
 			t.Errorf("second peek = %c", b2)
 		}
-		line, _ := lr.ReadLine(task)
-		return line
+		line, _ := lr.ReadLineBytes(task)
+		return string(line)
 	})
 	if got != "Z-line" {
 		t.Fatalf("line = %v", got)
@@ -146,7 +148,7 @@ func TestReadExactSpansChunks(t *testing.T) {
 	}()
 	got := rt.Run(func(task *Task) any {
 		lr := rt.NewLineReader(srv)
-		b, err := lr.ReadExact(task, 2000)
+		b, err := lr.ReadExactBytes(task, 2000)
 		if err != nil {
 			return err
 		}
@@ -175,11 +177,11 @@ func TestConcurrentConnectionsShareWorker(t *testing.T) {
 		rt.Submit(0, func(task *Task) any {
 			lr := rt.NewLineReader(srv)
 			for {
-				line, err := lr.ReadLine(task)
+				line, err := lr.ReadLineBytes(task)
 				if err != nil {
 					return nil
 				}
-				srv.WriteString("echo:" + line + "\n")
+				srv.WriteString("echo:" + string(line) + "\n")
 			}
 		})
 	}

@@ -178,30 +178,22 @@ func TestAdminEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAdminFollowsRuntimes covers the swappable-sources path: one
-// admin server re-pointed by AttachAdmin at two runtimes in turn.
-func TestAdminFollowsRuntimes(t *testing.T) {
-	adm := icilk.NewAdminServer()
-	if err := adm.Start("127.0.0.1:0"); err != nil {
+// TestPublicInversions: the facade's detector counts a level-0 get of
+// a level-1 future once and calls the OnInversion callback for it.
+func TestPublicInversions(t *testing.T) {
+	rt, err := icilk.New(icilk.Config{Workers: 2, Levels: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer adm.Close()
+	defer rt.Close()
+	fired := 0
+	rt.OnInversion(func() { fired++ })
 
-	for i := 0; i < 2; i++ {
-		rt, err := icilk.New(icilk.Config{Workers: 1, Levels: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt.AttachAdmin(adm)
-		res, err := http.Get("http://" + adm.Addr() + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(res.Body)
-		res.Body.Close()
-		if !strings.Contains(string(body), "icilk_workers 1") {
-			t.Errorf("run %d: scrape missing runtime gauges:\n%s", i, body)
-		}
-		rt.Close()
+	rt.Submit(0, func(task *icilk.Task) any {
+		f := task.FutCreate(1, func(*icilk.Task) any { return nil })
+		return f.Get(task)
+	}).Wait()
+	if rt.Inversions() != 1 || fired != 1 {
+		t.Fatalf("inversions = %d, callback fired %d", rt.Inversions(), fired)
 	}
 }

@@ -2,7 +2,7 @@ package icilk
 
 // Data-parallel helpers built on Spawn/Sync/Call — the convenience
 // layer a Cilk programmer gets from cilk_for and parlaylib's
-// parallel_for/par_do — with lazy, demand-driven splitting (DESIGN.md,
+// parallel_for — with lazy, demand-driven splitting (DESIGN.md,
 // "Data-parallel cost model"): a loop frame walks its range left to
 // right in grain-sized sequential chunks, and between two chunks it
 // reaches a scheduling point (Task.LoopPoint) that also asks whether
@@ -401,20 +401,6 @@ func reduceProbe[T any](t *Task, lo, hi int, targetNS int64, zero T, leaf func(i
 	return acc, done, probeGrain(t, n-done, done)
 }
 
-// ParDo runs left and right as a parallel pair — parlaylib's par_do.
-// The pair runs in its own called frame: the right function is
-// spawned (the calling worker dives into it, child-first), the left
-// runs in a nested called frame, and the join covers exactly the
-// pair. Either side may spawn, sync, and call ParDo recursively
-// without ever serializing against the caller's outstanding children.
-func ParDo(t *Task, left, right func(*Task)) {
-	t.Call(func(ft *Task) {
-		ft.Spawn(right)
-		ft.Call(left)
-		ft.Sync()
-	})
-}
-
 // Scan computes the exclusive prefix combination of in: out[i] =
 // zero ⊕ in[0] ⊕ … ⊕ in[i-1], returning out and the total
 // combination. combine must be associative and zero its identity.
@@ -429,7 +415,10 @@ func Scan[T any](t *Task, in []T, grain int, zero T, combine func(a, b T) T) ([]
 	if n == 0 {
 		return out, zero
 	}
-	b := scanBlock(t, n, grain)
+	if grain < 0 {
+		grain = 0
+	}
+	b := resolveGrain(t, n, grain)
 	nb := (n + b - 1) / b
 	sums := make([]T, nb)
 	For(t, 0, nb, 1, func(bi int) {
@@ -462,62 +451,4 @@ func Scan[T any](t *Task, in []T, grain int, zero T, combine func(a, b T) T) ([]
 		}
 	})
 	return out, acc
-}
-
-// Filter returns the elements of in satisfying pred, in order. pred
-// is evaluated exactly once per element (flag pass, block-count scan,
-// then a parallel packing pass into an exact-size result). grain
-// follows Scan's rules.
-func Filter[T any](t *Task, in []T, grain int, pred func(T) bool) []T {
-	n := len(in)
-	if n == 0 {
-		return []T{}
-	}
-	b := scanBlock(t, n, grain)
-	nb := (n + b - 1) / b
-	keep := make([]bool, n)
-	counts := make([]int, nb)
-	For(t, 0, nb, 1, func(bi int) {
-		lo, hi := bi*b, (bi+1)*b
-		if hi > n {
-			hi = n
-		}
-		c := 0
-		for i := lo; i < hi; i++ {
-			if pred(in[i]) {
-				keep[i] = true
-				c++
-			}
-		}
-		counts[bi] = c
-	})
-	total := 0
-	for bi, c := range counts {
-		counts[bi] = total
-		total += c
-	}
-	out := make([]T, total)
-	For(t, 0, nb, 1, func(bi int) {
-		lo, hi := bi*b, (bi+1)*b
-		if hi > n {
-			hi = n
-		}
-		k := counts[bi]
-		for i := lo; i < hi; i++ {
-			if keep[i] {
-				out[k] = in[i]
-				k++
-			}
-		}
-	})
-	return out
-}
-
-// scanBlock sizes the blocks of the two-pass algorithms: an explicit
-// grain as given, otherwise the static default cutoff.
-func scanBlock(t *Task, n, grain int) int {
-	if grain < 0 {
-		grain = 0
-	}
-	return resolveGrain(t, n, grain)
 }

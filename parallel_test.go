@@ -343,78 +343,6 @@ func TestScanNonCommutative(t *testing.T) {
 	}
 }
 
-// TestFilterKeepsOrderEvaluatesOnce: Filter preserves input order,
-// sizes its result exactly, and calls pred exactly once per element.
-func TestFilterKeepsOrderEvaluatesOnce(t *testing.T) {
-	rt := newRT(t, Config{Workers: 4, Levels: 1})
-	const n = 3001
-	in := make([]int, n)
-	for i := range in {
-		in[i] = i
-	}
-	evals := make([]atomic.Int32, n)
-	var out []int
-	rt.Run(func(task *Task) any {
-		out = Filter(task, in, 0, func(v int) bool {
-			evals[v].Add(1)
-			return v%3 == 0
-		})
-		return nil
-	})
-	want := 0
-	for i := 0; i < n; i += 3 {
-		if out[want] != i {
-			t.Fatalf("out[%d] = %d, want %d", want, out[want], i)
-		}
-		want++
-	}
-	if len(out) != want {
-		t.Fatalf("len(out) = %d, want %d", len(out), want)
-	}
-	for i := range evals {
-		if c := evals[i].Load(); c != 1 {
-			t.Fatalf("pred(%d) evaluated %d times", i, c)
-		}
-	}
-	// Empty result and empty input both come back non-nil and empty.
-	rt.Run(func(task *Task) any {
-		if got := Filter(task, in, 0, func(int) bool { return false }); len(got) != 0 {
-			t.Errorf("filter-none kept %d elements", len(got))
-		}
-		if got := Filter(task, []int{}, 0, func(int) bool { return true }); len(got) != 0 {
-			t.Errorf("empty input produced %d elements", len(got))
-		}
-		return nil
-	})
-}
-
-// TestParDo: both sides run, either side may spawn and sync freely,
-// and recursive ParDo trees complete — the par_do contract.
-func TestParDo(t *testing.T) {
-	rt := newRT(t, Config{Workers: 4, Levels: 1})
-	var leaves atomic.Int64
-	var rec func(t *Task, depth int)
-	rec = func(t *Task, depth int) {
-		if depth == 0 {
-			leaves.Add(1)
-			return
-		}
-		ParDo(t,
-			func(lt *Task) { rec(lt, depth-1) },
-			func(rt *Task) { rec(rt, depth-1) })
-	}
-	rt.Run(func(task *Task) any {
-		// An outstanding caller spawn must not be joined by ParDo's pair.
-		task.Spawn(func(ct *Task) { leaves.Add(1) })
-		rec(task, 5)
-		task.Sync()
-		return nil
-	})
-	if got := leaves.Load(); got != 32+1 {
-		t.Fatalf("leaves = %d, want 33", got)
-	}
-}
-
 // TestForSteadyStateAllocs gates allocations on the steady-state loop:
 // a warm For must allocate O(splits), never O(iterations). The generous
 // bound of 600 is still ~100× below what a single allocation per
