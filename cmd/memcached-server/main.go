@@ -25,19 +25,6 @@ import (
 	"icilk/internal/stats"
 )
 
-// parseTransport maps the -transport flag to a netreal mode.
-func parseTransport(s string) (netreal.Mode, error) {
-	switch s {
-	case "auto":
-		return netreal.ModeAuto, nil
-	case "pump":
-		return netreal.ModePump, nil
-	case "poll":
-		return netreal.ModePoll, nil
-	}
-	return 0, fmt.Errorf("unknown -transport %q (auto|pump|poll)", s)
-}
-
 func main() {
 	listen := flag.String("listen", "127.0.0.1:11211", "listen address (host:port)")
 	network := flag.String("net", "tcp", "network (tcp, unix)")
@@ -45,15 +32,9 @@ func main() {
 	schedName := flag.String("scheduler", "prompt", icilk.SchedulerNames())
 	maxBytes := flag.Int64("max-bytes", 64<<20, "cache size bound (0 = unbounded)")
 	adminAddr := flag.String("admin", "", "admin HTTP address (bind loopback, e.g. 127.0.0.1:6060; unauthenticated) serving /metrics, /debug/sched, /debug/trace")
-	transport := flag.String("transport", "auto", "socket readiness transport: auto, pump (per-connection goroutine fallback), poll (shared epoll pollers)")
 	flag.Parse()
 
 	kind, err := icilk.ParseScheduler(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	mode, err := parseTransport(*transport)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -92,7 +73,7 @@ func main() {
 	srv.StartCrawler()
 	// The shared pollers complete each pass's futures themselves,
 	// inside the runtime's bracket: one coalesced scheduler wake.
-	wrapOpts := netreal.Options{Batcher: rt.IOBatcher(), Mode: mode}
+	wrapOpts := netreal.Options{Batcher: rt.IOBatcher()}
 	go func() {
 		for {
 			nc, err := nl.Accept()

@@ -124,7 +124,7 @@ func TestCachedumpSequential(t *testing.T) {
 
 // TestICilkServerCachedump runs the dump end-to-end through the
 // task-parallel server, whose intercept gathers shard snapshots with a
-// parallel Map at ScanLevel — the reply must match the sequential
+// parallel Map at the lowest level — the reply must match the sequential
 // executor's bytes exactly.
 func TestICilkServerCachedump(t *testing.T) {
 	store := NewStore(StoreConfig{Shards: 8})

@@ -103,15 +103,6 @@ type LoadResult struct {
 	Sent      int64
 	Completed int64
 	Errors    int64
-	Elapsed   time.Duration
-}
-
-// AchievedRPS returns the completed-request throughput.
-func (r *LoadResult) AchievedRPS() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Completed) / r.Elapsed.Seconds()
 }
 
 // pendingReq tracks one in-flight request on a connection.
@@ -323,7 +314,6 @@ func RunLoad(ln *netsim.Listener, cfg WorkloadConfig) (*LoadResult, error) {
 	}
 
 	wg.Wait()
-	res.Elapsed = time.Since(start)
 	res.Sent = sent.Load()
 	res.Completed = completed.Load()
 	res.Errors = errors.Load()

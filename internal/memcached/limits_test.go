@@ -141,7 +141,7 @@ func TestHostileLengthsICilkTCP(t *testing.T) {
 			if err != nil {
 				return
 			}
-			srv.HandleConn(netreal.Wrap(nc))
+			srv.HandleConn(netreal.WrapOptions(nc, netreal.Options{}))
 		}
 	}()
 	checkHostileInputs(t, func() io.ReadWriteCloser {

@@ -269,23 +269,11 @@ func Execute(s *Store, r *Request) (reply []byte, quit bool) {
 	case "lru_crawler":
 		switch r.Keys[0] {
 		case "crawl":
-			// "crawl all" or "crawl <shard>[,<shard>...]" — sweep the
-			// named shards synchronously.
-			reaped := 0
-			if len(r.Keys) > 1 && r.Keys[1] != "all" {
-				for _, part := range strings.Split(r.Keys[1], ",") {
-					id, err := strconv.Atoi(part)
-					if err != nil {
-						return []byte("CLIENT_ERROR bad class id\r\n"), false
-					}
-					reaped += s.CrawlShard(id)
-				}
-			} else {
-				for i := 0; i < s.Shards(); i++ {
-					reaped += s.CrawlShard(i)
-				}
+			sel := "all"
+			if len(r.Keys) > 1 {
+				sel = r.Keys[1]
 			}
-			return []byte(replyOK), false
+			return crawlAppend(nil, s, sel), false
 		default:
 			return []byte("CLIENT_ERROR unknown lru_crawler subcommand\r\n"), false
 		}
@@ -310,6 +298,32 @@ func Execute(s *Store, r *Request) (reply []byte, quit bool) {
 		return nil, true
 	}
 	return []byte(replyError), false
+}
+
+// crawlAppend executes "lru_crawler crawl <all|id[,id...]>": it
+// sweeps the named shards synchronously. Every id is checked against
+// the store's shard count before any shard is swept, so a bad list
+// sweeps nothing. Both protocol paths share it.
+func crawlAppend(dst []byte, s *Store, sel string) []byte {
+	var ids []int
+	if sel == "all" {
+		ids = make([]int, s.Shards())
+		for i := range ids {
+			ids[i] = i
+		}
+	} else {
+		for _, part := range strings.Split(sel, ",") {
+			id, err := strconv.Atoi(part)
+			if err != nil || id < 0 || id >= s.Shards() {
+				return append(dst, "CLIENT_ERROR bad class id\r\n"...)
+			}
+			ids = append(ids, id)
+		}
+	}
+	for _, id := range ids {
+		s.CrawlShard(id)
+	}
+	return append(dst, replyOK...)
 }
 
 // replyBadCachedump rejects malformed "stats cachedump" argument

@@ -222,6 +222,15 @@ func TestLruCrawlerCommand(t *testing.T) {
 	if got := exec(t, s, "lru_crawler crawl 0,1", ""); got != "OK\r\n" {
 		t.Fatalf("crawl ids -> %q", got)
 	}
+	// Ids outside [0, Shards()) come from the client and are refused
+	// by both executors.
+	for _, run := range []func(*testing.T, *Store, string, string) string{exec, execB} {
+		for _, line := range []string{"lru_crawler crawl -1", "lru_crawler crawl 2", "lru_crawler crawl 0,2"} {
+			if got := run(t, s, line, ""); got != "CLIENT_ERROR bad class id\r\n" {
+				t.Fatalf("%q -> %q", line, got)
+			}
+		}
+	}
 	if got := exec(t, s, "lru_crawler crawl zzz", ""); got == "OK\r\n" {
 		t.Fatalf("bad class id accepted: %q", got)
 	}

@@ -9,7 +9,6 @@ package memcached
 
 import (
 	"strconv"
-	"strings"
 
 	"icilk/internal/wire"
 )
@@ -394,21 +393,11 @@ func ExecuteAppend(s *Store, r *RequestB, dst []byte) (out []byte, quit bool) {
 		// not a goal here, byte parity is.
 		switch string(r.Keys[0]) {
 		case "crawl":
-			reaped := 0
-			if len(r.Keys) > 1 && string(r.Keys[1]) != "all" {
-				for _, part := range strings.Split(string(r.Keys[1]), ",") {
-					id, err := strconv.Atoi(part)
-					if err != nil {
-						return append(dst, "CLIENT_ERROR bad class id\r\n"...), false
-					}
-					reaped += s.CrawlShard(id)
-				}
-			} else {
-				for i := 0; i < s.Shards(); i++ {
-					reaped += s.CrawlShard(i)
-				}
+			sel := "all"
+			if len(r.Keys) > 1 {
+				sel = string(r.Keys[1])
 			}
-			return append(dst, replyOK...), false
+			return crawlAppend(dst, s, sel), false
 		default:
 			return append(dst, "CLIENT_ERROR unknown lru_crawler subcommand\r\n"...), false
 		}

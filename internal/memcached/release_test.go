@@ -186,12 +186,11 @@ func TestICilkCloseWithLiveClient(t *testing.T) {
 }
 
 // TestICilkCloseCutsCrawlerNap: Close does not wait out the crawler's
-// CrawlInterval, wherever in it Close lands.
+// crawlInterval, wherever in it Close lands.
 func TestICilkCloseCutsCrawlerNap(t *testing.T) {
 	rt := newReleaseRuntime(t)
-	const interval = 100 * time.Millisecond
 	for _, offset := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 95 * time.Millisecond, 150 * time.Millisecond} {
-		srv := NewICilkServer(NewStore(StoreConfig{}), rt, ICilkConfig{CrawlInterval: interval})
+		srv := NewICilkServer(NewStore(StoreConfig{}), rt, ICilkConfig{})
 		srv.StartCrawler()
 		time.Sleep(offset)
 		start := time.Now()

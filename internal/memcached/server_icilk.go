@@ -12,28 +12,19 @@ import (
 	"icilk/internal/stats"
 )
 
-// ICilkConfig configures the task-parallel port.
+// Both frontends yield after batchLimit pipelined requests, as
+// memcached's reqs_per_event does, and sweep one store shard every
+// crawlInterval in the background (the paper notes such background
+// threads "rarely ran").
+const (
+	batchLimit    = 20
+	crawlInterval = 100 * time.Millisecond
+)
+
+// ICilkConfig configures the task-parallel port. Requests run at
+// level 0, the highest; the background crawler and "stats cachedump"
+// scans run at the lowest configured level.
 type ICilkConfig struct {
-	// RequestLevel is the priority level for client request handling
-	// (default 0, the highest).
-	RequestLevel int
-	// CrawlerLevel is the priority level for the background LRU
-	// crawler (default: lowest configured level).
-	CrawlerLevel int
-	// CrawlInterval paces the crawler. Default 100ms.
-	CrawlInterval time.Duration
-	// BatchLimit bounds how many pipelined requests a connection
-	// handler processes before yielding a scheduling point. Default
-	// 20, matching the pthread baseline's fairness threshold.
-	BatchLimit int
-	// ScanLevel is the priority level at which whole-store scan
-	// requests ("stats cachedump") execute (default: lowest configured
-	// level, like the crawler). The scan runs as a future routine at
-	// this level with a data-parallel shard sweep inside it, so a
-	// multi-megabyte dump neither blocks its connection's siblings nor
-	// competes with point requests at RequestLevel — and interactive
-	// traffic preempts it at every split point.
-	ScanLevel int
 	// ServiceHistogram, if non-nil, records per-request service time
 	// (request fully parsed to reply written) — constant-memory
 	// latency tracking for long-running deployments.
@@ -80,22 +71,10 @@ type ICilkServer struct {
 
 // NewICilkServer wraps a store and a runtime.
 func NewICilkServer(store *Store, rt *icilk.Runtime, cfg ICilkConfig) *ICilkServer {
-	if cfg.CrawlInterval <= 0 {
-		cfg.CrawlInterval = 100 * time.Millisecond
-	}
-	if cfg.BatchLimit <= 0 {
-		cfg.BatchLimit = 20
-	}
-	if cfg.CrawlerLevel <= 0 {
-		cfg.CrawlerLevel = rt.Levels() - 1
-	}
-	if cfg.ScanLevel <= 0 {
-		cfg.ScanLevel = rt.Levels() - 1
-	}
 	s := &ICilkServer{store: store, rt: rt, cfg: cfg}
 	if reg := cfg.Metrics; reg != nil {
 		app := metrics.L("app", "memcached")
-		lvl := metrics.LevelLabel(cfg.RequestLevel)
+		lvl := metrics.LevelLabel(0)
 		s.reqs = reg.Counter("icilk_app_requests_total",
 			"Application requests served.", app, lvl)
 		s.lat = reg.Histogram("icilk_app_request_latency_seconds",
@@ -120,7 +99,7 @@ func (s *ICilkServer) StartCrawler() {
 		return
 	}
 	rt, store := s.rt, s.store
-	s.crawler = rt.Submit(s.cfg.CrawlerLevel, func(t *icilk.Task) any {
+	s.crawler = rt.Submit(rt.Levels()-1, func(t *icilk.Task) any {
 		for i := 0; ; i++ {
 			nap := s.startNap(rt)
 			if nap == nil {
@@ -132,7 +111,7 @@ func (s *ICilkServer) StartCrawler() {
 	})
 }
 
-// startNap arms the crawler's next CrawlInterval and returns the I/O
+// startNap arms the crawler's next crawlInterval and returns the I/O
 // future that ends it, or nil once Close has begun. The nap is a
 // Runtime.Sleep that Close can cut short: whichever of the timer and
 // Close's timer.Stop wins completes the future, exactly once.
@@ -143,7 +122,7 @@ func (s *ICilkServer) startNap(rt *icilk.Runtime) *icilk.Future {
 		return nil
 	}
 	f := rt.NewIOFuture()
-	s.nap, s.napTimer = f, time.AfterFunc(s.cfg.CrawlInterval, func() { rt.CompleteIO(f, nil) })
+	s.nap, s.napTimer = f, time.AfterFunc(crawlInterval, func() { rt.CompleteIO(f, nil) })
 	return f
 }
 
@@ -182,7 +161,7 @@ func (s *ICilkServer) HandleConn(ep Conn) *icilk.Future {
 		return closedConn
 	}
 	s.conns.Add(1)
-	return rt.Submit(s.cfg.RequestLevel, func(t *icilk.Task) any {
+	return rt.Submit(0, func(t *icilk.Task) any {
 		defer s.conns.Add(-1)
 		s.handleConn(t, rt, store, ep)
 		return nil
@@ -275,9 +254,9 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 		var quit bool
 		if req.Op == opStats && len(req.Keys) == 3 && string(req.Keys[0]) == "cachedump" {
 			// Whole-store scan: intercepted before the sequential
-			// executor and run as a data-parallel sweep at ScanLevel.
-			// Reply bytes are identical to ExecuteAppend's.
-			reply = s.cachedumpParallel(t, store, string(req.Keys[1]), string(req.Keys[2]), reply[:0])
+			// executor and run as a data-parallel sweep at the lowest
+			// level. Reply bytes are identical to ExecuteAppend's.
+			reply = s.cachedumpParallel(t, rt, store, string(req.Keys[1]), string(req.Keys[2]), reply[:0])
 		} else {
 			reply, quit = ExecuteAppend(store, &req, reply[:0])
 		}
@@ -296,7 +275,7 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 		// yield may park this routine for a while and the replies so
 		// far must not wait on it.
 		sinceYield++
-		if sinceYield >= s.cfg.BatchLimit && lr.Buffered() {
+		if sinceYield >= batchLimit && lr.Buffered() {
 			sinceYield = 0
 			ep.Flush()
 			t.Yield()
@@ -347,7 +326,7 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr 
 			return
 		}
 		sinceYield++
-		if sinceYield >= s.cfg.BatchLimit && lr.Buffered() {
+		if sinceYield >= batchLimit && lr.Buffered() {
 			sinceYield = 0
 			ep.Flush()
 			t.Yield()
@@ -356,19 +335,19 @@ func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr 
 }
 
 // cachedumpParallel serves "stats cachedump <shard|all> <limit>" as a
-// future routine at ScanLevel whose body scans the selected shards
-// with a data-parallel Map — one loop iteration per shard snapshot,
-// each a lock-bounded LRU walk. The connection routine blocks on the
-// scan future (suspending, not spinning), the scan's split points are
-// promptness checks, and the rendered bytes match the sequential
-// cachedumpAppend exactly: same per-shard snapshots, same shard
-// order, same global limit, same renderer.
-func (s *ICilkServer) cachedumpParallel(t *icilk.Task, store *Store, shardSel, limitStr string, dst []byte) []byte {
+// future routine at the lowest level whose body scans the selected
+// shards with a data-parallel Map — one loop iteration per shard
+// snapshot, each a lock-bounded LRU walk. The connection routine
+// blocks on the scan future (suspending, not spinning), the scan's
+// split points are promptness checks, and the rendered bytes match
+// the sequential cachedumpAppend exactly: same per-shard snapshots,
+// same shard order, same global limit, same renderer.
+func (s *ICilkServer) cachedumpParallel(t *icilk.Task, rt *icilk.Runtime, store *Store, shardSel, limitStr string, dst []byte) []byte {
 	shards, limit, ok := cachedumpArgs(store, shardSel, limitStr)
 	if !ok {
 		return append(dst, replyBadCachedump...)
 	}
-	f := t.FutCreate(s.cfg.ScanLevel, func(ct *icilk.Task) any {
+	f := t.FutCreate(rt.Levels()-1, func(ct *icilk.Task) any {
 		return icilk.Map(ct, shards, 1, func(si int) []DumpEntry {
 			return store.DumpShard(si, limit)
 		})
@@ -392,7 +371,7 @@ func (s *ICilkServer) recordRequest(d time.Duration) {
 // ActiveConns returns the number of live connection routines.
 func (s *ICilkServer) ActiveConns() int64 { return s.conns.Load() }
 
-// Close stops the crawler, cutting its pending CrawlInterval short,
+// Close stops the crawler, cutting its pending crawlInterval short,
 // and waits for it; then the server lets go of its store and runtime.
 // Close the listener first. Connection routines already running keep
 // serving their clients from the store they started with and exit

@@ -15,12 +15,6 @@ type PthreadConfig struct {
 	// Workers is the number of event-loop worker threads. The paper
 	// (and the Memcached documentation) runs 4.
 	Workers int
-	// BatchLimit is how many pipelined requests a callback processes
-	// before voluntarily yielding back to the event loop. Default 20.
-	BatchLimit int
-	// CrawlInterval paces the background LRU crawler thread. Default
-	// 100ms; the paper notes background threads "rarely ran".
-	CrawlInterval time.Duration
 }
 
 // PthreadServer is the baseline Memcached architecture: a main
@@ -32,7 +26,6 @@ type PthreadConfig struct {
 // The server borrows the Store it is built with until Close; once
 // Close has returned it holds neither the store nor its event bases.
 type PthreadServer struct {
-	cfg  PthreadConfig
 	wg   sync.WaitGroup
 	next atomic.Int64 // round-robin connection assignment
 	stop chan struct{}
@@ -51,13 +44,7 @@ func NewPthreadServer(store *Store, cfg PthreadConfig) *PthreadServer {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.BatchLimit <= 0 {
-		cfg.BatchLimit = 20
-	}
-	if cfg.CrawlInterval <= 0 {
-		cfg.CrawlInterval = 100 * time.Millisecond
-	}
-	s := &PthreadServer{store: store, cfg: cfg, stop: make(chan struct{})}
+	s := &PthreadServer{store: store, stop: make(chan struct{})}
 	s.bases = make([]*levent.Base, cfg.Workers)
 	for i := range s.bases {
 		s.bases[i] = levent.NewBase()
@@ -246,7 +233,7 @@ func (s *PthreadServer) onReadable(e *levent.Event) {
 	cs := e.UserData().(*connState)
 	cs.drain()
 	executed := 0
-	for executed < s.cfg.BatchLimit {
+	for executed < batchLimit {
 		progress, exec, quit := cs.step(s.store)
 		if quit {
 			cs.ep.Close()
@@ -263,7 +250,7 @@ func (s *PthreadServer) onReadable(e *levent.Event) {
 	// batch produced.
 	cs.ep.Flush()
 	cs.compact()
-	if cs.buffered() && executed >= s.cfg.BatchLimit {
+	if cs.buffered() && executed >= batchLimit {
 		// Voluntary yield: requeue behind other ready connections.
 		e.Reactivate()
 		return
@@ -299,7 +286,7 @@ func (s *PthreadServer) Serve(ln *netsim.Listener) {
 		go func() {
 			defer s.wg.Done()
 			i := 0
-			t := time.NewTicker(s.cfg.CrawlInterval)
+			t := time.NewTicker(crawlInterval)
 			defer t.Stop()
 			for {
 				select {

@@ -1,6 +1,7 @@
 package memcached
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -91,12 +92,50 @@ func TestICilkServerEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := NewICilkServer(store, rt, ICilkConfig{CrawlInterval: 5 * time.Millisecond})
+			srv := NewICilkServer(store, rt, ICilkConfig{})
 			ln := netsim.NewListener()
 			go srv.Serve(ln)
 			defer func() { ln.Close(); srv.Close(); rt.Close() }()
 
 			dialAndExchange(t, ln, serverScript, serverWant)
+		})
+	}
+}
+
+// TestBadCrawlIDKeepsServing: an out-of-range "lru_crawler crawl"
+// id gets CLIENT_ERROR on either frontend, the same connection stays
+// usable, and the server goes on serving a second connection.
+func TestBadCrawlIDKeepsServing(t *testing.T) {
+	frontends := map[string]func(*testing.T, *Store, *netsim.Listener) (stop func()){
+		"pthread": func(_ *testing.T, store *Store, ln *netsim.Listener) func() {
+			srv := NewPthreadServer(store, PthreadConfig{Workers: 2})
+			go srv.Serve(ln)
+			return srv.Close
+		},
+		"icilk": func(t *testing.T, store *Store, ln *netsim.Listener) func() {
+			rt, err := icilk.New(icilk.Config{Workers: 2, Levels: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := NewICilkServer(store, rt, ICilkConfig{})
+			go srv.Serve(ln)
+			return func() { srv.Close(); rt.Close() }
+		},
+	}
+	for name, start := range frontends {
+		t.Run(name, func(t *testing.T) {
+			store := NewStore(StoreConfig{})
+			ln := netsim.NewListener()
+			stop := start(t, store, ln)
+			defer func() { ln.Close(); stop() }()
+
+			const bad = "CLIENT_ERROR bad class id"
+			dialAndExchange(t, ln, []string{
+				"lru_crawler crawl -1\r\n",
+				fmt.Sprintf("lru_crawler crawl %d\r\n", store.Shards()),
+				"version\r\n",
+			}, []string{bad, bad, "VERSION"})
+			dialAndExchange(t, ln, []string{"version\r\n"}, []string{"VERSION"})
 		})
 	}
 }
@@ -107,7 +146,7 @@ func TestICilkServerPipelinedRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewICilkServer(store, rt, ICilkConfig{BatchLimit: 4})
+	srv := NewICilkServer(store, rt, ICilkConfig{})
 	ln := netsim.NewListener()
 	go srv.Serve(ln)
 	defer func() { ln.Close(); srv.Close(); rt.Close() }()
@@ -117,7 +156,8 @@ func TestICilkServerPipelinedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	// Send 50 pipelined sets in one write, then read 50 STORED.
+	// Send 50 pipelined sets in one write, crossing batchLimit twice,
+	// then read 50 STORED.
 	var sb strings.Builder
 	for i := 0; i < 50; i++ {
 		sb.WriteString("set k 0 0 1\r\nx\r\n")

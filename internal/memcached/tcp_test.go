@@ -19,13 +19,16 @@ import (
 // TestICilkServerOverRealTCP runs the task-parallel memcached over a
 // real loopback TCP socket, on each readiness transport netreal has
 // here, and drives it with a plain bufio client — the deployment path
-// of cmd/memcached-server.
+// of cmd/memcached-server. The pump case hides each accepted conn's fd
+// behind a wrapper, which is how netreal comes to pick the pump.
 func TestICilkServerOverRealTCP(t *testing.T) {
-	transports := map[string]netreal.Mode{"pump": netreal.ModePump}
-	if netpoll.Supported {
-		transports["poll"] = netreal.ModePoll
+	transports := map[string]func(net.Conn) net.Conn{
+		"pump": func(c net.Conn) net.Conn { return struct{ net.Conn }{c} },
 	}
-	for name, mode := range transports {
+	if netpoll.Supported {
+		transports["poll"] = func(c net.Conn) net.Conn { return c }
+	}
+	for name, wrap := range transports {
 		t.Run(name, func(t *testing.T) {
 			rt, err := icilk.New(icilk.Config{Workers: 2, Levels: 2})
 			if err != nil {
@@ -42,14 +45,14 @@ func TestICilkServerOverRealTCP(t *testing.T) {
 				t.Skipf("loopback TCP unavailable: %v", err)
 			}
 			defer nl.Close()
-			opts := netreal.Options{Mode: mode, Batcher: rt.IOBatcher()}
+			opts := netreal.Options{Batcher: rt.IOBatcher()}
 			go func() {
 				for {
 					nc, err := nl.Accept()
 					if err != nil {
 						return
 					}
-					srv.HandleConn(netreal.WrapOptions(nc, opts))
+					srv.HandleConn(netreal.WrapOptions(wrap(nc), opts))
 				}
 			}()
 
@@ -121,7 +124,7 @@ func TestICilkServerOverRealTCP(t *testing.T) {
 			// One epoll_ctl registers the connection; a park costs two
 			// more: EPOLLOUT on, and off once the poller has written the
 			// last byte, which can come just after the client read it.
-			if mode == netreal.ModePoll {
+			if name == "poll" {
 				parked := func() bool { return netpoll.PollStats.EpollCtls()-ctls >= 3 }
 				for deadline := time.Now().Add(5 * time.Second); !parked() && time.Now().Before(deadline); {
 					time.Sleep(time.Millisecond)

@@ -287,9 +287,6 @@ type Desc struct {
 	closed bool
 }
 
-// FD returns the registered file descriptor.
-func (d *Desc) FD() int { return d.fd }
-
 // SetReadInterest enables or disables EPOLLIN delivery.
 func (d *Desc) SetReadInterest(on bool) error {
 	return d.mod(syscall.EPOLLIN, on)

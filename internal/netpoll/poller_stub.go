@@ -31,9 +31,6 @@ func (g *Group) Close() error { return nil }
 // one, so its methods are unreachable.
 type Desc struct{}
 
-// FD is unreachable in unsupported builds.
-func (d *Desc) FD() int { return -1 }
-
 // SetReadInterest is unreachable in unsupported builds.
 func (d *Desc) SetReadInterest(on bool) error { return errUnsupported }
 

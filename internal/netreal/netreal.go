@@ -87,8 +87,9 @@ var chunkPool sync.Pool
 // Stats aggregates I/O accounting across a set of adapted
 // connections: how many bytes the pumps are holding (memory pressure
 // from slow consumers), how often backpressure engaged, buffer-pool
-// recycling effectiveness, and total socket traffic. Wrap charges
-// connections to DefaultStats; WrapStats takes an explicit instance.
+// recycling effectiveness, and total socket traffic. WrapOptions
+// charges connections to Options.Stats, or to DefaultStats if it is
+// nil.
 type Stats struct {
 	buffered   atomic.Int64
 	readBytes  atomic.Int64
@@ -100,7 +101,8 @@ type Stats struct {
 	sysWrites  atomic.Int64
 }
 
-// DefaultStats is the process-wide account used by Wrap.
+// DefaultStats is the process-wide account used when Options.Stats
+// is nil.
 var DefaultStats = &Stats{}
 
 // Buffered returns the bytes currently buffered across live
@@ -181,21 +183,12 @@ func (s *Stats) RegisterMetrics(reg *metrics.Registry) {
 		metrics.L("op", "write"))
 }
 
-// Mode selects how a wrapped connection detects readiness.
+// Mode is the type of Options.Mode, which nothing reads; see
+// WrapOptions.
 type Mode int
 
-const (
-	// ModeAuto uses the shared epoll poller when the build supports
-	// it and the conn exposes a file descriptor, otherwise the
-	// per-connection pump. The default.
-	ModeAuto Mode = iota
-	// ModePump forces the per-connection pump goroutine (the
-	// portable fallback).
-	ModePump
-	// ModePoll requests the shared poller, falling back to the pump
-	// if the build or the conn cannot support it.
-	ModePoll
-)
+// ModePoll is the zero and only Mode.
+const ModePoll Mode = 0
 
 // Options configures WrapOptions.
 type Options struct {
@@ -208,7 +201,7 @@ type Options struct {
 	// closed). nil runs each callback bare, which is fine for tests
 	// but forfeits both.
 	Batcher netpoll.Batcher
-	// Mode selects pump vs poller; see Mode.
+	// Mode is not read; see WrapOptions.
 	Mode Mode
 	// Group overrides the process-shared poller group (tests).
 	Group *netpoll.Group
@@ -245,20 +238,13 @@ type Conn struct {
 	dead  bool        // poller mode: no further raw-fd writes (closing)
 }
 
-// Wrap adapts nc with default options (shared poller when supported,
-// pump otherwise), charging accounting to DefaultStats.
-func Wrap(nc net.Conn) *Conn { return WrapOptions(nc, Options{}) }
-
-// WrapStats adapts nc with default mode selection, charging
-// accounting to stats.
-func WrapStats(nc net.Conn, stats *Stats) *Conn {
-	return WrapOptions(nc, Options{Stats: stats})
-}
-
-// WrapOptions adapts nc according to o. Mode selection degrades
-// gracefully: the poller requires netpoll.Supported and a conn that
-// implements syscall.Conn (net.Pipe does not), and otherwise the
-// per-connection pump takes over.
+// WrapOptions adapts nc according to o. The readiness engine is
+// chosen from what nc and the build offer, not from o.Mode: the
+// shared poller when netpoll.Supported and nc implements syscall.Conn,
+// and otherwise the per-connection pump (net.Pipe and other conns
+// without an fd, non-Linux builds, builds tagged icilk_nopoll).
+// Options.Mode and its type remain only because benchmark/mc.go names
+// netreal.ModePoll.
 func WrapOptions(nc net.Conn, o Options) *Conn {
 	stats := o.Stats
 	if stats == nil {
@@ -269,7 +255,7 @@ func WrapOptions(nc net.Conn, o Options) *Conn {
 	stats.conns.Add(1)
 
 	sc, _ := nc.(syscall.Conn)
-	if o.Mode != ModePump && netpoll.Supported && sc != nil {
+	if netpoll.Supported && sc != nil {
 		g := o.Group
 		if g == nil {
 			g = sharedGroup()

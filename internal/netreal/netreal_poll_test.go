@@ -91,44 +91,50 @@ func drainAll(t *testing.T, c *Conn, deadline time.Duration) ([]byte, error) {
 	}
 }
 
-// TestPollerActiveSelection checks mode selection: ModePoll with a
-// group attaches the shared poller; ModePump never does.
+// TestPollerActiveSelection checks the engine selection rule: a TCP
+// conn, which exposes its fd, gets the shared poller; the same kind
+// of conn behind a wrapper that hides the fd gets the pump.
 func TestPollerActiveSelection(t *testing.T) {
 	g := newPollGroup(t)
 	srv, cli := tcpPair(t)
 	defer cli.Close()
 	st := &Stats{}
-	c := WrapOptions(srv, Options{Stats: st, Mode: ModePoll, Group: g})
+	c := WrapOptions(srv, Options{Stats: st, Group: g})
 	defer c.Close()
 	if !c.PollerActive() {
-		t.Fatal("ModePoll over TCP: PollerActive() = false")
+		t.Fatal("TCP conn: PollerActive() = false")
 	}
 
 	srv2, cli2 := tcpPair(t)
 	defer cli2.Close()
-	c2 := WrapOptions(srv2, Options{Stats: st, Mode: ModePump, Group: g})
+	c2 := WrapOptions(struct{ net.Conn }{srv2}, Options{Stats: st, Group: g})
 	defer c2.Close()
 	if c2.PollerActive() {
-		t.Fatal("ModePump: PollerActive() = true")
+		t.Fatal("fd-less wrapper: PollerActive() = true")
 	}
 }
 
 // TestPollPumpParity streams the same pseudorandom sequence through
 // both transports and checks byte-for-byte delivery plus EOF-after-
 // drain. This is the pump-vs-poller equivalence check: the consumer
-// cannot tell which readiness engine fed its chunk ring.
+// cannot tell which readiness engine fed its chunk ring. The pump
+// case hides the TCP conn's fd behind a wrapper, which is how
+// WrapOptions comes to pick the pump.
 func TestPollPumpParity(t *testing.T) {
 	const total = 4 << 20
 	for _, mode := range []struct {
 		name string
-		mode Mode
+		wrap func(net.Conn) net.Conn
 		poll bool
-	}{{"poll", ModePoll, true}, {"pump", ModePump, false}} {
+	}{
+		{"poll", func(c net.Conn) net.Conn { return c }, true},
+		{"pump", func(c net.Conn) net.Conn { return struct{ net.Conn }{c} }, false},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
 			g := newPollGroup(t)
 			srv, cli := tcpPair(t)
 			st := &Stats{}
-			c := WrapOptions(srv, Options{Stats: st, Mode: mode.mode, Group: g})
+			c := WrapOptions(mode.wrap(srv), Options{Stats: st, Group: g})
 			defer c.Close()
 			if c.PollerActive() != mode.poll {
 				t.Fatalf("PollerActive() = %v, want %v", c.PollerActive(), mode.poll)
@@ -171,7 +177,7 @@ func TestPollPumpParity(t *testing.T) {
 func TestPollEOFAfterDrain(t *testing.T) {
 	g := newPollGroup(t)
 	srv, cli := tcpPair(t)
-	c := WrapOptions(srv, Options{Stats: &Stats{}, Mode: ModePoll, Group: g})
+	c := WrapOptions(srv, Options{Stats: &Stats{}, Group: g})
 	defer c.Close()
 
 	want := pattern(3000, 7)
@@ -194,7 +200,7 @@ func TestPollEOFAfterDrain(t *testing.T) {
 func TestPollRSTTerminal(t *testing.T) {
 	g := newPollGroup(t)
 	srv, cli := tcpPair(t)
-	c := WrapOptions(srv, Options{Stats: &Stats{}, Mode: ModePoll, Group: g})
+	c := WrapOptions(srv, Options{Stats: &Stats{}, Group: g})
 	defer c.Close()
 
 	cli.Write([]byte("partial request then bang"))
@@ -219,7 +225,7 @@ func TestPollWriteParkNonBlocking(t *testing.T) {
 	// throttled by a tiny receive window's delayed-ACK stalls.
 	srv.SetWriteBuffer(16 << 10)
 	cli.SetReadBuffer(256 << 10)
-	c := WrapOptions(srv, Options{Stats: &Stats{}, Mode: ModePoll, Group: g})
+	c := WrapOptions(srv, Options{Stats: &Stats{}, Group: g})
 	defer c.Close()
 	if !c.PollerActive() {
 		t.Skip("poller unavailable")

@@ -11,7 +11,7 @@ import (
 // pipePair returns two adapted ends of an in-process net.Pipe.
 func pipePair() (*Conn, net.Conn) {
 	a, b := net.Pipe()
-	return Wrap(a), b
+	return WrapOptions(a, Options{}), b
 }
 
 func waitReadable(t *testing.T, c *Conn) {

@@ -15,7 +15,7 @@ import (
 func TestStressRecycledChunks(t *testing.T) {
 	a, b := net.Pipe()
 	stats := &Stats{}
-	c := WrapStats(a, stats)
+	c := WrapOptions(a, Options{Stats: stats})
 	defer c.Close()
 
 	const total = 8 << 20 // 512 chunks' worth
@@ -99,7 +99,7 @@ func TestStressRecycledChunks(t *testing.T) {
 func TestBackpressurePausesOncePerEpisode(t *testing.T) {
 	a, b := net.Pipe()
 	stats := &Stats{}
-	c := WrapStats(a, stats)
+	c := WrapOptions(a, Options{Stats: stats})
 	defer c.Close()
 
 	const total = bufferSoftCap + 8*chunkSize
@@ -176,7 +176,7 @@ func TestBackpressurePausesOncePerEpisode(t *testing.T) {
 func TestDrainedConnectionReleasesChunks(t *testing.T) {
 	a, b := net.Pipe()
 	stats := &Stats{}
-	c := WrapStats(a, stats)
+	c := WrapOptions(a, Options{Stats: stats})
 	defer c.Close()
 
 	const total = 5 * chunkSize

@@ -134,7 +134,7 @@ func TestSuspendedReadAllocFreeTCP(t *testing.T) {
 	}
 	defer g.Close()
 	srv := netreal.WrapOptions(nc, netreal.Options{
-		Stats: &netreal.Stats{}, Mode: netreal.ModePoll, Group: g, Batcher: rt.IOBatcher(),
+		Stats: &netreal.Stats{}, Group: g, Batcher: rt.IOBatcher(),
 	})
 	defer srv.Close()
 	if !srv.CompletesOnPoller() {

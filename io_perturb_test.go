@@ -42,7 +42,7 @@ func TestPerturbPollerDelivery(t *testing.T) {
 
 			wrap := func(nc net.Conn) *netreal.Conn {
 				return netreal.WrapOptions(nc, netreal.Options{
-					Stats: &netreal.Stats{}, Mode: netreal.ModePoll, Group: g, Batcher: rt.IOBatcher(),
+					Stats: &netreal.Stats{}, Group: g, Batcher: rt.IOBatcher(),
 				})
 			}
 			const conns, rounds = 4, 50

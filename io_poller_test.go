@@ -63,7 +63,7 @@ func TestPollerCompletesWithoutIOPool(t *testing.T) {
 	nc, cli := tcpConn(t)
 	defer cli.Close()
 	srv := netreal.WrapOptions(nc, netreal.Options{
-		Stats: &netreal.Stats{}, Mode: netreal.ModePoll, Batcher: rt.IOBatcher(),
+		Stats: &netreal.Stats{}, Batcher: rt.IOBatcher(),
 	})
 	defer srv.Close()
 	server := echoLines(rt, srv)
@@ -112,7 +112,7 @@ func TestLateCompletionAfterCloseTCP(t *testing.T) {
 	nc, cli := tcpConn(t)
 	st := &netreal.Stats{}
 	srv := netreal.WrapOptions(nc, netreal.Options{
-		Stats: st, Mode: netreal.ModePoll, Group: g, Batcher: rt.IOBatcher(),
+		Stats: st, Group: g, Batcher: rt.IOBatcher(),
 	})
 	rt.Submit(0, func(task *Task) any {
 		rt.Read(task, srv, make([]byte, 16))

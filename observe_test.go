@@ -48,7 +48,7 @@ func TestAdminEndToEnd(t *testing.T) {
 			if err != nil {
 				return
 			}
-			srv.HandleConn(netreal.WrapStats(nc, netStats))
+			srv.HandleConn(netreal.WrapOptions(nc, netreal.Options{Stats: netStats}))
 		}
 	}()
 
