@@ -81,33 +81,46 @@ func logParams(b *testing.B, best *bench.Run) {
 
 // reportMemcached measures one Memcached point on the pthread baseline
 // and on each spec (best of its sweep by p99), reporting the given
-// latency percentiles of each.
-func reportMemcached(b *testing.B, opt bench.MemcachedOptions, specs []bench.Spec, pcts ...float64) {
+// latency percentiles of each, and returns each spec's run.
+func reportMemcached(b *testing.B, opt bench.MemcachedOptions, specs []bench.Spec, pcts ...float64) []*bench.Run {
 	report := func(name string, r *bench.Run) {
 		for _, p := range pcts {
 			b.ReportMetric(us(r.Latency.Percentile(p)), fmt.Sprintf("%s-p%g-us", name, p))
 		}
 	}
 	report("pthread", must(b)(bench.RunMemcachedPthread(opt)))
-	for _, spec := range specs {
+	runs := make([]*bench.Run, len(specs))
+	for i, spec := range specs {
 		best, _, err := bench.BestMemcached(spec, opt)
-		report(spec.Name, must(b)(best, err))
+		runs[i] = must(b)(best, err)
+		report(spec.Name, runs[i])
 		if len(spec.Sweep) > 0 {
 			logParams(b, best)
 		}
 	}
+	return runs
+}
+
+// futilePerOp is a run's futile wakes — wakes from Prompt's sleep gate
+// that found no work — per completed operation.
+func futilePerOp(r *bench.Run) float64 {
+	return float64(r.Waste.FutileWakes) / float64(max(r.Completed, 1))
 }
 
 // BenchmarkFig1MemcachedP99 reproduces Figure 1: Memcached p99 vs RPS
 // under pthread, Adaptive I-Cilk (best of DefaultSweep) and Prompt
 // I-Cilk. Paper: Adaptive far above pthread ≈ Prompt at every load.
+// Each scheduler's futile wakes per request are reported beside it.
 func BenchmarkFig1MemcachedP99(b *testing.B) {
 	specs := []bench.Spec{
 		{Name: "adaptive", Kind: icilk.Adaptive, Sweep: bench.DefaultSweep()},
 		{Name: "prompt", Kind: icilk.Prompt},
 	}
 	eachPoint(b, []float64{400, 800, 1200, 1600}, func(b *testing.B, rps float64) {
-		reportMemcached(b, bench.MemcachedOptions{RPS: rps, Duration: window(1500 * time.Millisecond)}, specs, 99)
+		runs := reportMemcached(b, bench.MemcachedOptions{RPS: rps, Duration: window(1500 * time.Millisecond)}, specs, 99)
+		for i, r := range runs {
+			b.ReportMetric(futilePerOp(r), specs[i].Name+"-futile-wakes/op")
+		}
 	})
 }
 
@@ -190,8 +203,8 @@ func BenchmarkFig5EmailServer(b *testing.B) {
 
 // BenchmarkFig6Waste reproduces Figure 6: waste and running time of
 // Adaptive vs Prompt on each of the three applications, with the event
-// counts behind them. Paper: Prompt's running time slightly higher, its
-// waste much lower.
+// counts behind them (futile wakes per completed request). Paper:
+// Prompt's running time slightly higher, its waste much lower.
 func BenchmarkFig6Waste(b *testing.B) {
 	dur := window(3 * time.Second)
 	params := bench.DefaultSweep()[1]
@@ -212,7 +225,8 @@ func BenchmarkFig6Waste(b *testing.B) {
 		b.Run(app.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, kind := range []icilk.Scheduler{icilk.Adaptive, icilk.Prompt} {
-					w := must(b)(app.run(kind)).Waste
+					r := must(b)(app.run(kind))
+					w := r.Waste
 					k := kind.String() + "-"
 					b.ReportMetric(us(w.Running()), k+"running-us")
 					b.ReportMetric(us(w.Work), k+"work-us")
@@ -221,6 +235,7 @@ func BenchmarkFig6Waste(b *testing.B) {
 					b.ReportMetric(float64(w.Muggings), k+"mugs")
 					b.ReportMetric(float64(w.FailedSteals), k+"failed-steals")
 					b.ReportMetric(float64(w.Sleeps), k+"sleeps")
+					b.ReportMetric(futilePerOp(r), k+"futile-wakes/op")
 					b.ReportMetric(float64(w.Abandons), k+"abandons")
 				}
 			}

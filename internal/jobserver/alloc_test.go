@@ -33,19 +33,20 @@ func TestSortKernelsAllocFree(t *testing.T) {
 }
 
 // TestJobAllocBudget gates what one request may allocate in steady
-// state: the boxed result (sw's score is small enough to box for free)
-// and a 1/32 share of the block its future comes from. The waiter's
-// channel is pooled, there is no root closure (the request is a pooled
-// jobReq), mm's loop body is bound once per scratch, and there is no
-// object per fork: mm's loop splits, fib's 12 frames and sort's one
-// half (2048 elements over 1024-element leaves; a merge that size is
+// state: a 1/32 share of the block its future comes from and a 1/32
+// share of the block its result cell comes from (cellResult), so about
+// 0.06 objects, for every class. The waiter's channel is pooled, there
+// is no root closure (the request is a pooled jobReq), the checksum is
+// not boxed, mm's loop body is bound once per scratch, and there is no
+// object per fork: mm's loop splits, fib's 12 frames and sort's one half
+// (2048 elements over 1024-element leaves; a merge that size is
 // sequential) are records that ride the task contexts, and sw's tile
 // frames live in its scratch. The inputs, work arrays and generators
 // are the scratch pools' and the stack's. The counter is the whole
 // process's, so the smallest of three windows is read; the allowance
-// above the whole numbers is the future's block share, a context that
-// meets a fork with no record parked yet (a goroutine new to the
-// class) and a pool refill after a GC.
+// above the two block shares is a context that meets a fork with no
+// record parked yet (a goroutine new to the class) and a pool refill
+// after a GC.
 func TestJobAllocBudget(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")
@@ -56,8 +57,8 @@ func TestJobAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const warm, rounds, windows = 200, 2000, 3
-	const maxBytes = 1 << 10
-	for class, maxMallocs := range [Levels]float64{1.1, 1.1, 1.1, 0.1} {
+	const maxMallocs, maxBytes = 0.1, 1 << 10
+	for class := range Levels {
 		for i := int64(0); i < warm; i++ {
 			srv.Do(class, i).Wait()
 		}

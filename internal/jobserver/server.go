@@ -3,6 +3,7 @@ package jobserver
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"icilk"
 	"icilk/internal/invariant"
@@ -36,6 +37,8 @@ type Server struct {
 	// Per-class scratch sized from cfg; run says who owns one when.
 	mm, sort, sw sync.Pool
 	reqs         sync.Pool // *jobReq
+
+	cells atomic.Pointer[cellBlock] // where run's results live (cellResult)
 }
 
 // One request's inputs and work arrays, per class.
@@ -134,7 +137,8 @@ func (s *Server) Job(class int, seq int64) (level int, fn func(*icilk.Task) any)
 }
 
 // run is the task body. The record has done its work once class and
-// seq are read, so it goes back to the pool before the job starts.
+// seq are read, so it goes back to the pool before the job starts. The
+// checksum comes back in a result cell rather than a box of its own.
 //
 // A job owns its scratch from Get to its normal return and recycles it
 // there, never from a defer: a cancellation unwinds through the body
@@ -146,13 +150,13 @@ func (r *jobReq) run(t *icilk.Task) any {
 	s.reqs.Put(r)
 	switch class {
 	case 0:
-		return s.runMM(t, seq)
+		return cellResult(&s.cells, s.runMM(t, seq))
 	case 1:
-		return Fib(t, s.cfg.FibN)
+		return cellResult(&s.cells, Fib(t, s.cfg.FibN))
 	case 2:
-		return s.runSort(t, seq)
+		return cellResult(&s.cells, s.runSort(t, seq))
 	default:
-		return s.runSW(t, seq)
+		return cellResult(&s.cells, s.runSW(t, seq))
 	}
 }
 

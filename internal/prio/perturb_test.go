@@ -35,7 +35,7 @@ func TestPerturbLostWakeup(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for {
-						if _, ok := b.WaitNonZero(nil); !ok {
+						if _, _, ok := b.WaitNonZero(nil); !ok {
 							return // stopped
 						}
 						wakeups.Add(1)
@@ -113,7 +113,7 @@ func TestPerturbCoalescedWakeLoss(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for {
-						if _, ok := b.WaitNonZero(nil); !ok {
+						if _, _, ok := b.WaitNonZero(nil); !ok {
 							return
 						}
 						if lvl, ok := b.Highest(); ok {

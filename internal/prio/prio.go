@@ -49,6 +49,10 @@ type Bitfield struct {
 	// sleep path is far off the hot path — so the debug lost-wakeup
 	// detector and tests can observe the gate's population.
 	sleepers int
+	// wakes counts returns from cond.Wait (guarded by mu). A sleeper
+	// bumps it and re-checks the field in one critical section, so a
+	// test that reads it under mu knows the re-check has happened.
+	wakes int
 }
 
 // New returns an empty bitfield.
@@ -186,7 +190,13 @@ func (b *Bitfield) DoubleCheckClear(level int, empty func() bool) {
 // the paper's waste accounting for Prompt I-Cilk, which charges the
 // sleep/wake *transitions* (not the idle block, which consumes no
 // core) to waste.
-func (b *Bitfield) WaitNonZero(onSleep func()) (awake time.Duration, ok bool) {
+//
+// wakes is how many times the caller woke from the condition variable.
+// Every wake but the last found the field zero again and went back to
+// sleep: a broadcast readies every sleeper, and one that reaches the
+// lock after another worker has already taken the work and cleared the
+// bit sleeps again.
+func (b *Bitfield) WaitNonZero(onSleep func()) (awake time.Duration, wakes int, ok bool) {
 	t0 := time.Now()
 	b.mu.Lock()
 	slept := false
@@ -201,10 +211,12 @@ func (b *Bitfield) WaitNonZero(onSleep func()) (awake time.Duration, ok bool) {
 		b.sleepers++
 		b.cond.Wait()
 		b.sleepers--
+		b.wakes++
+		wakes++
 		t0 = time.Now()
 	}
 	b.mu.Unlock()
-	return awake + time.Since(t0), !b.stopped.Load()
+	return awake + time.Since(t0), wakes, !b.stopped.Load()
 }
 
 // Stop wakes all sleepers permanently; subsequent WaitNonZero calls

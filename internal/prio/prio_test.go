@@ -86,7 +86,7 @@ func TestWaitNonZeroWakesOnSet(t *testing.T) {
 	var slept atomic.Bool
 	done := make(chan struct{})
 	go func() {
-		_, ok := b.WaitNonZero(func() { slept.Store(true) })
+		_, _, ok := b.WaitNonZero(func() { slept.Store(true) })
 		if !ok {
 			t.Error("WaitNonZero reported stopped")
 		}
@@ -108,11 +108,60 @@ func TestWaitNonZeroWakesOnSet(t *testing.T) {
 	}
 }
 
+// TestWaitNonZeroCountsResleep: a sleeper woken by a broadcast whose
+// bit is gone by the time it re-checks the field goes back to sleep,
+// and WaitNonZero reports that futile wake beside the one it returns
+// on. The bit is set and cleared around the broadcast under b.mu, as
+// when another worker takes the work first; each step waits for the
+// sleeper under b.mu, so the order is fixed.
+func TestWaitNonZeroCountsResleep(t *testing.T) {
+	b := New()
+	type result struct {
+		wakes int
+		ok    bool
+	}
+	res := make(chan result, 1)
+	go func() {
+		_, wakes, ok := b.WaitNonZero(nil)
+		res <- result{wakes, ok}
+	}()
+	waitGate := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			b.mu.Lock()
+			done := cond()
+			b.mu.Unlock()
+			if done {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the sleeper never %s", what)
+			}
+		}
+	}
+	waitGate("slept", func() bool { return b.sleepers == 1 })
+	b.mu.Lock()
+	b.bits.Or(1)
+	b.cond.Broadcast()
+	b.bits.And(0)
+	b.mu.Unlock()
+	waitGate("slept again", func() bool { return b.wakes == 1 && b.sleepers == 1 })
+	b.Set(0)
+	select {
+	case r := <-res:
+		if !r.ok || r.wakes != 2 {
+			t.Fatalf("WaitNonZero returned %d wakes (ok %v), want 2: one futile, one real", r.wakes, r.ok)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sleeper was not woken by Set")
+	}
+}
+
 func TestWaitNonZeroImmediateWhenSet(t *testing.T) {
 	b := New()
 	b.Set(0)
 	called := false
-	if _, ok := b.WaitNonZero(func() { called = true }); !ok {
+	if _, _, ok := b.WaitNonZero(func() { called = true }); !ok {
 		t.Fatal("WaitNonZero returned stopped")
 	}
 	if called {
@@ -129,7 +178,7 @@ func TestStopWakesAll(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, results[i] = b.WaitNonZero(nil)
+			_, _, results[i] = b.WaitNonZero(nil)
 		}(i)
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -228,7 +277,7 @@ func TestCoalesceSetHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if _, ok := b.WaitNonZero(nil); !ok {
+				if _, _, ok := b.WaitNonZero(nil); !ok {
 					return
 				}
 				if lvl, ok := b.Highest(); ok {

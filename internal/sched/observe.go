@@ -123,6 +123,9 @@ func (rt *Runtime) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("icilk_sleeps_total",
 		"Idle transitions: bitfield-zero sleeps (Prompt) or allocator parkings (Adaptive).",
 		sum(func(r stats.WasteReport) int64 { return r.Sleeps }))
+	reg.CounterFunc("icilk_futile_wakes_total",
+		"Wakes from the Prompt sleep gate that found no work: back to sleep inside the gate, or a first pop that failed.",
+		sum(func(r stats.WasteReport) int64 { return r.FutileWakes }))
 	reg.CounterFunc("icilk_suspends_total",
 		"Deques suspended at a failed future get.",
 		sum(func(r stats.WasteReport) int64 { return r.Suspends }))

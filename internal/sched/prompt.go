@@ -28,6 +28,9 @@ func (p *promptPolicy) stop()  {}
 // all-zero.
 func (p *promptPolicy) findWork(w *worker) (*node, *dq) {
 	rt := p.rt
+	// woke: the worker has just left the sleep gate and not yet tried
+	// to take work; if that try finds none, the wake was futile.
+	woke := false
 	for {
 		if rt.stopped.Load() {
 			return nil, nil
@@ -39,12 +42,21 @@ func (p *promptPolicy) findWork(w *worker) (*node, *dq) {
 			// (time awake inside the gate) counts as waste, per the
 			// paper's accounting; the blocked time itself consumes no
 			// core and is not charged.
+			if woke {
+				// Out of the gate, but the field was zero again before
+				// this worker could pop.
+				w.clock.CountFutileWakes(1)
+			}
 			rt.trace.Add(trace.Sleep, w.id, -1)
-			awake, alive := rt.bits.WaitNonZero(w.clock.CountSleep)
+			awake, wakes, alive := rt.bits.WaitNonZero(w.clock.CountSleep)
 			w.clock.AddWaste(awake)
 			rt.trace.Add(trace.Wake, w.id, -1)
 			if !alive {
 				return nil, nil
+			}
+			// Every wake but the last slept again inside the gate.
+			if woke = wakes > 0; wakes > 1 {
+				w.clock.CountFutileWakes(wakes - 1)
 			}
 			continue
 		}
@@ -53,6 +65,10 @@ func (p *promptPolicy) findWork(w *worker) (*node, *dq) {
 		if frame, d, ok := p.pool.pop(w, level); ok {
 			w.clock.AddOverhead(time.Since(t0))
 			return frame, d
+		}
+		if woke {
+			w.clock.CountFutileWakes(1)
+			woke = false
 		}
 		// The pool was empty: clear the bit with the double-check
 		// protocol so a racing producer is not left undiscoverable.

@@ -329,6 +329,7 @@ func (rt *Runtime) WasteReport() stats.WasteReport {
 		agg.Muggings += r.Muggings
 		agg.FailedSteals += r.FailedSteals
 		agg.Sleeps += r.Sleeps
+		agg.FutileWakes += r.FutileWakes
 		agg.Abandons += r.Abandons
 		agg.Checks += r.Checks
 		agg.Suspends += r.Suspends

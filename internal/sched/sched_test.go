@@ -220,6 +220,25 @@ func TestWasteReportAccumulates(t *testing.T) {
 	}
 }
 
+// TestSoloJobsNoFutileWakes: with one worker, each job submitted while
+// it sleeps wakes it alone, and it takes that job, so no wake is futile.
+func TestSoloJobsNoFutileWakes(t *testing.T) {
+	rt := newTestRuntime(t, Config{Workers: 1, Levels: 1, Policy: Prompt})
+	const jobs = 100
+	for i := 0; i < jobs; i++ {
+		for deadline := time.Now().Add(5 * time.Second); rt.bits.Sleepers() != 1; time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the worker never went to sleep")
+			}
+		}
+		rt.SubmitFuture(0, func(task *Task) any { return fib(task, 10) }).Wait()
+	}
+	if rep := rt.WasteReport(); rep.FutileWakes != 0 || rep.Sleeps < jobs {
+		t.Fatalf("%d futile wakes and %d sleeps over %d solo jobs, want 0 and at least %d",
+			rep.FutileWakes, rep.Sleeps, jobs, jobs)
+	}
+}
+
 func TestNonEmptyDequesGauge(t *testing.T) {
 	rt := newTestRuntime(t, Config{Workers: 1, Levels: 2, Policy: Prompt})
 	iof := rt.NewIOFuture()

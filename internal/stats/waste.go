@@ -37,6 +37,7 @@ type WorkerClock struct {
 	muggings     atomic.Int64 // whole-deque muggings
 	failedSteals atomic.Int64 // pool/victim probes that found nothing
 	sleeps       atomic.Int64 // bitfield-zero sleep transitions
+	futileWakes  atomic.Int64 // wakes from the sleep gate that found no work
 	abandons     atomic.Int64 // deques abandoned for higher priority
 	checks       atomic.Int64 // bitfield/assignment checks at scheduling points
 	suspends     atomic.Int64 // deques suspended at a failed get
@@ -65,6 +66,11 @@ func (c *WorkerClock) CountFailedSteal() { c.failedSteals.Add(1) }
 // CountSleep records one sleep transition.
 func (c *WorkerClock) CountSleep() { c.sleeps.Add(1) }
 
+// CountFutileWakes records n wakes from the sleep gate that found no
+// work: the sleeper went back to sleep without leaving the gate, or
+// left it and its first attempt to take work came back empty.
+func (c *WorkerClock) CountFutileWakes(n int) { c.futileWakes.Add(int64(n)) }
+
 // CountAbandon records one priority-driven deque abandonment.
 func (c *WorkerClock) CountAbandon() { c.abandons.Add(1) }
 
@@ -88,6 +94,7 @@ type WasteReport struct {
 	Muggings     int64
 	FailedSteals int64
 	Sleeps       int64
+	FutileWakes  int64
 	Abandons     int64
 	Checks       int64
 	Suspends     int64
@@ -108,6 +115,7 @@ func (c *WorkerClock) Snapshot() WasteReport {
 		Muggings:     c.muggings.Load(),
 		FailedSteals: c.failedSteals.Load(),
 		Sleeps:       c.sleeps.Load(),
+		FutileWakes:  c.futileWakes.Load(),
 		Abandons:     c.abandons.Load(),
 		Checks:       c.checks.Load(),
 		Suspends:     c.suspends.Load(),
@@ -124,6 +132,7 @@ func (c *WorkerClock) Reset() {
 	c.muggings.Store(0)
 	c.failedSteals.Store(0)
 	c.sleeps.Store(0)
+	c.futileWakes.Store(0)
 	c.abandons.Store(0)
 	c.checks.Store(0)
 	c.suspends.Store(0)
