@@ -72,7 +72,7 @@ func main() {
 
 	srv.StartCrawler()
 	// The shared pollers complete each pass's futures themselves,
-	// inside the runtime's bracket: one coalesced scheduler wake.
+	// through the runtime's batcher.
 	wrapOpts := netreal.Options{Batcher: rt.IOBatcher()}
 	go func() {
 		for {

@@ -261,10 +261,10 @@ func (r *Runtime) CompleteIO(f *Future, v any) {
 
 // IOBatcher is what external readiness sources (the netreal/netpoll
 // shared pollers) hand each harvest pass's completion callbacks to:
-// it runs them on the caller inside the scheduler's wake-coalescing
-// bracket — every resumed task sets its promptness bit at once, the
-// pass crosses the sleeper futex once — and runs nothing after
-// Close. The returned value implements netpoll.Batcher.
+// it runs them on the caller, in order — each completion wakes
+// sleeping workers as it lands, through the promptness bitfield —
+// and runs nothing after Close. The returned value implements
+// netpoll.Batcher.
 func (r *Runtime) IOBatcher() interface{ SubmitBatch(fns []func()) } { return r.rt }
 
 // Sleep parks the calling task for d without occupying a worker: the

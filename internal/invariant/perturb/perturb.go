@@ -61,8 +61,6 @@ const (
 	Submit     // external submission entering the runtime
 	IO         // I/O pool handoff
 	Predict    // service-time predictor read/update ordering (internal/predict)
-	WakeDefer  // prio: zero→non-zero Set deferring its broadcast to a coalescer flush
-	WakeFlush  // prio: coalescer between departing and claiming the pending broadcast
 	LoopSplit  // data-parallel split decision: between a loop frame's spawn and its continuation (the window a thief steals the other half in)
 	Handoff    // sched: a task has passed its worker's token on and not yet parked (the receiver runs while the passer, which may touch no worker state, is still awake)
 	NetDeliver // netpoll: a pass has mapped its fds and not yet completed their futures on the poller (Desc Close and runtime Close race it)

@@ -12,10 +12,10 @@
 // moves bytes. PollReadable may return a completion callback; the
 // poller hands all callbacks harvested in the pass to the Batcher
 // (the runtime's SubmitBatch) in one call, which runs them on the
-// poller goroutine inside the scheduler's wake-coalescing bracket.
-// The pollers are thus the I/O threads of the design the paper
-// cites: the thread that sees readiness completes the futures, and a
-// pass that resumes N tasks costs one scheduler wake.
+// poller goroutine. The pollers are thus the I/O threads of the
+// design the paper cites: the thread that sees readiness completes
+// the futures, and each completion that takes the scheduler's
+// bitfield from zero wakes its sleeping workers on the spot.
 //
 // On Linux the implementation is raw epoll over the stdlib syscall
 // package (level-triggered, interest-mask toggling for backpressure

@@ -225,12 +225,12 @@ func (p *poller) run() {
 			delivered = true
 		}
 		if delivered {
-			// The wake a completion issued put a worker in this P's
-			// runnext slot, and a raw EpollWait keeps the P in syscall
-			// state: the worker would wait for sysmon to retake the P
-			// (>= 20 µs). Traced mc_tcp, 2 vCPUs: sched.io_resume_us
-			// 26.3 µs and sat_ops_s 3.2e5 without this yield, 8.6 µs
-			// and 5.0e5 with it (EXPERIMENTS.md).
+			// The pass's completions readied workers on this P (the
+			// last one in its runnext slot), and a raw EpollWait keeps
+			// the P in syscall state: they would wait for sysmon to
+			// retake the P (>= 20 µs). Traced mc_tcp, 2 vCPUs:
+			// sched.io_resume_us 26.3 µs and sat_ops_s 3.2e5 without
+			// this yield, 8.6 µs and 5.0e5 with it (EXPERIMENTS.md).
 			runtime.Gosched()
 		}
 	}

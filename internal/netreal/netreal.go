@@ -13,7 +13,7 @@
 //     connection moves bytes with raw nonblocking read/write/writev on
 //     its own fd. The callbacks armed by ArmRead are returned to the
 //     poller, which runs every callback of one harvest pass itself,
-//     in one Options.Batcher call (the runtime's wake bracket).
+//     in one Options.Batcher call (the runtime's SubmitBatch).
 //     A write that would block parks its bytes and waits for
 //     EPOLLOUT; a reader that falls bufferSoftCap behind has its read
 //     interest dropped until it drains.
@@ -196,10 +196,9 @@ type Options struct {
 	// DefaultStats.
 	Stats *Stats
 	// Batcher runs poller completion callbacks on the poller, one
-	// call per pass (normally the runtime, whose SubmitBatch brackets
-	// the pass with wake coalescing and drops it once the runtime is
-	// closed). nil runs each callback bare, which is fine for tests
-	// but forfeits both.
+	// call per pass (normally the runtime, whose SubmitBatch drops
+	// the pass once the runtime is closed). nil runs each callback
+	// bare, which is fine for tests but forfeits that drop.
 	Batcher netpoll.Batcher
 	// Mode is not read; see WrapOptions.
 	Mode Mode

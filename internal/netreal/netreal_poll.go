@@ -55,10 +55,10 @@ func (c *Conn) PollerActive() bool {
 }
 
 // CompletesOnPoller reports that readiness callbacks armed on this
-// connection run on the shared poller inside the batcher's bracket
-// (the runtime's wake coalescing), so the icilk read path may
-// complete futures directly inside them instead of handing them to
-// the I/O pool.
+// connection run on the shared poller through the batcher (the
+// runtime, which drops them once it is closed), so the icilk read
+// path may complete futures directly inside them instead of handing
+// them to the I/O pool.
 func (c *Conn) CompletesOnPoller() bool { return c.pd != nil && c.batcher != nil }
 
 // PollReadable implements netpoll.Conn: drain the socket into the

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"icilk/internal/invariant"
-	"icilk/internal/invariant/perturb"
 )
 
 // MaxLevels is the number of representable priority levels. The paper
@@ -35,12 +34,6 @@ const MaxLevels = 64
 type Bitfield struct {
 	bits    atomic.Uint64
 	stopped atomic.Bool
-
-	// Wake coalescing (see Coalesce): coalescers counts batch drains
-	// in flight; pending records a deferred zero→non-zero broadcast.
-	coalescers atomic.Int32
-	pending    atomic.Bool
-	coalesced  atomic.Int64
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -69,37 +62,18 @@ func New() *Bitfield {
 // workers." It reports whether this call performed that zero→non-zero
 // transition.
 //
-// While a Coalesce batch is in flight the broadcast (only the
-// broadcast — the bit itself is already globally visible, so
-// promptness decisions stay exact) is deferred to the batch's flush.
-// The handoff closes the lost-wakeup window by re-checking the
-// coalescer count after publishing pending: whichever of {this Set,
-// the departing coalescer} observes the other's store delivers the
-// broadcast, and broadcasts are idempotent so both delivering is
-// harmless.
+// Set stays out of line. Inlined into a caller's loop, go1.24.0's amd64
+// code for the value-returning atomic Or reused the register holding
+// the loop's counter, and the loop never ended
+// (TestSetInCallerLoopTerminates).
+//
+//go:noinline
 func (b *Bitfield) Set(level int) (wokeSleepers bool) {
-	old := b.bits.Or(1 << uint(level))
-	if old == 0 {
-		if b.coalescers.Load() > 0 {
-			b.pending.Store(true)
-			if invariant.Enabled {
-				perturb.At(perturb.WakeDefer)
-			}
-			if b.coalescers.Load() > 0 {
-				b.coalesced.Add(1)
-				return true // the coalescer's flush broadcasts
-			}
-			// The coalescer left between the two loads and may have
-			// flushed before seeing pending; claim and deliver it here.
-			if b.pending.Swap(false) {
-				b.broadcast()
-			}
-			return true
-		}
-		b.broadcast()
-		return true
+	if b.bits.Or(1<<uint(level)) != 0 {
+		return false
 	}
-	return false
+	b.broadcast()
+	return true
 }
 
 func (b *Bitfield) broadcast() {
@@ -107,30 +81,6 @@ func (b *Bitfield) broadcast() {
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
-
-// Coalesce runs fn with zero→non-zero broadcasts deferred: every Set
-// inside fn updates the bitfield immediately (the promptness bound
-// argument needs each resumed task's level bit visible before any
-// scheduling decision), but the futex-crossing broadcast is issued
-// at most once, after fn returns. Intended to bracket an I/O
-// completion batch — N resumes, one scheduler wake. Nestable; the
-// broadcast fires when the outermost bracket flushes (or is claimed
-// by a concurrent Set, see Set).
-func (b *Bitfield) Coalesce(fn func()) {
-	b.coalescers.Add(1)
-	fn()
-	b.coalescers.Add(-1)
-	if invariant.Enabled {
-		perturb.At(perturb.WakeFlush)
-	}
-	if b.pending.Swap(false) {
-		b.broadcast()
-	}
-}
-
-// CoalescedWakes counts broadcasts that were absorbed into a
-// Coalesce flush instead of issued inline (diagnostic).
-func (b *Bitfield) CoalescedWakes() int64 { return b.coalesced.Load() }
 
 // Clear marks level as having no work (fetch-and-and).
 func (b *Bitfield) Clear(level int) {
@@ -223,9 +173,7 @@ func (b *Bitfield) WaitNonZero(onSleep func()) (awake time.Duration, wakes int, 
 // return false immediately. Used at runtime shutdown.
 func (b *Bitfield) Stop() {
 	b.stopped.Store(true)
-	b.mu.Lock()
-	b.cond.Broadcast()
-	b.mu.Unlock()
+	b.broadcast()
 }
 
 // Stopped reports whether Stop has been called.
@@ -246,11 +194,8 @@ func (b *Bitfield) Sleepers() int {
 // before blocking, so a sleeper that persists alongside a set bit
 // means a wake-up was lost. Sleepers are legal transiently (a woken
 // worker needs time to leave cond.Wait, and the field may flap), so
-// the probe asserts stability, not an instantaneous state. A sleeper
-// is also legal while a Coalesce bracket holds the broadcast open
-// (coalescers > 0, or pending not yet claimed): the wake obligation
-// exists but is deliberately deferred to the flush, which the probe's
-// re-check observes once it lands. No-op in normal builds.
+// the probe asserts stability, not an instantaneous state. No-op in
+// normal builds.
 func (b *Bitfield) CheckNoSleeperStranded() {
 	if !invariant.Enabled {
 		return
@@ -259,7 +204,6 @@ func (b *Bitfield) CheckNoSleeperStranded() {
 		b.mu.Lock()
 		s := b.sleepers
 		b.mu.Unlock()
-		return s == 0 || b.bits.Load() == 0 || b.stopped.Load() ||
-			b.coalescers.Load() > 0 || b.pending.Load()
+		return s == 0 || b.bits.Load() == 0 || b.stopped.Load()
 	}, "prio: sleeper stranded with non-zero bitfield %#x", b.bits.Load())
 }

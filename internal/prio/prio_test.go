@@ -226,49 +226,36 @@ func TestConcurrentSetClear(t *testing.T) {
 	}
 }
 
-// TestCoalesceDefersBroadcast checks the wake-coalescing contract: a
-// Set inside a Coalesce bracket makes the bit globally visible at
-// once (promptness decisions stay exact) but the sleeper-waking
-// broadcast is absorbed into the bracket's flush.
-func TestCoalesceDefersBroadcast(t *testing.T) {
+// TestSetInCallerLoopTerminates runs Set and Clear in a closure's loop,
+// the shape of the pinned benchmark's prio.set_clear_ns probe. Set
+// inlined there compiled to a loop that never ends (see Set).
+func TestSetInCallerLoopTerminates(t *testing.T) {
 	b := New()
-	woken := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		b.WaitNonZero(nil)
-		close(woken)
+		callWith(10, func(n int) {
+			for i := 0; i < n; i++ {
+				b.Set(2)
+				b.Clear(2)
+			}
+		})
+		close(done)
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for b.Sleepers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("sleeper never parked")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	b.Coalesce(func() {
-		if !b.Set(5) {
-			t.Error("zero->non-zero Set must report the transition")
-		}
-		if !b.IsSet(5) {
-			t.Error("bit must be visible inside the bracket")
-		}
-	})
 	select {
-	case <-woken:
+	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Coalesce flush never woke the sleeper")
-	}
-	if b.CoalescedWakes() == 0 {
-		t.Error("wake was not recorded as coalesced")
+		t.Fatal("a 10-iteration Set/Clear loop did not finish")
 	}
 }
 
-// TestCoalesceSetHammer races bracketed and bare Sets against
-// sleepers and clearing thieves: the two-load pending handshake must
-// never lose the zero->non-zero broadcast (a loss shows up as Stop
-// stranding a sleeper, or a sleeper stuck while the field is
+//go:noinline
+func callWith(n int, f func(int)) { f(n) }
+
+// TestSetHammerLosesNoWake races Sets against sleepers and clearing
+// thieves: no zero->non-zero broadcast may be lost (a loss shows up as
+// Stop stranding a sleeper, or a sleeper stuck while the field is
 // non-zero). Run with -race.
-func TestCoalesceSetHammer(t *testing.T) {
+func TestSetHammerLosesNoWake(t *testing.T) {
 	b := New()
 	const nSleepers = 4
 	var wg sync.WaitGroup
@@ -296,11 +283,7 @@ func TestCoalesceSetHammer(t *testing.T) {
 			defer swg.Done()
 			for r := 0; r < rounds; r++ {
 				lvl := (id*13 + r) % MaxLevels
-				if r%2 == 0 {
-					b.Coalesce(func() { b.Set(lvl) })
-				} else {
-					b.Set(lvl)
-				}
+				b.Set(lvl)
 				if r%3 == 0 {
 					b.DoubleCheckClear(lvl, func() bool { return r%5 != 0 })
 				}
@@ -315,32 +298,6 @@ func TestCoalesceSetHammer(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatalf("Stop stranded a sleeper (coalesced=%d)", b.CoalescedWakes())
-	}
-}
-
-// TestCoalesceNested checks that nested brackets flush exactly one
-// broadcast and never strand the pending flag.
-func TestCoalesceNested(t *testing.T) {
-	b := New()
-	b.Coalesce(func() {
-		b.Coalesce(func() {
-			b.Set(9)
-		})
-		// Inner flush ran with the outer bracket still open; either it
-		// delivered the broadcast or the outer flush will.
-	})
-	if b.pending.Load() {
-		t.Error("pending flag stranded after nested flush")
-	}
-	woken := make(chan struct{})
-	go func() {
-		b.WaitNonZero(nil)
-		close(woken)
-	}()
-	select {
-	case <-woken: // field is non-zero; returns immediately
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitNonZero stuck with bit set")
+		t.Fatal("Stop stranded a sleeper")
 	}
 }

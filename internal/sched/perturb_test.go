@@ -159,13 +159,13 @@ func TestPerturbIOFutures(t *testing.T) {
 	}
 }
 
-// TestPerturbCoalescedWakes drives I/O-future completions through
-// SubmitBatch — the runtime path a shared-poller pass takes — while
-// perturbation widens the WakeDefer/WakeFlush windows
-// in the bitfield's deferred-broadcast handshake. A lost wakeup
-// leaves a worker asleep with completed work pending and the run
-// deadlocks.
-func TestPerturbCoalescedWakes(t *testing.T) {
+// TestPerturbSubmitBatchLosesNoWake drives I/O-future completions
+// through SubmitBatch — the runtime path a shared-poller pass takes —
+// in batches of four, while perturbation stretches the scheduling
+// points of the workers the completions wake and re-suspend. A lost
+// wakeup leaves a worker asleep with completed work pending and the
+// run deadlocks.
+func TestPerturbSubmitBatchLosesNoWake(t *testing.T) {
 	for _, seed := range perturb.Seeds([]uint64{0x1, 0xdecade, 0xfeedbeef}) {
 		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
 			rt := newTestRuntime(t, Config{Workers: 2, Levels: 2, Policy: Prompt})

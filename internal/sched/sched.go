@@ -619,30 +619,21 @@ func (w *worker) step(cur *node, msg yieldMsg) {
 	w.pass(cur, next)
 }
 
-// SubmitBatch runs fns in slice order on the calling goroutine with
-// scheduler wakeups coalesced: futures completed by fns set their
-// promptness-bitfield bits immediately (scheduling stays exact), but
-// the zero→non-zero sleeper broadcast is deferred and issued at most
-// once when the batch ends. A shared poller hands it each pass's
-// completions (it implements netpoll.Batcher), so a pass that resumes
-// N tasks crosses the futex boundary once instead of N times, and the
-// deferral is bounded by the pass itself. A batch arriving after
-// Close runs nothing: a process-shared poller outlives the runtimes
-// whose connections it serves. The stop check is read once, when the
-// batch starts, so a pass that passed it may still be completing
-// futures while Close stops the bitfield and the workers;
-// TestPerturbPollerDelivery (root package) races exactly that.
+// SubmitBatch runs fns in slice order on the calling goroutine. A
+// shared poller hands it each pass's completions (it implements
+// netpoll.Batcher); a future completed by fns wakes sleeping workers
+// on the spot, through its bitfield Set, as any completion does. A
+// batch arriving after Close runs nothing: a process-shared poller
+// outlives the runtimes whose connections it serves. The stop check
+// is read once, when the batch starts, so a pass that passed it may
+// still be completing futures while Close stops the bitfield and the
+// workers; TestPerturbPollerDelivery (root package) races exactly
+// that.
 func (rt *Runtime) SubmitBatch(fns []func()) {
-	if len(fns) == 0 || rt.stopped.Load() {
+	if rt.stopped.Load() {
 		return
 	}
-	rt.bits.Coalesce(func() {
-		for _, fn := range fns {
-			fn()
-		}
-	})
+	for _, fn := range fns {
+		fn()
+	}
 }
-
-// CoalescedWakes reports how many sleeper broadcasts were absorbed
-// into SubmitBatch flushes instead of issued inline.
-func (rt *Runtime) CoalescedWakes() int64 { return rt.bits.CoalescedWakes() }

@@ -44,11 +44,13 @@ func TestSubmitBatchSingleAndEmpty(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchCoalescesWakes: a batch runs inside the wake-coalescing
-// bracket. Completing a future whose task waits while every worker
-// sleeps on an empty bitfield is a zero→non-zero Set, so the batch's
-// flush absorbs that broadcast and CoalescedWakes rises.
-func TestSubmitBatchCoalescesWakes(t *testing.T) {
+// TestSubmitBatchWakesBeforeBatchEnds: completing a future inside a
+// batch wakes the sleeping workers at once, as the paper's gate does,
+// not when the batch ends. Both workers sleep on an empty bitfield
+// while a task waits on an I/O future; the batch's first fn completes
+// the future and its second waits for the task to finish, which it can
+// only do if the first fn's zero→non-zero Set woke a worker.
+func TestSubmitBatchWakesBeforeBatchEnds(t *testing.T) {
 	rt := newTestRuntime(t, Config{Workers: 2, Levels: 1, Policy: Prompt})
 	io := rt.NewIOFuture()
 	fut := rt.SubmitFuture(0, func(task *Task) any { return io.Get(task) })
@@ -59,15 +61,22 @@ func TestSubmitBatchCoalescesWakes(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	before := rt.CoalescedWakes()
-	rt.SubmitBatch([]func(){func() { io.Complete(7) }})
-	if got := rt.CoalescedWakes(); got == before {
-		t.Fatalf("CoalescedWakes %d -> %d; the batch's wake was not coalesced", before, got)
+	resumed := false
+	rt.SubmitBatch([]func(){
+		func() { io.Complete(7) },
+		func() {
+			select {
+			case <-fut.WaitChan():
+				resumed = true
+			case <-time.After(10 * time.Second):
+			}
+		},
+	})
+	if !resumed {
+		t.Fatal("the task did not finish inside the batch: the completion's wake waited for the batch to end")
 	}
-	select {
-	case <-fut.WaitChan():
-	case <-time.After(time.Minute):
-		t.Fatal("the bracket's flush never woke a worker")
+	if v, _ := fut.TryGet(); v != 7 {
+		t.Fatalf("task returned %v, want 7", v)
 	}
 }
 
@@ -85,7 +94,7 @@ func TestSubmitBatchAfterCloseIsNoop(t *testing.T) {
 }
 
 // TestSubmitBatchSteadyStateAllocFree is the inline path's allocation
-// gate: the coalescing bracket's closure must not escape.
+// gate: running a batch allocates nothing.
 func TestSubmitBatchSteadyStateAllocFree(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")
@@ -107,8 +116,8 @@ func TestSubmitBatchSteadyStateAllocFree(t *testing.T) {
 
 // TestSubmitBatchStress: concurrent submitters (one per shared poller)
 // complete I/O futures that tasks on every level are suspended on. A
-// wake lost inside the bracket leaves a worker asleep beside resumable
-// work and the wait times out.
+// lost wake leaves a worker asleep beside resumable work and the wait
+// times out.
 func TestSubmitBatchStress(t *testing.T) {
 	rt := newTestRuntime(t, Config{Workers: 2, Levels: 2, Policy: Prompt})
 	const submitters, rounds, per = 4, 50, 8

@@ -34,8 +34,8 @@ type Conn interface {
 }
 
 // pollerConn is the capability a connection advertises when its
-// armed readiness callbacks run on a shared poller inside the
-// runtime's wake-coalescing bracket (Runtime.IOBatcher). For such
+// armed readiness callbacks run on a shared poller through the
+// runtime's batcher (Runtime.IOBatcher). For such
 // connections the poller is the I/O thread: the read path completes
 // the future directly inside the callback instead of handing it to
 // the I/O pool.

@@ -107,8 +107,8 @@ func TestSuspendedReadAllocFreeNetsim(t *testing.T) {
 }
 
 // TestSuspendedReadAllocFreeTCP gates the path the real servers run:
-// loopback TCP, shared poller, future completed on the poller inside
-// the runtime's wake bracket.
+// loopback TCP, shared poller, future completed on the poller through
+// the runtime's batcher.
 func TestSuspendedReadAllocFreeTCP(t *testing.T) {
 	if !netpoll.Supported {
 		t.Skip("shared poller not compiled in")
