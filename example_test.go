@@ -63,21 +63,6 @@ func ExampleRuntime_Read() {
 	// Output: hello from the network
 }
 
-// The inversion detector flags waits that violate the priority
-// well-formedness condition the paper's guarantees assume.
-func ExampleRuntime_Inversions() {
-	rt, _ := icilk.New(icilk.Config{Workers: 2, Levels: 2})
-	defer rt.Close()
-
-	rt.Submit(0, func(t *icilk.Task) any {
-		low := t.FutCreate(1, func(*icilk.Task) any { return nil })
-		low.Get(t) // high-priority task waits on low-priority work
-		return nil
-	}).Wait()
-	fmt.Println(rt.Inversions())
-	// Output: 1
-}
-
 // Admission control is a gate the caller puts in front of the runtime:
 // a request arriving at a full level is shed at once, without a task
 // context, and an admitted request that outlives its deadline is

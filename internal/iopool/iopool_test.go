@@ -1,10 +1,12 @@
 package iopool
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 func TestAllSubmittedRun(t *testing.T) {
@@ -83,17 +85,8 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-func TestCapacityOption(t *testing.T) {
-	if got := New(1).Capacity(); got != defaultCapacity {
-		t.Errorf("default capacity = %d, want %d", got, defaultCapacity)
-	}
-	if got := newPool(1, 16).Capacity(); got != 16 {
-		t.Errorf("newPool(1, 16) capacity = %d", got)
-	}
-}
-
 func TestDepthHighWaterCompletions(t *testing.T) {
-	p := newPool(1, 64)
+	p := New(1)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	const n = 10
@@ -141,11 +134,11 @@ func TestDefaultThreads(t *testing.T) {
 // deadlock: the old Submit held p.mu across a blocking channel send,
 // so a handler callback re-submitting into a full queue blocked the
 // only consumer forever (and Close behind it, on the mutex). The
-// sequence below deadlocks deterministically on that code — one
-// handler, capacity one, the handler's callback re-submits while the
-// channel is full — and is detected by the watchdog timeout.
+// sequence below deadlocked deterministically on that code — one
+// handler, a capacity-one channel, the handler's callback re-submitting
+// while the channel was full — and is detected by the watchdog timeout.
 func TestHandlerResubmitNoDeadlock(t *testing.T) {
-	p := newPool(1, 1)
+	p := New(1)
 	gate := make(chan struct{})
 	resubmitted := make(chan struct{})
 	var ran atomic.Int64
@@ -156,8 +149,8 @@ func TestHandlerResubmitNoDeadlock(t *testing.T) {
 		p.Submit(func() { ran.Add(1) })
 		close(resubmitted)
 	})
-	// Fill the capacity-1 channel behind the occupied handler, so the
-	// re-submission above finds it full.
+	// Queue one more behind the occupied handler (on the old code this
+	// filled the capacity-1 channel the re-submission above needed).
 	p.Submit(func() { ran.Add(1) })
 	close(gate)
 	// On the old code the handler is now stuck in Submit's blocking
@@ -185,11 +178,11 @@ func TestHandlerResubmitNoDeadlock(t *testing.T) {
 
 // TestCloseNotBlockedByFloodingSubmitters pins the other face of the
 // same bug: Close must complete — and run every accepted callback —
-// even when many submitters are hammering a pool whose channel is far
-// smaller than the offered load.
+// even when many submitters are hammering a pool whose initial ring is
+// far smaller than the offered load.
 func TestCloseNotBlockedByFloodingSubmitters(t *testing.T) {
 	const submitters, each = 50, 40
-	p := newPool(2, 4)
+	p := New(2)
 	var ran atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < submitters; i++ {
@@ -224,36 +217,81 @@ func TestCloseNotBlockedByFloodingSubmitters(t *testing.T) {
 	}
 }
 
-// TestFIFOOrderAcrossSpill verifies the overflow path preserves the
-// cross-submitter FIFO contract: callbacks spilled past the handoff
-// channel still run strictly after everything submitted before them.
-func TestFIFOOrderAcrossSpill(t *testing.T) {
-	p := newPool(1, 2)
-	gate := make(chan struct{})
-	p.Submit(func() { <-gate }) // hold the single handler
+// hold occupies p's single handler until the returned gate is closed.
+func hold(p *Pool) chan struct{} {
+	gate, started := make(chan struct{}), make(chan struct{})
+	p.Submit(func() {
+		close(started)
+		<-gate
+	})
+	<-started
+	return gate
+}
+
+// TestFIFOOrderAcrossWrappedGrowth: callbacks run strictly in
+// submission order when the ring doubles while wrapped, with its head
+// past slot 0 and its tail behind it.
+func TestFIFOOrderAcrossWrappedGrowth(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	// Run 40 through first, so the head is no longer at slot 0.
+	gate := hold(p)
+	var drained sync.WaitGroup
+	drained.Add(40)
+	for i := 0; i < 40; i++ {
+		p.Submit(drained.Done)
+	}
+	close(gate)
+	drained.Wait()
+
+	gate = hold(p)
+	p.mu.Lock()
+	head, size := p.head, len(p.ring)
+	p.mu.Unlock()
+	if head == 0 {
+		t.Fatal("ring head back at slot 0; the ring would not wrap")
+	}
+	n := size + size/2 // more than the ring holds: it grows while wrapped
 	var mu sync.Mutex
 	var got []int
-	const n = 50
+	var wg sync.WaitGroup
+	wg.Add(n)
 	for i := 0; i < n; i++ {
-		i := i
 		p.Submit(func() {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
+			wg.Done()
 		})
 	}
 	close(gate)
-	p.Close()
-	if p.Spills() == 0 {
-		t.Fatal("expected spills with capacity 2 and 50 queued submissions")
-	}
-	if len(got) != n {
-		t.Fatalf("ran %d of %d", len(got), n)
-	}
+	wg.Wait()
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("order violated at %d: got %d (full: %v)", i, v, got)
 		}
+	}
+}
+
+// submitCapturing submits a callback that captures a fresh object and
+// returns a weak pointer to that object.
+func submitCapturing(p *Pool) weak.Pointer[[64]byte] {
+	obj := new([64]byte)
+	p.Submit(func() { obj[0]++ })
+	return weak.Make(obj)
+}
+
+// TestRunCallbackReleased: once a callback has run, the pool keeps no
+// reference to it, so what it captured can be collected.
+func TestRunCallbackReleased(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	w := submitCapturing(p)
+	for deadline := time.Now().Add(2 * time.Second); p.Completions() < 1 || w.Value() != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a run callback's captured object is still reachable")
+		}
+		runtime.GC()
 	}
 }
 

@@ -24,7 +24,7 @@ func TestPerturbSubmitStorm(t *testing.T) {
 			perturb.Enable(seed)
 			defer perturb.Disable()
 
-			p := newPool(2, 2)
+			p := New(2)
 			const submitters, each = 8, 50
 			var ran atomic.Int64
 			var wg sync.WaitGroup

@@ -4,8 +4,8 @@ package memcached
 // Real memcached speaks both the text and binary protocols on the
 // same port, distinguishing them by the first byte of a connection
 // (0x80 = binary request magic). The I-Cilk frontend does the same:
-// length-prefixed frames exercise the ReadFull I/O-future path, where
-// the text protocol exercises line-oriented reads.
+// length-prefixed frames are read with LineReader.ReadExactBytes, where
+// the text protocol reads lines with ReadLineBytes.
 
 import (
 	"encoding/binary"

@@ -33,10 +33,10 @@ type Future struct {
 	mu sync.Mutex
 
 	// ownerLevel is the priority level of the task computing this
-	// future, or -1 for externally-completed (I/O) futures — used by
-	// the dynamic priority-inversion detector. It is an int32 in the
-	// padding beside done and mu so an I/O future stays in the 144-byte
-	// size class and a futBlock in the 4864-byte one
+	// future, or -1 for externally-completed (I/O) futures; Rearm's
+	// icilk_debug check reads it to refuse a task-backed future. It is
+	// an int32 in the padding beside done and mu so an I/O future stays
+	// in the 144-byte size class and a futBlock in the 4864-byte one
 	// (TestFutureSizeClass).
 	ownerLevel int32
 
@@ -277,7 +277,6 @@ func (f *Future) Get(t *Task) any {
 	if invariant.Enabled {
 		perturb.At(perturb.Get)
 	}
-	t.rt.checkGetInversion(t, f)
 	if f.done.Load() {
 		// Completed-future fast path: done was stored after val, so
 		// the value read here is ordered; no lock, no suspension.

@@ -217,9 +217,6 @@ type Runtime struct {
 	// waiters, plus external submissions entering as resumable).
 	resumes atomic.Int64
 
-	// inv tracks dynamically detected priority inversions.
-	inv inversionState
-
 	// spawnCostNS is the measured spawn+sync round-trip cost in
 	// nanoseconds, calibrated lazily by the data-parallel layer's
 	// auto-grain mode (0 = not yet calibrated). One word, written once.

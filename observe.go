@@ -88,15 +88,3 @@ func (r *Runtime) ServeAdmin(addr string) (*AdminServer, error) {
 	r.mu.Unlock()
 	return s, nil
 }
-
-// Inversions returns the number of priority-inverted waits detected
-// dynamically since the runtime started: gets of futures computed at
-// strictly lower-priority levels. The prior work underlying the paper
-// rejects such programs statically; a non-zero count here means the
-// paper's bounded-response-time guarantees do not apply to the
-// inverted waits.
-func (r *Runtime) Inversions() int64 { return r.rt.Inversions() }
-
-// OnInversion registers a callback invoked on every detected
-// inversion (set before submitting work; must be fast).
-func (r *Runtime) OnInversion(fn func()) { r.rt.OnInversion(fn) }

@@ -187,7 +187,7 @@ func For(t *Task, lo, hi, grain int, body func(i int)) {
 		return
 	}
 	if grain < 0 {
-		done, g := forProbe(t, lo, hi, grainTargetMult*spawnCostNS(t), body)
+		done, g := probe(t, lo, hi, grainTargetMult*spawnCostNS(t), body)
 		lo += done
 		if lo >= hi {
 			return
@@ -244,14 +244,14 @@ func forRec(t *Task, lo, hi, grain int, body func(i int)) {
 	}
 }
 
-// forProbe is the auto-grain calibration pass: it executes leading
-// iterations sequentially in doubling blocks until one block's
-// measured duration reaches targetNS (or the range is exhausted),
-// then derives the grain for the remainder as max(probed count,
-// remaining/(128·workers)) — parlaylib's get_granularity rule with
-// the runtime-calibrated target. Every probed iteration counts as
-// done: body runs exactly once per index.
-func forProbe(t *Task, lo, hi int, targetNS int64, body func(i int)) (done, grain int) {
+// probe is the auto-grain calibration pass of For and Reduce: it runs
+// step over leading iterations sequentially in doubling blocks until
+// one block's measured duration reaches targetNS (or the range is
+// exhausted), then derives the grain for the remainder as max(probed
+// count, remaining/(128·workers)) — parlaylib's get_granularity rule
+// with the runtime-calibrated target. Every probed iteration counts as
+// done: step runs exactly once per index.
+func probe(t *Task, lo, hi int, targetNS int64, step func(i int)) (done, grain int) {
 	n := hi - lo
 	sz := 1
 	for done < n {
@@ -260,7 +260,7 @@ func forProbe(t *Task, lo, hi int, targetNS int64, body func(i int)) (done, grai
 		}
 		start := time.Now()
 		for i := lo + done; i < lo+done+sz; i++ {
-			body(i)
+			step(i)
 		}
 		done += sz
 		sz *= 2
@@ -312,7 +312,7 @@ func Reduce[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, combi
 	acc := zero
 	if grain < 0 {
 		var done int
-		acc, done, grain = reduceProbe(t, lo, hi, grainTargetMult*spawnCostNS(t), zero, leaf, combine)
+		done, grain = probe(t, lo, hi, grainTargetMult*spawnCostNS(t), func(i int) { acc = combine(acc, leaf(i)) })
 		probed = true
 		lo += done
 		if lo >= hi {
@@ -374,31 +374,6 @@ func reduceRec[T any](t *Task, lo, hi, grain int, zero T, leaf func(i int) T, co
 		}
 	}
 	return acc
-}
-
-// reduceProbe is forProbe for reductions: it folds leading iterations
-// sequentially in doubling blocks until one block's duration reaches
-// targetNS, returning the partial accumulation, the count consumed,
-// and the derived grain for the remainder.
-func reduceProbe[T any](t *Task, lo, hi int, targetNS int64, zero T, leaf func(i int) T, combine func(a, b T) T) (acc T, done, grain int) {
-	n := hi - lo
-	acc = zero
-	sz := 1
-	for done < n {
-		if sz > n-done {
-			sz = n - done
-		}
-		start := time.Now()
-		for i := lo + done; i < lo+done+sz; i++ {
-			acc = combine(acc, leaf(i))
-		}
-		done += sz
-		sz *= 2
-		if int64(time.Since(start)) >= targetNS {
-			break
-		}
-	}
-	return acc, done, probeGrain(t, n-done, done)
 }
 
 // Scan computes the exclusive prefix combination of in: out[i] =
