@@ -36,7 +36,6 @@ const (
 	LevelSort     = 1
 	LevelCompress = 2
 	LevelPrint    = 2
-	LevelSearch   = 2
 	// Levels is the number of priority levels the server needs.
 	Levels = 3
 )
@@ -94,9 +93,6 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Users returns the mailbox count.
-func (s *Server) Users() int { return len(s.boxes) }
 
 // MailboxLen returns user u's current message count (tests).
 func (s *Server) MailboxLen(u int) int {
@@ -254,64 +250,6 @@ func (s *Server) doPrint(t *icilk.Task, user int) int {
 		}
 	}
 	return total
-}
-
-// SearchResult is one full-text search hit.
-type SearchResult struct {
-	User    int
-	Seq     int64
-	From    string
-	Subject string
-}
-
-// Search submits a full-text search over every mailbox — the one
-// genuinely data-parallel operation in this otherwise
-// sequential-burst workload. It runs at LevelSearch (batch priority,
-// with compress/print) as a parallel tree reduction over the mailbox
-// array: one leaf per mailbox, combines in user order, so the result
-// list is deterministic — sorted by user, then by mailbox position.
-// The future resolves to []SearchResult.
-func (s *Server) Search(query string) *icilk.Future {
-	return s.rt.Submit(LevelSearch, func(t *icilk.Task) any {
-		return s.doSearch(t, query)
-	})
-}
-
-func (s *Server) doSearch(t *icilk.Task, query string) []SearchResult {
-	q := []byte(query)
-	return icilk.Reduce(t, 0, len(s.boxes), 1, nil,
-		func(user int) []SearchResult {
-			return s.searchBox(user, query, q)
-		},
-		func(a, b []SearchResult) []SearchResult {
-			if len(a) == 0 {
-				return b
-			}
-			if len(b) == 0 {
-				return a
-			}
-			// Full-slice expression: a leaf's slice may be shared with an
-			// already-published combine result, so never append in place.
-			return append(a[:len(a):len(a)], b...)
-		})
-}
-
-// searchBox scans one mailbox for query hits: snapshot under the
-// lock, match outside it (subject, sender, body).
-func (s *Server) searchBox(user int, query string, q []byte) []SearchResult {
-	b := s.boxes[user]
-	b.mu.Lock()
-	msgs := make([]Message, len(b.messages))
-	copy(msgs, b.messages)
-	b.mu.Unlock()
-	var hits []SearchResult
-	for i := range msgs {
-		m := &msgs[i]
-		if strings.Contains(m.Subject, query) || strings.Contains(m.From, query) || bytes.Contains(m.Body, q) {
-			hits = append(hits, SearchResult{User: user, Seq: m.Seq, From: m.From, Subject: m.Subject})
-		}
-	}
-	return hits
 }
 
 // OpNames lists the operation classes in priority order, as the

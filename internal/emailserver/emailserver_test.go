@@ -127,62 +127,3 @@ func TestLevelsInsufficient(t *testing.T) {
 		t.Fatal("New accepted a runtime with too few levels")
 	}
 }
-
-// TestSearchFindsAcrossMailboxes: the parallel reduction must return
-// every hit, in user order then mailbox order, matching subject,
-// sender, and body, with no hits for absent terms.
-func TestSearchFindsAcrossMailboxes(t *testing.T) {
-	rt := newRT(t, icilk.Prompt)
-	s, err := New(rt, Config{Users: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < 16; u++ {
-		for m := 0; m < 8; m++ {
-			subj, body := "routine", []byte("nothing here")
-			if (u+m)%5 == 0 {
-				subj = "quarterly-report"
-			}
-			if m == u%8 {
-				body = []byte("the needle is hidden in this body")
-			}
-			s.Send(u, "sender@x", subj, body).Wait()
-		}
-	}
-
-	hits := s.Search("needle").Wait().([]SearchResult)
-	if len(hits) != 16 { // one planted body hit per user
-		t.Fatalf("body search found %d hits, want 16", len(hits))
-	}
-	for i, h := range hits {
-		if h.User != i {
-			t.Fatalf("hit %d is user %d; results must be in user order", i, h.User)
-		}
-	}
-
-	subjHits := s.Search("quarterly").Wait().([]SearchResult)
-	want := 0
-	for u := 0; u < 16; u++ {
-		for m := 0; m < 8; m++ {
-			if (u+m)%5 == 0 {
-				want++
-			}
-		}
-	}
-	if len(subjHits) != want {
-		t.Fatalf("subject search found %d hits, want %d", len(subjHits), want)
-	}
-	for i := 1; i < len(subjHits); i++ {
-		if subjHits[i-1].User > subjHits[i].User ||
-			(subjHits[i-1].User == subjHits[i].User && subjHits[i-1].Seq >= subjHits[i].Seq) {
-			t.Fatalf("hits out of order at %d: %+v then %+v", i, subjHits[i-1], subjHits[i])
-		}
-	}
-
-	if hits := s.Search("sender@x").Wait().([]SearchResult); len(hits) != 16*8 {
-		t.Fatalf("sender search found %d hits, want %d", len(hits), 16*8)
-	}
-	if hits, ok := s.Search("absent-term").Wait().([]SearchResult); ok && len(hits) != 0 {
-		t.Fatalf("absent term found %d hits", len(hits))
-	}
-}

@@ -37,27 +37,6 @@ func TestGetHitTextPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestGetHitBinaryPathZeroAlloc mirrors the gate for the binary
-// protocol executor.
-func TestGetHitBinaryPathZeroAlloc(t *testing.T) {
-	s := NewStore(StoreConfig{})
-	s.Set(ModeSet, "bkey", []byte("binary-value"), 7, 0, 0)
-	frame := binRequest(binOpGet, 99, 0, nil, []byte("bkey"), nil)
-	h := parseBinHeader(frame)
-	body := frame[24 : 24+int(h.bodyLen)]
-	var reply []byte
-	allocs := testing.AllocsPerRun(1000, func() {
-		var quit bool
-		reply, quit = ExecuteBinaryAppend(s, h, body, reply[:0])
-		if quit || len(reply) < 24 {
-			t.Fatal("bad execute")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("GET-hit binary path: %.1f allocs/op, want 0", allocs)
-	}
-}
-
 // TestGetMissTextPathZeroAlloc: misses are the overload-shedding hot
 // path and must stay allocation-free too.
 func TestGetMissTextPathZeroAlloc(t *testing.T) {
@@ -81,22 +60,18 @@ func TestGetMissTextPathZeroAlloc(t *testing.T) {
 
 // TestSetOverwriteZeroAlloc: a set of an existing key whose new length
 // stays in the old one's size class copies into the buffer the item
-// already has — on both protocols, same length or not.
+// already has, same length or not.
 func TestSetOverwriteZeroAlloc(t *testing.T) {
 	s := NewStore(StoreConfig{})
 	// 60 and 64 bytes share the 64-byte class.
 	data := bytes.Repeat([]byte("x"), 64)
 	lines := [2][]byte{[]byte("set key:00000001 0 0 64"), []byte("set key:00000001 0 0 60")}
-	var frames [2][]byte
-	for i, n := range [2]int{64, 60} {
-		frames[i] = binRequest(binOpSet, 0, 0, setExtras(0, 0), []byte("bkey"), data[:n])
-	}
 	var (
 		req   RequestB
 		reply []byte
 		i     int
 	)
-	text := func() {
+	set := func() {
 		i++
 		if needData, perr := ParseCommandB(lines[i&1], &req); needData < 0 || perr != nil {
 			t.Fatalf("parse: %d %q", needData, perr)
@@ -106,20 +81,10 @@ func TestSetOverwriteZeroAlloc(t *testing.T) {
 			t.Fatalf("reply %q", reply)
 		}
 	}
-	bin := func() {
-		i++
-		frame := frames[i&1]
-		h := parseBinHeader(frame)
-		if reply, _ = ExecuteBinaryAppend(s, h, frame[24:], reply[:0]); parseBinHeader(reply).status != binStatusOK {
-			t.Fatalf("reply % x", reply)
-		}
-	}
-	for name, set := range map[string]func(){"text": text, "binary": bin} {
-		set() // the insert allocates
-		set()
-		if allocs := testing.AllocsPerRun(1000, set); allocs != 0 {
-			t.Errorf("%s set overwrite: %.1f allocs/op, want 0", name, allocs)
-		}
+	set() // the insert allocates
+	set()
+	if allocs := testing.AllocsPerRun(1000, set); allocs != 0 {
+		t.Errorf("set overwrite: %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -248,36 +213,6 @@ func BenchmarkTextSet(b *testing.B) {
 		ParseCommandB(line, &req)
 		req.Data = data
 		reply, _ = ExecuteAppend(s, &req, reply[:0])
-	}
-	_ = reply
-}
-
-func BenchmarkBinaryGetHit(b *testing.B) {
-	s := NewStore(StoreConfig{})
-	s.Set(ModeSet, "bkey", make([]byte, 64), 0, 0, 0)
-	frame := binRequest(binOpGet, 0, 0, nil, []byte("bkey"), nil)
-	h := parseBinHeader(frame)
-	body := frame[24 : 24+int(h.bodyLen)]
-	var reply []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reply, _ = ExecuteBinaryAppend(s, h, body, reply[:0])
-	}
-	_ = reply
-}
-
-func BenchmarkBinarySet(b *testing.B) {
-	s := NewStore(StoreConfig{})
-	extras := make([]byte, 8)
-	frame := binRequest(binOpSet, 0, 0, extras, []byte("bkey"), make([]byte, 64))
-	h := parseBinHeader(frame)
-	body := frame[24 : 24+int(h.bodyLen)]
-	var reply []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reply, _ = ExecuteBinaryAppend(s, h, body, reply[:0])
 	}
 	_ = reply
 }

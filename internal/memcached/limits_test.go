@@ -2,7 +2,6 @@ package memcached
 
 import (
 	"bytes"
-	"encoding/binary"
 	"io"
 	"net"
 	"runtime"
@@ -13,15 +12,6 @@ import (
 	"icilk/internal/netreal"
 	"icilk/internal/netsim"
 )
-
-// hugeBodyHeader is a binary SET header that declares a 4 GiB body.
-func hugeBodyHeader() []byte {
-	h := make([]byte, 24)
-	h[0], h[1] = binReqMagic, binOpSet
-	binary.BigEndian.PutUint32(h[8:], 0xffffffff)
-	binary.BigEndian.PutUint32(h[12:], 0xfeed) // opaque, echoed back
-	return h
-}
 
 // hostileInputs are requests whose declared or implied length no
 // server may buffer for. The first killed the process (n+2 wrapped
@@ -34,8 +24,6 @@ var hostileInputs = []struct {
 }{
 	{"bytes=maxint64-1", []byte("set k 0 0 9223372036854775806\r\n"), []byte(replyTooLarge)},
 	{"bytes=1<<40", []byte("set k 0 0 1099511627776\r\n"), []byte(replyTooLarge)},
-	{"binary-bodyLen=4GiB", hugeBodyHeader(),
-		appendBinError(nil, binOpSet, binStatusTooLarge, 0xfeed, "Too large.")},
 	{"128KiB-no-newline", bytes.Repeat([]byte{'a'}, 128<<10), []byte(replyLineTooLong)},
 }
 

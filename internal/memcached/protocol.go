@@ -47,9 +47,6 @@ const (
 	// maxItemBytes is the longest data block a storage command may
 	// declare: memcached's -I default and the store's top size class.
 	maxItemBytes = 1 << 20
-	// maxBinBody is the longest binary frame body: an item, the
-	// longest key and the most extras a header can declare.
-	maxBinBody = maxItemBytes + 250 + 255
 	// maxLineBytes is how much the pthread frontend buffers looking
 	// for a command line's newline (icilk.LineReader has the same
 	// bound built in); a 16-key get is under 1 KiB.

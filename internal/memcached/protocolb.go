@@ -273,8 +273,8 @@ func (r *RequestB) SetData(raw []byte) (errReply []byte) {
 
 // AppendValueLine appends one "VALUE <key> <flags> <len>[ <cas>]",
 // the value block, and CRLF framing to dst — the per-key unit of a
-// GET response, and the text protocol's HitRenderer; the bytes are
-// identical to ExecuteAppend's for the same hit.
+// GET response; the bytes are identical to ExecuteAppend's for the
+// same hit.
 func AppendValueLine(dst []byte, key, value []byte, flags uint32, cas uint64, withCAS bool) []byte {
 	dst = append(dst, "VALUE "...)
 	dst = append(dst, key...)
@@ -305,7 +305,7 @@ func ExecuteAppend(s *Store, r *RequestB, dst []byte) (out []byte, quit bool) {
 	case opGet, opGets:
 		withCAS := r.Op == opGets
 		for _, key := range r.Keys {
-			dst, _ = s.AppendHit(dst, key, withCAS, AppendValueLine)
+			dst = s.AppendHit(dst, key, withCAS)
 		}
 		return append(dst, replyEnd...), false
 

@@ -68,8 +68,8 @@ func expectLines(t *testing.T, ls *lineScanner, want ...string) {
 	}
 }
 
-// exerciseServer serves text, "stats cachedump" and binary traffic on
-// connections from dial, checks every reply and closes the clients.
+// exerciseServer serves text and "stats cachedump" traffic on a
+// connection from dial, checks every reply and closes the client.
 func exerciseServer(t *testing.T, dial func() *netsim.Endpoint) {
 	t.Helper()
 	text := dial()
@@ -77,18 +77,6 @@ func exerciseServer(t *testing.T, dial func() *netsim.Endpoint) {
 	text.WriteString("set k 0 0 5\r\nhello\r\nget k\r\nstats cachedump all 0\r\n")
 	expectLines(t, &lineScanner{ep: text},
 		"STORED", "VALUE k 0 5", "hello", "END", "ITEM k [5 b; 0 s]", "END")
-
-	bin := dial()
-	defer bin.Close()
-	bin.Write(append(binRequest(binOpSet, 1, 0, setExtras(0, 0), []byte("bk"), []byte("binval")),
-		binRequest(binOpGet, 2, 0, nil, []byte("bk"), nil)...))
-	frames := readBinFrames(t, bin, 2)
-	if frames[0].h.status != binStatusOK {
-		t.Fatalf("binary set: status %#x", frames[0].h.status)
-	}
-	if get := frames[1]; get.h.status != binStatusOK || string(get.body[4:]) != "binval" {
-		t.Fatalf("binary get: status %#x body %q", get.h.status, get.body)
-	}
 }
 
 func TestCloseReleasesStoreICilk(t *testing.T) {

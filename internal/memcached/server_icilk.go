@@ -197,16 +197,6 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 		b.BufferWrites()
 	}
 	lr := rt.NewLineReader(ep)
-	// Protocol sniff, as real memcached does: a 0x80 first byte means
-	// the client speaks the binary protocol.
-	first, err := lr.PeekByte(t)
-	if err != nil {
-		return
-	}
-	if first == binReqMagic {
-		s.handleBinaryConn(t, store, ep, lr)
-		return
-	}
 	var (
 		req        RequestB
 		reply      []byte // per-connection response scratch
@@ -274,57 +264,6 @@ func (s *ICilkServer) handleConn(t *icilk.Task, rt *icilk.Runtime, store *Store,
 		// yield; here it is also a promptness check). Flush first: the
 		// yield may park this routine for a while and the replies so
 		// far must not wait on it.
-		sinceYield++
-		if sinceYield >= batchLimit && lr.Buffered() {
-			sinceYield = 0
-			ep.Flush()
-			t.Yield()
-		}
-	}
-}
-
-// handleBinaryConn serves the binary protocol: 24-byte headers plus
-// length-prefixed bodies, read through the same suspending I/O-future
-// reader (ReadExact instead of ReadLine — the framing is the only
-// difference between the two protocol loops).
-func (s *ICilkServer) handleBinaryConn(t *icilk.Task, store *Store, ep Conn, lr *icilk.LineReader) {
-	var reply []byte // per-connection response scratch
-	sinceYield := 0
-	for {
-		hdr, err := lr.ReadExactBytes(t, 24)
-		if err != nil {
-			return
-		}
-		h := parseBinHeader(hdr)
-		if h.magic != binReqMagic {
-			return // framing lost; drop the connection
-		}
-		if h.bodyLen > maxBinBody {
-			ep.Write(appendBinError(reply[:0], h.opcode, binStatusTooLarge, h.opaque, "Too large."))
-			return
-		}
-		var body []byte
-		if h.bodyLen > 0 {
-			body, err = lr.ReadExactBytes(t, int(h.bodyLen))
-			if err != nil {
-				return
-			}
-		}
-		var t0 time.Time
-		if s.timed {
-			t0 = time.Now()
-		}
-		var quit bool
-		reply, quit = ExecuteBinaryAppend(store, h, body, reply[:0])
-		if len(reply) > 0 {
-			ep.Write(reply)
-		}
-		if s.timed {
-			s.recordRequest(time.Since(t0))
-		}
-		if quit {
-			return
-		}
 		sinceYield++
 		if sinceYield >= batchLimit && lr.Buffered() {
 			sinceYield = 0

@@ -68,14 +68,6 @@ type connState struct {
 	key      []byte // storage-key scratch: the parsed key view dies when
 	// the buffer compacts or grows before the data block arrives
 	reply []byte // response encoding scratch
-
-	// Protocol sniffing and binary-mode state (real memcached's event
-	// loop also dispatches on the first byte and keeps the pending
-	// binary header in the connection state).
-	sniffed    bool
-	binary     bool
-	binPending binHeader // header awaiting its body (when binHave)
-	binHave    bool
 }
 
 func (cs *connState) buffered() bool { return cs.pos < len(cs.buf) }
@@ -115,17 +107,6 @@ func (cs *connState) drain() {
 // step tries to make progress on one protocol transition. executed
 // reports a completed request; progress reports any forward motion.
 func (cs *connState) step(store *Store) (progress, executed, quit bool) {
-	// State: protocol not yet sniffed.
-	if !cs.sniffed {
-		if cs.pos >= len(cs.buf) {
-			return false, false, false
-		}
-		cs.sniffed = true
-		cs.binary = cs.buf[cs.pos] == binReqMagic
-	}
-	if cs.binary {
-		return cs.stepBinary(store)
-	}
 	// State: waiting for a data block. The block executes in place —
 	// req.Data stays a view into the buffer (SetB copies what it
 	// keeps).
@@ -193,41 +174,6 @@ func (cs *connState) step(store *Store) (progress, executed, quit bool) {
 	return true, true, q
 }
 
-// stepBinary advances the binary-protocol state machine by one
-// transition: header, then body, then execute.
-func (cs *connState) stepBinary(store *Store) (progress, executed, quit bool) {
-	if !cs.binHave {
-		if len(cs.buf)-cs.pos < 24 {
-			return false, false, false
-		}
-		h := parseBinHeader(cs.buf[cs.pos : cs.pos+24])
-		cs.pos += 24
-		if h.magic != binReqMagic {
-			return true, false, true // framing lost: close
-		}
-		if h.bodyLen > maxBinBody {
-			cs.ep.Write(appendBinError(cs.reply[:0], h.opcode, binStatusTooLarge, h.opaque, "Too large."))
-			return true, false, true
-		}
-		cs.binPending = h
-		cs.binHave = true
-		return true, false, false
-	}
-	h := cs.binPending
-	if len(cs.buf)-cs.pos < int(h.bodyLen) {
-		return false, false, false
-	}
-	body := cs.buf[cs.pos : cs.pos+int(h.bodyLen)]
-	cs.pos += int(h.bodyLen)
-	cs.binHave = false
-	var q bool
-	cs.reply, q = ExecuteBinaryAppend(store, h, body, cs.reply[:0])
-	if len(cs.reply) > 0 {
-		cs.ep.Write(cs.reply)
-	}
-	return true, true, q
-}
-
 // onReadable is the libevent read callback.
 func (s *PthreadServer) onReadable(e *levent.Event) {
 	cs := e.UserData().(*connState)
@@ -255,7 +201,7 @@ func (s *PthreadServer) onReadable(e *levent.Event) {
 		e.Reactivate()
 		return
 	}
-	if cs.eof && !cs.buffered() && !cs.pending && !cs.binHave {
+	if cs.eof && !cs.buffered() && !cs.pending {
 		cs.ep.Close()
 		return
 	}

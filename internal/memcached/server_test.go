@@ -102,10 +102,9 @@ func TestICilkServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestBadCrawlIDKeepsServing: an out-of-range "lru_crawler crawl"
-// id gets CLIENT_ERROR on either frontend, the same connection stays
-// usable, and the server goes on serving a second connection.
-func TestBadCrawlIDKeepsServing(t *testing.T) {
+// eachFrontend runs body as a subtest per server frontend, each on a
+// fresh store served behind its own listener.
+func eachFrontend(t *testing.T, body func(t *testing.T, store *Store, ln *netsim.Listener)) {
 	frontends := map[string]func(*testing.T, *Store, *netsim.Listener) (stop func()){
 		"pthread": func(_ *testing.T, store *Store, ln *netsim.Listener) func() {
 			srv := NewPthreadServer(store, PthreadConfig{Workers: 2})
@@ -128,16 +127,74 @@ func TestBadCrawlIDKeepsServing(t *testing.T) {
 			ln := netsim.NewListener()
 			stop := start(t, store, ln)
 			defer func() { ln.Close(); stop() }()
-
-			const bad = "CLIENT_ERROR bad class id"
-			dialAndExchange(t, ln, []string{
-				"lru_crawler crawl -1\r\n",
-				fmt.Sprintf("lru_crawler crawl %d\r\n", store.Shards()),
-				"version\r\n",
-			}, []string{bad, bad, "VERSION"})
-			dialAndExchange(t, ln, []string{"version\r\n"}, []string{"VERSION"})
+			body(t, store, ln)
 		})
 	}
+}
+
+// TestBadCrawlIDKeepsServing: an out-of-range "lru_crawler crawl"
+// id gets CLIENT_ERROR on either frontend, the same connection stays
+// usable, and the server goes on serving a second connection.
+func TestBadCrawlIDKeepsServing(t *testing.T) {
+	eachFrontend(t, func(t *testing.T, store *Store, ln *netsim.Listener) {
+		const bad = "CLIENT_ERROR bad class id"
+		dialAndExchange(t, ln, []string{
+			"lru_crawler crawl -1\r\n",
+			fmt.Sprintf("lru_crawler crawl %d\r\n", store.Shards()),
+			"version\r\n",
+		}, []string{bad, bad, "VERSION"})
+		dialAndExchange(t, ln, []string{"version\r\n"}, []string{"VERSION"})
+	})
+}
+
+// Memcached binary-protocol requests. The servers speak the text
+// protocol only, so each is the start of an unknown command line.
+const (
+	// binaryGetK is a GET of key "k": magic 0x80, opcode 0x00, key
+	// length 1, body length 1, zero opaque and CAS, then the key.
+	binaryGetK = "\x80\x00\x00\x01" + "\x00\x00\x00\x00" + "\x00\x00\x00\x01" + zero12 + "k"
+	// binarySetKey is a SET of "key" to "val": opcode 0x01, key length
+	// 3, 8 bytes of extras (zero flags and exptime), body length 14.
+	binarySetKey = "\x80\x01\x00\x03" + "\x08\x00\x00\x00" + "\x00\x00\x00\x0e" + zero12 + zero8 + "keyval"
+	zero8        = "\x00\x00\x00\x00\x00\x00\x00\x00"
+	zero12       = "\x00\x00\x00\x00" + zero8
+)
+
+// TestBinaryFrameIsUnknownCommand: a binary-protocol frame gets the
+// text protocol's ERROR once its line ends, and the connection goes on
+// serving text.
+func TestBinaryFrameIsUnknownCommand(t *testing.T) {
+	eachFrontend(t, func(t *testing.T, _ *Store, ln *netsim.Listener) {
+		ep, err := ln.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ep.Close() // unblocks the reader on a timeout
+		if _, err := ep.WriteString(binaryGetK + "\r\nversion\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		lines := make(chan []string, 1)
+		go func() {
+			ls := &lineScanner{ep: ep}
+			var got []string
+			for len(got) < 2 {
+				line, err := ls.readLine()
+				if err != nil {
+					break
+				}
+				got = append(got, string(line))
+			}
+			lines <- got
+		}()
+		select {
+		case got := <-lines:
+			if len(got) != 2 || got[0] != "ERROR" || !strings.HasPrefix(got[1], "VERSION ") {
+				t.Fatalf("replies %q, want ERROR then VERSION", got)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatal("no text reply within 3 s")
+		}
+	})
 }
 
 func TestICilkServerPipelinedRequests(t *testing.T) {

@@ -479,8 +479,8 @@ type DumpEntry struct {
 // recently used first) — the deterministic enumeration behind "stats
 // cachedump". The snapshot is taken under the shard lock; limit > 0
 // caps the entries returned. Determinism matters beyond aesthetics:
-// the text and binary-append protocol paths must render byte-identical
-// replies (the protocol fuzzers compare them), so the walk order must
+// the reference and in-place text paths must render byte-identical
+// replies (the protocol fuzzer compares them), so the walk order must
 // not depend on map iteration.
 func (s *Store) DumpShard(i, limit int) []DumpEntry {
 	now := time.Now().Unix()

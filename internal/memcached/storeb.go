@@ -64,25 +64,18 @@ func (s *Store) lookup(key []byte) (sh *shard, it *Item) {
 	return sh, it
 }
 
-// HitRenderer appends one hit to dst in some reply format;
-// AppendValueLine is the text protocol's. It runs under the shard
-// lock: it must be a plain function (a closure would cost the hot path
-// an allocation), must not keep value, and must not call the store.
-type HitRenderer func(dst, key, value []byte, flags uint32, cas uint64, opt bool) []byte
-
-// AppendHit is the serving paths' read: on a hit it has render append
-// key's value to dst while the shard lock is held, so the reply holds
-// a whole value whatever writers do next. opt is handed to render
-// (AppendValueLine: withCAS). Side effects (hit/miss counters, LRU
-// bump) match Get.
-func (s *Store) AppendHit(dst, key []byte, opt bool, render HitRenderer) (out []byte, ok bool) {
+// AppendHit is the serving paths' read: on a hit it appends key's
+// value line (AppendValueLine) to dst while the shard lock is held, so
+// the reply holds a whole value whatever writers do next. Side effects
+// (hit/miss counters, LRU bump) match Get.
+func (s *Store) AppendHit(dst, key []byte, withCAS bool) []byte {
 	sh, it := s.lookup(key)
 	if it == nil {
-		return dst, false
+		return dst
 	}
-	dst = render(dst, key, it.Value, it.Flags, it.CAS, opt)
+	dst = AppendValueLine(dst, key, it.Value, it.Flags, it.CAS, withCAS)
 	sh.mu.Unlock()
-	return dst, true
+	return dst
 }
 
 // GetView returns the stored value slice for key without copying, plus
@@ -106,13 +99,6 @@ func (s *Store) GetView(key []byte) (value []byte, flags uint32, cas uint64, ok 
 // when a new entry is inserted. casUnique is consulted only for
 // ModeCAS.
 func (s *Store) SetB(mode SetMode, key []byte, value []byte, flags uint32, exptime int64, casUnique uint64) StoreResult {
-	res, _ := s.SetBCAS(mode, key, value, flags, exptime, casUnique)
-	return res
-}
-
-// SetBCAS is SetB that also reports the CAS unique it assigned (0
-// unless Stored), which the binary protocol returns to the client.
-func (s *Store) SetBCAS(mode SetMode, key []byte, value []byte, flags uint32, exptime int64, casUnique uint64) (StoreResult, uint64) {
 	now, nano := clock()
 	sh := s.shardForB(key)
 	sh.mu.Lock()
@@ -126,15 +112,15 @@ func (s *Store) SetBCAS(mode SetMode, key []byte, value []byte, flags uint32, ex
 	switch mode {
 	case ModeAdd:
 		if old != nil {
-			return NotStored, 0
+			return NotStored
 		}
 	case ModeReplace:
 		if old == nil {
-			return NotStored, 0
+			return NotStored
 		}
 	case ModeAppend, ModePrepend:
 		if old == nil {
-			return NotStored, 0
+			return NotStored
 		}
 		// Append/prepend keep the existing flags and exptime, and the
 		// item's place in the LRU.
@@ -145,11 +131,11 @@ func (s *Store) SetBCAS(mode SetMode, key []byte, value []byte, flags uint32, ex
 	case ModeCAS:
 		if old == nil {
 			s.Stats.CasMisses.Add(1)
-			return NotFoundStore, 0
+			return NotFoundStore
 		}
 		if old.CAS != casUnique {
 			s.Stats.CasBadval.Add(1)
-			return Exists, 0
+			return Exists
 		}
 		s.Stats.CasHits.Add(1)
 	}
@@ -157,10 +143,9 @@ func (s *Store) SetBCAS(mode SetMode, key []byte, value []byte, flags uint32, ex
 	if bump {
 		s.bump(sh, it, nano)
 	}
-	cas := it.CAS // before eviction: a value over the whole budget evicts itself
 	s.evictLocked(sh)
 	s.Stats.Sets.Add(1)
-	return Stored, cas
+	return Stored
 }
 
 // writeLocked makes head+tail the value of key, whose live item is old

@@ -50,9 +50,6 @@ func Open(shards int) (*Group, error) {
 	return g, nil
 }
 
-// Shards returns the number of poller goroutines.
-func (g *Group) Shards() int { return len(g.pollers) }
-
 // Add assigns fd (which must already be nonblocking; fds from
 // net.Conn are) to a shard and installs it in the shard's routing
 // table, without touching epoll yet: the EPOLL_CTL_ADD happens on the

@@ -18,9 +18,6 @@ type Group struct{}
 // Open always fails in unsupported builds.
 func Open(shards int) (*Group, error) { return nil, errUnsupported }
 
-// Shards reports 0 in unsupported builds.
-func (g *Group) Shards() int { return 0 }
-
 // Add always fails in unsupported builds.
 func (g *Group) Add(fd int, c Conn) (*Desc, error) { return nil, errUnsupported }
 

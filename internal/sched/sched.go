@@ -281,9 +281,6 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// Config returns the (defaulted) configuration in effect.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
 // Levels returns the configured number of priority levels.
 func (rt *Runtime) Levels() int { return rt.cfg.Levels }
 

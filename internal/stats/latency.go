@@ -114,23 +114,6 @@ func (r *Recorder) Min() time.Duration {
 	return r.samples[0]
 }
 
-// Reset discards all samples.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.samples = r.samples[:0]
-	r.sorted = false
-	r.mu.Unlock()
-}
-
-// Snapshot returns a copy of all samples (unsorted order unspecified).
-func (r *Recorder) Snapshot() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]time.Duration, len(r.samples))
-	copy(out, r.samples)
-	return out
-}
-
 // Summary is a one-line digest of a recorder, convenient for harness
 // table rows.
 type Summary struct {

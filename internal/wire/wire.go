@@ -59,9 +59,6 @@ func isSpace(r rune) bool {
 	return unicode.IsSpace(r)
 }
 
-// Equal reports b == s without converting either side.
-func Equal(b []byte, s string) bool { return string(b) == s }
-
 // ParseUint parses b as an unsigned decimal, accepting exactly the
 // inputs strconv.ParseUint(string(b), 10, bitSize) accepts (no sign,
 // no underscores, range-checked). bitSize must be 1..64.

@@ -217,19 +217,6 @@ func (lr *LineReader) ReadLineBytes(t *Task) ([]byte, error) {
 	}
 }
 
-// PeekByte returns the next byte without consuming it, suspending
-// until one is available. Servers that speak several protocols on one
-// port use it to sniff the framing (memcached's binary protocol is
-// detected by a 0x80 first byte).
-func (lr *LineReader) PeekByte(t *Task) (byte, error) {
-	for lr.pos >= len(lr.buf) {
-		if err := lr.fill(t); err != nil {
-			return 0, err
-		}
-	}
-	return lr.buf[lr.pos], nil
-}
-
 // ReadExactBytes returns the next n bytes with no framing assumptions
 // as a view into the internal buffer, suspending until available.
 // Valid until the next read on this reader.

@@ -110,29 +110,6 @@ func TestLineReaderEOFMidBlock(t *testing.T) {
 	}
 }
 
-func TestPeekByteDoesNotConsume(t *testing.T) {
-	rt := newRT(t, Config{Workers: 1, Levels: 1})
-	cli, srv := netsim.Pipe()
-	cli.WriteString("Z-line\r\n")
-	got := rt.Run(func(task *Task) any {
-		lr := rt.NewLineReader(srv)
-		b, err := lr.PeekByte(task)
-		if err != nil || b != 'Z' {
-			t.Errorf("peek = %c, %v", b, err)
-		}
-		// Peek again: same byte.
-		b2, _ := lr.PeekByte(task)
-		if b2 != 'Z' {
-			t.Errorf("second peek = %c", b2)
-		}
-		line, _ := lr.ReadLineBytes(task)
-		return string(line)
-	})
-	if got != "Z-line" {
-		t.Fatalf("line = %v", got)
-	}
-}
-
 func TestReadExactSpansChunks(t *testing.T) {
 	rt := newRT(t, Config{Workers: 1, Levels: 1})
 	cli, srv := netsim.Pipe()
