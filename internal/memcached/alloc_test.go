@@ -2,8 +2,12 @@ package memcached
 
 import (
 	"bytes"
+	"runtime"
 	"strconv"
 	"testing"
+	"time"
+
+	"icilk/internal/invariant"
 )
 
 // TestGetHitTextPathZeroAlloc is the tentpole regression gate: a
@@ -215,4 +219,33 @@ func BenchmarkTextSet(b *testing.B) {
 		reply, _ = ExecuteAppend(s, &req, reply[:0])
 	}
 	_ = reply
+}
+
+// TestCrawlerNapAllocFree: an idle server's crawler naps without
+// allocating — its nap future and timer are made once and rearmed —
+// so the process allocates less than one object per nap.
+func TestCrawlerNapAllocFree(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	rt := newReleaseRuntime(t)
+	srv := NewICilkServer(NewStore(StoreConfig{}), rt, ICilkConfig{})
+	defer srv.Close()
+	srv.StartCrawler()
+	time.Sleep(crawlInterval + crawlInterval/2) // into the first rearmed nap
+
+	var before, after runtime.MemStats
+	naps := rt.WasteReport().Suspends
+	runtime.ReadMemStats(&before)
+	time.Sleep(8 * crawlInterval)
+	runtime.ReadMemStats(&after)
+	naps = rt.WasteReport().Suspends - naps
+	if naps < 5 {
+		t.Fatalf("crawler napped %d times in %v, want >= 5", naps, 8*crawlInterval)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(naps)
+	t.Logf("%.2f allocations per crawler nap over %d naps", per, naps)
+	if per >= 1 {
+		t.Errorf("%.2f allocations per crawler nap, want < 1", per)
+	}
 }

@@ -174,10 +174,12 @@ func TestICilkCloseWithLiveClient(t *testing.T) {
 }
 
 // TestICilkCloseCutsCrawlerNap: Close does not wait out the crawler's
-// crawlInterval, wherever in it Close lands.
+// crawlInterval, wherever in it Close lands, the first nap or a
+// rearmed one.
 func TestICilkCloseCutsCrawlerNap(t *testing.T) {
 	rt := newReleaseRuntime(t)
-	for _, offset := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 95 * time.Millisecond, 150 * time.Millisecond} {
+	// 250 and 350 ms land after two and three rearmed naps.
+	for _, offset := range []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 95 * time.Millisecond, 150 * time.Millisecond, 250 * time.Millisecond, 350 * time.Millisecond} {
 		srv := NewICilkServer(NewStore(StoreConfig{}), rt, ICilkConfig{})
 		srv.StartCrawler()
 		time.Sleep(offset)
@@ -185,6 +187,32 @@ func TestICilkCloseCutsCrawlerNap(t *testing.T) {
 		srv.Close()
 		if took := time.Since(start); took > 10*time.Millisecond {
 			t.Errorf("Close %v after StartCrawler took %v, want <= 10ms", offset, took)
+		}
+	}
+}
+
+// TestICilkCloseAfterRuntimeClose: Close returns when the runtime was
+// closed first, with the crawler napping or between naps — a closed
+// runtime never runs the crawler again, so Close must not wait for it.
+func TestICilkCloseAfterRuntimeClose(t *testing.T) {
+	for _, offset := range []time.Duration{0, 20 * time.Millisecond, 120 * time.Millisecond} {
+		rt, err := icilk.New(icilk.Config{Workers: 2, Levels: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewICilkServer(NewStore(StoreConfig{}), rt, ICilkConfig{})
+		srv.StartCrawler()
+		time.Sleep(offset)
+		rt.Close()
+		closed := make(chan struct{})
+		go func() {
+			srv.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("Close %v after StartCrawler, runtime closed first: no return within 2s", offset)
 		}
 	}
 }

@@ -57,7 +57,7 @@ type ICilkServer struct {
 	store    *Store
 	rt       *icilk.Runtime
 	crawler  *icilk.Future
-	nap      *icilk.Future // the crawler's pending sleep
+	nap      *icilk.Future // the crawler's sleep, rearmed for each nap
 	napTimer *time.Timer   // completes nap, unless Close stops it first
 
 	conns atomic.Int64
@@ -92,6 +92,10 @@ func NewICilkServer(store *Store, rt *icilk.Runtime, cfg ICilkConfig) *ICilkServ
 // future routine — the pthread version's background thread, expressed
 // as a task. Serve calls it automatically; real-network frontends
 // that bypass Serve call it themselves. After Close it does nothing.
+//
+// Every nap of the crawler is one I/O future and one timer, made here
+// for the server's lifetime: the timer's function completes the nap
+// itself, on the timer's goroutine, so a nap allocates nothing.
 func (s *ICilkServer) StartCrawler() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -99,31 +103,35 @@ func (s *ICilkServer) StartCrawler() {
 		return
 	}
 	rt, store := s.rt, s.store
+	nap := rt.NewIOFuture()
+	s.nap, s.napTimer = nap, time.AfterFunc(crawlInterval, func() { nap.Complete(nil) })
 	s.crawler = rt.Submit(rt.Levels()-1, func(t *icilk.Task) any {
-		for i := 0; ; i++ {
-			nap := s.startNap(rt)
-			if nap == nil {
-				return nil
-			}
+		for i := 0; s.startNap(nap, i); i++ {
 			store.CrawlShard(i)
 			nap.Get(t)
 		}
+		return nil
 	})
 }
 
-// startNap arms the crawler's next crawlInterval and returns the I/O
-// future that ends it, or nil once Close has begun. The nap is a
-// Runtime.Sleep that Close can cut short: whichever of the timer and
-// Close's timer.Stop wins completes the future, exactly once.
-func (s *ICilkServer) startNap(rt *icilk.Runtime) *icilk.Future {
+// startNap arms the crawler's nap number i, crawlInterval long, and
+// reports whether the crawler goes on: false once Close has begun.
+// StartCrawler armed the first nap; each later one rearms the nap
+// future the crawler has just seen complete and resets the timer.
+// The nap is a Runtime.Sleep that Close can cut short: whichever of
+// the timer and Close's timer.Stop wins completes the future, exactly
+// once.
+func (s *ICilkServer) startNap(nap *icilk.Future, i int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.rt == nil {
-		return nil
+		return false
 	}
-	f := rt.NewIOFuture()
-	s.nap, s.napTimer = f, time.AfterFunc(crawlInterval, func() { rt.CompleteIO(f, nil) })
-	return f
+	if i > 0 {
+		nap.Rearm()
+		s.napTimer.Reset(crawlInterval)
+	}
+	return true
 }
 
 // Serve accepts connections until the listener closes, submitting one
@@ -317,6 +325,11 @@ func (s *ICilkServer) ActiveConns() int64 { return s.conns.Load() }
 // when those clients disconnect; connections handed over after Close
 // are closed at once. The store is the caller's to reuse or drop once
 // those routines have returned.
+//
+// If the runtime is already closed, Close does not wait for the
+// crawler, which a closed runtime never runs again. A Runtime.Close
+// running concurrently with Close is the caller's error: Close may
+// then wait forever.
 func (s *ICilkServer) Close() {
 	s.mu.Lock()
 	rt, crawler, nap, napTimer := s.rt, s.crawler, s.nap, s.napTimer
@@ -326,9 +339,9 @@ func (s *ICilkServer) Close() {
 		return
 	}
 	if napTimer != nil && napTimer.Stop() {
-		rt.CompleteIO(nap, nil)
+		nap.Complete(nil)
 	}
-	if crawler != nil {
+	if crawler != nil && rt.Health().Ready {
 		crawler.Wait()
 	}
 }

@@ -10,8 +10,12 @@
 // Design constraints:
 //
 //   - Zero allocation on the hot increment path: Counter.Inc/Add and
-//     Gauge.Set/Add are single uncontended atomic operations; all
-//     formatting cost is paid at scrape time.
+//     Gauge.Set/Add are single uncontended atomic operations.
+//   - Zero allocation on the scrape path: everything in the exposition
+//     that never changes — HELP and TYPE lines, each sample line's
+//     name and labels — is rendered once, at registration, into
+//     families and series kept sorted as they register; a scrape
+//     appends only the values, into a pooled render buffer.
 //   - Pull-based sources: CounterFunc/GaugeFunc register callbacks so
 //     values the runtime already maintains (worker clocks, queue
 //     depths, the priority bitfield) are read only when scraped,
@@ -22,10 +26,9 @@
 package metrics
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,18 +126,20 @@ func (k kind) String() string {
 	return "histogram"
 }
 
-// series is one labeled instance within a family; write appends its
-// exposition lines to b.
+// series is one labeled instance within a family; appendTo appends
+// its exposition lines to rb.buf, whose text up to each value was
+// rendered at registration.
 type series struct {
-	sig   string // canonical label signature, for dedup and sort
-	write func(b *bytes.Buffer)
+	sig      string // canonical label signature, for dedup and sort
+	appendTo func(rb *render)
 }
 
-// family groups all series sharing one metric name.
+// family groups all series sharing one metric name, kept sorted by
+// label signature.
 type family struct {
 	name   string
-	help   string
 	kind   kind
+	header []byte // the # HELP and # TYPE lines
 	series []*series
 }
 
@@ -144,13 +149,21 @@ type family struct {
 // programming error, caught at startup.
 type Registry struct {
 	mu   sync.RWMutex
-	fams map[string]*family
+	fams []*family // sorted by name
+	// renders holds *render scratch for WriteTo: each scrape takes its
+	// own, so a slow client blocks no other scrape.
+	renders sync.Pool
+}
+
+// render is one scrape's scratch: the exposition buffer and the
+// histogram cumulative counts.
+type render struct {
+	buf    []byte
+	counts []uint64
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*family)}
-}
+func NewRegistry() *Registry { return &Registry{} }
 
 // validName enforces the Prometheus metric/label name charset.
 func validName(s string) bool {
@@ -216,9 +229,12 @@ func renderLabels(labels []Label, extra string) string {
 	return b.String()
 }
 
+// prefix is a sample line up to its value: "name{labels} ".
+func prefix(name, labels string) []byte { return []byte(name + labels + " ") }
+
 // register validates and inserts one series, creating its family as
-// needed.
-func (r *Registry) register(name, help string, k kind, labels []Label, write func(b *bytes.Buffer)) {
+// needed; newSeries builds the series from its label signature.
+func (r *Registry) register(name, help string, k kind, labels []Label, newSeries func(sig string) func(rb *render)) {
 	if !validName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
@@ -230,27 +246,32 @@ func (r *Registry) register(name, help string, k kind, labels []Label, write fun
 	sig := renderLabels(labels, "")
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.fams[name]
-	if f == nil {
-		f = &family{name: name, help: help, kind: k}
-		r.fams[name] = f
-	} else if f.kind != k {
+	fi, found := slices.BinarySearchFunc(r.fams, name, func(f *family, n string) int { return strings.Compare(f.name, n) })
+	if !found {
+		var h []byte
+		if help != "" {
+			h = fmt.Appendf(h, "# HELP %s %s\n", name, strings.ReplaceAll(help, "\n", " "))
+		}
+		h = fmt.Appendf(h, "# TYPE %s %s\n", name, k)
+		r.fams = slices.Insert(r.fams, fi, &family{name: name, kind: k, header: h})
+	}
+	f := r.fams[fi]
+	if f.kind != k {
 		panic(fmt.Sprintf("metrics: %s re-registered as %v (was %v)", name, k, f.kind))
 	}
-	for _, s := range f.series {
-		if s.sig == sig {
-			panic(fmt.Sprintf("metrics: duplicate series %s%s", name, sig))
-		}
+	si, dup := slices.BinarySearchFunc(f.series, sig, func(s *series, sig string) int { return strings.Compare(s.sig, sig) })
+	if dup {
+		panic(fmt.Sprintf("metrics: duplicate series %s%s", name, sig))
 	}
-	f.series = append(f.series, &series{sig: sig, write: write})
+	f.series = slices.Insert(f.series, si, &series{sig: sig, appendTo: newSeries(sig)})
 }
 
 // Counter registers and returns a new counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
-	ls := renderLabels(labels, "")
-	r.register(name, help, counterKind, labels, func(b *bytes.Buffer) {
-		fmt.Fprintf(b, "%s%s %d\n", name, ls, c.Value())
+	r.register(name, help, counterKind, labels, func(sig string) func(*render) {
+		p := prefix(name, sig)
+		return func(rb *render) { rb.buf = appendInt(rb.buf, p, c.Value()) }
 	})
 	return c
 }
@@ -260,27 +281,27 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // (worker clocks, trace counts). fn must be safe for concurrent use
 // and should be monotone.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	ls := renderLabels(labels, "")
-	r.register(name, help, counterKind, labels, func(b *bytes.Buffer) {
-		fmt.Fprintf(b, "%s%s %s\n", name, ls, formatFloat(fn()))
+	r.register(name, help, counterKind, labels, func(sig string) func(*render) {
+		p := prefix(name, sig)
+		return func(rb *render) { rb.buf = appendFloat(rb.buf, p, fn()) }
 	})
 }
 
 // Gauge registers and returns a new gauge series.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	g := &Gauge{}
-	ls := renderLabels(labels, "")
-	r.register(name, help, gaugeKind, labels, func(b *bytes.Buffer) {
-		fmt.Fprintf(b, "%s%s %d\n", name, ls, g.Value())
+	r.register(name, help, gaugeKind, labels, func(sig string) func(*render) {
+		p := prefix(name, sig)
+		return func(rb *render) { rb.buf = appendInt(rb.buf, p, g.Value()) }
 	})
 	return g
 }
 
 // GaugeFunc registers a gauge read from fn at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	ls := renderLabels(labels, "")
-	r.register(name, help, gaugeKind, labels, func(b *bytes.Buffer) {
-		fmt.Fprintf(b, "%s%s %s\n", name, ls, formatFloat(fn()))
+	r.register(name, help, gaugeKind, labels, func(sig string) func(*render) {
+		p := prefix(name, sig)
+		return func(rb *render) { rb.buf = appendFloat(rb.buf, p, fn()) }
 	})
 }
 
@@ -297,21 +318,24 @@ func (r *Registry) Histogram(name, help string, bounds []time.Duration, labels .
 		}
 	}
 	h := &Histogram{h: stats.NewHistogram(), bounds: bounds}
-	ls := renderLabels(labels, "")
-	// Pre-render the per-bucket label sets (scrape-time cost only).
-	bls := make([]string, len(bounds))
-	for i, bd := range bounds {
-		bls[i] = renderLabels(labels, `le="`+formatFloat(bd.Seconds())+`"`)
-	}
-	infLS := renderLabels(labels, `le="+Inf"`)
-	r.register(name, help, histogramKind, labels, func(b *bytes.Buffer) {
-		counts, total, sum := h.h.Cumulative(bounds)
-		for i := range bounds {
-			fmt.Fprintf(b, "%s_bucket%s %d\n", name, bls[i], counts[i])
+	r.register(name, help, histogramKind, labels, func(sig string) func(*render) {
+		// One line prefix per bucket, then +Inf, _sum and _count.
+		bucket := make([][]byte, len(bounds))
+		for i, bd := range bounds {
+			bucket[i] = prefix(name+"_bucket", renderLabels(labels, `le="`+formatFloat(bd.Seconds())+`"`))
 		}
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, infLS, total)
-		fmt.Fprintf(b, "%s_sum%s %s\n", name, ls, formatFloat(sum.Seconds()))
-		fmt.Fprintf(b, "%s_count%s %d\n", name, ls, total)
+		inf := prefix(name+"_bucket", renderLabels(labels, `le="+Inf"`))
+		sum, count := prefix(name+"_sum", sig), prefix(name+"_count", sig)
+		return func(rb *render) {
+			rb.counts = slices.Grow(rb.counts[:0], len(bounds))[:len(bounds)]
+			total, s := h.h.CumulativeInto(rb.counts, bounds)
+			for i, c := range rb.counts {
+				rb.buf = appendUint(rb.buf, bucket[i], c)
+			}
+			rb.buf = appendUint(rb.buf, inf, total)
+			rb.buf = appendFloat(rb.buf, sum, s.Seconds())
+			rb.buf = appendUint(rb.buf, count, total)
+		}
 	})
 	return h
 }
@@ -320,38 +344,59 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteTo renders the registry in Prometheus text exposition format
-// (version 0.0.4): families sorted by name, each with HELP and TYPE
-// lines, series sorted by label signature. Safe to call concurrently
-// with registrations and metric updates.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var b bytes.Buffer
-	r.mu.RLock()
-	names := make([]string, 0, len(r.fams))
-	for n := range r.fams {
-		names = append(names, n)
+// appendInt, appendUint and appendFloat append one sample line: its
+// pre-rendered prefix, the value, and a newline.
+func appendInt(b, prefix []byte, v int64) []byte {
+	return append(strconv.AppendInt(append(b, prefix...), v, 10), '\n')
+}
+
+func appendUint(b, prefix []byte, v uint64) []byte {
+	return append(strconv.AppendUint(append(b, prefix...), v, 10), '\n')
+}
+
+func appendFloat(b, prefix []byte, v float64) []byte {
+	return append(strconv.AppendFloat(append(b, prefix...), v, 'g', -1, 64), '\n')
+}
+
+// renderAll takes a render buffer and fills it with the exposition;
+// the caller puts it back in r.renders.
+func (r *Registry) renderAll() *render {
+	rb, _ := r.renders.Get().(*render)
+	if rb == nil {
+		rb = new(render)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		f := r.fams[n]
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		ss := make([]*series, len(f.series))
-		copy(ss, f.series)
-		sort.Slice(ss, func(i, j int) bool { return ss[i].sig < ss[j].sig })
-		for _, s := range ss {
-			s.write(&b)
+	rb.buf = rb.buf[:0]
+	r.mu.RLock()
+	for _, f := range r.fams {
+		rb.buf = append(rb.buf, f.header...)
+		for _, s := range f.series {
+			s.appendTo(rb)
 		}
 	}
 	r.mu.RUnlock()
-	return b.WriteTo(w)
+	return rb
 }
 
-// String renders the full exposition (diagnostics, tests).
+// WriteTo renders the registry in Prometheus text exposition format
+// (version 0.0.4): families sorted by name, each with HELP and TYPE
+// lines, series sorted by label signature. Safe to call concurrently
+// with registrations and metric updates. It allocates nothing once a
+// render buffer is pooled.
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+	rb := r.renderAll()
+	n, err := w.Write(rb.buf)
+	if err == nil && n < len(rb.buf) {
+		err = io.ErrShortWrite
+	}
+	r.renders.Put(rb)
+	return int64(n), err
+}
+
+// String renders the full exposition (diagnostics, tests); the
+// returned string is its only allocation.
 func (r *Registry) String() string {
-	var b bytes.Buffer
-	r.WriteTo(&b)
-	return b.String()
+	rb := r.renderAll()
+	s := string(rb.buf)
+	r.renders.Put(rb)
+	return s
 }

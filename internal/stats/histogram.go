@@ -127,6 +127,14 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 // default).
 func (h *Histogram) Cumulative(bounds []time.Duration) (counts []uint64, total uint64, sum time.Duration) {
 	counts = make([]uint64, len(bounds))
+	total, sum = h.CumulativeInto(counts, bounds)
+	return counts, total, sum
+}
+
+// CumulativeInto is Cumulative writing the per-bound counts into
+// counts, which must have len(bounds) elements, instead of allocating
+// them.
+func (h *Histogram) CumulativeInto(counts []uint64, bounds []time.Duration) (total uint64, sum time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var cum uint64
@@ -145,7 +153,7 @@ func (h *Histogram) Cumulative(bounds []time.Duration) (counts []uint64, total u
 	for ; bi < len(bounds); bi++ {
 		counts[bi] = cum
 	}
-	return counts, h.total, h.sum
+	return h.total, h.sum
 }
 
 // Mean returns the exact mean (sums are tracked exactly).

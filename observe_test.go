@@ -14,9 +14,52 @@ import (
 	"testing"
 
 	"icilk"
+	"icilk/internal/invariant"
 	"icilk/internal/memcached"
 	"icilk/internal/netreal"
+	"icilk/internal/netsim"
 )
+
+// TestRuntimeScrapeAllocFree: a scrape of a runtime's whole registry —
+// the scheduler's, I/O handlers', admission's and poller-side network
+// counters and a memcached server's request histogram — allocates
+// nothing once its render buffer is pooled, and String only the
+// string it returns.
+func TestRuntimeScrapeAllocFree(t *testing.T) {
+	if invariant.Race {
+		t.Skip("allocation accounting differs under -race")
+	}
+	rt, err := icilk.New(icilk.Config{Workers: 2, Levels: 2, Admission: &icilk.AdmissionConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := memcached.NewICilkServer(memcached.NewStore(memcached.StoreConfig{}), rt,
+		memcached.ICilkConfig{Metrics: rt.Metrics()})
+	defer srv.Close()
+	(&netreal.Stats{}).RegisterMetrics(rt.Metrics())
+
+	// One request, so the latency histogram has a sample to bucket.
+	cli, sep := netsim.Pipe()
+	routine := srv.HandleConn(sep)
+	cli.WriteString("set k 0 0 1\r\nv\r\n")
+	if line, err := bufio.NewReader(cli).ReadString('\n'); err != nil || line != "STORED\r\n" {
+		t.Fatalf("set reply %q, err %v", line, err)
+	}
+	cli.Close()
+	routine.Wait()
+
+	reg := rt.Metrics()
+	if !strings.Contains(reg.String(), `icilk_app_request_latency_seconds_count{app="memcached",level="0"} 1`) {
+		t.Fatal("scrape is missing the request's latency sample")
+	}
+	if got := testing.AllocsPerRun(50, func() { reg.WriteTo(io.Discard) }); got != 0 {
+		t.Errorf("WriteTo allocates %v objects per scrape, want 0", got)
+	}
+	if got := testing.AllocsPerRun(50, func() { _ = reg.String() }); got > 1 {
+		t.Errorf("String allocates %v objects per scrape, want <= 1", got)
+	}
+}
 
 // TestAdminEndToEnd drives a live memcached server over real TCP
 // (netreal) and scrapes the admin endpoint: /metrics must expose the
