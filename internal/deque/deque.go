@@ -50,8 +50,8 @@ const (
 	// Dead: empty and finished; pool pops discard it.
 	Dead
 	// Recycled: terminal sentinel set by TakeForRecycle when a caller
-	// claims a Dead deque for the runtime's free pool. Only Reset (on
-	// the pool's Get path) leaves this state.
+	// claims a Dead deque for the runtime's free list. Only Reset (on
+	// the list's take path, newDeque) leaves this state.
 	Recycled
 )
 
@@ -65,7 +65,7 @@ const (
 //	Suspended → Resumable  (MarkResumable: awaited future completed)
 //	Resumable → Active     (TakeForThief mug / TryMug: thief adoption)
 //	Dead      → Recycled   (TakeForRecycle: single recycler's claim)
-//	Recycled  → Active     (Reset: leaving the free pool)
+//	Recycled  → Active     (Reset: leaving the free list)
 //
 // Anything else — a double suspend, a resume of a dead deque, a second
 // TakeForRecycle, a Reset of a live deque — is a protocol violation.
@@ -480,7 +480,7 @@ func (d *Deque) InPool() (regular, mugging bool) {
 // same deque. The Dead→Recycled transition is the tie-breaker: it
 // happens under mu, so exactly one caller wins the claim and any
 // later caller sees Recycled and backs off, keeping one deque from
-// entering the free pool twice.
+// entering the free list twice.
 func (d *Deque) TakeForRecycle() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -495,7 +495,7 @@ func (d *Deque) TakeForRecycle() bool {
 // the given level, retaining the item slice's capacity so steady-state
 // pushes stay allocation-free. The caller must own the deque
 // exclusively (TakeForRecycle returned true and the deque was taken
-// off the runtime's free pool).
+// off the runtime's free list).
 func (d *Deque) Reset(level int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

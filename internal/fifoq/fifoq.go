@@ -98,7 +98,8 @@ type Queue[T any] struct {
 	col *epoch.Collector
 
 	// segPool holds recycled segments. Mutex-protected; it is touched
-	// once per SegSize operations at most.
+	// once per SegSize operations at most. Made at its bound,
+	// maxPooledSegments, so releaseSegment never grows it.
 	poolMu   sync.Mutex
 	segPool  []*segment[T]
 	recycled atomic.Int64 // number of segments recycled (diagnostics)
@@ -108,7 +109,7 @@ type Queue[T any] struct {
 // Multiple queues may share one collector (the scheduler shares one
 // per runtime so a worker pin covers every queue it touches).
 func New[T any](col *epoch.Collector) *Queue[T] {
-	q := &Queue[T]{col: col}
+	q := &Queue[T]{col: col, segPool: make([]*segment[T], 0, maxPooledSegments)}
 	s := q.allocSegment(0)
 	q.first.Store(s)
 	q.headSeg.Store(s)

@@ -35,18 +35,17 @@ func TestSortKernelsAllocFree(t *testing.T) {
 // TestJobAllocBudget gates what one request may allocate in steady
 // state: a 1/32 share of the block its future comes from and a 1/32
 // share of the block its result cell comes from (cellResult), so about
-// 0.06 objects, for every class. The waiter's channel is pooled, there
-// is no root closure (the request is a pooled jobReq), the checksum is
+// 0.06 objects, for every class. The waiter's channel is recycled, there
+// is no root closure (the request is a recycled jobReq), the checksum is
 // not boxed, mm's loop body is bound once per scratch, and there is no
 // object per fork: mm's loop splits, fib's 12 frames and sort's one half
 // (2048 elements over 1024-element leaves; a merge that size is
 // sequential) are records that ride the task contexts, and sw's tile
 // frames live in its scratch. The inputs, work arrays and generators
-// are the scratch pools' and the stack's. The counter is the whole
+// are the scratch lists' and the stack's. The counter is the whole
 // process's, so the smallest of three windows is read; the allowance
 // above the two block shares is a context that meets a fork with no
-// record parked yet (a goroutine new to the class) and a pool refill
-// after a GC.
+// record parked yet (a goroutine new to the class).
 func TestJobAllocBudget(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
 		t.Skip("allocation accounting differs under -race and icilk_debug")
@@ -83,6 +82,31 @@ func TestJobAllocBudget(t *testing.T) {
 		if mallocs > maxMallocs || bytes > maxBytes {
 			t.Errorf("%s: %.2f mallocs and %.0f B per request, want at most %.1f and %d",
 				OpNames[class], mallocs, bytes, maxMallocs, maxBytes)
+		}
+
+		// Across a collection: the record, the scratch, the waiter's
+		// channel, the deques and the called frames come from lists
+		// their owners keep through a GC, so a window right after one
+		// claims future and cell blocks and nothing else.
+		const gcRounds = 64
+		blocks := uint64(2 * (gcRounds/32 + 1))
+		var least uint64
+		for w := 0; w < windows; w++ {
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			for i := int64(0); i < gcRounds; i++ {
+				srv.Do(class, i).Wait()
+			}
+			runtime.ReadMemStats(&m1)
+			if n := m1.Mallocs - m0.Mallocs; w == 0 || n < least {
+				least = n
+			}
+		}
+		if least > blocks {
+			t.Errorf("%s after a GC: %d allocations over %d requests, want at most %d (the future and cell blocks)",
+				OpNames[class], least, gcRounds, blocks)
 		}
 	}
 }

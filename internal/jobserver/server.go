@@ -2,7 +2,6 @@ package jobserver
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"icilk"
@@ -34,9 +33,14 @@ type Server struct {
 	rt  *icilk.Runtime
 	cfg Config
 
-	// Per-class scratch sized from cfg; run says who owns one when.
-	mm, sort, sw sync.Pool
-	reqs         sync.Pool // *jobReq
+	// Per-class scratch sized from cfg, and request records: free
+	// lists that keep what they hold across garbage collections, at
+	// most maxFreeScratch scratch per class and maxFreeReqs records.
+	// run says who owns one when.
+	mm   chan *mmScratch
+	sort chan *sortScratch
+	sw   chan *swScratch
+	reqs chan *jobReq
 
 	cells atomic.Pointer[cellBlock] // where run's results live (cellResult)
 }
@@ -89,23 +93,53 @@ func New(rt *icilk.Runtime, cfg Config) (*Server, error) {
 			*size = defaults[i]
 		}
 	}
-	s := &Server{rt: rt, cfg: cfg}
-	s.mm.New = func() any {
-		n := s.cfg.MMSize
-		return newMMScratch(make([]float64, n*n), make([]float64, n*n), make([]float64, n*n), n)
+	return &Server{rt: rt, cfg: cfg,
+		mm:   make(chan *mmScratch, maxFreeScratch),
+		sort: make(chan *sortScratch, maxFreeScratch),
+		sw:   make(chan *swScratch, maxFreeScratch),
+		reqs: make(chan *jobReq, maxFreeReqs),
+	}, nil
+}
+
+// The free lists' bounds. A scratch is held from its job's start to
+// its return, so a list fills to the jobs of its class that ran at
+// once, up to maxFreeScratch; a record is held from Job to the start
+// of run, so the list fills to the requests queued at once, up to
+// maxFreeReqs. Past a bound, what comes back is left to the garbage
+// collector.
+const (
+	maxFreeScratch = 64
+	maxFreeReqs    = 1024
+)
+
+// take returns a value from list, or a new one from mk when the list
+// is empty. mk is a method expression, so passing it allocates nothing.
+func take[T any](s *Server, list chan T, mk func(*Server) T) T {
+	select {
+	case v := <-list:
+		return v
+	default:
+		return mk(s)
 	}
-	s.sort.New = func() any {
-		return &sortScratch{make([]int64, s.cfg.SortSize), make([]int64, s.cfg.SortSize)}
-	}
-	s.sw.New = func() any {
-		return newSWScratch(make([]byte, s.cfg.SWSize), make([]byte, s.cfg.SWSize))
-	}
-	s.reqs.New = func() any {
-		r := &jobReq{s: s}
-		r.fn = r.run
-		return r
-	}
-	return s, nil
+}
+
+func (s *Server) makeMM() *mmScratch {
+	n := s.cfg.MMSize
+	return newMMScratch(make([]float64, n*n), make([]float64, n*n), make([]float64, n*n), n)
+}
+
+func (s *Server) makeSort() *sortScratch {
+	return &sortScratch{make([]int64, s.cfg.SortSize), make([]int64, s.cfg.SortSize)}
+}
+
+func (s *Server) makeSW() *swScratch {
+	return newSWScratch(make([]byte, s.cfg.SWSize), make([]byte, s.cfg.SWSize))
+}
+
+func (s *Server) makeReq() *jobReq {
+	r := &jobReq{s: s}
+	r.fn = r.run
+	return r
 }
 
 // jobReq is one request in record form, where a closure over (s,
@@ -126,8 +160,8 @@ type jobReq struct {
 // the two to its admission controller's Submit. A job that never runs
 // (shed, or cancelled while queued) leaves its record to the GC.
 func (s *Server) Job(class int, seq int64) (level int, fn func(*icilk.Task) any) {
-	r := s.reqs.Get().(*jobReq)
-	r.class, r.seq = class, seq
+	r := take(s, s.reqs, (*Server).makeReq)
+	r.s, r.class, r.seq = s, class, seq
 	// The classes are numbered in SJF order: a class is its level.
 	level = LevelSW
 	if class >= LevelMM && class < LevelSW {
@@ -137,17 +171,21 @@ func (s *Server) Job(class int, seq int64) (level int, fn func(*icilk.Task) any)
 }
 
 // run is the task body. The record has done its work once class and
-// seq are read, so it goes back to the pool before the job starts. The
+// seq are read, so it goes back to its list before the job starts. The
 // checksum comes back in a result cell rather than a box of its own.
 //
-// A job owns its scratch from Get to its normal return and recycles it
-// there, never from a defer: a cancellation unwinds through the body
+// A job owns its scratch from take to its normal return and recycles
+// it there, never from a defer: a cancellation unwinds through the body
 // before the runtime has joined what it spawned on the root frame
-// (sw's tiles), and a deferred Put would hand the next request buffers
-// those children still write. An unwound job's scratch is dropped.
+// (sw's tiles), and a deferred recycle would hand the next request
+// buffers those children still write. An unwound job's scratch is
+// dropped.
 func (r *jobReq) run(t *icilk.Task) any {
 	s, class, seq := r.s, r.class, r.seq
-	s.reqs.Put(r)
+	if invariant.Enabled {
+		invariant.Checkf(s != nil, "jobserver: a request record ran after its release")
+	}
+	recycle(s.reqs, r)
 	switch class {
 	case 0:
 		return cellResult(&s.cells, s.runMM(t, seq))
@@ -161,7 +199,7 @@ func (r *jobReq) run(t *icilk.Task) any {
 }
 
 func (s *Server) runMM(t *icilk.Task, seq int64) float64 {
-	sc := s.mm.Get().(*mmScratch)
+	sc := take(s, s.mm, (*Server).makeMM)
 	fillMatrix(sc.a, uint64(seq))
 	fillMatrix(sc.b, uint64(seq)+1)
 	mmInto(t, sc)
@@ -169,12 +207,12 @@ func (s *Server) runMM(t *icilk.Task, seq int64) float64 {
 	for _, v := range sc.c {
 		sum += v
 	}
-	recycle(&s.mm, sc)
+	recycle(s.mm, sc)
 	return sum
 }
 
 func (s *Server) runSort(t *icilk.Task, seq int64) int64 {
-	sc := s.sort.Get().(*sortScratch)
+	sc := take(s, s.sort, (*Server).makeSort)
 	xs := sc.xs
 	fillInts(xs, uint64(seq))
 	mergesort(t, xs, sc.tmp)
@@ -186,16 +224,16 @@ func (s *Server) runSort(t *icilk.Task, seq int64) int64 {
 		}
 		sum += xs[i] * int64(i%7)
 	}
-	recycle(&s.sort, sc)
+	recycle(s.sort, sc)
 	return sum
 }
 
 func (s *Server) runSW(t *icilk.Task, seq int64) int {
-	sc := s.sw.Get().(*swScratch)
+	sc := take(s, s.sw, (*Server).makeSW)
 	fillSeq(sc.p, uint64(seq))
 	fillSeq(sc.q, uint64(seq)+7)
 	best := swInto(t, sc)
-	recycle(&s.sw, sc)
+	recycle(s.sw, sc)
 	return best
 }
 
@@ -231,16 +269,23 @@ func fillSeq(s []byte, seed uint64) {
 	}
 }
 
-// recycle returns a scratch to its pool, in icilk_debug builds
-// poisoned first (0xdb, as memcached's shard.release does): a job that
-// relies on what the last owner left returns a wrong checksum, and a
-// task still using a scratch its job gave up races with the poison.
-func recycle(pool *sync.Pool, sc interface{ poison() }) {
+// recycle returns a scratch or a record to its list, in icilk_debug
+// builds poisoned first (0xdb, as memcached's shard.release does): a
+// job that relies on what the last owner left returns a wrong checksum,
+// and a task still using a scratch its job gave up races with the
+// poison.
+func recycle[T interface{ poison() }](list chan T, v T) {
 	if invariant.Enabled {
-		sc.poison()
+		v.poison()
 	}
-	pool.Put(sc)
+	select {
+	case list <- v:
+	default:
+	}
 }
+
+// poison marks the record released; run asserts it is not.
+func (r *jobReq) poison() { r.s, r.class, r.seq = nil, -1, -1 }
 
 func (s *mmScratch) poison() { poisonFill(s.a, s.b, s.c) }
 

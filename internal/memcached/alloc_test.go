@@ -249,3 +249,24 @@ func TestCrawlerNapAllocFree(t *testing.T) {
 		t.Errorf("%.2f allocations per crawler nap, want < 1", per)
 	}
 }
+
+// TestPreloadOverwriteAllocFree: Preload encodes every key into one
+// reused buffer and stores it with SetB, so a second Preload over the
+// same store, all overwrites of the same size, allocates nothing per
+// key: preloading 4096 keys costs what preloading 256 does (the value
+// and the key buffer).
+func TestPreloadOverwriteAllocFree(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	s := NewStore(StoreConfig{})
+	small := WorkloadConfig{KeySpace: 256, ValueSize: 64}
+	large := WorkloadConfig{KeySpace: 4096, ValueSize: 64}
+	Preload(s, large)
+	few := testing.AllocsPerRun(5, func() { Preload(s, small) })
+	many := testing.AllocsPerRun(5, func() { Preload(s, large) })
+	if perKey := (many - few) / float64(large.KeySpace-small.KeySpace); perKey != 0 {
+		t.Errorf("Preload overwrite: %.0f allocs for %d keys, %.0f for %d (%.4f per key), want 0 per key",
+			many, large.KeySpace, few, small.KeySpace, perKey)
+	}
+}

@@ -93,15 +93,15 @@ func TestExpositionGolden(t *testing.T) {
 	}
 }
 
-// TestScrapeAllocFree: once a render buffer is pooled, a scrape of
-// every metric kind, labels and histograms included, allocates
-// nothing, and String only the string it returns.
+// TestScrapeAllocFree: once the registry keeps a render buffer, a
+// scrape of every metric kind, labels and histograms included,
+// allocates nothing, and String only the string it returns.
 func TestScrapeAllocFree(t *testing.T) {
 	if invariant.Race {
 		t.Skip("allocation accounting differs under -race")
 	}
 	r := goldenRegistry()
-	r.WriteTo(io.Discard) // warm-up: pools the render buffer
+	r.WriteTo(io.Discard) // warm-up: leaves a render buffer behind
 	if got := testing.AllocsPerRun(100, func() { r.WriteTo(io.Discard) }); got != 0 {
 		t.Errorf("WriteTo allocates %v objects per scrape, want 0", got)
 	}

@@ -15,7 +15,8 @@
 //     that never changes — HELP and TYPE lines, each sample line's
 //     name and labels — is rendered once, at registration, into
 //     families and series kept sorted as they register; a scrape
-//     appends only the values, into a pooled render buffer.
+//     appends only the values, into a render buffer the registry
+//     keeps (at most maxRenders of them, across garbage collections).
 //   - Pull-based sources: CounterFunc/GaugeFunc register callbacks so
 //     values the runtime already maintains (worker clocks, queue
 //     depths, the priority bitfield) are read only when scraped,
@@ -35,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"icilk/internal/invariant"
 	"icilk/internal/stats"
 )
 
@@ -150,10 +152,16 @@ type family struct {
 type Registry struct {
 	mu   sync.RWMutex
 	fams []*family // sorted by name
-	// renders holds *render scratch for WriteTo: each scrape takes its
-	// own, so a slow client blocks no other scrape.
-	renders sync.Pool
+	// renders holds the render scratch of finished scrapes, at most
+	// maxRenders: each scrape takes its own, so a slow client blocks
+	// no other scrape.
+	renders chan *render
 }
+
+// maxRenders bounds the render buffers a registry keeps between
+// scrapes; a scrape that finds none makes one, and one that finishes
+// beside maxRenders others drops its buffer.
+const maxRenders = 4
 
 // render is one scrape's scratch: the exposition buffer and the
 // histogram cumulative counts.
@@ -163,7 +171,7 @@ type render struct {
 }
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry { return &Registry{renders: make(chan *render, maxRenders)} }
 
 // validName enforces the Prometheus metric/label name charset.
 func validName(s string) bool {
@@ -359,10 +367,12 @@ func appendFloat(b, prefix []byte, v float64) []byte {
 }
 
 // renderAll takes a render buffer and fills it with the exposition;
-// the caller puts it back in r.renders.
+// the caller hands it back with putRender.
 func (r *Registry) renderAll() *render {
-	rb, _ := r.renders.Get().(*render)
-	if rb == nil {
+	var rb *render
+	select {
+	case rb = <-r.renders:
+	default:
 		rb = new(render)
 	}
 	rb.buf = rb.buf[:0]
@@ -377,18 +387,37 @@ func (r *Registry) renderAll() *render {
 	return rb
 }
 
+// putRender returns a finished scrape's buffer to the registry, in
+// icilk_debug builds poisoned first, so output read after its scrape
+// returned is garbage instead of a plausible exposition.
+func (r *Registry) putRender(rb *render) {
+	if invariant.Enabled {
+		buf := rb.buf[:cap(rb.buf)]
+		for i := range buf {
+			buf[i] = 0xdb
+		}
+		for i := range rb.counts {
+			rb.counts[i] = 0xdbdbdbdbdbdbdbdb
+		}
+	}
+	select {
+	case r.renders <- rb:
+	default:
+	}
+}
+
 // WriteTo renders the registry in Prometheus text exposition format
 // (version 0.0.4): families sorted by name, each with HELP and TYPE
 // lines, series sorted by label signature. Safe to call concurrently
-// with registrations and metric updates. It allocates nothing once a
-// render buffer is pooled.
+// with registrations and metric updates. It allocates nothing once
+// the registry keeps a render buffer.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	rb := r.renderAll()
 	n, err := w.Write(rb.buf)
 	if err == nil && n < len(rb.buf) {
 		err = io.ErrShortWrite
 	}
-	r.renders.Put(rb)
+	r.putRender(rb)
 	return int64(n), err
 }
 
@@ -397,6 +426,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 func (r *Registry) String() string {
 	rb := r.renderAll()
 	s := string(rb.buf)
-	r.renders.Put(rb)
+	r.putRender(rb)
 	return s
 }

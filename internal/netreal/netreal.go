@@ -26,17 +26,19 @@
 // netsim.Endpoint in either mode. The data path is allocation-free at
 // steady state:
 //
-//   - Reads land directly in fixed-size chunks recycled through a
-//     process-wide sync.Pool; the filler (poller or pump) writes the
-//     tail chunk in place (no intermediate copy, no append-grow), and
-//     fully consumed chunks return to the pool as the consumer drains,
-//     so a connection's buffered memory tracks its backlog instead of
-//     its high-water mark.
+//   - Reads land directly in fixed-size chunks recycled through the
+//     free list of the connection's Stats (at most maxFreeChunks, kept
+//     across garbage collections); the filler (poller or pump) writes
+//     the tail chunk in place (no intermediate copy, no append-grow),
+//     and fully consumed chunks return to the list as the consumer
+//     drains, so a connection's buffered memory tracks its backlog
+//     instead of its high-water mark.
 //   - Writes coalesce in a per-connection buffer until Flush (the
 //     icilk read path flushes automatically before suspending), so a
 //     burst of small replies costs one syscall. A large payload is
 //     sent with writev alongside the pending small writes rather than
-//     being copied through the buffer.
+//     being copied through the buffer. The buffer is allocated once,
+//     at its bound (writeBufCap), when the connection is wrapped.
 package netreal
 
 import (
@@ -46,7 +48,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"unsafe"
 
+	"icilk/internal/invariant"
 	"icilk/internal/metrics"
 	"icilk/internal/netpoll"
 )
@@ -55,7 +59,7 @@ import (
 // server consumes, providing backpressure.
 const bufferSoftCap = 1 << 20
 
-// chunkSize is the pump's read granularity and the unit of pooled
+// chunkSize is the pump's read granularity and the unit of recycled
 // buffer memory.
 const chunkSize = 16 * 1024
 
@@ -69,27 +73,40 @@ const writeBufFlushAt = 32 * 1024
 // buffer + payload in one writev syscall).
 const writeVecThreshold = 2 * 1024
 
-// chunk is one pooled buffer segment of a connection's read queue.
+// writeBufCap is the write buffer's fixed capacity: a write shorter
+// than writeVecThreshold is appended to fewer than writeBufFlushAt
+// pending bytes, and the buffer is flushed once it reaches
+// writeBufFlushAt, so it never holds more and never grows.
+const writeBufCap = writeBufFlushAt + writeVecThreshold
+
+// maxFreeChunks bounds a Stats' chunk free list: at most 4 MiB of
+// drained chunks wait there for reuse; a chunk released to a full
+// list is left to the garbage collector.
+const maxFreeChunks = 256
+
+// poison fills recycled buffers in icilk_debug builds, so a reader of
+// a released chunk sees garbage instead of plausible stale bytes.
+const poison = 0xdb
+
+// chunk is one recycled buffer segment of a connection's read queue.
 // The consumer owns data[r:w]; the pump owns data[w:] of the tail
 // chunk (disjoint ranges, so the pump fills while the consumer
-// drains). A chunk may be returned to the pool only when fully
+// drains). A chunk may be returned to the free list only when fully
 // consumed AND full (r == w == chunkSize): the pump never writes to a
-// full chunk, so a full drained chunk is provably unreferenced.
+// full chunk, so a full drained chunk is provably unreferenced. next
+// links the read queue, or the free list once released.
 type chunk struct {
 	data [chunkSize]byte
 	r, w int
 	next *chunk
 }
 
-// chunkPool recycles read chunks across all connections.
-var chunkPool sync.Pool
-
 // Stats aggregates I/O accounting across a set of adapted
 // connections: how many bytes the pumps are holding (memory pressure
 // from slow consumers), how often backpressure engaged, buffer-pool
 // recycling effectiveness, and total socket traffic. WrapOptions
 // charges connections to Options.Stats, or to DefaultStats if it is
-// nil.
+// nil. The zero value is ready to use.
 type Stats struct {
 	buffered   atomic.Int64
 	readBytes  atomic.Int64
@@ -99,6 +116,15 @@ type Stats struct {
 	poolMisses atomic.Int64
 	sysReads   atomic.Int64
 	sysWrites  atomic.Int64
+
+	// free is the read-chunk free list of the connections charged
+	// here, a stack linked through chunk.next holding nfree chunks (at
+	// most maxFreeChunks). Unlike a sync.Pool's, its chunks survive a
+	// garbage collection, so a collection does not make the next reads
+	// allocate.
+	freeMu sync.Mutex
+	free   *chunk
+	nfree  int
 }
 
 // DefaultStats is the process-wide account used when Options.Stats
@@ -119,7 +145,7 @@ func (s *Stats) Pauses() int64 { return s.pauses.Load() }
 func (s *Stats) Conns() int64 { return s.conns.Load() }
 
 // PoolHits returns how many chunk acquisitions were served from the
-// recycling pool.
+// free list.
 func (s *Stats) PoolHits() int64 { return s.poolHits.Load() }
 
 // PoolMisses returns how many chunk acquisitions had to allocate.
@@ -136,10 +162,17 @@ func (s *Stats) SysReads() int64 { return s.sysReads.Load() }
 // mode).
 func (s *Stats) SysWrites() int64 { return s.sysWrites.Load() }
 
-// getChunk takes a reset chunk from the pool, charging hit/miss
+// getChunk takes a reset chunk from the free list, charging hit/miss
 // accounting to s.
 func (s *Stats) getChunk() *chunk {
-	if c, _ := chunkPool.Get().(*chunk); c != nil {
+	s.freeMu.Lock()
+	c := s.free
+	if c != nil {
+		s.free, c.next = c.next, nil
+		s.nfree--
+	}
+	s.freeMu.Unlock()
+	if c != nil {
 		s.poolHits.Add(1)
 		return c
 	}
@@ -147,10 +180,22 @@ func (s *Stats) getChunk() *chunk {
 	return new(chunk)
 }
 
-// putChunk recycles a chunk no goroutine references.
-func putChunk(c *chunk) {
+// putChunk recycles a chunk no goroutine references, poisoned first in
+// icilk_debug builds.
+func (s *Stats) putChunk(c *chunk) {
+	if invariant.Enabled {
+		for i := range c.data {
+			c.data[i] = poison
+		}
+	}
 	c.r, c.w, c.next = 0, 0, nil
-	chunkPool.Put(c)
+	s.freeMu.Lock()
+	if s.nfree < maxFreeChunks {
+		c.next = s.free
+		s.free = c
+		s.nfree++
+	}
+	s.freeMu.Unlock()
 }
 
 // RegisterMetrics exports the account into reg.
@@ -230,9 +275,10 @@ type Conn struct {
 	detached   bool // poller mode: deregistered mid-backlog; consumer drives the drain
 
 	wmu   sync.Mutex
-	wbuf  []byte      // coalesced pending writes
+	wbuf  []byte      // coalesced pending writes, capacity writeBufCap
 	wpend []byte      // poller mode: bytes parked awaiting EPOLLOUT
-	vec   net.Buffers // reusable writev vector
+	vec   net.Buffers // pump mode's writev vector, over vecs
+	vecs  [2][]byte   // vec's backing array, so a writev allocates nothing
 	werr  error       // sticky write error
 	dead  bool        // poller mode: no further raw-fd writes (closing)
 }
@@ -249,7 +295,7 @@ func WrapOptions(nc net.Conn, o Options) *Conn {
 	if stats == nil {
 		stats = DefaultStats
 	}
-	c := &Conn{nc: nc, stats: stats, rawfd: -1}
+	c := &Conn{nc: nc, stats: stats, rawfd: -1, wbuf: make([]byte, 0, writeBufCap)}
 	c.cond = sync.NewCond(&c.mu)
 	stats.conns.Add(1)
 
@@ -299,7 +345,7 @@ func (c *Conn) syncAcct() {
 	}
 }
 
-// pump moves bytes from the socket straight into pooled chunks and
+// pump moves bytes from the socket straight into recycled chunks and
 // fires readiness. Only the pump appends chunks and only the pump
 // writes data[w:] of the tail chunk; everything else is guarded by
 // c.mu.
@@ -354,14 +400,14 @@ func (c *Conn) pump() {
 	}
 }
 
-// releaseDrainedLocked returns the whole queue to the pool. Callers
+// releaseDrainedLocked returns the whole queue to the free list. Callers
 // hold c.mu and must have established that the pump can no longer
 // touch the chunks (it has observed rerr/closed and stopped, which is
 // implied by rerr being set before the final broadcast).
 func (c *Conn) releaseDrainedLocked() {
 	for ch := c.head; ch != nil; {
 		next := ch.next
-		putChunk(ch)
+		c.stats.putChunk(ch)
 		ch = next
 	}
 	c.head, c.tail = nil, nil
@@ -381,7 +427,7 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 				// Fully consumed interior chunk (always full: the pump
 				// moves on only when a chunk fills).
 				c.head = ch.next
-				putChunk(ch)
+				c.stats.putChunk(ch)
 				continue
 			}
 			m := copy(p[n:], ch.data[ch.r:ch.w])
@@ -393,7 +439,7 @@ func (c *Conn) TryRead(p []byte) (int, error) {
 				if c.head == nil {
 					c.tail = nil
 				}
-				putChunk(ch)
+				c.stats.putChunk(ch)
 			}
 		}
 		if c.buffered == 0 {
@@ -454,6 +500,22 @@ func (c *Conn) ArmRead(fn func()) {
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.writeLocked(p)
+}
+
+// WriteString is Write for a string, without converting it: a string
+// as long as writeVecThreshold takes Write's vectored path too, so the
+// write buffer stays within its fixed capacity.
+func (c *Conn) WriteString(s string) (int, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	// The write paths only read p (copy, write, writev), so s's bytes
+	// may stand in for a slice.
+	return c.writeLocked(unsafe.Slice(unsafe.StringData(s), len(s)))
+}
+
+// writeLocked is Write with c.wmu held.
+func (c *Conn) writeLocked(p []byte) (int, error) {
 	if c.werr != nil {
 		return 0, c.werr
 	}
@@ -472,7 +534,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			}
 			return len(p), nil
 		}
-		c.vec = append(c.vec[:0], c.wbuf, p)
+		c.vec = append(c.vecs[:0], c.wbuf, p)
 		c.stats.sysWrites.Add(1)
 		if _, err := c.vec.WriteTo(c.nc); err != nil {
 			c.werr = err
@@ -487,20 +549,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 		return len(p), c.flushLocked()
 	}
 	return len(p), nil
-}
-
-// WriteString queues s without converting it to a byte slice.
-func (c *Conn) WriteString(s string) (int, error) {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.werr != nil {
-		return 0, c.werr
-	}
-	c.wbuf = append(c.wbuf, s...)
-	if len(c.wbuf) >= writeBufFlushAt {
-		return len(s), c.flushLocked()
-	}
-	return len(s), nil
 }
 
 // Flush sends all pending coalesced writes in one syscall. The icilk

@@ -62,7 +62,7 @@ func (c *Conn) PollerActive() bool {
 func (c *Conn) CompletesOnPoller() bool { return c.pd != nil && c.batcher != nil }
 
 // PollReadable implements netpoll.Conn: drain the socket into the
-// pooled chunk ring, returning the armed readiness callback (if any)
+// recycled chunk ring, returning the armed readiness callback (if any)
 // for the poller to run with the rest of its pass.
 func (c *Conn) PollReadable(d *netpoll.Desc, forced bool) (func(), netpoll.Batcher) {
 	c.mu.Lock()
@@ -127,7 +127,7 @@ func (c *Conn) pollDrainLocked(d *netpoll.Desc, forced bool) {
 			c.buffered += n
 			c.stats.readBytes.Add(int64(n))
 		} else if fresh != nil {
-			putChunk(fresh)
+			c.stats.putChunk(fresh)
 		}
 		if err != nil {
 			if err == netpoll.ErrWouldBlock {

@@ -1,6 +1,6 @@
 package sched
 
-import "sync"
+import "icilk/internal/invariant"
 
 // Called frames: the "function call" half of Cilk's frame model.
 //
@@ -22,12 +22,6 @@ import "sync"
 // back to the caller on return, so migration while inside the frame is
 // transparent.
 
-// callFrames recycles the Task structs backing called frames. A frame
-// is only returned to the pool once its join counter is provably
-// quiescent (fn returned after a successful Sync, or the unwind path
-// joined the stragglers), at which point no child references it.
-var callFrames = sync.Pool{New: func() any { return new(Task) }}
-
 // Call runs fn inline in its own task frame: a scheduling point (the
 // frequent priority check runs first), then fn(frame) on the calling
 // goroutine, then — after fn returns — a check that fn joined
@@ -43,7 +37,7 @@ var callFrames = sync.Pool{New: func() any { return new(Task) }}
 // outstanding children.
 func (t *Task) Call(fn func(*Task)) {
 	t.maybeSwitch()
-	c := callFrames.Get().(*Task)
+	c := t.rt.takeFrame(t.w)
 	c.rt, c.w, c.n = t.rt, t.w, t.n
 	c.level, c.parent, c.cancel = t.level, t, t.cancel
 	defer func() {
@@ -75,10 +69,54 @@ func (t *Task) Call(fn func(*Task)) {
 	fn(c)
 }
 
-// releaseFrame clears a quiescent called frame and returns it to the
-// pool, pinning nothing.
+// releaseFrame clears a quiescent called frame and parks it on the
+// frame list of its worker (worker.frames, spilling to
+// Runtime.frames), whose token the calling goroutine holds. A frame is
+// only released once its join counter is provably quiescent (fn
+// returned after a successful Sync, or the unwind path joined the
+// stragglers), at which point no child references it. The cleared
+// frame pins nothing, and its nil runtime, worker and node are its
+// poison: any use of it faults.
 func (c *Task) releaseFrame() {
+	rt, w := c.rt, c.w
 	c.rt, c.w, c.n = nil, nil, nil
 	c.level, c.parent, c.cancel = 0, nil, nil
-	callFrames.Put(c)
+	rt.putFrame(w, c)
+}
+
+// takeFrame pops a called frame off w's list (the caller holds w's
+// token, or w is nil), else off the shared one, else allocates one.
+func (rt *Runtime) takeFrame(w *worker) *Task {
+	var c *Task
+	if w != nil && w.nframes > 0 {
+		w.nframes--
+		c = w.frames[w.nframes]
+		w.frames[w.nframes] = nil
+	} else {
+		select {
+		case c = <-rt.frames:
+		default:
+			return new(Task)
+		}
+	}
+	if invariant.Enabled {
+		invariant.Checkf(c.rt == nil && c.joins.Load() == 0,
+			"sched: recycled called frame was touched after its release")
+	}
+	return c
+}
+
+// putFrame parks a released frame on w's list (the caller holds w's
+// token), spilling to the shared one; a frame neither takes is left to
+// the garbage collector.
+func (rt *Runtime) putFrame(w *worker, c *Task) {
+	if w.nframes < len(w.frames) {
+		w.frames[w.nframes] = c
+		w.nframes++
+		return
+	}
+	select {
+	case rt.frames <- c:
+	default:
+	}
 }

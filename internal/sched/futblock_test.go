@@ -43,8 +43,8 @@ func TestFutureSizeClass(t *testing.T) {
 func nopFuture(*Task) any { return nil }
 
 // TestSubmitWaitAllocFree pins external submission: the future comes
-// from a block, the context from the free lists and the waiter's
-// channel from a pool, so Submit+Wait of a routine that captures
+// from a block, the context, the deque and the waiter's channel from
+// the runtime's free lists, so Submit+Wait of a routine that captures
 // nothing costs the heap only the future's 1/32 of a block.
 func TestSubmitWaitAllocFree(t *testing.T) {
 	if invariant.Race || invariant.Enabled {
@@ -62,6 +62,39 @@ func TestSubmitWaitAllocFree(t *testing.T) {
 	if perOp := avg / ops; perOp > 0.05 {
 		t.Errorf("Submit+Wait allocates %.3f objects/op, want <= 0.05", perOp)
 	}
+	// Across a collection: the waiter's channel and the deque come from
+	// the runtime's own lists, which a GC does not empty, so the round
+	// after it claims future blocks and nothing else.
+	if n, blocks := mallocsAfterGC(round), uint64(ops/futBlockSize+1); n > blocks {
+		t.Errorf("Submit+Wait after a GC: %d allocations over %d ops, want at most %d (the future blocks)", n, ops, blocks)
+	}
+}
+
+// mallocsAfterGC runs f right after two collections (a sync.Pool
+// survives only one) and returns the heap allocations it made. A
+// collection also empties the Go runtime's central cache of the
+// records a blocked channel operation takes (sudogs), which f's
+// harness blocks on too, so one blocking hand-off between goroutines
+// refills that first. The counter is the whole process's, so a stray
+// allocation by the Go runtime can land in a window; the smallest of
+// three is returned.
+func mallocsAfterGC(f func()) uint64 {
+	var least uint64
+	for w := 0; w < 3; w++ {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		ping := make(chan struct{})
+		go func() { ping <- struct{}{} }()
+		<-ping
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		if n := m1.Mallocs - m0.Mallocs; w == 0 || n < least {
+			least = n
+		}
+	}
+	return least
 }
 
 // TestFutCreateGetAllocFree is the same for a task's own futures: the
@@ -188,7 +221,7 @@ func waitParked(t *testing.T, f *Future, want int) {
 	}
 }
 
-// TestWaitHandsOverToSecondWaiter: a lone Wait parks on a pooled
+// TestWaitHandsOverToSecondWaiter: a lone Wait parks on a borrowed
 // channel; a second waiter, by Wait or WaitChan, moves it onto the
 // channel closed at completion, and one completion releases both and
 // leaves nothing borrowed behind.
@@ -225,6 +258,6 @@ func TestWaitHandsOverToSecondWaiter(t *testing.T) {
 	f.Complete(nil)
 	<-done
 	if f.ch != nil {
-		t.Fatal("completion left the lone waiter's pooled channel on the future")
+		t.Fatal("completion left the lone waiter's borrowed channel on the future")
 	}
 }

@@ -49,7 +49,8 @@ type Future struct {
 
 	// ch wakes external waiters, in one of two forms told apart by
 	// capacity. Capacity 1: a lone Wait parks on a channel borrowed from
-	// waitChans, and completion sends on it once and forgets it.
+	// the runtime's waitChans, and completion sends on it once and
+	// forgets it.
 	// Capacity 0: WaitChan's channel, made lazily and closed at
 	// completion; a second waiter replaces a borrowed channel with one
 	// (see WaitChan). Futures only ever observed by tasks (the common
@@ -112,10 +113,6 @@ func (rt *Runtime) newFuture(w *worker, level int32) *Future {
 // future is rearmed and lives as long as its connection, and in a
 // block it would keep its neighbours alive as long.
 func (rt *Runtime) NewIOFuture() *Future { return &Future{rt: rt, ownerLevel: -1} }
-
-// waitChans holds the capacity-1 channels lone Wait callers park on;
-// each goes back empty, after its one send has been received.
-var waitChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // Complete fulfills the future with v. It must be called exactly once
 // and only for externally-completed (I/O) futures; futures backed by a
@@ -324,19 +321,32 @@ func (f *Future) Get(t *Task) any {
 
 // Wait blocks the calling (non-task) goroutine until completion and
 // returns the value. Load generators and tests use this. A lone waiter
-// parks on a pooled channel, so Wait allocates nothing; a second
-// concurrent one moves both onto WaitChan's.
+// parks on a channel from its runtime's list (Runtime.waitChans), so
+// Wait allocates nothing; a second concurrent one moves both onto
+// WaitChan's.
 func (f *Future) Wait() any {
 	if f.done.Load() {
 		return f.val
 	}
 	f.mu.Lock()
 	if f.ch == nil && !f.done.Load() {
-		c := waitChans.Get().(chan struct{})
+		rt := f.rt
+		var c chan struct{}
+		select {
+		case c = <-rt.waitChans:
+		default:
+			c = make(chan struct{}, 1)
+		}
 		f.ch = c
 		f.mu.Unlock()
 		<-c
-		waitChans.Put(c)
+		if invariant.Enabled {
+			invariant.Checkf(len(c) == 0, "sched: lone-waiter channel recycled non-empty")
+		}
+		select {
+		case rt.waitChans <- c:
+		default:
+		}
 		if f.done.Load() {
 			return f.val
 		}

@@ -59,23 +59,23 @@ func TestSpawnSyncAllocFree(t *testing.T) {
 	defer d.stop()
 
 	const pairs = 100
-	// Warm the free lists before measuring.
-	d.do(func(task *Task) {
-		for i := 0; i < pairs; i++ {
-			task.Spawn(func(*Task) {})
-			task.Sync()
-		}
-	})
-	avg := testing.AllocsPerRun(20, func() {
+	round := func() {
 		d.do(func(task *Task) {
 			for i := 0; i < pairs; i++ {
 				task.Spawn(func(*Task) {})
 				task.Sync()
 			}
 		})
-	})
+	}
+	round() // warm the free lists before measuring
+	avg := testing.AllocsPerRun(20, round)
 	if perOp := avg / pairs; perOp > 0.05 {
 		t.Errorf("spawn-sync pair allocates %.3f objects/op, want 0", perOp)
+	}
+	// Across a collection: the contexts and the deques are the
+	// runtime's, kept in lists a GC does not empty.
+	if n := mallocsAfterGC(round); n != 0 {
+		t.Errorf("spawn-sync after a GC: %d allocations over %d pairs, want 0", n, pairs)
 	}
 }
 

@@ -205,9 +205,19 @@ type Runtime struct {
 
 	// deques recycles dead execution-context deques (see freeDeque for
 	// the safety argument); recycleDeques gates it to the
-	// centralized-pool policies.
-	deques        sync.Pool
+	// centralized-pool policies. Bounded at sharedFreeCap.
+	deques        chan *dq
 	recycleDeques bool
+
+	// frames is the shared called-frame list (Task.Call): token
+	// holders use their worker's own, which spills here and refills
+	// from here. Bounded at sharedFreeCap.
+	frames chan *Task
+
+	// waitChans holds the capacity-1 channels lone Wait callers park
+	// on; each comes back empty, after its one send has been received.
+	// Bounded at waitChanCap.
+	waitChans chan chan struct{}
 
 	// inflight counts submitted-but-unfinished root futures, letting
 	// harnesses drain before Close.
@@ -239,6 +249,9 @@ func New(cfg Config) (*Runtime, error) {
 		nonEmpty:  make([]paddedInt64, cfg.Levels),
 		levelWork: make([]paddedInt64, cfg.Levels),
 		free:      make(chan *node, sharedFreeCap),
+		deques:    make(chan *dq, sharedFreeCap),
+		frames:    make(chan *Task, sharedFreeCap),
+		waitChans: make(chan chan struct{}, waitChanCap),
 	}
 	if cfg.TraceCapacity > 0 {
 		rt.trace = trace.New(cfg.TraceCapacity)
@@ -392,10 +405,11 @@ func (rt *Runtime) release(p *epoch.Participant) {
 // allocated otherwise.
 func (rt *Runtime) newDeque(level int) *dq {
 	if rt.recycleDeques {
-		if v := rt.deques.Get(); v != nil {
-			d := v.(*dq)
+		select {
+		case d := <-rt.deques:
 			d.Reset(level)
 			return d
+		default:
 		}
 	}
 	return deque.New(level, rt.onLive)
@@ -408,14 +422,19 @@ func (rt *Runtime) newDeque(level int) *dq {
 // reference. Both the owner's death path and a thief's lazy-removal
 // drop call this for the same deque, so the eligibility check is a
 // claim, not a read: TakeForRecycle atomically moves the deque to the
-// terminal Recycled state and only the single claimant Puts it,
-// keeping one deque from reaching the pool (and later two newDeque
+// terminal Recycled state and only the single claimant offers it,
+// keeping one deque from reaching the list (and later two newDeque
 // callers) twice. Deques that fail the claim are left for the GC or
 // for the racing claimant (their lingering queue entries are dropped
-// lazily as usual).
+// lazily as usual), and so is a claimed deque that finds the list
+// full. The Recycled state is the deque's poison: icilk_debug builds
+// assert every transition, and Reset is the only one out of it.
 func (rt *Runtime) freeDeque(d *dq) {
 	if rt.recycleDeques && d.TakeForRecycle() {
-		rt.deques.Put(d)
+		select {
+		case rt.deques <- d:
+		default:
+		}
 	}
 }
 
@@ -448,9 +467,13 @@ type yieldMsg struct {
 // sharedFreeCap bounds that shared list: at most this many finished
 // contexts (goroutine + channel + Task) stay parked there awaiting
 // reuse; the rest exit and are collected, so idle memory is bounded.
+// The called-frame lists (worker.frames, Runtime.frames) and the dead
+// deque list have the same bounds. waitChanCap bounds the lone-waiter
+// channels: concurrent Wait callers beyond it each make their own.
 const (
 	workerFreeCap = 16
 	sharedFreeCap = 256
+	waitChanCap   = 64
 )
 
 // worker is one scheduler worker: a goroutine that looks for work
@@ -481,6 +504,10 @@ type worker struct {
 	free     [workerFreeCap]*node
 	nfree    int
 	executes int
+	// frames is the LIFO of quiescent called frames (Task.Call), used
+	// like free.
+	frames  [workerFreeCap]*Task
+	nframes int
 	// futs is the block the token holder's FutCreate futures come from
 	// (newFuture).
 	futs  atomic.Pointer[futBlock]

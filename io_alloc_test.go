@@ -2,6 +2,7 @@ package icilk
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -77,11 +78,12 @@ func suspendedReadAllocs(t *testing.T, rt *Runtime, roundTrip func()) float64 {
 // What one suspended read may allocate. The read path allocates
 // nothing (the LineReader's waiter is reused) and neither does the
 // scheduler pool's FIFO under it (segments and their retire callbacks
-// are recycled), so netsim gets no allowance. Over real sockets 0.05
-// is room for a sync.Pool refill after a GC.
+// are recycled), so netsim gets no allowance. Over real sockets the
+// read chunks come from the connection's Stats, whose free list keeps
+// them across a GC, so TCP gets none either.
 const (
 	suspendAllocBoundNetsim = 0
-	suspendAllocBoundTCP    = 0.05
+	suspendAllocBoundTCP    = 0
 )
 
 // TestSuspendedReadAllocFreeNetsim gates the I/O-pool path (the
@@ -110,36 +112,8 @@ func TestSuspendedReadAllocFreeNetsim(t *testing.T) {
 // loopback TCP, shared poller, future completed on the poller through
 // the runtime's batcher.
 func TestSuspendedReadAllocFreeTCP(t *testing.T) {
-	if !netpoll.Supported {
-		t.Skip("shared poller not compiled in")
-	}
 	rt := newRT(t, Config{Workers: 1, Levels: 1})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	cli, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	nc, err := ln.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := netpoll.Open(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	srv := netreal.WrapOptions(nc, netreal.Options{
-		Stats: &netreal.Stats{}, Group: g, Batcher: rt.IOBatcher(),
-	})
-	defer srv.Close()
-	if !srv.CompletesOnPoller() {
-		t.Fatal("connection does not complete on the poller")
-	}
+	cli, srv := loopbackPollConn(t, rt)
 	server := echoLines(rt, srv)
 	ping, reply := []byte("ping\n"), make([]byte, 16)
 	perSuspend := suspendedReadAllocs(t, rt, func() {
@@ -154,5 +128,101 @@ func TestSuspendedReadAllocFreeTCP(t *testing.T) {
 	server.Wait()
 	if perSuspend > suspendAllocBoundTCP {
 		t.Errorf("%.3f allocations per suspended read, want <= %v", perSuspend, suspendAllocBoundTCP)
+	}
+}
+
+// loopbackPollConn connects a loopback TCP client to a server
+// connection served by a poller of its own, completing futures on the
+// poller through rt's batcher. Cleanup closes both ends and the poller.
+func loopbackPollConn(t *testing.T, rt *Runtime) (net.Conn, *netreal.Conn) {
+	t.Helper()
+	if !netpoll.Supported {
+		t.Skip("shared poller not compiled in")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := netpoll.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	srv := netreal.WrapOptions(nc, netreal.Options{
+		Stats: &netreal.Stats{}, Group: g, Batcher: rt.IOBatcher(),
+	})
+	t.Cleanup(func() { srv.Close() })
+	if !srv.CompletesOnPoller() {
+		t.Fatal("connection does not complete on the poller")
+	}
+	return cli, srv
+}
+
+// TestSocketPathAllocFreeAcrossGC gates what a collection leaves the
+// socket path to allocate: nothing. The server echoes pipelined
+// bursts. Warm-up bursts are 4 long lines, whose replies bypass the
+// write buffer (writev) while their 33 KiB fill as many read chunks as
+// a measured burst does. Each measured window follows two collections
+// (a sync.Pool survives only one) and sends bursts of 64 short lines,
+// 32000 bytes, whose replies gather in the write buffer just below
+// writeBufFlushAt: the first burst that size a connection has seen.
+// The read chunks come from a free list a GC does not empty and the
+// write buffer was sized when the connection was wrapped, so the
+// smallest of three windows must read 0 allocations per burst.
+func TestSocketPathAllocFreeAcrossGC(t *testing.T) {
+	if invariant.Race || invariant.Enabled {
+		t.Skip("allocation accounting differs under -race and icilk_debug")
+	}
+	rt := newRT(t, Config{Workers: 1, Levels: 1})
+	cli, srv := loopbackPollConn(t, rt)
+	server := echoLines(rt, srv)
+	burstOf := func(lines, size int) []byte {
+		line := append(bytes.Repeat([]byte{'x'}, size-1), '\n')
+		return bytes.Repeat(line, lines)
+	}
+	warmBurst, burst := burstOf(4, 8448), burstOf(64, 500)
+	reply := make([]byte, max(len(warmBurst), len(burst)))
+	send := func(b []byte) {
+		if _, err := cli.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(cli, reply[:len(b)]); err != nil || !bytes.Equal(reply[:len(b)], b) {
+			t.Fatalf("burst of %d bytes: reply differs, %v", len(b), err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		send(warmBurst)
+	}
+	const bursts = 16
+	least := uint64(0)
+	for w := 0; w < 3; w++ {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < bursts; i++ {
+			send(burst)
+		}
+		runtime.ReadMemStats(&m1)
+		n := m1.Mallocs - m0.Mallocs
+		t.Logf("window %d: %d allocations over %d bursts of %d bytes", w, n, bursts, len(burst))
+		if w == 0 || n < least {
+			least = n
+		}
+	}
+	cli.Close()
+	server.Wait()
+	if least != 0 {
+		t.Errorf("%.3f allocations per burst after a GC, want 0", float64(least)/bursts)
 	}
 }
